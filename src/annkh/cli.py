@@ -102,12 +102,11 @@ def cmd_homology(args):
     ring = parse_ring(args.ring)
     variant = pick_variant(ring, args.variant)
     d = load(args.diagram, args.nudge)
-    c = complexes.build_complex(d, ring, variant)
     if ring.kind == "GENERIC_ALPHA":
         raise InputError(
             "homology needs a Euclidean ring; use verify for generic checks"
         )
-    h = homology.homology(c)
+    h = homology.homology(complexes.build_complex(d, ring, variant))
     print(emit_rows(("i", "q", "a", "rank", "torsion"), table_rows(h), args.format))
     return 0
 

@@ -2,8 +2,12 @@
 
 Homology of a specialized complex is computed slice by slice: the
 differential preserves (qdeg, adeg) after shifts, so each slice is a
-small matrix problem.  Over evaluated parameters the quantum grading
-collapses and slices are taken per (degree, adeg) only.
+separate matrix problem.  Over evaluated parameters the quantum grading
+collapses and slices are taken per (degree, adeg) only.  Each slice is
+reduced by unit cancellation, then SNF on the remainder: sparse
+Gaussian elimination cancels invertible entries until none is left,
+and the dense Smith normal form runs only on the small non-unit matrix
+that remains.
 """
 
 from __future__ import annotations
@@ -176,16 +180,72 @@ def snf_check(m, res):
 
 
 def _unit_free_torsion(ring, invariants):
-    out = []
-    for v in invariants:
-        if ring.kind == "INT":
-            if abs(v) > 1:
-                out.append(v)
-        elif ring.kind == "RAT_POLY_H":
-            if v.degree() >= 1:
-                out.append(v)
-        # fields contribute no torsion
-    return out
+    return [v for v in invariants if not ring.is_unit(v)]
+
+
+def cancel_units(m):
+    """Cancel unit pivots of ``m`` by sparse Gaussian elimination.
+
+    Returns ``(k, rest)`` with ``m`` equivalent to ``I_k`` plus ``rest``
+    (block diagonal), so ``m`` has the rank of ``rest`` plus ``k`` and
+    the non-unit Smith invariants of ``rest``.  ``rest`` keeps the
+    surviving rows and columns in their original order and holds no
+    unit entry.
+
+    The matrix is kept as row dicts plus column index sets.  Pivots are
+    found in sweeps over the rows, shortest row first, taking the unit
+    whose column is shortest; choosing a pivot costs the length of its
+    row, never a rescan of the matrix.  Sweeps repeat until one cancels
+    nothing, since elimination can create new units.
+    """
+    ring = m.ring
+    rows, cols = {}, {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    is_unit, is_zero = ring.is_unit, ring.is_zero
+    zero = ring.zero()
+    k = 0
+    progress = True
+    while progress:
+        progress = False
+        for p in sorted(rows, key=lambda r: len(rows[r])):
+            prow = rows.get(p)
+            if prow is None:
+                continue
+            q = None
+            for c, v in prow.items():
+                if is_unit(v) and (q is None or len(cols[c]) < len(cols[q])):
+                    q = c
+            if q is None:
+                continue
+            del rows[p]
+            for c in prow:
+                cols[c].discard(p)
+            inv, _ = ring.divmod(ring.one(), prow.pop(q))
+            for r in cols.pop(q):
+                row = rows[r]
+                f = ring.mul(row.pop(q), inv)
+                for c, v in prow.items():
+                    w = ring.sub(row.get(c, zero), ring.mul(f, v))
+                    if not is_zero(w):
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = w
+                    elif c in row:
+                        del row[c]
+                        cols[c].discard(r)
+                if not row:
+                    del rows[r]
+            k += 1
+            progress = True
+    rpos = {r: i for i, r in enumerate(sorted(rows))}
+    cpos = {c: j for j, c in enumerate(sorted(c for c, rs in cols.items() if rs))}
+    rest = SparseMatrix(ring, len(rpos), len(cpos))
+    rest.entries = {
+        (rpos[r], cpos[c]): v for r, row in rows.items() for c, v in row.items()
+    }
+    return k, rest
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +280,8 @@ def _slices(c, i):
 
 
 def homology(c):
-    """Kernel mod image per bigrade slice, via Smith normal form ranks."""
+    """Kernel mod image per bigrade slice: ranks and torsion from unit
+    cancellation, then SNF on the remainder."""
     ring = c.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
@@ -236,11 +297,14 @@ def homology(c):
             sub = c.diff[i].submatrix(rows, cols)
             if sub.is_zero():
                 continue
-            res = smith_normal_form(sub)
-            slice_ranks[(i, key)] = res.rank
-            tors = _unit_free_torsion(ring, res.invariants)
-            if tors:
-                slice_tors[(i + 1, key)] = tors
+            rank, rest = cancel_units(sub)
+            if not rest.is_zero():
+                res = smith_normal_form(rest)
+                rank += res.rank
+                tors = _unit_free_torsion(ring, res.invariants)
+                if tors:
+                    slice_tors[(i + 1, key)] = tors
+            slice_ranks[(i, key)] = rank
     entries = {}
     for i in c.degrees:
         for key, idxs in _slices(c, i).items():

@@ -1,7 +1,10 @@
 """Sparse matrices over an exact coefficient ring.
 
-Small and deliberately simple: the complexes built from desk-scale
-diagrams stay well under a thousand rows, so clarity beats asymptotics.
+Chain groups reach tens of thousands of generators (T(2,9) has about
+20k), but differentials stay very sparse, so the operations here cost
+time in proportion to the stored entries.  The exceptions are
+``to_dense`` and ``field_rank``, which are meant for small matrices:
+homology first shrinks each slice with ``homology.cancel_units``.
 """
 
 from __future__ import annotations

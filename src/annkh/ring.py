@@ -407,6 +407,10 @@ class CoefficientRing:
         """Return (u, a*u) with u a unit making a*u canonical."""
         return self.one(), a
 
+    def is_unit(self, a):
+        """Whether a is invertible; elimination may pivot on it."""
+        return False
+
     def alpha_images(self):
         """Images of the generators a0, a1 under the specialization."""
         raise NotImplementedError
@@ -457,6 +461,9 @@ class IntRing(CoefficientRing):
     def normalize_unit(self, a):
         return (1, a) if a >= 0 else (-1, -a)
 
+    def is_unit(self, a):
+        return a in (1, -1)
+
     def alpha_images(self):
         return 0, 0
 
@@ -487,6 +494,9 @@ class RatRing(CoefficientRing):
         if a == 0:
             return Fraction(1), Fraction(0)
         return 1 / a, Fraction(1)
+
+    def is_unit(self, a):
+        return a != 0
 
     def alpha_images(self):
         return Fraction(0), Fraction(0)
@@ -537,6 +547,9 @@ class PrimeField(CoefficientRing):
             return 1, 0
         return pow(a, -1, self.p), 1
 
+    def is_unit(self, a):
+        return a % self.p != 0
+
     def alpha_images(self):
         return 0, 0
 
@@ -574,6 +587,9 @@ class RatPolyH(CoefficientRing):
         if a.is_zero():
             return HPoly(1), a
         return HPoly(1 / a.leading()), a.monic()
+
+    def is_unit(self, a):
+        return a.degree() == 0
 
     def alpha_images(self):
         return HPoly(()), HPoly.gen()
@@ -618,6 +634,9 @@ class AlphaEval(CoefficientRing):
         if a == 0:
             return Fraction(1), Fraction(0)
         return 1 / a, Fraction(1)
+
+    def is_unit(self, a):
+        return a != 0
 
     def alpha_images(self):
         return self.q0, self.q1

@@ -170,6 +170,22 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_homology_rejects_generic_before_building(capsys, corpus_dir, monkeypatch):
+    from annkh import complexes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex must not be built")
+
+    monkeypatch.setattr(complexes, "build_complex", refuse)
+    code, out, err = run(
+        capsys, "homology", corpus_dir / "trefoil_right.json", "--ring", "generic"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: homology needs a Euclidean ring; use verify for generic checks\n"
+    )
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "lee-rank", "no_such_file.json")
     assert code == 2 and "error" in err

@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 
 from annkh import tqft
-from annkh.complexes import build_complex
+from annkh.complexes import ChainComplexData, build_complex
 from annkh.diagram import all_orientations, cube_edge_pairs
 from annkh.errors import UnsupportedRingError
 from annkh.homology import (
     BigradedHomology,
+    cancel_units,
     canonical_generator,
     canonical_span_rank,
     homology,
@@ -21,7 +22,7 @@ from annkh.homology import (
 )
 from annkh.linalg import SparseMatrix, field_rank
 from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
-from annkh.corpus import COMPONENTS, R_PAIRS
+from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 
 
 def mat(ring, rows):
@@ -80,6 +81,68 @@ def test_snf_rational_polynomial_matrix():
     m = mat(QH, [[h, h * h], [h * h, h * h * h]])
     res = smith_normal_form(m)
     assert res.invariants == [h]
+
+
+# ---------------------------------------------------------------------------
+# unit cancellation against the dense Smith normal form
+
+H = HPoly((0, 1))
+CANCEL_CASES = {
+    "int": (INT, [1, -1, 1, -1, 2, -3, 4]),
+    "int_even": (INT, [2, -2, 4, 6, -8]),
+    "int_pm12": (INT, [1, -1, 2, -2]),
+    "gf2": (GF(2), [1]),
+    "gf5": (GF(5), [1, 2, 3, 4]),
+    "rat": (RAT, [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]),
+    "alpha": (alpha_eval(0, 1), [Fraction(1), Fraction(-1), Fraction(3, 4)]),
+    "qh": (QH, [HPoly(1), HPoly(-2), H, H * H, H + HPoly(1), HPoly(2) * H]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCEL_CASES))
+def test_cancel_units_matches_dense_snf(name):
+    ring, values = CANCEL_CASES[name]
+    rng = random.Random(sorted(CANCEL_CASES).index(name))
+    remainders = 0
+    for _ in range(30):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        entries = {
+            (r, c): rng.choice(values)
+            for r in range(nr)
+            for c in range(nc)
+            if rng.random() < 0.4
+        }
+        m = SparseMatrix(ring, nr, nc, entries)
+        k, rest = cancel_units(m)
+        assert not any(ring.is_unit(v) for v in rest.entries.values())
+        dense = smith_normal_form(m)
+        res = smith_normal_form(rest)
+        assert k + res.rank == dense.rank
+        non_units = [v for v in res.invariants if not ring.is_unit(v)]
+        assert non_units == [v for v in dense.invariants if not ring.is_unit(v)]
+        remainders += not rest.is_zero()
+    # away from fields the remainder-SNF path must be exercised too
+    assert (remainders > 0) == (not ring.is_field), remainders
+
+
+def test_cancel_units_keeps_surviving_order():
+    m = mat(INT, [[2, 0, 1], [0, 3, 0], [4, 0, 0]])
+    k, rest = cancel_units(m)
+    assert k == 1
+    assert (rest.nrows, rest.ncols) == (2, 2)
+    assert rest.entries == {(0, 1): 3, (1, 0): 4}
+
+
+def test_unit_invariant_of_a_unit_free_slice_is_not_torsion():
+    # no entry is a unit, yet the Smith form is diag(1, 8)
+    grades = [(0, 0), (0, 0)]
+    c = ChainComplexData(
+        INT, "hand-made", 0, 0, [0, 1],
+        basis={0: [None] * 2, 1: [None] * 2},
+        bigrade={0: grades, 1: grades},
+        diff={0: mat(INT, [[2, 3], [0, 4]])},
+    )
+    assert homology(c).entries == {(1, 0, 0): (0, (8,))}
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +455,32 @@ def test_rational_ranks_match_dense_oracle(diagrams):
             per_degree[i] = per_degree.get(i, 0) + rank
         expect = {i: r for i, r in _oracle_homology_ranks(d).items() if r}
         assert per_degree == expect, name
+
+
+# ---------------------------------------------------------------------------
+# sizes the dense Smith normal form could not afford: T(2,8), 6564 generators
+
+
+@pytest.fixture(scope="module")
+def torus_2_8():
+    d = braid_closure([1] * 8, 2)
+    d.ensure_valid()
+    return d
+
+
+def test_universal_coefficients_z_to_f2_on_t28(torus_2_8):
+    z = homology(build_complex(torus_2_8, INT, tqft.ANNULAR_ZERO)).entries
+    f2 = homology(build_complex(torus_2_8, GF(2), tqft.ANNULAR_ZERO)).entries
+
+    def even(i, q, a):
+        return sum(1 for t in z.get((i, q, a), (0, ()))[1] if t % 2 == 0)
+
+    assert any(tors for _, tors in z.values())  # the identity is not vacuous
+    below = {(i - 1, q, a) for i, q, a in z}
+    for i, q, a in set(z) | set(f2) | below:
+        expect = z.get((i, q, a), (0, ()))[0] + even(i, q, a) + even(i + 1, q, a)
+        assert f2.get((i, q, a), (0, ()))[0] == expect, (i, q, a)
+
+
+def test_lee_rank_t28(torus_2_8):
+    assert lee_rank(torus_2_8) == 4

@@ -150,6 +150,17 @@ def test_generic_is_not_euclidean():
         )
 
 
+def test_is_unit():
+    assert INT.is_unit(1) and INT.is_unit(-1)
+    assert not any(INT.is_unit(v) for v in (0, 2, -3))
+    for ring in (RAT, alpha_eval(0, 1)):
+        assert ring.is_unit(Fraction(-2, 3)) and not ring.is_unit(Fraction(0))
+    assert GF(5).is_unit(3) and not GF(5).is_unit(0)
+    assert QH.is_unit(HPoly(Fraction(1, 2)))
+    assert not QH.is_unit(HPoly(())) and not QH.is_unit(HPoly((1, 1)))
+    assert not GENERIC.is_unit(BivariatePoly.from_int(1))
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         GF(4)
