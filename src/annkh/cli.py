@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import complexes, homology, tl, tqft
 from .diagram import all_orientations, load_diagram, nudged
 from .errors import AnnkhError
-from .ring import GENERIC, GF, INT, QH, RAT, alpha_eval
+from .ring import GENERIC, GF, INT, QH, RAT, AlphaEval, alpha_eval
 
 
 class InputError(Exception):
@@ -53,15 +53,7 @@ def parse_ring(text):
 def pick_variant(ring, variant_flag):
     if variant_flag == "planar":
         return tqft.GENERIC
-    kind = ring.kind
-    return {
-        "GENERIC_ALPHA": tqft.ANNULAR_ALPHA,
-        "INT": tqft.ANNULAR_ZERO,
-        "RAT": tqft.ANNULAR_ZERO,
-        "PRIME_FIELD": tqft.ANNULAR_ZERO,
-        "RAT_POLY_H": tqft.ANNULAR_H,
-        "RAT_ALPHA_EVAL": tqft.ANNULAR_D,
-    }[kind]
+    return ring.annular_variant
 
 
 def load(path, nudge=False):
@@ -102,7 +94,7 @@ def cmd_homology(args):
     ring = parse_ring(args.ring)
     variant = pick_variant(ring, args.variant)
     d = load(args.diagram, args.nudge)
-    if ring.kind == "GENERIC_ALPHA":
+    if not ring.is_euclidean:
         raise InputError(
             "homology needs a Euclidean ring; use verify for generic checks"
         )
@@ -146,7 +138,7 @@ def cmd_verify(args):
     ring = parse_ring(args.ring)
     variant = pick_variant(ring, args.variant)
     d = load(args.diagram, args.nudge)
-    if ring.kind == "GENERIC_ALPHA" and variant != tqft.GENERIC:
+    if not ring.is_euclidean and variant != tqft.GENERIC:
         checks = _verify_generic(d)
     else:
         c = complexes.build_complex(d, ring, variant)
@@ -163,7 +155,7 @@ def cmd_verify(args):
 
 def cmd_invariance(args):
     ring = parse_ring(args.ring)
-    if ring.kind == "GENERIC_ALPHA":
+    if not ring.is_euclidean:
         raise InputError("invariance comparison needs a Euclidean ring")
     variant = pick_variant(ring, args.variant)
     tables = []
@@ -251,7 +243,7 @@ def cmd_tl_eval(args):
 
 def cmd_tl_rank(args):
     ring = parse_ring(args.ring)
-    if ring.kind != "RAT_ALPHA_EVAL":
+    if not isinstance(ring, AlphaEval):
         raise InputError("tl-rank needs an alpha evaluation ring")
     rank, kernel = tl.kernel_rank_experiment(args.n, args.m, ring)
     count = len(tl.enumerate_reduced(args.n, args.m))

@@ -15,7 +15,7 @@ from . import tqft
 from .diagram import cube_edge_pairs
 from .errors import UnsupportedRingError, VariantRingMismatchError
 from .linalg import SparseMatrix
-from .ring import QDEG_ANY, AlphaEval
+from .ring import QDEG_ANY, GenericAlpha
 
 
 def sign_assignment(u, i):
@@ -101,19 +101,6 @@ class ChainComplexData:
                 return pos
         raise KeyError(u)
 
-    def dump(self):
-        lines = []
-        for i in self.degrees:
-            lines.append(f"deg {i} rank {self.rank(i)}")
-            if i in self.diff and not self.diff[i].is_zero():
-                lines.append(self.diff[i].triplets())
-        return "\n".join(lines)
-
-
-def _vertex_order(cube, weight, n_minus):
-    us = sorted(u for u in cube.resolutions if sum(u) == weight)
-    return us
-
 
 def assemble(cube, choice=None):
     """Groups and signed differentials, with the quantum shift applied."""
@@ -121,7 +108,7 @@ def assemble(cube, choice=None):
     n_plus, n_minus = d.n_plus_minus(choice)
     ring = cube.ring
     beta = cube.variant == tqft.BETA
-    qdeg_graded = not isinstance(ring, AlphaEval)
+    qdeg_graded = ring.preserves_qdeg
     adeg_graded = cube.variant != tqft.GENERIC
 
     degrees = list(range(-n_minus, n_plus + 1))
@@ -131,7 +118,7 @@ def assemble(cube, choice=None):
     for i in degrees:
         blist = []
         grade = []
-        for u in _vertex_order(cube, i + n_minus, n_minus):
+        for u in sorted(u for u in cube.resolutions if sum(u) == i + n_minus):
             offsets[(i, u)] = len(blist)
             space = cube.spaces[u]
             for word in space.words():
@@ -141,6 +128,8 @@ def assemble(cube, choice=None):
         basis[i] = blist
         bigrade[i] = grade
 
+    # Each edge u -> v fills its own block (rows of v, columns of u), so
+    # edge entries are placed, never summed.
     diff = {}
     diff2 = {} if beta else None
     for i in degrees[:-1]:
@@ -157,16 +146,10 @@ def assemble(cube, choice=None):
             parts = edge.map if beta else (edge.map,)
             for target, em in zip((m0, m2), parts):
                 for (r, c), v in em.entries.items():
-                    val = ring.neg(v) if negate else v
-                    key = (rof + r, cof + c)
-                    s = ring.add(target.get(key, ring.zero()), val)
-                    if ring.is_zero(s):
-                        target.pop(key, None)
-                    else:
-                        target[key] = s
-        diff[i] = SparseMatrix(ring, nrows, ncols, m0)
+                    target[(rof + r, cof + c)] = ring.neg(v) if negate else v
+        diff[i] = SparseMatrix.wrap(ring, nrows, ncols, m0)
         if beta:
-            diff2[i] = SparseMatrix(ring, nrows, ncols, m2)
+            diff2[i] = SparseMatrix.wrap(ring, nrows, ncols, m2)
     return ChainComplexData(
         ring=ring,
         variant=cube.variant,
@@ -250,9 +233,8 @@ def verify_grading(c):
 def specialize_complex(c, target):
     """Entrywise specialization of a generic complex; grading metadata is
     preserved, with qdeg marked ungraded for evaluated parameters."""
-    if c.ring.kind != "GENERIC_ALPHA":
+    if not isinstance(c.ring, GenericAlpha):
         raise UnsupportedRingError("can only specialize the generic complex")
-    graded = not isinstance(target, AlphaEval)
     diff = {
         i: m.map_entries(target.specialize_poly, target)
         for i, m in c.diff.items()
@@ -273,6 +255,6 @@ def specialize_complex(c, target):
         bigrade={i: list(g) for i, g in c.bigrade.items()},
         diff=diff,
         diff2=diff2,
-        qdeg_graded=graded,
+        qdeg_graded=target.preserves_qdeg,
         adeg_graded=c.adeg_graded,
     )

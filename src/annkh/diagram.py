@@ -29,6 +29,7 @@ from .errors import (
     SELF_INTERSECTION,
     EmbeddingViolationError,
     InvalidDiagramError,
+    InvariantError,
     Violation,
 )
 
@@ -754,7 +755,8 @@ class AnnularDiagram:
             (c for c in circles if c.essential), key=lambda c: c.min_station
         )
         radii = [c.min_station for c in essential]
-        assert radii == sorted(set(radii)), "essential radii must be distinct"
+        if radii != sorted(set(radii)):
+            raise InvariantError(f"essential circles share a radius: {radii}")
         essential = [
             Circle(
                 points=c.points,

@@ -43,6 +43,10 @@ class EmbeddingViolationError(AnnkhError):
     """A circle winds more than once around the puncture."""
 
 
+class InvariantError(AnnkhError):
+    """A structural invariant of the construction does not hold."""
+
+
 # Violation kinds reported by diagram validation.
 RAY_TANGENCY = "RAY_TANGENCY"
 ENDPOINT_MISMATCH = "ENDPOINT_MISMATCH"

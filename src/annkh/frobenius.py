@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidBasisError, RingMismatchError
+from .linalg import accumulate
 from .ring import QDEG_ANY, AlphaEval, Scalar
 
 ONE_X = "ONE_X"
@@ -193,7 +194,6 @@ class Frobenius:
         r = self.ring
         d0, d1 = self.to_one_x(a)
         # 1 -> X(x)1 + 1(x)X - (i0+i1) 1(x)1,  X -> X(x)X - i0 i1 1(x)1
-        out = {}
         items = [
             ((1, 0), d0),
             ((0, 1), d0),
@@ -201,29 +201,7 @@ class Frobenius:
             ((1, 1), d1),
             ((0, 0), r.neg(r.mul(self.e2_img, d1))),
         ]
-        for key, v in items:
-            s = r.add(out.get(key, r.zero()), v)
-            if r.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def comult(self, a):
-        """Comultiplication as a formal sum of element pairs (in ONE_X)."""
-        r = self.ring
-        pairs = []
-        basis = [
-            self.element(ONE_X, r.one(), r.zero()),
-            self.element(ONE_X, r.zero(), r.one()),
-        ]
-        for (i, j), v in sorted(self.comult_tensor(a).items()):
-            left = basis[i]
-            scaled = self.element(
-                ONE_X, r.mul(v, left.c0), r.mul(v, left.c1)
-            )
-            pairs.append((scaled, basis[j]))
-        return pairs
+        return accumulate(r, {}, items)
 
     def x_action(self, a):
         """Full multiplication by X, returned in the input's convention."""

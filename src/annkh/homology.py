@@ -7,18 +7,18 @@ collapses and slices are taken per (degree, adeg) only.  Each slice is
 reduced by unit cancellation, then SNF on the remainder: sparse
 Gaussian elimination cancels invertible entries until none is left,
 and the dense Smith normal form runs only on the small non-unit matrix
-that remains.
+that remains.  ``cancel_units`` lives in ``linalg`` and is importable
+from here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import complexes, tqft
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
-from .linalg import SparseMatrix, field_rank
+from .linalg import SparseMatrix, cancel_units
 from .ring import alpha_eval
 
 
@@ -181,71 +181,6 @@ def snf_check(m, res):
 
 def _unit_free_torsion(ring, invariants):
     return [v for v in invariants if not ring.is_unit(v)]
-
-
-def cancel_units(m):
-    """Cancel unit pivots of ``m`` by sparse Gaussian elimination.
-
-    Returns ``(k, rest)`` with ``m`` equivalent to ``I_k`` plus ``rest``
-    (block diagonal), so ``m`` has the rank of ``rest`` plus ``k`` and
-    the non-unit Smith invariants of ``rest``.  ``rest`` keeps the
-    surviving rows and columns in their original order and holds no
-    unit entry.
-
-    The matrix is kept as row dicts plus column index sets.  Pivots are
-    found in sweeps over the rows, shortest row first, taking the unit
-    whose column is shortest; choosing a pivot costs the length of its
-    row, never a rescan of the matrix.  Sweeps repeat until one cancels
-    nothing, since elimination can create new units.
-    """
-    ring = m.ring
-    rows, cols = {}, {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    is_unit, is_zero = ring.is_unit, ring.is_zero
-    zero = ring.zero()
-    k = 0
-    progress = True
-    while progress:
-        progress = False
-        for p in sorted(rows, key=lambda r: len(rows[r])):
-            prow = rows.get(p)
-            if prow is None:
-                continue
-            q = None
-            for c, v in prow.items():
-                if is_unit(v) and (q is None or len(cols[c]) < len(cols[q])):
-                    q = c
-            if q is None:
-                continue
-            del rows[p]
-            for c in prow:
-                cols[c].discard(p)
-            inv, _ = ring.divmod(ring.one(), prow.pop(q))
-            for r in cols.pop(q):
-                row = rows[r]
-                f = ring.mul(row.pop(q), inv)
-                for c, v in prow.items():
-                    w = ring.sub(row.get(c, zero), ring.mul(f, v))
-                    if not is_zero(w):
-                        if c not in row:
-                            cols[c].add(r)
-                        row[c] = w
-                    elif c in row:
-                        del row[c]
-                        cols[c].discard(r)
-                if not row:
-                    del rows[r]
-            k += 1
-            progress = True
-    rpos = {r: i for i, r in enumerate(sorted(rows))}
-    cpos = {c: j for j, c in enumerate(sorted(c for c, rs in cols.items() if rs))}
-    rest = SparseMatrix(ring, len(rpos), len(cpos))
-    rest.entries = {
-        (rpos[r], cpos[c]): v for r, row in rows.items() for c, v in row.items()
-    }
-    return k, rest
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +393,8 @@ def verify_canonical(d, choice, c=None):
 
 def canonical_span_rank(d):
     """Rank spanned by all canonical generator classes in the localized
-    homology, computed by row reduction against the boundaries."""
+    homology: the rank the generators add to the boundaries, each rank
+    counted by unit cancellation (over a field every entry is a unit)."""
     from .diagram import all_orientations
 
     c = lee_complex(d)
@@ -470,22 +406,10 @@ def canonical_span_rank(d):
     total = 0
     for i, gg in by_degree.items():
         dim = c.rank(i)
-        boundary_rows = []
-        if i - 1 in c.diff:
-            m = c.diff[i - 1]
-            cols = {}
-            for (r, col), v in m.entries.items():
-                cols.setdefault(col, {})[r] = v
-            for col, colvals in cols.items():
-                row = [Fraction(0)] * dim
-                for r, v in colvals.items():
-                    row[r] = v
-                boundary_rows.append(row)
-        base = field_rank(ring, boundary_rows) if boundary_rows else 0
-        rows = list(boundary_rows)
-        for g in gg:
-            vec = [Fraction(0)] * dim
-            vec[generator_vector_index(c, g)] = Fraction(1)
-            rows.append(vec)
-        total += field_rank(ring, rows) - base
+        d_in = c.diff.get(i - 1) or SparseMatrix.zeros(ring, dim, 0)
+        spanned = dict(d_in.entries)
+        for j, g in enumerate(gg):
+            spanned[(generator_vector_index(c, g), d_in.ncols + j)] = ring.one()
+        with_gens = SparseMatrix.wrap(ring, dim, d_in.ncols + len(gg), spanned)
+        total += cancel_units(with_gens)[0] - cancel_units(d_in)[0]
     return total

@@ -362,12 +362,16 @@ class CoefficientRing:
 
     Concrete rings expose ``kind`` plus exact arithmetic on raw values
     (ints, Fractions, HPoly, or BivariatePoly depending on the ring).
+    Each ring names the annular variant of ``tqft`` it computes by
+    default; ``kind`` only labels the ring in messages and hashes.
     """
 
     kind = "?"
     is_euclidean = False
     is_field = False
     qdeg_graded = False  # nonzero scalars may carry nonzero quantum degree
+    preserves_qdeg = True  # maps keep the quantum grading over this ring
+    annular_variant = None  # the tqft variant name the ring defaults to
 
     def zero(self):
         raise NotImplementedError
@@ -439,6 +443,7 @@ class CoefficientRing:
 class IntRing(CoefficientRing):
     kind = "INT"
     is_euclidean = True
+    annular_variant = "ANNULAR_ZERO"
 
     def zero(self):
         return 0
@@ -475,6 +480,7 @@ class RatRing(CoefficientRing):
     kind = "RAT"
     is_euclidean = True
     is_field = True
+    annular_variant = "ANNULAR_ZERO"
 
     def zero(self):
         return Fraction(0)
@@ -508,6 +514,7 @@ class RatRing(CoefficientRing):
 class PrimeField(CoefficientRing):
     is_euclidean = True
     is_field = True
+    annular_variant = "ANNULAR_ZERO"
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -567,6 +574,7 @@ class RatPolyH(CoefficientRing):
     kind = "RAT_POLY_H"
     is_euclidean = True
     qdeg_graded = True
+    annular_variant = "ANNULAR_H"
 
     def zero(self):
         return HPoly(())
@@ -611,6 +619,8 @@ class AlphaEval(CoefficientRing):
     kind = "RAT_ALPHA_EVAL"
     is_euclidean = True
     is_field = True
+    preserves_qdeg = False  # a0, a1 of degree 2 become numbers of degree 0
+    annular_variant = "ANNULAR_D"
 
     def __init__(self, q0, q1):
         self.q0 = Fraction(q0)
@@ -661,6 +671,7 @@ class GenericAlpha(CoefficientRing):
 
     kind = "GENERIC_ALPHA"
     qdeg_graded = True
+    annular_variant = "ANNULAR_ALPHA"
 
     def zero(self):
         return BivariatePoly()
@@ -756,7 +767,3 @@ def euclidean_divmod(a, b):
 def poly_qdeg(p):
     """Quantum degree of a bivariate polynomial (generators in degree 2)."""
     return p.qdeg()
-
-
-def poly_mul(a, b):
-    return a * b

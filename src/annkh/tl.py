@@ -22,8 +22,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import tqft
-from .errors import ArityMismatchError, ParityError, VariantRingMismatchError
-from .linalg import field_rank
+from .errors import (
+    ArityMismatchError,
+    InvariantError,
+    ParityError,
+    VariantRingMismatchError,
+)
+from .linalg import SparseMatrix, cancel_units
 from .ring import A0, A1, E1, E2, BivariatePoly, GENERIC, AlphaEval
 
 
@@ -356,7 +361,8 @@ def spin_tangle(t, ring, variant):
     # caps: innermost bottom-bottom pairs first
     for idx in sorted(bb, key=lambda i: t.pairs[i][1] - t.pairs[i][0]):
         i = next(s for s, tok in enumerate(cur) if tok[1] == idx)
-        assert cur[i + 1][1] == idx, "capped legs must be adjacent"
+        if cur[i + 1][1] != idx:
+            raise InvariantError(f"capped legs of strand {idx} are not adjacent")
         space = total.codomain
         if t.dots[idx]:
             apply(
@@ -413,7 +419,8 @@ def spin_tangle(t, ring, variant):
             )
 
     tops = [tok[3] for tok in cur]
-    assert tops == sorted(tops) and len(tops) == t.m
+    if tops != sorted(tops) or len(tops) != t.m:
+        raise InvariantError(f"spun top positions {tops} are not {t.m} in order")
     return total
 
 
@@ -424,7 +431,7 @@ def spin_evaluate(f, ring, variant):
         raise VariantRingMismatchError(f"cannot spin with variant {variant}")
     dom = tqft.essential_space(f.n, ring, variant)
     cod = tqft.essential_space(f.m, ring, variant)
-    total = tqft.LinearMap(dom, cod, {})
+    total = tqft.LinearMap.wrap(dom, cod, {})
     for t, c in f.terms:
         spec = ring.specialize_poly(c)
         total = total.add(spin_tangle(t, ring, variant).scale(spec))
@@ -432,8 +439,9 @@ def spin_evaluate(f, ring, variant):
 
 
 def kernel_rank_experiment(n, m, ring):
-    """Stack the evaluation matrices of all reduced (n, m)-tangles and
-    row-reduce over the rationals; returns (rank, kernel dimension)."""
+    """Stack the evaluation matrices of all reduced (n, m)-tangles, one
+    row each, and take the rank over the rationals by unit cancellation;
+    returns (rank, kernel dimension)."""
     if (n + m) % 2:
         raise ParityError(f"({n},{m}) has odd total boundary")
     if not (isinstance(ring, AlphaEval) and ring.distinct):
@@ -441,13 +449,11 @@ def kernel_rank_experiment(n, m, ring):
             "kernel experiment needs distinct evaluated parameters"
         )
     tangles = enumerate_reduced(n, m)
-    rows = []
-    dim = (1 << n) * (1 << m)
-    for t in tangles:
+    entries = {}
+    for k, t in enumerate(tangles):
         mat = spin_tangle(t, GENERIC, tqft.ANNULAR_ALPHA).specialize(ring)
-        row = [ring.zero()] * dim
         for (r, c), v in mat.entries.items():
-            row[r * (1 << n) + c] = v
-        rows.append(row)
-    rank = field_rank(ring, rows) if rows else 0
+            entries[(k, r * (1 << n) + c)] = v
+    dim = (1 << n) * (1 << m)
+    rank = cancel_units(SparseMatrix.wrap(ring, len(tangles), dim, entries))[0]
     return rank, len(tangles) - rank

@@ -14,22 +14,27 @@ so truncating to the annular-degree-preserving part yields each variant:
 * ``ANNULAR_H``     -- parameters (0, h) over Q[h]
 * ``ANNULAR_D``     -- evaluated parameters, idempotent/rescaled bases
 * ``BETA``          -- the pair (adeg-0 part, adeg-raising part)
+
+A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
+its sums and products are the matrix ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 from . import frobenius as fb
 from .errors import (
+    InvariantError,
     NotACubeEdgeError,
     ShapeMismatchError,
     VariantRingMismatchError,
 )
 from .frobenius import Frobenius, basis_bidegree
-from .ring import QDEG_ANY, AlphaEval
+from .linalg import SparseMatrix, accumulate
+from .ring import QDEG_ANY, GenericAlpha
 
 GENERIC = "GENERIC"
 ANNULAR_ALPHA = "ANNULAR_ALPHA"
@@ -52,17 +57,12 @@ _SPLITS = (SPLIT_T, TYPE_III, TYPE_IV)
 
 
 def check_variant_ring(ring, variant):
-    kind = ring.kind
-    ok = {
-        GENERIC: True,
-        ANNULAR_ALPHA: kind == "GENERIC_ALPHA",
-        ANNULAR_ZERO: kind in ("INT", "RAT", "PRIME_FIELD"),
-        ANNULAR_H: kind == "RAT_POLY_H",
-        ANNULAR_D: isinstance(ring, AlphaEval) and ring.distinct,
-        BETA: kind == "GENERIC_ALPHA",
-    }.get(variant)
-    if ok is None:
+    if variant not in VARIANTS:
         raise VariantRingMismatchError(f"unknown variant {variant!r}")
+    own = ring.annular_variant
+    ok = variant in (GENERIC, own) or (variant == BETA and own == ANNULAR_ALPHA)
+    if ok and variant == ANNULAR_D:
+        ok = ring.distinct  # equal parameters leave no idempotent basis
     if not ok:
         raise VariantRingMismatchError(f"variant {variant} over ring {ring}")
 
@@ -123,6 +123,16 @@ class StateSpace:
     def adeg(self, word):
         return self.word_bidegree(word)[1]
 
+    def adegs(self):
+        """Annular degree of every basis word, indexed like the words."""
+        out = [0]
+        for slot in self.slots:
+            steps = [
+                basis_bidegree(slot.convention, b, slot.essential)[1] for b in (0, 1)
+            ]
+            out = [a + step for a in out for step in steps]
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, StateSpace):
             return NotImplemented
@@ -171,15 +181,26 @@ def essential_space(n, ring, variant):
 
 @dataclass
 class LinearMap:
-    """Sparse matrix between state spaces, rows indexed by codomain words."""
+    """A :class:`~annkh.linalg.SparseMatrix` between state spaces: rows
+    are indexed by codomain words and columns by domain words."""
 
     domain: StateSpace
     codomain: StateSpace
-    entries: dict = field(default_factory=dict)
+    matrix: SparseMatrix
     declared_bidegree: tuple = (None, None)
 
+    @classmethod
+    def wrap(cls, domain, codomain, entries, declared_bidegree=(None, None)):
+        """A map holding ``entries`` as given (see ``SparseMatrix.wrap``)."""
+        m = SparseMatrix.wrap(domain.ring, codomain.rank, domain.rank, entries)
+        return cls(domain, codomain, m, declared_bidegree)
+
+    @property
+    def entries(self):
+        return self.matrix.entries
+
     def is_zero(self):
-        return not self.entries
+        return self.matrix.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -193,40 +214,26 @@ class LinearMap:
     def add(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeMismatchError("sum of maps with different spaces")
-        r = self.domain.ring
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = r.add(out.get(k, r.zero()), v)
-            if r.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LinearMap(self.domain, self.codomain, out, self.declared_bidegree)
+        m = self.matrix + other.matrix
+        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
 
     def scale(self, s):
-        r = self.domain.ring
-        out = {}
-        for k, v in self.entries.items():
-            w = r.mul(s, v)
-            if not r.is_zero(w):
-                out[k] = w
-        return LinearMap(self.domain, self.codomain, out, self.declared_bidegree)
+        m = self.matrix.scale(s)
+        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
 
     def negate(self):
-        r = self.domain.ring
-        out = {k: r.neg(v) for k, v in self.entries.items()}
-        return LinearMap(self.domain, self.codomain, out, self.declared_bidegree)
+        m = -self.matrix
+        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
 
     def adeg_split(self):
         """Split entries by annular-degree shift; returns {shift: map}."""
+        cod, dom = self.codomain.adegs(), self.domain.adegs()
         parts = {}
         for (row, col), v in self.entries.items():
-            da = self.codomain.adeg(
-                self.codomain.index_word(row)
-            ) - self.domain.adeg(self.domain.index_word(col))
-            parts.setdefault(da, {})[(row, col)] = v
+            parts.setdefault(cod[row] - dom[col], {})[(row, col)] = v
+        q = self.declared_bidegree[0]
         return {
-            da: LinearMap(self.domain, self.codomain, ent, (None, da))
+            da: LinearMap.wrap(self.domain, self.codomain, ent, (q, da))
             for da, ent in parts.items()
         }
 
@@ -244,79 +251,45 @@ class LinearMap:
 
     def check_bidegree(self, expect_q, expect_a):
         """Verify every entry realizes the given bidegree (q check is
-        skipped over rings where scalars are ungraded)."""
-        graded = self.domain.ring.qdeg_graded or self.domain.ring.kind in (
-            "INT",
-            "RAT",
-            "PRIME_FIELD",
-        )
+        skipped over rings that do not preserve the quantum grading)."""
+        graded = self.domain.ring.preserves_qdeg
+        cod, dom = self.codomain.adegs(), self.domain.adegs()
         for (row, col) in self.entries:
-            da = self.codomain.adeg(
-                self.codomain.index_word(row)
-            ) - self.domain.adeg(self.domain.index_word(col))
-            if expect_a is not None and da != expect_a:
+            if expect_a is not None and cod[row] - dom[col] != expect_a:
                 return False
             if expect_q is not None and graded:
                 if self.qdeg_shift_of_entry(row, col) != expect_q:
                     return False
         return True
 
-    def to_sparse(self):
-        from .linalg import SparseMatrix
-
-        return SparseMatrix(
-            self.domain.ring,
-            self.codomain.rank,
-            self.domain.rank,
-            dict(self.entries),
-        )
-
     def specialize(self, target):
         """Entrywise ring homomorphism image; only from the generic ring."""
-        if self.domain.ring.kind != "GENERIC_ALPHA":
+        if not isinstance(self.domain.ring, GenericAlpha):
             raise VariantRingMismatchError("specialize needs generic entries")
 
         def conv(space):
             return StateSpace(target, space.variant, space.slots)
 
-        out = {}
-        for k, v in self.entries.items():
-            w = target.specialize_poly(v)
-            if not target.is_zero(w):
-                out[k] = w
+        m = self.matrix.map_entries(target.specialize_poly, target)
         return LinearMap(
-            conv(self.domain), conv(self.codomain), out, self.declared_bidegree
+            conv(self.domain), conv(self.codomain), m, self.declared_bidegree
         )
 
 
 def identity_map(space):
-    one = space.ring.one()
-    ent = {(i, i): one for i in range(space.rank)}
-    return LinearMap(space, space, ent, (0, 0))
+    m = SparseMatrix.identity(space.ring, space.rank)
+    return LinearMap(space, space, m, (0, 0))
 
 
 def compose(f, g):
     """f after g (matrix product f.g)."""
     if g.codomain != f.domain:
         raise ShapeMismatchError("compose: inner spaces disagree")
-    r = f.domain.ring
-    by_row = {}
-    for (row, mid), v in g.entries.items():
-        by_row.setdefault(row, []).append((mid, v))
-    out = {}
-    for (row, mid), u in f.entries.items():
-        for col, v in by_row.get(mid, ()):
-            key = (row, col)
-            s = r.add(out.get(key, r.zero()), r.mul(u, v))
-            if r.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
     dq1, da1 = f.declared_bidegree
     dq2, da2 = g.declared_bidegree
     dq = dq1 + dq2 if (dq1 is not None and dq2 is not None) else None
     da = da1 + da2 if (da1 is not None and da2 is not None) else None
-    return LinearMap(g.domain, f.codomain, out, (dq, da))
+    return LinearMap(g.domain, f.codomain, f.matrix @ g.matrix, (dq, da))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +405,7 @@ def _local_split(fr, conv_in, conv_out1, conv_out2):
     local = {}
     for b in (0, 1):
         tens = fr.comult_tensor(_basis_elt(fr, conv_in, b))
-        acc = {}
+        terms = []
         for (i, j), v in tens.items():
             f1 = fr.from_one_x(
                 conv_out1, one if i == 0 else zero, one if i == 1 else zero
@@ -446,14 +419,8 @@ def _local_split(fr, conv_in, conv_out1, conv_out2):
                 for o2, c2 in enumerate(f2.coords):
                     if r.is_zero(c2):
                         continue
-                    key = (o1, o2)
-                    w = r.mul(v, r.mul(c1, c2))
-                    s = r.add(acc.get(key, zero), w)
-                    if r.is_zero(s):
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
-        outs = [(key, v) for key, v in sorted(acc.items())]
+                    terms.append(((o1, o2), r.mul(v, r.mul(c1, c2))))
+        outs = sorted(accumulate(r, {}, terms).items())
         if outs:
             local[(b,)] = outs
     return local
@@ -476,7 +443,12 @@ def _local_power_of_x(fr, conv, dots):
 
 
 def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, local, bidegree):
-    r = dom_space.ring
+    """Place a local map on the involved slots, identity on the others.
+
+    Each (row, col) arises once: a column is one domain word, and its
+    rows differ in the involved codomain bits, which are distinct keys
+    of ``local``.  So entries are placed, never summed.
+    """
     entries = {}
     k_cod = len(cod_space.slots)
     for col, word in enumerate(dom_space.words()):
@@ -487,14 +459,8 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, local, bidegree):
                 bits[s] = loc_out[pos]
             for ds, cs in pairs:
                 bits[cs] = word[ds]
-            row = cod_space.word_index(tuple(bits))
-            key = (row, col)
-            s = r.add(entries.get(key, r.zero()), v)
-            if r.is_zero(s):
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-    return LinearMap(dom_space, cod_space, entries, bidegree)
+            entries[(cod_space.word_index(tuple(bits)), col)] = v
+    return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
 
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
@@ -527,7 +493,8 @@ def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     )
 
 
-def _saddle_map(sd, ring, variant):
+def full_saddle_map(sd, ring, variant=GENERIC):
+    """The untruncated planar map in the variant's slot bases."""
     dom_space = state_space(sd.rd_from, ring, variant)
     cod_space = state_space(sd.rd_to, ring, variant)
     fr = Frobenius(ring)
@@ -552,19 +519,16 @@ def _saddle_map(sd, ring, variant):
     )
 
 
-def full_saddle_map(sd, ring, variant=GENERIC):
-    """The untruncated planar map in the variant's slot bases."""
-    return _saddle_map(sd, ring, variant)
-
-
 def truncate_adeg(m, keep=0):
     """The part of a map shifting annular degree by exactly ``keep``."""
-    parts = m.adeg_split()
-    zero = LinearMap(m.domain, m.codomain, {}, (m.declared_bidegree[0], keep))
-    got = parts.get(keep, zero)
-    return LinearMap(
-        m.domain, m.codomain, got.entries, (m.declared_bidegree[0], keep)
-    )
+    cod, dom = m.codomain.adegs(), m.domain.adegs()
+    kept = {
+        (row, col): v
+        for (row, col), v in m.entries.items()
+        if cod[row] - dom[col] == keep
+    }
+    bidegree = (m.declared_bidegree[0], keep)
+    return LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
 
 
 def annular_saddle_map(sd, ring, variant):
@@ -572,14 +536,15 @@ def annular_saddle_map(sd, ring, variant):
     check_variant_ring(ring, variant)
     if variant == GENERIC:
         raise VariantRingMismatchError("GENERIC is the untruncated theory")
-    full = _saddle_map(sd, ring, GENERIC if variant == BETA else variant)
+    full = full_saddle_map(sd, ring, GENERIC if variant == BETA else variant)
     parts = full.adeg_split()
-    bad = [da for da in parts if da not in (0, 2)]
+    bad = sorted(set(parts) - {0, 2})
     if bad:
-        raise AssertionError(f"saddle map shifts adeg by {bad}")
-    if variant == BETA:
-        return truncate_adeg(full, 0), truncate_adeg(full, 2)
-    return truncate_adeg(full, 0)
+        raise InvariantError(f"saddle map shifts adeg by {bad}")
+    q = full.declared_bidegree[0]
+    for da in (0, 2):
+        parts.setdefault(da, LinearMap.wrap(full.domain, full.codomain, {}, (q, da)))
+    return (parts[0], parts[2]) if variant == BETA else parts[0]
 
 
 def dotted_identity_map(space, slot, dots, variant):
@@ -619,7 +584,7 @@ def birth_map(space, position):
                 continue
             bits = word[:position] + (bit,) + word[position:]
             entries[(cod.word_index(bits), col)] = c
-    return LinearMap(space, cod, entries, (-1, 0))
+    return LinearMap.wrap(space, cod, entries, (-1, 0))
 
 
 def death_map(space, slot):
@@ -641,4 +606,4 @@ def death_map(space, slot):
             continue
         bits = word[:slot] + word[slot + 1 :]
         entries[(cod.word_index(bits), col)] = c
-    return LinearMap(space, cod, entries, (-1, 0))
+    return LinearMap.wrap(space, cod, entries, (-1, 0))

@@ -6,7 +6,7 @@ import pytest
 from annkh import tqft
 from annkh.complexes import build_cube
 from annkh.diagram import cube_edge_pairs
-from annkh.errors import VariantRingMismatchError
+from annkh.errors import AnnkhError, VariantRingMismatchError
 from annkh.ring import A0, A1, GENERIC, INT, QH, BivariatePoly, alpha_eval
 
 EV = alpha_eval(0, 1)
@@ -460,3 +460,13 @@ def test_beta_pair_reassembles_full_map(diagrams):
     for e in cube_beta.edges:
         d0, d2 = e.map
         assert d0.add(d2).entries == full[(e.u, e.v)].entries
+
+
+def test_annular_saddle_map_rejects_an_odd_adeg_shift(monkeypatch):
+    dom = space(INT, tqft.ANNULAR_ZERO, [(True, 1)])
+    cod = space(INT, tqft.ANNULAR_ZERO, [(False, None)])
+    shifted = tqft.LinearMap.wrap(dom, cod, {(0, 0): 1}, (1, None))
+    assert set(shifted.adeg_split()) == {1}
+    monkeypatch.setattr(tqft, "full_saddle_map", lambda sd, ring, variant: shifted)
+    with pytest.raises(AnnkhError, match=r"shifts adeg by \[1\]"):
+        tqft.annular_saddle_map(None, INT, tqft.ANNULAR_ZERO)
