@@ -9,7 +9,8 @@ already over the generic bivariate ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import product
 
 from . import tqft
 from .diagram import cube_edge_pairs
@@ -46,30 +47,46 @@ class Cube:
 
 
 def build_cube(d, ring, variant):
-    """Resolve all smoothings and build every classified edge map."""
+    """Resolve all smoothings and build every classified edge map
+    between the cube's own vertex spaces."""
     tqft.check_variant_ring(ring, variant)
     d.ensure_valid()
     n = d.n_crossings
     resolutions = {}
     spaces = {}
-    from itertools import product
-
     for u in product((0, 1), repeat=n):
         rd = d.resolve(u)
         resolutions[u] = rd
         spaces[u] = tqft.state_space(rd, ring, variant)
+    if variant == tqft.GENERIC:
+        saddle_map = tqft.full_saddle_map
+    else:
+        saddle_map = tqft.annular_saddle_map
     edges = []
     for u in resolutions:
         for i, v in cube_edge_pairs(d, u):
             sd = tqft.classify_saddle(d, resolutions[u], resolutions[v], i)
-            if variant == tqft.GENERIC:
-                m = tqft.full_saddle_map(sd, ring)
-            else:
-                m = tqft.annular_saddle_map(sd, ring, variant)
+            m = saddle_map(sd, spaces[u], spaces[v])
             edges.append(
                 CubeEdge(u, v, i, sign_assignment(u, i), sd, m)
             )
     return Cube(d, ring, variant, resolutions, spaces, edges)
+
+
+def split_cube(cube):
+    """The BETA cube of a GENERIC cube: every edge map becomes its
+    (d0, d2) pair from ``tqft.annular_parts``.
+
+    BETA slots have the GENERIC conventions, so the vertices keep the
+    GENERIC cube's spaces, labels included, and the pairs are maps
+    between them.  The result assembles like ``build_cube(d, ring, BETA)``.
+    """
+    if cube.variant != tqft.GENERIC:
+        raise VariantRingMismatchError(f"cannot split a {cube.variant} cube")
+    edges = [replace(e, map=tqft.annular_parts(e.map)) for e in cube.edges]
+    return Cube(
+        cube.diagram, cube.ring, tqft.BETA, cube.resolutions, cube.spaces, edges
+    )
 
 
 @dataclass
@@ -85,6 +102,7 @@ class ChainComplexData:
     bigrade: dict  # i -> list of (qdeg, adeg); qdeg None when ungraded
     diff: dict  # i -> SparseMatrix  C^i -> C^{i+1}
     diff2: dict = field(default=None)  # BETA: the adeg-raising family
+    offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
     qdeg_graded: bool = True
     adeg_graded: bool = True  # False for the untruncated planar variant
 
@@ -96,10 +114,7 @@ class ChainComplexData:
 
     def offset(self, i, u):
         """Index of the first basis vector of vertex u in degree i."""
-        for pos, (uu, _) in enumerate(self.basis[i]):
-            if uu == u:
-                return pos
-        raise KeyError(u)
+        return self.offsets[(i, u)]
 
 
 def assemble(cube, choice=None):
@@ -130,6 +145,9 @@ def assemble(cube, choice=None):
 
     # Each edge u -> v fills its own block (rows of v, columns of u), so
     # edge entries are placed, never summed.
+    by_degree = {}
+    for edge in cube.edges:
+        by_degree.setdefault(sum(edge.u) - n_minus, []).append(edge)
     diff = {}
     diff2 = {} if beta else None
     for i in degrees[:-1]:
@@ -137,9 +155,7 @@ def assemble(cube, choice=None):
         ncols = len(basis[i])
         m0 = {}
         m2 = {}
-        for edge in cube.edges:
-            if sum(edge.u) != i + n_minus:
-                continue
+        for edge in by_degree.get(i, ()):
             cof = offsets[(i, edge.u)]
             rof = offsets[(i + 1, edge.v)]
             negate = edge.sign_exponent == 1
@@ -160,6 +176,7 @@ def assemble(cube, choice=None):
         bigrade=bigrade,
         diff=diff,
         diff2=diff2,
+        offsets=offsets,
         qdeg_graded=qdeg_graded,
         adeg_graded=adeg_graded,
     )
@@ -255,6 +272,7 @@ def specialize_complex(c, target):
         bigrade={i: list(g) for i, g in c.bigrade.items()},
         diff=diff,
         diff2=diff2,
+        offsets=dict(c.offsets),
         qdeg_graded=target.preserves_qdeg,
         adeg_graded=c.adeg_graded,
     )

@@ -15,6 +15,11 @@ so truncating to the annular-degree-preserving part yields each variant:
 * ``ANNULAR_D``     -- evaluated parameters, idempotent/rescaled bases
 * ``BETA``          -- the pair (adeg-0 part, adeg-raising part)
 
+A saddle map is a local table on its involved slots, placed on the
+caller's spaces (a cube's own vertex spaces) with the identity on the
+other slots.  The table depends only on the ring and the involved
+slots' conventions, so :func:`local_table` builds it once per process.
+
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
 """
@@ -22,6 +27,7 @@ its sums and products are the matrix ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -52,9 +58,6 @@ TYPE_II = "TYPE_II"
 TYPE_III = "TYPE_III"
 TYPE_IV = "TYPE_IV"
 
-_MERGES = (MERGE_TT, TYPE_I, TYPE_II)
-_SPLITS = (SPLIT_T, TYPE_III, TYPE_IV)
-
 
 def check_variant_ring(ring, variant):
     if variant not in VARIANTS:
@@ -68,6 +71,8 @@ def check_variant_ring(ring, variant):
 
 
 def slot_convention(essential, essential_index, variant):
+    """Basis of a slot.  ``ANNULAR_D`` has its own bases; every other
+    variant, ``GENERIC`` and ``BETA`` included, shares V/V'/ONE_X."""
     if variant == ANNULAR_D:
         if essential:
             return fb.D_V if essential_index % 2 == 1 else fb.D_V_PRIME
@@ -123,15 +128,17 @@ class StateSpace:
     def adeg(self, word):
         return self.word_bidegree(word)[1]
 
+    @cached_property
     def adegs(self):
-        """Annular degree of every basis word, indexed like the words."""
+        """Annular degree of every basis word, indexed like the words;
+        computed once per space."""
         out = [0]
         for slot in self.slots:
             steps = [
                 basis_bidegree(slot.convention, b, slot.essential)[1] for b in (0, 1)
             ]
             out = [a + step for a in out for step in steps]
-        return out
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, StateSpace):
@@ -227,7 +234,7 @@ class LinearMap:
 
     def adeg_split(self):
         """Split entries by annular-degree shift; returns {shift: map}."""
-        cod, dom = self.codomain.adegs(), self.domain.adegs()
+        cod, dom = self.codomain.adegs, self.domain.adegs
         parts = {}
         for (row, col), v in self.entries.items():
             parts.setdefault(cod[row] - dom[col], {})[(row, col)] = v
@@ -253,7 +260,7 @@ class LinearMap:
         """Verify every entry realizes the given bidegree (q check is
         skipped over rings that do not preserve the quantum grading)."""
         graded = self.domain.ring.preserves_qdeg
-        cod, dom = self.codomain.adegs(), self.domain.adegs()
+        cod, dom = self.codomain.adegs, self.domain.adegs
         for (row, col) in self.entries:
             if expect_a is not None and cod[row] - dom[col] != expect_a:
                 return False
@@ -442,18 +449,45 @@ def _local_power_of_x(fr, conv, dots):
     return local
 
 
-def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, local, bidegree):
-    """Place a local map on the involved slots, identity on the others.
+def _freeze(local, n_in):
+    """A local map as a table: one tuple of (output bits, value) terms
+    per word of the ``n_in`` involved input slots, in word order.
+    Tables are shared between maps, so nothing in them is mutable."""
+    return tuple(
+        tuple(local.get(bits, ())) for bits in product((0, 1), repeat=n_in)
+    )
+
+
+@lru_cache(maxsize=None)
+def local_table(ring, dom_convs, cod_convs):
+    """The frozen local table of a saddle whose involved slots carry the
+    given conventions: a merge when ``dom_convs`` names two slots, a
+    split when it names one.
+
+    Memoized per process, keyed by the ring and both convention tuples:
+    a cube has hundreds of edges but only a few such keys.
+    ``local_table.cache_clear()`` empties the memo.
+    """
+    fr = Frobenius(ring)
+    if len(dom_convs) == 2:
+        return _freeze(_local_merge(fr, *dom_convs, *cod_convs), 2)
+    return _freeze(_local_split(fr, *dom_convs, *cod_convs), 1)
+
+
+def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
+    """Place a local table on the involved slots, identity on the others.
 
     Each (row, col) arises once: a column is one domain word, and its
-    rows differ in the involved codomain bits, which are distinct keys
-    of ``local``.  So entries are placed, never summed.
+    rows differ in the involved codomain bits, which are distinct
+    outputs of one table row.  So entries are placed, never summed.
     """
     entries = {}
     k_cod = len(cod_space.slots)
     for col, word in enumerate(dom_space.words()):
-        loc_in = tuple(word[s] for s in dom_inv)
-        for loc_out, v in local.get(loc_in, ()):
+        key = 0
+        for s in dom_inv:
+            key = (key << 1) | word[s]
+        for loc_out, v in table[key]:
             bits = [0] * k_cod
             for pos, s in enumerate(cod_inv):
                 bits[s] = loc_out[pos]
@@ -463,65 +497,38 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, local, bidegree):
     return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
 
 
+def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
+    """A merge (two involved domain slots) or a split (one) between
+    explicit spaces, from the memoized local table."""
+    table = local_table(
+        dom_space.ring,
+        tuple(dom_space.slots[s].convention for s in dom_inv),
+        tuple(cod_space.slots[s].convention for s in cod_inv),
+    )
+    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, (1, None))
+
+
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
     """Multiplication of two slots into one, between explicit spaces."""
-    fr = Frobenius(dom_space.ring)
-    local = _local_merge(
-        fr,
-        dom_space.slots[dom_pair[0]].convention,
-        dom_space.slots[dom_pair[1]].convention,
-        cod_space.slots[cod_slot].convention,
-    )
-    return _embed(
-        dom_space, cod_space, tuple(dom_pair), (cod_slot,),
-        tuple(uninvolved), local, (1, None),
-    )
+    return _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
 
 
 def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     """Comultiplication of one slot into two, between explicit spaces."""
-    fr = Frobenius(dom_space.ring)
-    local = _local_split(
-        fr,
-        dom_space.slots[dom_slot].convention,
-        cod_space.slots[cod_pair[0]].convention,
-        cod_space.slots[cod_pair[1]].convention,
-    )
-    return _embed(
-        dom_space, cod_space, (dom_slot,), tuple(cod_pair),
-        tuple(uninvolved), local, (1, None),
-    )
+    return _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
 
 
-def full_saddle_map(sd, ring, variant=GENERIC):
-    """The untruncated planar map in the variant's slot bases."""
-    dom_space = state_space(sd.rd_from, ring, variant)
-    cod_space = state_space(sd.rd_to, ring, variant)
-    fr = Frobenius(ring)
-    if sd.kind in _MERGES:
-        conv_a = dom_space.slots[sd.dom_involved[0]].convention
-        conv_b = dom_space.slots[sd.dom_involved[1]].convention
-        conv_out = cod_space.slots[sd.cod_involved[0]].convention
-        local = _local_merge(fr, conv_a, conv_b, conv_out)
-    else:
-        conv_in = dom_space.slots[sd.dom_involved[0]].convention
-        conv_1 = cod_space.slots[sd.cod_involved[0]].convention
-        conv_2 = cod_space.slots[sd.cod_involved[1]].convention
-        local = _local_split(fr, conv_in, conv_1, conv_2)
-    return _embed(
-        dom_space,
-        cod_space,
-        sd.dom_involved,
-        sd.cod_involved,
-        sd.uninvolved,
-        local,
-        (1, None),
+def full_saddle_map(sd, dom_space, cod_space):
+    """The untruncated planar map of a classified saddle, between the
+    state spaces of its two resolutions, in their slot conventions."""
+    return _saddle(
+        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved
     )
 
 
 def truncate_adeg(m, keep=0):
     """The part of a map shifting annular degree by exactly ``keep``."""
-    cod, dom = m.codomain.adegs(), m.domain.adegs()
+    cod, dom = m.codomain.adegs, m.domain.adegs
     kept = {
         (row, col): v
         for (row, col), v in m.entries.items()
@@ -531,12 +538,12 @@ def truncate_adeg(m, keep=0):
     return LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
 
 
-def annular_saddle_map(sd, ring, variant):
-    """The adeg-preserving truncation, or the (d0, d2) pair for BETA."""
-    check_variant_ring(ring, variant)
-    if variant == GENERIC:
-        raise VariantRingMismatchError("GENERIC is the untruncated theory")
-    full = full_saddle_map(sd, ring, GENERIC if variant == BETA else variant)
+def annular_parts(full):
+    """The annular-degree 0 and +2 parts of a planar saddle map.
+
+    By the splitting lemma no other shift occurs; one that does raises
+    ``InvariantError``.
+    """
     parts = full.adeg_split()
     bad = sorted(set(parts) - {0, 2})
     if bad:
@@ -544,7 +551,17 @@ def annular_saddle_map(sd, ring, variant):
     q = full.declared_bidegree[0]
     for da in (0, 2):
         parts.setdefault(da, LinearMap.wrap(full.domain, full.codomain, {}, (q, da)))
-    return (parts[0], parts[2]) if variant == BETA else parts[0]
+    return parts[0], parts[2]
+
+
+def annular_saddle_map(sd, dom_space, cod_space):
+    """The adeg-preserving truncation between annular spaces, or the
+    (d0, d2) pair between BETA spaces (whose slots are the GENERIC ones)."""
+    variant = dom_space.variant
+    if variant == GENERIC:
+        raise VariantRingMismatchError("GENERIC is the untruncated theory")
+    d0, d2 = annular_parts(full_saddle_map(sd, dom_space, cod_space))
+    return (d0, d2) if variant == BETA else d0
 
 
 def dotted_identity_map(space, slot, dots, variant):
@@ -552,12 +569,13 @@ def dotted_identity_map(space, slot, dots, variant):
     if dots < 1:
         raise ValueError("dots must be positive")
     fr = Frobenius(space.ring)
-    conv = space.slots[slot].convention
-    local = _local_power_of_x(fr, conv, dots)
+    local = _local_power_of_x(fr, space.slots[slot].convention, dots)
     pairs = tuple(
         (j, j) for j in range(len(space.slots)) if j != slot
     )
-    m = _embed(space, space, (slot,), (slot,), pairs, local, (2 * dots, None))
+    m = _embed(
+        space, space, (slot,), (slot,), pairs, _freeze(local, 1), (2 * dots, None)
+    )
     if variant == GENERIC:
         return m
     if variant == BETA:

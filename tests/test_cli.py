@@ -209,3 +209,56 @@ def test_tangle_parse_error(capsys):
         capsys, "tl-eval", "[(1,", "--n", "1", "--m", "1"
     )
     assert code == 2 and "error" in err
+
+
+@pytest.fixture
+def empty_table_memo():
+    """Saddle tables are memoized per process, so a test that patches how
+    they are computed starts and ends with an empty memo."""
+    tqft.local_table.cache_clear()
+    yield
+    tqft.local_table.cache_clear()
+
+
+def test_verify_generic_fails_on_a_corrupted_merge_table(
+    capsys, corpus_dir, monkeypatch, empty_table_memo
+):
+    # with m(1 (x) 1) = 2 instead of 1, some squares of the trefoil_left
+    # cube stop commuting: d0.d0 and the d_beta identities must fail,
+    # while every map still splits into adeg 0 and +2 parts (exit 1, not
+    # 2).  trefoil_right would not do: each of its squares runs the same
+    # merge, then the same split, along both paths, so any change to the
+    # merge table cancels.
+    original = tqft._local_merge
+
+    def corrupted(fr, *convs):
+        local = original(fr, *convs)
+        local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
+        return local
+
+    monkeypatch.setattr(tqft, "_local_merge", corrupted)
+    code, out, _ = run(
+        capsys, "verify", corpus_dir / "trefoil_left.json", "--ring", "generic"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert "d_squared FAIL" in lines and "beta FAIL" in lines
+
+
+def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatch):
+    # one more essential codomain circle makes every adeg shift odd
+    original = tqft.full_saddle_map
+
+    def shifted(*args, **kwargs):
+        m = original(*args, **kwargs)
+        cod = m.codomain
+        slots = cod.slots + (tqft.Slot(True, "V", 1),)
+        extra = tqft.StateSpace(cod.ring, cod.variant, slots)
+        return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries), m.declared_bidegree)
+
+    monkeypatch.setattr(tqft, "full_saddle_map", shifted)
+    code, out, err = run(
+        capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: saddle map shifts adeg by [")

@@ -9,11 +9,12 @@ from annkh.complexes import (
     build_cube,
     sign_assignment,
     specialize_complex,
+    split_cube,
     verify_beta,
     verify_d_squared,
     verify_grading,
 )
-from annkh.errors import UnsupportedRingError
+from annkh.errors import UnsupportedRingError, VariantRingMismatchError
 from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, alpha_eval
 
@@ -244,3 +245,34 @@ def test_gf2_build(diagrams):
     c = build_complex(diagrams["trefoil_right"], GF(2), tqft.ANNULAR_ZERO)
     assert verify_d_squared(c) is None
     assert verify_grading(c) is None
+
+
+def test_split_cube_matches_the_built_annular_and_beta_cubes(diagrams):
+    # verify --ring generic derives both families from one GENERIC cube
+    for name, d in sorted(diagrams.items()):
+        derived = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
+        built_ann = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
+        built_beta = build_cube(d, GENERIC, tqft.BETA)
+        assert derived.variant == tqft.BETA
+        keys = [(e.u, e.v) for e in derived.edges]
+        assert keys == [(e.u, e.v) for e in built_ann.edges], name
+        assert keys == [(e.u, e.v) for e in built_beta.edges], name
+        for e, ea, eb in zip(derived.edges, built_ann.edges, built_beta.edges):
+            d0, d2 = e.map
+            assert d0.entries == ea.map.entries, (name, e.u, e.v)
+            assert d0.entries == eb.map[0].entries, (name, e.u, e.v)
+            assert d2.entries == eb.map[1].entries, (name, e.u, e.v)
+            assert d0.declared_bidegree == ea.map.declared_bidegree
+            assert d2.declared_bidegree == eb.map[1].declared_bidegree
+        c, cb = assemble(derived), assemble(built_beta)
+        assert (c.basis, c.bigrade, c.offsets) == (cb.basis, cb.bigrade, cb.offsets)
+        for i in c.diff:
+            assert c.diff[i].entries == cb.diff[i].entries, (name, i)
+            assert c.diff2[i].entries == cb.diff2[i].entries, (name, i)
+
+
+def test_split_cube_needs_a_generic_cube(diagrams):
+    cube = build_cube(diagrams["hopf_null"], GENERIC, tqft.ANNULAR_ALPHA)
+    with pytest.raises(VariantRingMismatchError):
+        split_cube(cube)
+

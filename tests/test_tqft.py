@@ -7,7 +7,8 @@ from annkh import tqft
 from annkh.complexes import build_cube
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import AnnkhError, VariantRingMismatchError
-from annkh.ring import A0, A1, GENERIC, INT, QH, BivariatePoly, alpha_eval
+from annkh import frobenius as fb
+from annkh.ring import A0, A1, GENERIC, GF, INT, QH, BivariatePoly, alpha_eval
 
 EV = alpha_eval(0, 1)
 EV2 = alpha_eval(2, 5)
@@ -467,6 +468,42 @@ def test_annular_saddle_map_rejects_an_odd_adeg_shift(monkeypatch):
     cod = space(INT, tqft.ANNULAR_ZERO, [(False, None)])
     shifted = tqft.LinearMap.wrap(dom, cod, {(0, 0): 1}, (1, None))
     assert set(shifted.adeg_split()) == {1}
-    monkeypatch.setattr(tqft, "full_saddle_map", lambda sd, ring, variant: shifted)
+    monkeypatch.setattr(tqft, "full_saddle_map", lambda sd, dom, cod: shifted)
     with pytest.raises(AnnkhError, match=r"shifts adeg by \[1\]"):
-        tqft.annular_saddle_map(None, INT, tqft.ANNULAR_ZERO)
+        tqft.annular_saddle_map(None, dom, cod)
+
+
+def test_memoized_tables_are_not_shared_across_rings(diagrams):
+    # one process builds the same diagram over several rings; each cube
+    # must equal the one built alone from an empty memo
+    d = diagrams["trefoil_left"]
+    cases = [
+        (GF(2), tqft.ANNULAR_ZERO),
+        (GF(3), tqft.ANNULAR_ZERO),
+        (alpha_eval(1, 3), tqft.ANNULAR_D),
+        (GF(2), tqft.GENERIC),
+        (GF(3), tqft.GENERIC),
+        (alpha_eval(1, 3), tqft.GENERIC),
+        (alpha_eval(1, 1), tqft.GENERIC),
+    ]
+    tqft.local_table.cache_clear()
+    together = [build_cube(d, ring, variant) for ring, variant in cases]
+    info = tqft.local_table.cache_info()
+    assert info.hits > info.misses > 0
+    for (ring, variant), cube in zip(cases, together):
+        tqft.local_table.cache_clear()
+        alone = build_cube(d, ring, variant)
+        assert [e.map for e in cube.edges] == [e.map for e in alone.edges], (
+            ring,
+            variant,
+        )
+    tqft.local_table.cache_clear()
+
+
+def test_local_tables_are_immutable():
+    table = tqft.local_table(GENERIC, (fb.V, fb.V_PRIME), (fb.ONE_X,))
+    assert table is tqft.local_table(GENERIC, (fb.V, fb.V_PRIME), (fb.ONE_X,))
+    assert isinstance(table, tuple) and len(table) == 4
+    for terms in table:
+        assert isinstance(terms, tuple)
+        assert all(isinstance(t, tuple) for t in terms)
