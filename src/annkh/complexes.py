@@ -77,9 +77,10 @@ def split_cube(cube):
     """The BETA cube of a GENERIC cube: every edge map becomes its
     (d0, d2) pair from ``tqft.annular_parts``.
 
-    BETA slots have the GENERIC conventions, so the vertices keep the
-    GENERIC cube's spaces, labels included, and the pairs are maps
-    between them.  The result assembles like ``build_cube(d, ring, BETA)``.
+    This is the only way to a BETA cube: ``build_cube`` refuses the
+    variant.  BETA slots have the GENERIC conventions, so the vertices
+    keep the GENERIC cube's spaces, labels included, and the pairs are
+    maps between them.
     """
     if cube.variant != tqft.GENERIC:
         raise VariantRingMismatchError(f"cannot split a {cube.variant} cube")

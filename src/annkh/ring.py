@@ -369,7 +369,6 @@ class CoefficientRing:
     kind = "?"
     is_euclidean = False
     is_field = False
-    qdeg_graded = False  # nonzero scalars may carry nonzero quantum degree
     preserves_qdeg = True  # maps keep the quantum grading over this ring
     annular_variant = None  # the tqft variant name the ring defaults to
 
@@ -573,7 +572,6 @@ class PrimeField(CoefficientRing):
 class RatPolyH(CoefficientRing):
     kind = "RAT_POLY_H"
     is_euclidean = True
-    qdeg_graded = True
     annular_variant = "ANNULAR_H"
 
     def zero(self):
@@ -670,7 +668,6 @@ class GenericAlpha(CoefficientRing):
     d^2 = 0 checks; refuses Smith normal form (not Euclidean)."""
 
     kind = "GENERIC_ALPHA"
-    qdeg_graded = True
     annular_variant = "ANNULAR_ALPHA"
 
     def zero(self):

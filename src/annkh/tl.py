@@ -327,9 +327,6 @@ def spin_tangle(t, ring, variant):
     def essentials(k):
         return tqft.essential_space(k, ring, variant)
 
-    def trunc(m):
-        return tqft.truncate_adeg(m, 0)
-
     total = tqft.identity_map(essentials(t.n))
 
     # tokens at radial slots, innermost first
@@ -350,13 +347,7 @@ def spin_tangle(t, ring, variant):
     # dots on through strands act first, at their bottom positions
     for slot, tok in enumerate(cur):
         if tok[0] == "thru" and t.dots[tok[1]]:
-            apply(
-                trunc(
-                    tqft.dotted_identity_map(
-                        total.codomain, slot, t.dots[tok[1]], tqft.GENERIC
-                    )
-                )
-            )
+            apply(tqft.dotted_identity_map(total.codomain, slot, t.dots[tok[1]]))
 
     # caps: innermost bottom-bottom pairs first
     for idx in sorted(bb, key=lambda i: t.pairs[i][1] - t.pairs[i][0]):
@@ -365,13 +356,7 @@ def spin_tangle(t, ring, variant):
             raise InvariantError(f"capped legs of strand {idx} are not adjacent")
         space = total.codomain
         if t.dots[idx]:
-            apply(
-                trunc(
-                    tqft.dotted_identity_map(
-                        space, i, t.dots[idx], tqft.GENERIC
-                    )
-                )
-            )
+            apply(tqft.dotted_identity_map(space, i, t.dots[idx]))
             space = total.codomain
         k = len(cur)
         mid = tqft.make_space(
@@ -384,7 +369,7 @@ def spin_tangle(t, ring, variant):
             for s in range(k)
             if s not in (i, i + 1)
         ]
-        apply(trunc(tqft.merge_map(space, mid, (i, i + 1), 0, pairs)))
+        apply(tqft.merge_map(space, mid, (i, i + 1), 0, pairs))
         apply(tqft.death_map(mid, 0))
         del cur[i : i + 2]
 
@@ -395,28 +380,16 @@ def spin_tangle(t, ring, variant):
         a, b = t.pairs[idx]
         t1, t2 = sorted((t.top_position(a), t.top_position(b)))
         pos = sum(1 for tok in cur if tok[3] < t1)
-        space = total.codomain
         k = len(cur)
-        birthed = tqft.birth_map(space, 0)
-        apply(birthed)
+        apply(tqft.birth_map(total.codomain, 0))
         cod = essentials(k + 2)
         pairs = [
             (1 + s, s if s < pos else s + 2) for s in range(k)
         ]
-        apply(
-            trunc(
-                tqft.split_map(total.codomain, cod, 0, (pos, pos + 1), pairs)
-            )
-        )
+        apply(tqft.split_map(total.codomain, cod, 0, (pos, pos + 1), pairs))
         cur[pos:pos] = [("tt", idx, "l", t1), ("tt", idx, "r", t2)]
         if t.dots[idx]:
-            apply(
-                trunc(
-                    tqft.dotted_identity_map(
-                        total.codomain, pos, t.dots[idx], tqft.GENERIC
-                    )
-                )
-            )
+            apply(tqft.dotted_identity_map(total.codomain, pos, t.dots[idx]))
 
     tops = [tok[3] for tok in cur]
     if tops != sorted(tops) or len(tops) != t.m:

@@ -5,20 +5,25 @@ multiplication/comultiplication to saddles.  Over the annulus, trivial
 circles keep the {1, X} basis while the i-th essential circle (counted
 from the puncture outward) carries {1, X - a0} for odd i and
 {1, X - a1} for even i; words in these bases carry an annular degree.
-Saddle maps are computed from the Frobenius structure in the slot bases,
-so truncating to the annular-degree-preserving part yields each variant:
+Cobordism maps are computed from the Frobenius structure in the slot
+bases, so truncating to the annular-degree-preserving part yields each
+variant:
 
 * ``GENERIC``       -- the full planar map, no truncation
 * ``ANNULAR_ALPHA`` -- adeg-preserving part over the bivariate ring
 * ``ANNULAR_ZERO``  -- the same with both parameters set to zero
 * ``ANNULAR_H``     -- parameters (0, h) over Q[h]
 * ``ANNULAR_D``     -- evaluated parameters, idempotent/rescaled bases
-* ``BETA``          -- the pair (adeg-0 part, adeg-raising part)
+* ``BETA``          -- the pair (adeg-0 part, adeg-raising part); only
+  ``complexes.split_cube`` makes it, from a ``GENERIC`` cube
 
-A saddle map is a local table on its involved slots, placed on the
-caller's spaces (a cube's own vertex spaces) with the identity on the
-other slots.  The table depends only on the ring and the involved
-slots' conventions, so :func:`local_table` builds it once per process.
+Every elementary cobordism (merge, split, dot, birth, death) is a local
+table on its involved slots, placed on the caller's spaces with the
+identity on the other slots.  The spaces decide the truncation: a
+builder returns the planar map between ``GENERIC`` spaces and the
+annular map between annular ones.  A saddle's table depends only on the
+ring and the involved slots' conventions, so :func:`local_table` builds
+it once per process.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
@@ -62,8 +67,7 @@ TYPE_IV = "TYPE_IV"
 def check_variant_ring(ring, variant):
     if variant not in VARIANTS:
         raise VariantRingMismatchError(f"unknown variant {variant!r}")
-    own = ring.annular_variant
-    ok = variant in (GENERIC, own) or (variant == BETA and own == ANNULAR_ALPHA)
+    ok = variant in (GENERIC, ring.annular_variant)
     if ok and variant == ANNULAR_D:
         ok = ring.distinct  # equal parameters leave no idempotent basis
     if not ok:
@@ -72,7 +76,7 @@ def check_variant_ring(ring, variant):
 
 def slot_convention(essential, essential_index, variant):
     """Basis of a slot.  ``ANNULAR_D`` has its own bases; every other
-    variant, ``GENERIC`` and ``BETA`` included, shares V/V'/ONE_X."""
+    variant shares V/V'/ONE_X."""
     if variant == ANNULAR_D:
         if essential:
             return fb.D_V if essential_index % 2 == 1 else fb.D_V_PRIME
@@ -155,16 +159,9 @@ class StateSpace:
 
 def state_space(rd, ring, variant):
     """State space of a resolved diagram: slots parallel rd.circles."""
-    check_variant_ring(ring, variant)
-    slots = tuple(
-        Slot(
-            c.essential,
-            slot_convention(c.essential, c.essential_index, variant),
-            c.essential_index,
-        )
-        for c in rd.circles
+    return make_space(
+        ring, variant, [(c.essential, c.essential_index) for c in rd.circles]
     )
-    return StateSpace(ring, variant, slots)
 
 
 def make_space(ring, variant, flags):
@@ -226,10 +223,6 @@ class LinearMap:
 
     def scale(self, s):
         m = self.matrix.scale(s)
-        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
-
-    def negate(self):
-        m = -self.matrix
         return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
 
     def adeg_split(self):
@@ -391,18 +384,16 @@ def _basis_elt(fr, conv, bit):
     return fr.element(conv, r.zero(), r.one())
 
 
+def _terms(r, coords):
+    """One slot's coordinates as (output bits, value) terms, zeros dropped."""
+    return [((bit,), c) for bit, c in enumerate(coords) if not r.is_zero(c)]
+
+
 def _local_merge(fr, conv_a, conv_b, conv_out):
-    r = fr.ring
     local = {}
     for ba, bb in product((0, 1), repeat=2):
         prod = fr.mult(_basis_elt(fr, conv_a, ba), _basis_elt(fr, conv_b, bb))
-        res = fr.convert(prod, conv_out)
-        outs = []
-        for bit, c in enumerate(res.coords):
-            if not r.is_zero(c):
-                outs.append(((bit,), c))
-        if outs:
-            local[(ba, bb)] = outs
+        local[(ba, bb)] = _terms(fr.ring, fr.convert(prod, conv_out).coords)
     return local
 
 
@@ -427,25 +418,17 @@ def _local_split(fr, conv_in, conv_out1, conv_out2):
                     if r.is_zero(c2):
                         continue
                     terms.append(((o1, o2), r.mul(v, r.mul(c1, c2))))
-        outs = sorted(accumulate(r, {}, terms).items())
-        if outs:
-            local[(b,)] = outs
+        local[(b,)] = sorted(accumulate(r, {}, terms).items())
     return local
 
 
 def _local_power_of_x(fr, conv, dots):
-    r = fr.ring
     local = {}
     for b in (0, 1):
         elt = _basis_elt(fr, conv, b)
         for _ in range(dots):
             elt = fr.x_action(elt)
-        outs = []
-        for bit, c in enumerate(elt.coords):
-            if not r.is_zero(c):
-                outs.append(((bit,), c))
-        if outs:
-            local[(b,)] = outs
+        local[(b,)] = _terms(fr.ring, elt.coords)
     return local
 
 
@@ -498,8 +481,8 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
 
 
 def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
-    """A merge (two involved domain slots) or a split (one) between
-    explicit spaces, from the memoized local table."""
+    """The planar merge (two involved domain slots) or split (one)
+    between explicit spaces, from the memoized local table."""
     table = local_table(
         dom_space.ring,
         tuple(dom_space.slots[s].convention for s in dom_inv),
@@ -510,12 +493,14 @@ def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
     """Multiplication of two slots into one, between explicit spaces."""
-    return _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
+    planar = _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
+    return _in_theory(planar)
 
 
 def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     """Comultiplication of one slot into two, between explicit spaces."""
-    return _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
+    planar = _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
+    return _in_theory(planar)
 
 
 def full_saddle_map(sd, dom_space, cod_space):
@@ -539,7 +524,7 @@ def truncate_adeg(m, keep=0):
 
 
 def annular_parts(full):
-    """The annular-degree 0 and +2 parts of a planar saddle map.
+    """The annular-degree 0 and +2 parts of a planar map.
 
     By the splitting lemma no other shift occurs; one that does raises
     ``InvariantError``.
@@ -554,74 +539,53 @@ def annular_parts(full):
     return parts[0], parts[2]
 
 
+def _in_theory(planar):
+    """A planar map as a map of its spaces' theory: itself between
+    ``GENERIC`` spaces, its annular-degree-0 part between annular ones."""
+    if planar.domain.variant == GENERIC:
+        return planar
+    return annular_parts(planar)[0]
+
+
 def annular_saddle_map(sd, dom_space, cod_space):
-    """The adeg-preserving truncation between annular spaces, or the
-    (d0, d2) pair between BETA spaces (whose slots are the GENERIC ones)."""
-    variant = dom_space.variant
-    if variant == GENERIC:
-        raise VariantRingMismatchError("GENERIC is the untruncated theory")
-    d0, d2 = annular_parts(full_saddle_map(sd, dom_space, cod_space))
-    return (d0, d2) if variant == BETA else d0
+    """The map of a classified saddle in its spaces' theory: the
+    adeg-preserving part of :func:`full_saddle_map` between annular
+    spaces."""
+    return _in_theory(full_saddle_map(sd, dom_space, cod_space))
 
 
-def dotted_identity_map(space, slot, dots, variant):
+def dotted_identity_map(space, slot, dots):
     """Multiplication by the dotted identity cobordism on one circle."""
     if dots < 1:
         raise ValueError("dots must be positive")
     fr = Frobenius(space.ring)
-    local = _local_power_of_x(fr, space.slots[slot].convention, dots)
-    pairs = tuple(
-        (j, j) for j in range(len(space.slots)) if j != slot
-    )
-    m = _embed(
-        space, space, (slot,), (slot,), pairs, _freeze(local, 1), (2 * dots, None)
-    )
-    if variant == GENERIC:
-        return m
-    if variant == BETA:
-        return truncate_adeg(m, 0), truncate_adeg(m, 2)
-    return truncate_adeg(m, 0)
+    table = _freeze(_local_power_of_x(fr, space.slots[slot].convention, dots), 1)
+    pairs = tuple((j, j) for j in range(len(space.slots)) if j != slot)
+    bidegree = (2 * dots, None)
+    return _in_theory(_embed(space, space, (slot,), (slot,), pairs, table, bidegree))
 
 
 def birth_map(space, position):
     """Insert a trivial circle at the given slot position (the unit)."""
-    ring = space.ring
     conv = slot_convention(False, None, space.variant)
-    new_slots = (
-        space.slots[:position]
-        + (Slot(False, conv, None),)
-        + space.slots[position:]
-    )
-    cod = StateSpace(ring, space.variant, new_slots)
-    fr = Frobenius(ring)
-    unit = fr.convert(fr.unit(), conv)
-    entries = {}
-    for col, word in enumerate(space.words()):
-        for bit, c in enumerate(unit.coords):
-            if ring.is_zero(c):
-                continue
-            bits = word[:position] + (bit,) + word[position:]
-            entries[(cod.word_index(bits), col)] = c
-    return LinearMap.wrap(space, cod, entries, (-1, 0))
+    slots = space.slots
+    new_slots = slots[:position] + (Slot(False, conv, None),) + slots[position:]
+    cod = StateSpace(space.ring, space.variant, new_slots)
+    fr = Frobenius(space.ring)
+    table = (tuple(_terms(space.ring, fr.convert(fr.unit(), conv).coords)),)
+    pairs = tuple((j, j + (j >= position)) for j in range(len(slots)))
+    return _embed(space, cod, (), (position,), pairs, table, (-1, 0))
 
 
 def death_map(space, slot):
     """Cap off a trivial circle (the counit on that slot)."""
-    ring = space.ring
     if space.slots[slot].essential:
         raise ValueError("death caps a trivial circle")
     new_slots = space.slots[:slot] + space.slots[slot + 1 :]
-    cod = StateSpace(ring, space.variant, new_slots)
-    fr = Frobenius(ring)
-    eps = [
-        fr.counit(_basis_elt(fr, space.slots[slot].convention, b)).value
-        for b in (0, 1)
-    ]
-    entries = {}
-    for col, word in enumerate(space.words()):
-        c = eps[word[slot]]
-        if ring.is_zero(c):
-            continue
-        bits = word[:slot] + word[slot + 1 :]
-        entries[(cod.word_index(bits), col)] = c
-    return LinearMap.wrap(space, cod, entries, (-1, 0))
+    cod = StateSpace(space.ring, space.variant, new_slots)
+    fr = Frobenius(space.ring)
+    conv = space.slots[slot].convention
+    eps = (fr.counit(_basis_elt(fr, conv, b)).value for b in (0, 1))
+    table = tuple(() if space.ring.is_zero(c) else (((), c),) for c in eps)
+    pairs = tuple((j, j - (j > slot)) for j in range(len(space.slots)) if j != slot)
+    return _embed(space, cod, (slot,), (), pairs, table, (-1, 0))

@@ -205,7 +205,7 @@ def test_beta_identities_corpus(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        c = assemble(build_cube(d, GENERIC, tqft.BETA))
+        c = assemble(split_cube(build_cube(d, GENERIC, tqft.GENERIC)))
         rep = verify_beta(c)
         assert all(v is None for v in rep.values()), (name, rep)
 
@@ -223,7 +223,7 @@ def test_edge_blocks_are_disjoint(diagrams):
     """assemble places edge entries without summing: every entry of
     every edge map lands in the differential, none on another."""
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
-        cube = build_cube(diagrams[name], GENERIC, tqft.BETA)
+        cube = split_cube(build_cube(diagrams[name], GENERIC, tqft.GENERIC))
         c = assemble(cube)
         for k, diff in ((0, c.diff), (1, c.diff2)):
             placed = sum(len(m.entries) for m in diff.values())
@@ -252,7 +252,7 @@ def test_split_cube_matches_the_built_annular_and_beta_cubes(diagrams):
     for name, d in sorted(diagrams.items()):
         derived = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
         built_ann = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
-        built_beta = build_cube(d, GENERIC, tqft.BETA)
+        built_beta = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
         assert derived.variant == tqft.BETA
         keys = [(e.u, e.v) for e in derived.edges]
         assert keys == [(e.u, e.v) for e in built_ann.edges], name
@@ -275,4 +275,19 @@ def test_split_cube_needs_a_generic_cube(diagrams):
     cube = build_cube(diagrams["hopf_null"], GENERIC, tqft.ANNULAR_ALPHA)
     with pytest.raises(VariantRingMismatchError):
         split_cube(cube)
+
+
+def test_split_cube_parts_are_the_truncations(diagrams):
+    for name, d in sorted(diagrams.items()):
+        full = build_cube(d, GENERIC, tqft.GENERIC)
+        for e, eb in zip(full.edges, split_cube(full).edges):
+            d0, d2 = eb.map
+            assert d0.entries == tqft.truncate_adeg(e.map, 0).entries, name
+            assert d2.entries == tqft.truncate_adeg(e.map, 2).entries, name
+
+
+def test_build_cube_refuses_beta(diagrams):
+    # split_cube is the only way to a BETA cube
+    with pytest.raises(VariantRingMismatchError):
+        build_cube(diagrams["hopf_null"], GENERIC, tqft.BETA)
 

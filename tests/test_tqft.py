@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from annkh import tqft
-from annkh.complexes import build_cube
+from annkh.complexes import build_cube, split_cube
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import AnnkhError, VariantRingMismatchError
 from annkh import frobenius as fb
@@ -64,6 +64,33 @@ def test_variant_ring_compatibility():
     with pytest.raises(VariantRingMismatchError):
         tqft.check_variant_ring(QH, tqft.ANNULAR_ZERO)
     tqft.check_variant_ring(QH, tqft.ANNULAR_H)
+    # BETA cubes come only from complexes.split_cube, on GENERIC spaces
+    with pytest.raises(VariantRingMismatchError):
+        tqft.check_variant_ring(GENERIC, tqft.BETA)
+
+
+def test_builders_truncate_between_annular_spaces():
+    # the spaces decide: the planar map between GENERIC spaces, its
+    # adeg-0 part between annular ones with the same slots
+    def both(flags):
+        ann = space(GENERIC, tqft.ANNULAR_ALPHA, flags)
+        return ann, tqft.StateSpace(GENERIC, tqft.GENERIC, ann.slots)
+
+    two, two_g = both([(True, 1), (True, 2)])
+    one, one_g = both([(False, None)])
+    cases = [
+        (tqft.merge_map(two, one, (0, 1), 0, []),
+         tqft.merge_map(two_g, one_g, (0, 1), 0, [])),
+        (tqft.split_map(one, two, 0, (0, 1), []),
+         tqft.split_map(one_g, two_g, 0, (0, 1), [])),
+        (tqft.dotted_identity_map(two, 0, 1),
+         tqft.dotted_identity_map(two_g, 0, 1)),
+    ]
+    for ann, planar in cases:
+        assert set(planar.adeg_split()) == {0, 2}
+        assert ann.entries == tqft.truncate_adeg(planar, 0).entries
+        assert ann.declared_bidegree[1] == 0
+        assert planar.declared_bidegree[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +340,14 @@ def test_ab_uniform_rules(ring, inner):
 
 def test_dotted_identity_on_essential_slots():
     sp = tqft.essential_space(2, GENERIC, tqft.ANNULAR_ALPHA)
-    inner = tqft.dotted_identity_map(sp, 0, 1, tqft.ANNULAR_ALPHA)
+    inner = tqft.dotted_identity_map(sp, 0, 1)
     assert as_table(inner) == {
         (0, 0): {(0, 0): A0},
         (0, 1): {(0, 1): A0},
         (1, 0): {(1, 0): A1},
         (1, 1): {(1, 1): A1},
     }
-    outer = tqft.dotted_identity_map(sp, 1, 1, tqft.ANNULAR_ALPHA)
+    outer = tqft.dotted_identity_map(sp, 1, 1)
     assert as_table(outer) == {
         (0, 0): {(0, 0): A1},
         (1, 0): {(1, 0): A1},
@@ -331,13 +358,13 @@ def test_dotted_identity_on_essential_slots():
 
 def test_boerner_vanishing_at_zero():
     sp = tqft.essential_space(1, INT, tqft.ANNULAR_ZERO)
-    assert tqft.dotted_identity_map(sp, 0, 1, tqft.ANNULAR_ZERO).is_zero()
-    assert tqft.dotted_identity_map(sp, 0, 3, tqft.ANNULAR_ZERO).is_zero()
+    assert tqft.dotted_identity_map(sp, 0, 1).is_zero()
+    assert tqft.dotted_identity_map(sp, 0, 3).is_zero()
 
 
 def test_two_dots_on_trivial_slot():
     sp = space(GENERIC, tqft.ANNULAR_ALPHA, [(False, None)])
-    m = tqft.dotted_identity_map(sp, 0, 2, tqft.ANNULAR_ALPHA)
+    m = tqft.dotted_identity_map(sp, 0, 2)
     # X^2 = (a0+a1) X - a0 a1
     assert as_table(m) == {
         (0,): {(0,): -(A0 * A1), (1,): A0 + A1},
@@ -348,7 +375,7 @@ def test_two_dots_on_trivial_slot():
 
 def test_dotted_identity_bidegree():
     sp = tqft.essential_space(1, GENERIC, tqft.ANNULAR_ALPHA)
-    m = tqft.dotted_identity_map(sp, 0, 1, tqft.ANNULAR_ALPHA)
+    m = tqft.dotted_identity_map(sp, 0, 1)
     assert m.check_bidegree(2, 0)
 
 
@@ -456,7 +483,7 @@ def test_double_merge_associativity(diagrams):
 def test_beta_pair_reassembles_full_map(diagrams):
     d = diagrams["trefoil_right"]
     cube_full = build_cube(d, GENERIC, tqft.GENERIC)
-    cube_beta = build_cube(d, GENERIC, tqft.BETA)
+    cube_beta = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
     full = {(e.u, e.v): e.map for e in cube_full.edges}
     for e in cube_beta.edges:
         d0, d2 = e.map
