@@ -53,6 +53,12 @@ def parse_ring(text):
 def pick_variant(ring, variant_flag):
     if variant_flag == "planar":
         return tqft.GENERIC
+    if ring.annular_variant == tqft.ANNULAR_D and not ring.distinct:
+        raise InputError(
+            f"ring {ring} has equal parameters a0 = a1, so the annular theory "
+            "has no idempotent basis over it; --variant planar works, as do "
+            "distinct values"
+        )
     return ring.annular_variant
 
 

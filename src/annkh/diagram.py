@@ -12,15 +12,26 @@ Resolved circles are classified as trivial or essential by their winding
 around the puncture, computed from signed crossings of the reference
 ray, and essential circles are ordered innermost to outermost by the
 radius of their innermost ray crossing.
+
+Plane geometry is done once per diagram.  Validation scales every
+coordinate by the LCM of the denominators, so its predicates run on
+ints, and a sweep over segment bounding boxes sends only the pairs whose
+boxes meet to the exact intersection test.  Validation then truncates
+each edge at its crossing disks and records, per truncated edge, its
+ray stations and its least point.  ``resolve`` traces the circles of a
+smoothing through the PD slots and concatenates that per-arc data, with
+the stations of the chords across the crossing disks computed once, on
+first use.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from math import lcm
 
 from .errors import (
     ENDPOINT_MISMATCH,
@@ -34,7 +45,7 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# exact planar predicates
+# exact planar predicates (on Fractions or on ints)
 
 
 def _pt(xy):
@@ -59,17 +70,15 @@ def _dist2(a, b):
 
 
 def _point_seg_dist2(p, a, b):
-    ab = _sub(b, a)
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
+    ab, ap = _sub(b, a), _sub(p, a)
+    dot = ap[0] * ab[0] + ap[1] * ab[1]
+    if dot <= 0:
         return _dist2(p, a)
-    t = (_sub(p, a)[0] * ab[0] + _sub(p, a)[1] * ab[1]) / denom
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    q = (a[0] + t * ab[0], a[1] + t * ab[1])
-    return _dist2(p, q)
+    denom = ab[0] * ab[0] + ab[1] * ab[1]
+    if dot >= denom:
+        return _dist2(p, b)
+    # the foot of the perpendicular lies inside the segment
+    return Fraction(_cross(ab, ap) ** 2, denom)
 
 
 def _on_segment(a, b, p):
@@ -103,8 +112,7 @@ def _seg_intersection(p1, p2, p3, p4):
         if (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
             d = _sub(p2, p1)
             e = _sub(p4, p3)
-            denom = _cross(d, e)
-            t = _cross(_sub(p3, p1), e) / denom
+            t = Fraction(_cross(_sub(p3, p1), e), _cross(d, e))
             return ("point", (p1[0] + t * d[0], p1[1] + t * d[1]))
     # touching cases
     if o1 == 0 and _on_segment(p1, p2, p3):
@@ -116,6 +124,37 @@ def _seg_intersection(p1, p2, p3, p4):
     if o4 == 0 and _on_segment(p3, p4, p2):
         return ("point", p2)
     return None
+
+
+def _box(a, b):
+    return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+
+
+def _box_dist2(p, box):
+    """Squared distance from p to a box: a lower bound for every point
+    of the segment the box holds."""
+    x0, x1, y0, y1 = box
+    dx = max(x0 - p[0], p[0] - x1, 0)
+    dy = max(y0 - p[1], p[1] - y1, 0)
+    return dx * dx + dy * dy
+
+
+def _box_partners(boxes):
+    """For each box a, the sorted indices b > a of the boxes it meets
+    (closed boxes), found by a sweep in order of smallest x."""
+    partners = [[] for _ in boxes]
+    active = []
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
+        x0, _, y0, y1 = boxes[i]
+        # boxes in the sweep start at or left of x0; keep those reaching it
+        active = [j for j in active if boxes[j][1] >= x0]
+        for j in active:
+            if boxes[j][2] <= y1 and y0 <= boxes[j][3]:
+                partners[min(i, j)].append(max(i, j))
+        active.append(i)
+    for p in partners:
+        p.sort()
+    return partners
 
 
 def _ang_half(v):
@@ -166,26 +205,31 @@ def point_winding(points, p):
     return wn
 
 
+def _station(a, b):
+    """Where the segment from a to b crosses the positive x-axis, as
+    (x, sign), or None.  The rule is half-open at y = 0 on both ends, so
+    the segment from b to a gives (x, -sign)."""
+    if a[1] <= 0 < b[1]:
+        sign = 1
+    elif b[1] <= 0 < a[1]:
+        sign = -1
+    else:
+        return None
+    x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
+    return (x, sign) if x > 0 else None
+
+
+def _polyline_stations(points):
+    hits = (_station(points[i], points[i + 1]) for i in range(len(points) - 1))
+    return tuple(h for h in hits if h is not None)
+
+
 def ray_stations(points):
     """Signed crossings of the positive x-axis, in traversal order.
 
     Upward crossings (counterclockwise around the origin) count +1.
     """
-    out = []
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        if a[1] <= 0 < b[1]:
-            sign = 1
-        elif b[1] <= 0 < a[1]:
-            sign = -1
-        else:
-            continue
-        x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
-        if x > 0:
-            out.append((x, sign))
-    return out
+    return list(_polyline_stations(tuple(points) + tuple(points[:1])))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +272,6 @@ class ResolvedDiagram:
     smoothing: tuple
     circles: tuple
     oriented: bool = False
-
-    @property
-    def n_trivial(self):
-        return sum(1 for c in self.circles if not c.essential)
 
     @property
     def n_essential(self):
@@ -281,7 +321,9 @@ class AnnularDiagram:
         self._violations = None
         self._ends = None
         self._cross_pts = None
-        self._trunc = None
+        self._cuts = None
+        self._arcs = None
+        self._chords = {}
         self._end_lookup = None
         self._crossing_edges = None
         self._resolve_cache = {}
@@ -324,9 +366,11 @@ class AnnularDiagram:
         if out:
             return out
         out.extend(self._validate_components())
-        out.extend(self._validate_geometry())
+        scale, segs, cross = self._int_geometry()
+        out.extend(self._validate_geometry(scale, segs, cross))
         if not out:
-            self._prepare_cuts()
+            self._prepare_cuts(scale, segs, cross)
+            self._prepare_arcs()
         return out
 
     def _validate_structure(self):
@@ -533,27 +577,38 @@ class AnnularDiagram:
             )
         return out
 
-    def _segments(self):
+    def _int_geometry(self):
+        """Every coordinate times the LCM of all denominators.  A positive
+        scale keeps the sign of every orientation test and comparison, so
+        the geometric predicates run on ints.
+
+        Returns the scale, the scaled segments as (edge, index, a, b) and
+        the scaled crossing points.
+        """
+        scale = lcm(
+            *(c.denominator for pts in self.edges.values() for p in pts for c in p)
+        )
+
+        def up(p):
+            return tuple(c.numerator * (scale // c.denominator) for c in p)
+
         segs = []
         for eid, pts in self.edges.items():
-            for i in range(len(pts) - 1):
-                segs.append((eid, i, pts[i], pts[i + 1]))
-        return segs
+            scaled = [up(p) for p in pts]
+            for i in range(len(scaled) - 1):
+                segs.append((eid, i, scaled[i], scaled[i + 1]))
+        return scale, segs, [up(p) for p in self._cross_pts]
 
-    def _validate_geometry(self):
+    def _validate_geometry(self, scale, segs, cross):
         out = []
-        origin = (Fraction(0), Fraction(0))
-        cross_pts = set(self._cross_pts)
+        origin = (0, 0)
+        cross_pts = set(cross)
         # segments adjacent to each crossing point
-        adjacent = set()
+        adj_lookup = {}
         for k, combo in enumerate(self._ends):
             for e in combo:
-                pts = self.edges[e.edge]
-                idx = 0 if e.end == 0 else len(pts) - 2
-                adjacent.add((e.edge, idx, self._cross_pts[k]))
-        adj_lookup = {}
-        for eid, idx, p in adjacent:
-            adj_lookup.setdefault((eid, idx), set()).add(p)
+                idx = 0 if e.end == 0 else len(self.edges[e.edge]) - 2
+                adj_lookup.setdefault((e.edge, idx), set()).add(cross[k])
 
         for eid, pts in self.edges.items():
             for p in pts:
@@ -565,16 +620,17 @@ class AnnularDiagram:
             if p[1] == 0 and p[0] > 0:
                 out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(p)))
 
-        segs = self._segments()
         closed = {eid: self._edge_is_closed(eid) for eid in self.edges}
         nsegs = {eid: len(self.edges[eid]) - 1 for eid in self.edges}
+        # a segment pair can meet only if its bounding boxes do
+        partners = _box_partners([_box(a, b) for _, _, a, b in segs])
         for a in range(len(segs)):
             e1, i1, a1, b1 = segs[a]
             if _on_segment(a1, b1, origin):
                 out.append(
                     Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}")
                 )
-            for b in range(a + 1, len(segs)):
+            for b in partners[a]:
                 e2, i2, a2, b2 = segs[b]
                 hit = _seg_intersection(a1, b1, a2, b2)
                 if hit is None:
@@ -605,59 +661,93 @@ class AnnularDiagram:
                         shared = {a1, b1} & {a2, b2}
                         ok = pt in shared
                 if not ok:
+                    at = (Fraction(pt[0], scale), Fraction(pt[1], scale))
                     out.append(
                         Violation(
                             SELF_INTERSECTION,
                             f"edges {e1}/{e2}",
-                            f"meet at {pt}",
+                            f"meet at {at}",
                         )
                     )
         return out
 
     # -- crossing disks and truncation --------------------------------------
 
-    def _prepare_cuts(self):
-        segs = self._segments()
+    def _prepare_cuts(self, scale, segs, cross):
+        """Cut each end of a crossing inside the disk whose radius is half
+        the crossing's distance to the nearest other feature (segment or
+        crossing), halving t until the cut lies inside it."""
+        boxes = [_box(a, b) for _, _, a, b in segs]
         cuts = {}
         for k, combo in enumerate(self._ends):
-            p = self._cross_pts[k]
+            c = cross[k]
             adjacent = set()
             for e in combo:
                 pts = self.edges[e.edge]
                 adjacent.add((e.edge, 0 if e.end == 0 else len(pts) - 2))
             delta2 = None
-            for eid, i, a, b in segs:
-                if (eid, i) in adjacent:
-                    continue
-                d2 = _point_seg_dist2(p, a, b)
-                if delta2 is None or d2 < delta2:
-                    delta2 = d2
-            for k2, p2 in enumerate(self._cross_pts):
+            for k2, c2 in enumerate(cross):
                 if k2 != k:
-                    d2 = _dist2(p, p2)
+                    d2 = _dist2(c, c2)
                     if delta2 is None or d2 < delta2:
                         delta2 = d2
+            # nearest boxes first; a box's distance bounds its segment's
+            near = sorted((_box_dist2(c, box), i) for i, box in enumerate(boxes))
+            for bound, i in near:
+                if delta2 is not None and bound >= delta2:
+                    break
+                eid, idx, a, b = segs[i]
+                if (eid, idx) in adjacent:
+                    continue
+                d2 = _point_seg_dist2(c, a, b)
+                if delta2 is None or d2 < delta2:
+                    delta2 = d2
             if delta2 is None:
-                delta2 = Fraction(4)  # isolated crossing, any radius works
-            rho2 = delta2 / 4
+                delta2 = 4 * scale * scale  # isolated crossing, any radius works
+            # back to the diagram's own coordinates
+            rho2 = Fraction(delta2) / (4 * scale * scale)
+            p = self._cross_pts[k]
             for q, e in enumerate(combo):
                 t = Fraction(1, 2)
                 d2 = _dist2(p, e.neighbor)
                 while t * t * d2 >= rho2:
                     t /= 2
-                cut = (
+                cuts[(k, q)] = (
                     p[0] + t * (e.neighbor[0] - p[0]),
                     p[1] + t * (e.neighbor[1] - p[1]),
                 )
-                cuts[(k, q)] = cut
-        trunc = {eid: list(pts) for eid, pts in self.edges.items()}
-        for (k, q), cut in cuts.items():
-            e = self._ends[k][q]
-            if e.end == 0:
-                trunc[e.edge][0] = cut
-            else:
-                trunc[e.edge][-1] = cut
-        self._trunc = trunc
+        self._cuts = cuts
+
+    def _prepare_arcs(self):
+        """Per truncated edge and direction: its points, its ray stations
+        in traversal order and its least point."""
+        arcs = {}
+        for eid, pts in self.edges.items():
+            if self._edge_is_closed(eid):
+                loop = tuple(pts[:-1])
+                for fwd, run in ((True, loop), (False, loop[::-1])):
+                    arcs[(eid, fwd)] = (run, tuple(ray_stations(run)), min(run))
+                continue
+            run = list(pts)
+            tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
+            run[0], run[-1] = self._cuts[tail], self._cuts[head]
+            run = tuple(run)
+            st = _polyline_stations(run)
+            low = min(run)
+            arcs[(eid, True)] = (run, st, low)
+            arcs[(eid, False)] = (
+                run[::-1], tuple((x, -sign) for x, sign in reversed(st)), low
+            )
+        self._arcs = arcs
+
+    def _chord(self, k, q, partner):
+        """Stations of the chord from cut (k, q) to cut (k, partner)."""
+        key = (k, q, partner)
+        st = self._chords.get(key)
+        if st is None:
+            st = _polyline_stations((self._cuts[(k, q)], self._cuts[(k, partner)]))
+            self._chords[key] = st
+        return st
 
     # -- resolution ----------------------------------------------------------
 
@@ -685,32 +775,33 @@ class AnnularDiagram:
             eff_reversed = None
 
         visited = set()
-        raw_circles = []
+        raw_circles = []  # (points, stations, edge ids, least point)
         for eid in sorted(self.edges):
             if eid in visited:
-                continue
-            if self._edge_is_closed(eid):
-                visited.add(eid)
-                pts = self.edges[eid][:-1]
-                if eff_reversed is not None and eff_reversed[self.comp_of_edge(eid)]:
-                    pts = pts[::-1]
-                raw_circles.append((tuple(pts), frozenset([eid])))
                 continue
             forward = True
             if eff_reversed is not None:
                 forward = not eff_reversed[self.comp_of_edge(eid)]
+            if self._edge_is_closed(eid):
+                visited.add(eid)
+                run, run_st, low = self._arcs[(eid, forward)]
+                raw_circles.append((run, run_st, frozenset([eid]), low))
+                continue
             start = (eid, forward)
             cur_edge, cur_fwd = eid, forward
-            pts = []
+            pts, st, lows = [], [], []
             ids = set()
             while True:
                 visited.add(cur_edge)
                 ids.add(cur_edge)
-                poly = self._trunc[cur_edge]
-                pts.extend(poly if cur_fwd else reversed(poly))
+                run, run_st, low = self._arcs[(cur_edge, cur_fwd)]
                 arrive = 1 if cur_fwd else 0
                 k, q = self._end_lookup[(cur_edge, arrive)]
                 partner = _PAIRING[u[k]][q]
+                pts.extend(run)
+                st.extend(run_st)
+                st.extend(self._chord(k, q, partner))
+                lows.append(low)
                 nxt = self._ends[k][partner]
                 nxt_fwd = nxt.end == 0
                 if eff_reversed is not None:
@@ -728,45 +819,33 @@ class AnnularDiagram:
                 if (nxt.edge, nxt_fwd) == start:
                     break
                 cur_edge, cur_fwd = nxt.edge, nxt_fwd
-            raw_circles.append((tuple(pts), frozenset(ids)))
+            raw_circles.append((tuple(pts), tuple(st), frozenset(ids), min(lows)))
 
-        circles = []
-        for pts, ids in raw_circles:
-            st = tuple(ray_stations(pts))
+        trivial, essential = [], []
+        for pts, st, ids, low in raw_circles:
             w = sum(s for _, s in st)
             if abs(w) > 1:
                 raise EmbeddingViolationError(
                     f"circle through {sorted(ids)} winds {w} times"
                 )
-            circles.append(
-                Circle(
-                    points=pts,
-                    edge_ids=ids,
-                    stations=st,
-                    winding=w,
-                    essential=w != 0,
-                )
+            c = Circle(
+                points=pts,
+                edge_ids=ids,
+                stations=st,
+                winding=w,
+                essential=w != 0,
             )
-        trivial = sorted(
-            (c for c in circles if not c.essential),
-            key=lambda c: min(c.points),
-        )
-        essential = sorted(
-            (c for c in circles if c.essential), key=lambda c: c.min_station
-        )
+            if c.essential:
+                essential.append(c)
+            else:
+                trivial.append((low, c))
+        trivial = [c for _, c in sorted(trivial, key=lambda lc: lc[0])]
+        essential.sort(key=lambda c: c.min_station)
         radii = [c.min_station for c in essential]
         if radii != sorted(set(radii)):
             raise InvariantError(f"essential circles share a radius: {radii}")
         essential = [
-            Circle(
-                points=c.points,
-                edge_ids=c.edge_ids,
-                stations=c.stations,
-                winding=c.winding,
-                essential=True,
-                essential_index=i + 1,
-            )
-            for i, c in enumerate(essential)
+            replace(c, essential_index=i + 1) for i, c in enumerate(essential)
         ]
         rd = ResolvedDiagram(
             smoothing=u,
@@ -837,15 +916,11 @@ def cube_edge_pairs(diagram, u):
 # serialization
 
 
-def _frac_str(x):
-    return str(x)
-
-
 def diagram_to_dict(d):
     return {
         "crossings": [list(c) for c in d.crossings],
         "edges": {
-            eid: [[_frac_str(p[0]), _frac_str(p[1])] for p in pts]
+            eid: [[str(p[0]), str(p[1])] for p in pts]
             for eid, pts in d.edges.items()
         },
         "components": [list(c) for c in d.components],

@@ -12,8 +12,7 @@ Chain groups reach tens of thousands of generators (T(2,9) has about
 time in proportion to the stored entries.  :func:`cancel_units` is the
 elimination routine: over a field it gives the rank, and elsewhere it
 leaves a small unit-free remainder for the Smith normal form.  The
-exceptions are ``to_dense`` and ``field_rank``, which are meant for
-small matrices; ``field_rank`` is kept as the tests' reference rank.
+exception is ``to_dense``, which is meant for small matrices.
 """
 
 from __future__ import annotations
@@ -171,39 +170,6 @@ class SparseMatrix:
             f"SparseMatrix({self.ring}, {self.nrows}x{self.ncols}, "
             f"{len(self.entries)} entries)"
         )
-
-
-def field_rank(ring, dense):
-    """Rank of a dense matrix over a field by Gaussian elimination."""
-    if not dense or not dense[0]:
-        return 0
-    rows = [list(r) for r in dense]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not ring.is_zero(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            v = rows[r][col]
-            if ring.is_zero(v):
-                continue
-            f, _ = ring.divmod(v, pv)
-            row = rows[r]
-            prow = rows[rank]
-            for c in range(col, ncols):
-                row[c] = ring.sub(row[c], ring.mul(f, prow[c]))
-        rank += 1
-        col += 1
-    return rank
 
 
 def cancel_units(m):

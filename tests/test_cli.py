@@ -41,6 +41,24 @@ def test_variant_resolution():
     assert pick_variant(parse_ring("int"), "planar") == tqft.GENERIC
 
 
+def test_equal_alpha_parameters_point_to_the_planar_variant(capsys, corpus_dir):
+    trefoil = corpus_dir / "trefoil_right.json"
+    for argv in (
+        ("homology", trefoil),
+        ("verify", trefoil),
+        ("invariance", trefoil, trefoil),
+        ("tl-eval", "[(1,2)]", "--n", 2, "--m", 0),
+    ):
+        code, out, err = run(capsys, *argv, "--ring", "alpha:2,2")
+        assert (code, out) == (2, ""), argv
+        assert "equal parameters" in err and "--variant planar" in err, argv
+        assert "ANNULAR_D" not in err, argv
+    code, out, _ = run(
+        capsys, "homology", trefoil, "--ring", "alpha:2,2", "--variant", "planar"
+    )
+    assert code == 0 and out.startswith("i\tq\ta\trank\ttorsion\n")
+
+
 def test_homology_tsv(capsys, corpus_dir):
     code, out, _ = run(
         capsys, "homology", corpus_dir / "essential_unknot_ccw.json",

@@ -1,9 +1,17 @@
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from annkh import diagram
 from annkh.corpus import braid_closure
 from annkh.diagram import (
     AnnularDiagram,
+    _dist2,
+    _on_segment,
+    _orient,
     all_orientations,
     all_smoothings,
     cube_edge_pairs,
@@ -14,12 +22,16 @@ from annkh.diagram import (
     nesting_depth,
     nudged,
     point_winding,
+    ray_stations,
     winding_number,
 )
 from annkh.errors import (
     ENDPOINT_MISMATCH,
+    ORIGIN_ON_CURVE,
     RAY_TANGENCY,
+    SELF_INTERSECTION,
     EmbeddingViolationError,
+    Violation,
 )
 
 from conftest import pd_circle_count
@@ -277,3 +289,279 @@ def test_resolved_circles_are_embedded_and_disjoint(diagrams):
                         a1,
                         b1,
                     } & {a2, b2}, (name, u, ci, cj, i, j, pt)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the scaled-integer box sweep and the per-arc resolver
+
+
+def reference_seg_intersection(p1, p2, p3, p4):
+    """The exact segment test in Fraction arithmetic, as it was before
+    validation moved to scaled integers."""
+    o1 = _orient(p1, p2, p3)
+    o2 = _orient(p1, p2, p4)
+    o3 = _orient(p3, p4, p1)
+    o4 = _orient(p3, p4, p2)
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        axis = 0 if p1[0] != p2[0] else 1
+        lo1, hi1 = sorted((p1[axis], p2[axis]))
+        lo2, hi2 = sorted((p3[axis], p4[axis]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return None
+        if lo == hi:
+            return ("point", p1 if p1[axis] == lo else p2)
+        return ("overlap", None)
+    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0:
+        if (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
+            d = (p2[0] - p1[0], p2[1] - p1[1])
+            e = (p4[0] - p3[0], p4[1] - p3[1])
+            denom = d[0] * e[1] - d[1] * e[0]
+            t = ((p3[0] - p1[0]) * e[1] - (p3[1] - p1[1]) * e[0]) / denom
+            return ("point", (p1[0] + t * d[0], p1[1] + t * d[1]))
+    if o1 == 0 and _on_segment(p1, p2, p3):
+        return ("point", p3)
+    if o2 == 0 and _on_segment(p1, p2, p4):
+        return ("point", p4)
+    if o3 == 0 and _on_segment(p3, p4, p1):
+        return ("point", p1)
+    if o4 == 0 and _on_segment(p3, p4, p2):
+        return ("point", p2)
+    return None
+
+
+def all_pairs_validate(d):
+    """The validator before the box sweep: every pair of segments goes
+    through the exact test, in Fraction arithmetic."""
+    out = d._validate_structure()
+    if out:
+        return out
+    out = d._match_all_crossings()
+    if out:
+        return out
+    out = d._validate_components()
+    origin = (Fraction(0), Fraction(0))
+    cross_pts = set(d._cross_pts)
+    adj_lookup = {}
+    for k, combo in enumerate(d._ends):
+        for e in combo:
+            idx = 0 if e.end == 0 else len(d.edges[e.edge]) - 2
+            adj_lookup.setdefault((e.edge, idx), set()).add(d._cross_pts[k])
+    for eid, pts in d.edges.items():
+        for p in pts:
+            if p[1] == 0 and p[0] > 0:
+                out.append(Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {p}"))
+    for k, p in enumerate(d._cross_pts):
+        if p[1] == 0 and p[0] > 0:
+            out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(p)))
+    segs = [
+        (eid, i, pts[i], pts[i + 1])
+        for eid, pts in d.edges.items()
+        for i in range(len(pts) - 1)
+    ]
+    for a in range(len(segs)):
+        e1, i1, a1, b1 = segs[a]
+        if _on_segment(a1, b1, origin):
+            out.append(Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}"))
+        for b in range(a + 1, len(segs)):
+            e2, i2, a2, b2 = segs[b]
+            hit = reference_seg_intersection(a1, b1, a2, b2)
+            if hit is None:
+                continue
+            kind, pt = hit
+            if kind == "overlap":
+                out.append(
+                    Violation(
+                        SELF_INTERSECTION, f"edges {e1}/{e2}", "collinear overlap"
+                    )
+                )
+                continue
+            ok = False
+            if (
+                pt in cross_pts
+                and pt in adj_lookup.get((e1, i1), ())
+                and pt in adj_lookup.get((e2, i2), ())
+            ):
+                ok = True
+            elif e1 == e2:
+                last = len(d.edges[e1]) - 2
+                consecutive = abs(i1 - i2) == 1 or (
+                    d._edge_is_closed(e1) and {i1, i2} == {0, last}
+                )
+                if consecutive:
+                    ok = pt in {a1, b1} & {a2, b2}
+            if not ok:
+                out.append(
+                    Violation(SELF_INTERSECTION, f"edges {e1}/{e2}", f"meet at {pt}")
+                )
+    return out
+
+
+def rebuilt(d, move=lambda eid, i, p: p):
+    """A fresh, unvalidated copy of d with every point p of edge eid at
+    index i replaced by move(eid, i, p)."""
+    return AnnularDiagram(
+        d.crossings,
+        {
+            eid: [move(eid, i, p) for i, p in enumerate(pts)]
+            for eid, pts in d.edges.items()
+        },
+        d.components,
+        d.orientations,
+    )
+
+
+def random_braids(seed, count, max_len):
+    rng = random.Random(seed)
+    out = {}
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, max_len))]
+        out[f"braid {n} {word}"] = braid_closure(word, n)
+    return out
+
+
+def mutants(d, rng):
+    """Broken copies of d: each family aims at one violation kind."""
+    out = []
+    some_eid = sorted(d.edges)[0]
+    a, b = d.edges[some_eid][:2]
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    # the whole diagram moved so one segment runs through the puncture
+    out.append(rebuilt(d, lambda eid, i, p: (p[0] - mid[0], p[1] - mid[1])))
+    # ... or so one vertex sits on the reference ray
+    out.append(rebuilt(d, lambda eid, i, p: (p[0] - a[0] + 1, p[1] - a[1])))
+    for eid, pts in sorted(d.edges.items()):
+        if len(pts) >= 4:
+            # the third point on the first segment: segment 1 doubles back
+            back = ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)
+            out.append(rebuilt(d, lambda e, i, p: back if (e, i) == (eid, 2) else p))
+    for _ in range(4):
+        eid = rng.choice(sorted(d.edges))
+        j = rng.randrange(1, len(d.edges[eid]) - 1)
+        dx, dy = (Fraction(rng.randint(-12, 12), 2) for _ in range(2))
+        out.append(
+            rebuilt(
+                d, lambda e, i, p: (p[0] + dx, p[1] + dy) if (e, i) == (eid, j) else p
+            )
+        )
+    return out
+
+
+def crossing_on_the_ray(d):
+    """d rotated about the puncture so that crossing 0 sits just above
+    the reference ray, whose chords across that crossing's disk then
+    cross the ray."""
+    x, y = (float(c) for c in d.edges[d.crossings[0][0]][-1])
+    half = (1e-3 - math.atan2(y, x)) / 2
+    return nudged(d, Fraction(math.tan(half)).limit_denominator(1000))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    root = Path(__file__).resolve().parent.parent / "corpus"
+    cases = {p.stem: load_diagram(p) for p in sorted(root.glob("*.json"))}
+    assert len(cases) == 13
+    cases.update(random_braids(41, 12, 3))
+    for name in list(cases):
+        cases[f"{name} nudged"] = nudged(cases[name], Fraction(3, 29))
+        if cases[name].crossings and " " not in name:
+            cases[f"{name} on the ray"] = crossing_on_the_ray(cases[name])
+    return cases
+
+
+def reference_point_seg_dist2(p, a, b):
+    ab = (b[0] - a[0], b[1] - a[1])
+    t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / (ab[0] ** 2 + ab[1] ** 2)
+    t = min(max(t, Fraction(0)), Fraction(1))
+    return _dist2(p, (a[0] + t * ab[0], a[1] + t * ab[1]))
+
+
+def reference_truncation(d):
+    """Each open edge cut back to its crossing disks, with the nearest
+    feature found by trying every segment and crossing, in Fractions."""
+    segs = [
+        (eid, i, pts[i], pts[i + 1])
+        for eid, pts in d.edges.items()
+        for i in range(len(pts) - 1)
+    ]
+    trunc = {eid: list(pts) for eid, pts in d.edges.items()}
+    for k, combo in enumerate(d._ends):
+        p = d._cross_pts[k]
+        adjacent = {
+            (e.edge, 0 if e.end == 0 else len(d.edges[e.edge]) - 2) for e in combo
+        }
+        dists = [reference_point_seg_dist2(p, a, b) for eid, i, a, b in segs
+                 if (eid, i) not in adjacent]
+        dists += [_dist2(p, p2) for k2, p2 in enumerate(d._cross_pts) if k2 != k]
+        rho2 = min(dists, default=Fraction(4)) / 4
+        for e in combo:
+            t = Fraction(1, 2)
+            while t * t * _dist2(p, e.neighbor) >= rho2:
+                t /= 2
+            cut = (p[0] + t * (e.neighbor[0] - p[0]), p[1] + t * (e.neighbor[1] - p[1]))
+            trunc[e.edge][0 if e.end == 0 else -1] = cut
+    return trunc
+
+
+def test_box_sweep_matches_the_all_pairs_validator(oracle_cases):
+    rng = random.Random(43)
+    seen = set()
+    for name, d in oracle_cases.items():
+        # mutating the corpus files alone is enough to reach every kind
+        tried = [rebuilt(d)]
+        if " " not in name:
+            tried += mutants(d, rng)
+        for m in tried:
+            want = all_pairs_validate(rebuilt(m))
+            assert m.validate() == want, name
+            seen |= {(v.kind, v.detail.split(" ")[0]) for v in want}
+    # every kind of geometric violation was exercised
+    assert {
+        (SELF_INTERSECTION, "meet"),
+        (SELF_INTERSECTION, "collinear"),
+        (ORIGIN_ON_CURVE, ""),
+        (RAY_TANGENCY, "vertex"),
+    } <= seen
+
+
+def test_pruned_nearest_feature_gives_the_same_cuts(oracle_cases):
+    for name, d in oracle_cases.items():
+        if not d.is_valid():
+            continue
+        for eid, pts in reference_truncation(d).items():
+            if not d._edge_is_closed(eid):
+                assert d._arcs[(eid, True)][0] == tuple(pts), (name, eid)
+
+
+def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
+    chords_on_the_ray = 0
+    for name, d in oracle_cases.items():
+        if not d.is_valid():
+            assert not name.endswith("on the ray"), name
+            continue
+        rds = [d.resolve(u) for u in all_smoothings(d.n_crossings)]
+        rds += [d.oriented_resolution(o)[1] for o in all_orientations(d)]
+        for rd in rds:
+            for c in rd.circles:
+                assert c.stations == tuple(ray_stations(c.points)), (name, rd.smoothing)
+            lows = [min(c.points) for c in rd.circles if not c.essential]
+            assert lows == sorted(lows), (name, rd.smoothing)
+        chords_on_the_ray += sum(1 for st in d._chords.values() if st)
+    assert chords_on_the_ray > 0
+
+
+def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
+    d = rebuilt(braid_closure([1] * 40, 2))
+    nsegs = sum(len(pts) - 1 for pts in d.edges.values())
+    calls = []
+    exact = diagram._seg_intersection
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(diagram, "_seg_intersection", counting)
+    assert d.is_valid()
+    assert 0 < len(calls) <= 3 * nsegs

@@ -20,9 +20,43 @@ from annkh.homology import (
     snf_check,
     verify_canonical,
 )
-from annkh.linalg import SparseMatrix, field_rank
+from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
 from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
+
+
+def field_rank(ring, dense):
+    """Rank of a dense matrix over a field by Gaussian elimination: the
+    reference rank for the sparse routines."""
+    if not dense or not dense[0]:
+        return 0
+    rows = [list(r) for r in dense]
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = None
+        for r in range(rank, len(rows)):
+            if not ring.is_zero(rows[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            v = rows[r][col]
+            if ring.is_zero(v):
+                continue
+            f, _ = ring.divmod(v, pv)
+            row = rows[r]
+            prow = rows[rank]
+            for c in range(col, ncols):
+                row[c] = ring.sub(row[c], ring.mul(f, prow[c]))
+        rank += 1
+        col += 1
+    return rank
 
 
 def mat(ring, rows):
@@ -176,6 +210,49 @@ def test_euler_characteristic_per_bigrade(diagrams):
             hom[(q, a)] = hom.get((q, a), 0) + (-1) ** i * rank
         for key in set(chain) | set(hom):
             assert chain.get(key, 0) == hom.get(key, 0), (name, key)
+
+
+def sl2_defects(h):
+    """Where the rank table, grouped by (i, q - a), fails to be the weight
+    table of an sl2 representation with the annular degree as weight:
+    symmetric under a -> -a and unimodal toward a = 0."""
+    groups = {}
+    for (i, q, a), (rank, _) in h.entries.items():
+        groups.setdefault((i, q - a), {})[a] = rank
+    bad = []
+    for key, ranks in groups.items():
+        for a, rank in ranks.items():
+            if ranks.get(-a, 0) != rank:
+                bad.append((key, a, "not symmetric"))
+            if abs(a) >= 2 and ranks.get(abs(a) - 2, 0) < rank:
+                bad.append((key, a, "not unimodal"))
+    return bad
+
+
+def test_sl2_weight_symmetry(diagrams):
+    # Grigsby-Licata-Wehrli (arXiv:1505.04386): sl2 acts on annular
+    # Khovanov homology with the annular degree as the weight
+    rng = random.Random(31)
+    cases = dict(diagrams)
+    for k in range(12):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 4))]
+        cases[f"braid {n} {word}"] = braid_closure(word, n)
+    for name, d in cases.items():
+        for ring in (RAT, GF(2), GF(3)):
+            h = homology(build_complex(d, ring, tqft.ANNULAR_ZERO))
+            assert h.entries, (name, ring)
+            assert sl2_defects(h) == [], (name, ring)
+
+
+def test_sl2_check_rejects_a_lopsided_table():
+    h = BigradedHomology(
+        RAT, True, {(0, 2, 2): (1, ()), (0, 0, 0): (1, ()), (0, -2, -2): (1, ())}
+    )
+    assert sl2_defects(h) == []
+    h.entries[(0, 2, 2)] = (2, ())
+    assert len(sl2_defects(h)) == 3
 
 
 def test_lee_rank_corpus(diagrams):
