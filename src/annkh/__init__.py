@@ -39,11 +39,7 @@ from .ring import (
     A0,
     A1,
     BivariatePoly,
-    Scalar,
     alpha_eval,
-    euclidean_divmod,
-    poly_qdeg,
-    specialize,
 )
 from .tl import (
     DottedTangle,

@@ -316,8 +316,12 @@ def make_parser():
     return p
 
 
+# Built once: parsing is cheap, building the subparser tree is not.
+PARSER = make_parser()
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except InputError as e:

@@ -16,7 +16,7 @@ from . import tqft
 from .diagram import cube_edge_pairs
 from .errors import UnsupportedRingError, VariantRingMismatchError
 from .linalg import SparseMatrix
-from .ring import QDEG_ANY, GenericAlpha
+from .ring import GenericAlpha
 
 
 def sign_assignment(u, i):
@@ -241,8 +241,6 @@ def verify_grading(c):
                 return (i, r, col, "adeg")
             if c.qdeg_graded:
                 sq = c.ring.scalar_qdeg(v)
-                if sq is QDEG_ANY:
-                    sq = 0
                 if sq is None or qt + sq != qs:
                     return (i, r, col, "qdeg")
     return None

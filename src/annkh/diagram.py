@@ -49,7 +49,8 @@ from .errors import (
 
 
 def _pt(xy):
-    return (Fraction(xy[0]), Fraction(xy[1]))
+    x, y = xy
+    return (Fraction(x), Fraction(y))
 
 
 def _sub(a, b):
@@ -931,10 +932,7 @@ def diagram_to_dict(d):
 def diagram_from_dict(data):
     return AnnularDiagram(
         crossings=data["crossings"],
-        edges={
-            eid: [(Fraction(x), Fraction(y)) for x, y in pts]
-            for eid, pts in data["edges"].items()
-        },
+        edges=data["edges"],  # AnnularDiagram parses the coordinates
         components=data["components"],
         orientations=data["orientations"],
     )

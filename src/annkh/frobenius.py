@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidBasisError, RingMismatchError
 from .linalg import accumulate
-from .ring import QDEG_ANY, AlphaEval, Scalar
+from .ring import QDEG_ANY, AlphaEval
 
 ONE_X = "ONE_X"
 V = "V"
@@ -168,7 +168,7 @@ class Frobenius:
         """The trace: 1 -> 0, X -> 1, extended linearly."""
         self._check_ring(a)
         _, d1 = self.to_one_x(a)
-        return Scalar(self.ring, d1)
+        return d1
 
     def mult(self, a, b):
         """Product in the quotient by (X - i0)(X - i1); output in ONE_X."""
@@ -236,10 +236,9 @@ class Frobenius:
             sq = r.scalar_qdeg(c)
             if sq is None:
                 return None, None
-            if sq is not QDEG_ANY:
-                qdegs.add(sq + qtab[k])
+            qdegs.add(sq + qtab[k])
             adegs.add(atab[k])
-        q = qdegs.pop() if len(qdegs) == 1 else (None if qdegs else QDEG_ANY)
+        q = qdegs.pop() if len(qdegs) == 1 else None
         adeg = adegs.pop() if len(adegs) == 1 else None
         return q, adeg
 

@@ -30,11 +30,9 @@ from .ring import alpha_eval
 class SNFResult:
     invariants: list  # nonzero diagonal values, each dividing the next
     rank: int
-    transform_left: object = None  # U with U * A * V diagonal
-    transform_right: object = None
 
 
-def smith_normal_form(m, with_transforms=False):
+def smith_normal_form(m):
     """Diagonalize over a Euclidean ring with a divisibility chain.
 
     Pivots are chosen with minimal Euclidean size, breaking ties at the
@@ -45,44 +43,22 @@ def smith_normal_form(m, with_transforms=False):
         raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
     A = m.to_dense()
     nr, nc = m.nrows, m.ncols
-    U = V = None
-    if with_transforms:
-        U = [
-            [ring.one() if i == j else ring.zero() for j in range(nr)]
-            for i in range(nr)
-        ]
-        V = [
-            [ring.one() if i == j else ring.zero() for j in range(nc)]
-            for i in range(nc)
-        ]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for t in range(nc):
             A[i][t] = ring.sub(A[i][t], ring.mul(q, A[j][t]))
-        if U is not None:
-            for t in range(nr):
-                U[i][t] = ring.sub(U[i][t], ring.mul(q, U[j][t]))
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for t in range(nr):
             A[t][i] = ring.sub(A[t][i], ring.mul(q, A[t][j]))
-        if V is not None:
-            for t in range(nc):
-                V[t][i] = ring.sub(V[t][i], ring.mul(q, V[t][j]))
 
     def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            if U is not None:
-                U[i], U[j] = U[j], U[i]
+        A[i], A[j] = A[j], A[i]
 
     def swap_cols(i, j):
         if i != j:
             for t in range(nr):
                 A[t][i], A[t][j] = A[t][j], A[t][i]
-            if V is not None:
-                for t in range(nc):
-                    V[t][i], V[t][j] = V[t][j], V[t][i]
 
     invariants = []
     r = 0
@@ -141,42 +117,11 @@ def smith_normal_form(m, with_transforms=False):
                 break
             for t in range(nc):
                 A[r][t] = ring.add(A[r][t], A[offender][t])
-            if U is not None:
-                for t in range(nr):
-                    U[r][t] = ring.add(U[r][t], U[offender][t])
-        unit, normalized = ring.normalize_unit(A[r][r])
-        if not ring.eq(unit, ring.one()):
-            for t in range(nc):
-                A[r][t] = ring.mul(unit, A[r][t])
-            if U is not None:
-                for t in range(nr):
-                    U[r][t] = ring.mul(unit, U[r][t])
-        invariants.append(normalized)
+        # keep only the normalized pivot: row r is zero beyond it and
+        # is never read again
+        invariants.append(ring.normalize_unit(A[r][r])[1])
         r += 1
-    res = SNFResult(invariants=invariants, rank=len(invariants))
-    if with_transforms:
-        res.transform_left = U
-        res.transform_right = V
-    return res
-
-
-def snf_check(m, res):
-    """Verify U * A * V is the diagonal of the invariants."""
-    ring = m.ring
-    U = SparseMatrix.from_rows(ring, res.transform_left)
-    V = SparseMatrix.from_rows(ring, res.transform_right)
-    prod = (U @ m) @ V
-    expect = {}
-    for k, v in enumerate(res.invariants):
-        if not ring.is_zero(v):
-            expect[(k, k)] = v
-    if prod.entries != expect:
-        return False
-    for a, b in zip(res.invariants, res.invariants[1:]):
-        _, rem = ring.divmod(b, a)
-        if not ring.is_zero(rem):
-            return False
-    return True
+    return SNFResult(invariants=invariants, rank=len(invariants))
 
 
 def _unit_free_torsion(ring, invariants):

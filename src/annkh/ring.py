@@ -12,13 +12,18 @@ after specializing to one of several coefficient rings:
 * ``GENERIC`` -- no specialization (matrix arithmetic only; no Smith
   normal form since the bivariate ring is not Euclidean)
 
-All arithmetic is exact: arbitrary-precision integers, reduced
-fractions, canonical residues.  No floating point anywhere.
+Ring elements are plain values: ints, Fractions, :class:`HPoly` or
+:class:`BivariatePoly`.  The ring object does the arithmetic on them
+(``add``, ``sub``, ``mul``, ``divmod``, ...); its defaults are the
+Python operators, and a ring overrides only what differs, as the prime
+fields reduce modulo p.  All arithmetic is exact: arbitrary-precision
+integers, reduced fractions, canonical residues.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from .errors import UnsupportedRingError
@@ -360,7 +365,7 @@ def _is_prime(p):
 class CoefficientRing:
     """Abstract ring protocol.
 
-    Concrete rings expose ``kind`` plus exact arithmetic on raw values
+    Concrete rings expose ``kind`` plus exact arithmetic on plain values
     (ints, Fractions, HPoly, or BivariatePoly depending on the ring).
     Each ring names the annular variant of ``tqft`` it computes by
     default; ``kind`` only labels the ring in messages and hashes.
@@ -368,7 +373,6 @@ class CoefficientRing:
 
     kind = "?"
     is_euclidean = False
-    is_field = False
     preserves_qdeg = True  # maps keep the quantum grading over this ring
     annular_variant = None  # the tqft variant name the ring defaults to
 
@@ -381,25 +385,16 @@ class CoefficientRing:
     def from_int(self, n):
         raise NotImplementedError
 
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
+    # The Python operators on the plain values (is_zero(a) is `not a`);
+    # a ring overrides what differs, as PrimeField reduces modulo p.
+    is_zero = staticmethod(operator.not_)
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
 
     def divmod(self, a, b):
+        """(q, r) with a = q*b + r and size(r) < size(b)."""
         raise UnsupportedRingError(f"no Euclidean division over {self.kind}")
 
     def size(self, a):
@@ -419,11 +414,11 @@ class CoefficientRing:
         raise NotImplementedError
 
     def specialize_poly(self, p):
+        """Image of a bivariate polynomial under the specialization."""
         raise NotImplementedError
 
     def scalar_qdeg(self, a):
-        if self.is_zero(a):
-            return QDEG_ANY
+        """Quantum degree of a nonzero value; None if inhomogeneous."""
         return 0
 
     def to_str(self, a):
@@ -478,7 +473,6 @@ class IntRing(CoefficientRing):
 class RatRing(CoefficientRing):
     kind = "RAT"
     is_euclidean = True
-    is_field = True
     annular_variant = "ANNULAR_ZERO"
 
     def zero(self):
@@ -489,7 +483,7 @@ class RatRing(CoefficientRing):
 
     def divmod(self, a, b):
         if b == 0:
-            raise ZeroDivisionError("division by zero in RAT")
+            raise ZeroDivisionError(f"division by zero in {self!r}")
         return a / b, Fraction(0)
 
     def size(self, a):
@@ -512,7 +506,6 @@ class RatRing(CoefficientRing):
 
 class PrimeField(CoefficientRing):
     is_euclidean = True
-    is_field = True
     annular_variant = "ANNULAR_ZERO"
 
     def __init__(self, p):
@@ -540,6 +533,9 @@ class PrimeField(CoefficientRing):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -607,7 +603,7 @@ class RatPolyH(CoefficientRing):
         return a.qdeg()
 
 
-class AlphaEval(CoefficientRing):
+class AlphaEval(RatRing):
     """Q with a0, a1 evaluated at fixed rationals.
 
     With distinct values the discriminant (a0 - a1)^2 becomes an
@@ -615,36 +611,12 @@ class AlphaEval(CoefficientRing):
     """
 
     kind = "RAT_ALPHA_EVAL"
-    is_euclidean = True
-    is_field = True
     preserves_qdeg = False  # a0, a1 of degree 2 become numbers of degree 0
     annular_variant = "ANNULAR_D"
 
     def __init__(self, q0, q1):
         self.q0 = Fraction(q0)
         self.q1 = Fraction(q1)
-
-    def zero(self):
-        return Fraction(0)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def divmod(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in alpha evaluation")
-        return a / b, Fraction(0)
-
-    def size(self, a):
-        return 0 if a == 0 else 1
-
-    def normalize_unit(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        return 1 / a, Fraction(1)
-
-    def is_unit(self, a):
-        return a != 0
 
     def alpha_images(self):
         return self.q0, self.q1
@@ -676,9 +648,6 @@ class GenericAlpha(CoefficientRing):
     def from_int(self, n):
         return BivariatePoly.from_int(n)
 
-    def is_zero(self, a):
-        return a.is_zero()
-
     def alpha_images(self):
         return A0, A1
 
@@ -701,66 +670,3 @@ def GF(p):
 
 def alpha_eval(q0=0, q1=1):
     return AlphaEval(q0, q1)
-
-
-# ---------------------------------------------------------------------------
-# Scalars: ring-tagged values with Euclidean division
-
-
-@dataclass(frozen=True)
-class Scalar:
-    ring: CoefficientRing
-    value: object
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.value))
-
-    def is_zero(self):
-        return self.ring.is_zero(self.value)
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            from .errors import RingMismatchError
-
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __str__(self):
-        return self.ring.to_str(self.value)
-
-
-def specialize(p, target):
-    """Ring homomorphism image of a bivariate polynomial in the target ring.
-
-    INT, RAT, and prime fields send a0, a1 -> 0; Q[h] sends a0 -> 0 and
-    a1 -> h; alpha evaluation substitutes the stored rationals.
-    """
-    return Scalar(target, target.specialize_poly(p))
-
-
-def euclidean_divmod(a, b):
-    """Exact division with remainder, a = q*b + r, with the Euclidean
-    size of r strictly smaller than that of b."""
-    a._check(b)
-    if b.is_zero():
-        raise ZeroDivisionError("euclidean_divmod by zero")
-    if not a.ring.is_euclidean:
-        raise UnsupportedRingError(f"{a.ring.kind} is not Euclidean")
-    q, r = a.ring.divmod(a.value, b.value)
-    return Scalar(a.ring, q), Scalar(a.ring, r)
-
-
-def poly_qdeg(p):
-    """Quantum degree of a bivariate polynomial (generators in degree 2)."""
-    return p.qdeg()

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .frobenius import Frobenius, basis_bidegree
 from .linalg import SparseMatrix, accumulate
-from .ring import QDEG_ANY, GenericAlpha
+from .ring import GenericAlpha
 
 GENERIC = "GENERIC"
 ANNULAR_ALPHA = "ANNULAR_ALPHA"
@@ -243,8 +243,6 @@ class LinearMap:
         sq = self.domain.ring.scalar_qdeg(v)
         if sq is None:
             return None
-        if sq is QDEG_ANY:
-            sq = 0
         qt, _ = self.codomain.word_bidegree(self.codomain.index_word(row))
         qs, _ = self.domain.word_bidegree(self.domain.index_word(col))
         return qt + sq - qs
@@ -585,7 +583,7 @@ def death_map(space, slot):
     cod = StateSpace(space.ring, space.variant, new_slots)
     fr = Frobenius(space.ring)
     conv = space.slots[slot].convention
-    eps = (fr.counit(_basis_elt(fr, conv, b)).value for b in (0, 1))
+    eps = (fr.counit(_basis_elt(fr, conv, b)) for b in (0, 1))
     table = tuple(() if space.ring.is_zero(c) else (((), c),) for c in eps)
     pairs = tuple((j, j - (j > slot)) for j in range(len(space.slots)) if j != slot)
     return _embed(space, cod, (slot,), (), pairs, table, (-1, 0))

@@ -16,11 +16,8 @@ from annkh.ring import (
     RAT,
     BivariatePoly,
     HPoly,
-    Scalar,
+    PrimeField,
     alpha_eval,
-    euclidean_divmod,
-    poly_qdeg,
-    specialize,
 )
 
 
@@ -49,10 +46,10 @@ def test_discriminant_expansion():
 
 
 def test_qdeg_values():
-    assert poly_qdeg(A0 + A1) == 2
-    assert poly_qdeg(A0 * A1) == 4
-    assert poly_qdeg(BivariatePoly.from_int(1) + A0) is None
-    assert poly_qdeg(BivariatePoly()) is QDEG_ANY
+    assert (A0 + A1).qdeg() == 2
+    assert (A0 * A1).qdeg() == 4
+    assert (BivariatePoly.from_int(1) + A0).qdeg() is None
+    assert BivariatePoly().qdeg() is QDEG_ANY
 
 
 def test_qdeg_additive_on_homogeneous():
@@ -62,7 +59,7 @@ def test_qdeg_additive_on_homogeneous():
         p = BivariatePoly({(rng.randint(0, d1), d1 - rng.randint(0, d1)): 1})
         p = BivariatePoly({(i, d1 - i): rng.randint(1, 3) for i in range(d1 + 1)})
         q = BivariatePoly({(i, d2 - i): rng.randint(1, 3) for i in range(d2 + 1)})
-        assert poly_qdeg(p * q) == poly_qdeg(p) + poly_qdeg(q)
+        assert (p * q).qdeg() == p.qdeg() + q.qdeg()
 
 
 def test_ring_axioms_randomized():
@@ -86,11 +83,11 @@ def test_ring_axioms_randomized():
 )
 def test_specialize_examples(ring, expected):
     if ring is INT:
-        assert specialize(A0 + A1, ring).value == expected
+        assert ring.specialize_poly(A0 + A1) == expected
     elif ring is QH:
-        assert specialize(A0 + A1, ring).value == expected
+        assert ring.specialize_poly(A0 + A1) == expected
     else:
-        assert specialize(DISCRIMINANT, ring).value == expected
+        assert ring.specialize_poly(DISCRIMINANT) == expected
 
 
 def test_specialize_is_ring_hom():
@@ -99,55 +96,50 @@ def test_specialize_is_ring_hom():
     for ring in rings:
         for _ in range(20):
             a, b = rand_poly(rng), rand_poly(rng)
-            sa, sb = specialize(a, ring), specialize(b, ring)
-            assert specialize(a * b, ring).value == (sa * sb).value
-            assert specialize(a + b, ring).value == (sa + sb).value
+            sa, sb = ring.specialize_poly(a), ring.specialize_poly(b)
+            assert ring.specialize_poly(a * b) == ring.mul(sa, sb)
+            assert ring.specialize_poly(a + b) == ring.add(sa, sb)
 
 
 def test_euclidean_divmod_examples():
-    q, r = euclidean_divmod(Scalar(INT, 7), Scalar(INT, 2))
-    assert (q.value, r.value) == (3, 1)
-    hq, hr = euclidean_divmod(
-        Scalar(QH, HPoly((1, 0, 1))), Scalar(QH, HPoly((0, 1)))
-    )
-    assert hq.value == HPoly((0, 1)) and hr.value == HPoly(1)
-    fq, fr = euclidean_divmod(Scalar(RAT, Fraction(5)), Scalar(RAT, Fraction(3)))
-    assert fq.value == Fraction(5, 3) and fr.value == 0
+    assert INT.divmod(7, 2) == (3, 1)
+    hq, hr = QH.divmod(HPoly((1, 0, 1)), HPoly((0, 1)))
+    assert hq == HPoly((0, 1)) and hr == HPoly(1)
+    fq, fr = RAT.divmod(Fraction(5), Fraction(3))
+    assert fq == Fraction(5, 3) and fr == 0
 
 
 def test_euclidean_size_contract():
     rng = random.Random(5)
     for _ in range(50):
         a, b = rng.randint(-40, 40), rng.choice([-7, -3, 2, 5, 9])
-        q, r = euclidean_divmod(Scalar(INT, a), Scalar(INT, b))
-        assert a == q.value * b + r.value
-        assert abs(r.value) < abs(b)
+        q, r = INT.divmod(a, b)
+        assert a == q * b + r
+        assert abs(r) < abs(b)
     for _ in range(30):
         a = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
         b = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
         if b.is_zero():
             continue
-        q, r = euclidean_divmod(Scalar(QH, a), Scalar(QH, b))
-        assert q.value * b + r.value == a
-        assert r.is_zero() or r.value.degree() < b.degree()
+        q, r = QH.divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree() < b.degree()
     p = 7
     for _ in range(30):
         a, b = rng.randrange(p), rng.randrange(1, p)
-        q, r = euclidean_divmod(Scalar(GF(p), a), Scalar(GF(p), b))
-        assert r.value == 0
-        assert (q.value * b) % p == a % p
+        q, r = GF(p).divmod(a, b)
+        assert r == 0
+        assert (q * b) % p == a % p
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        euclidean_divmod(Scalar(INT, 1), Scalar(INT, 0))
+        INT.divmod(1, 0)
 
 
 def test_generic_is_not_euclidean():
     with pytest.raises(UnsupportedRingError):
-        euclidean_divmod(
-            Scalar(GENERIC, A0), Scalar(GENERIC, BivariatePoly.from_int(1))
-        )
+        GENERIC.divmod(A0, BivariatePoly.from_int(1))
 
 
 def test_is_unit():
@@ -183,3 +175,50 @@ def test_hpoly_string_and_monic():
     assert str(p) == "2*h^2 + 1"
     assert p.monic() == HPoly((Fraction(1, 2), 0, 1))
     assert QH.to_str(QH.alpha_images()[1]) == "h"
+
+
+CONTRACT_RINGS = {
+    "int": INT,
+    "rat": RAT,
+    "gf2": GF(2),
+    "gf5": GF(5),
+    "qh": QH,
+    "alpha": alpha_eval(0, 1),
+    "alpha_2_1/3": alpha_eval(2, Fraction(1, 3)),
+    "generic": GENERIC,
+}
+
+
+def rand_value(rng, ring):
+    """A random element of the ring, zero about one time in six."""
+    if rng.randrange(6) == 0:
+        return ring.zero()
+    if ring is GENERIC:
+        return rand_poly(rng)
+    if ring is QH:
+        return HPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(rng.randint(0, 4))])
+    if ring is INT or isinstance(ring, PrimeField):
+        return ring.from_int(rng.randint(-30, 30))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_RINGS))
+def test_ring_contract(name):
+    ring = CONTRACT_RINGS[name]
+    rng = random.Random(sorted(CONTRACT_RINGS).index(name))
+    assert not ring.is_zero(ring.one())
+    assert ring.is_zero(ring.zero())
+    results = [ring.zero(), ring.one()]
+    for _ in range(200):
+        a, b = rand_value(rng, ring), rand_value(rng, ring)
+        assert ring.sub(a, b) == ring.add(a, ring.neg(b))
+        assert ring.is_zero(ring.sub(a, a))
+        for x in (a, b, ring.sub(a, b)):
+            assert ring.is_zero(x) == (x == ring.zero())
+        results += [
+            a, b, ring.add(a, b), ring.sub(a, b), ring.neg(a), ring.mul(a, b),
+            ring.specialize_poly(rand_poly(rng)),
+        ]
+    if isinstance(ring, PrimeField):
+        assert all(v in range(ring.p) for v in results)
