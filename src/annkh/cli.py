@@ -265,12 +265,16 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, diagram=True):
-        if diagram:
-            sp.add_argument("diagram", help="diagram JSON path")
-        sp.add_argument("--ring", default="int", help="generic|int|rat|gf2|qh|alpha:a0,a1")
-        sp.add_argument("--variant", default="annular", choices=("annular", "planar"))
-        sp.add_argument("--format", default="tsv", choices=("tsv", "json"))
+    # each verb registers only the options it reads, so argparse rejects
+    # the others (exit 2) instead of running without them
+    def common(sp, ring=True, fmt=True, diagrams=("diagram",)):
+        for name in diagrams:
+            sp.add_argument(name, help="diagram JSON path")
+        if ring:
+            sp.add_argument("--ring", default="int", help="generic|int|rat|gf2|qh|alpha:a0,a1")
+            sp.add_argument("--variant", default="annular", choices=("annular", "planar"))
+        if fmt:
+            sp.add_argument("--format", default="tsv", choices=("tsv", "json"))
         sp.add_argument("--nudge", action="store_true", help="rotate away ray tangencies")
 
     sp = sub.add_parser("homology", help="bigraded homology table")
@@ -278,24 +282,19 @@ def make_parser():
     sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("verify", help="structural checks on the complex")
-    common(sp)
+    common(sp, fmt=False)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("invariance", help="compare two diagrams' tables")
-    sp.add_argument("diagram_a")
-    sp.add_argument("diagram_b")
-    sp.add_argument("--ring", default="int")
-    sp.add_argument("--variant", default="annular", choices=("annular", "planar"))
-    sp.add_argument("--format", default="tsv", choices=("tsv", "json"))
-    sp.add_argument("--nudge", action="store_true")
+    common(sp, fmt=False, diagrams=("diagram_a", "diagram_b"))
     sp.set_defaults(fn=cmd_invariance)
 
     sp = sub.add_parser("lee-rank", help="localized homology rank vs 2^components")
-    common(sp)
+    common(sp, ring=False, fmt=False)
     sp.set_defaults(fn=cmd_lee_rank)
 
     sp = sub.add_parser("canonical", help="canonical generator report")
-    common(sp)
+    common(sp, ring=False)
     sp.set_defaults(fn=cmd_canonical)
 
     sp = sub.add_parser("tl-eval", help="evaluate a dotted tangle")

@@ -4,8 +4,9 @@ Every map in the pipeline is a :class:`SparseMatrix`: saddles, dotted
 identities, births, deaths and the differential.  ``tqft.LinearMap`` is
 a ``SparseMatrix`` between state spaces, so sums, scalings and products
 of maps all run through the arithmetic here.  :func:`accumulate` sums
-terms that share a key everywhere except in ``__matmul__``, whose
-product loop inlines it because it is the hot loop of the cube.
+terms that share a key.  ``__matmul__`` checks shapes and hands the
+product loop to the ring (``CoefficientRing.matmul``), which may run it
+on its raw values: the GENERIC ring multiplies polynomial terms as ints.
 
 Chain groups reach tens of thousands of generators (T(2,9) has about
 20k), but differentials stay very sparse, so the operations here cost
@@ -122,21 +123,8 @@ class SparseMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        ring = self.ring
-        add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero()
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, k), u in self.entries.items():
-            for c, v in by_row.get(k, ()):
-                key = (r, c)
-                s = add(out.get(key, zero), mul(u, v))
-                if is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix.wrap(ring, self.nrows, other.ncols, out)
+        out = self.ring.matmul(self.entries, other.entries)
+        return SparseMatrix.wrap(self.ring, self.nrows, other.ncols, out)
 
     def map_entries(self, fn, ring=None):
         """Entrywise image under fn, optionally into a different ring."""

@@ -84,7 +84,11 @@ class BivariatePoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its int, so it hashes as that int
+        terms = self.terms
+        if terms.keys() <= {(0, 0)}:
+            return hash(terms.get((0, 0), 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -250,6 +254,9 @@ class HPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes as that value
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -392,6 +399,26 @@ class CoefficientRing:
     neg = staticmethod(operator.neg)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
+
+    def matmul(self, left, right):
+        """Entries of the product of two matrices given as entry dicts
+        ``(row, col) -> value`` with no zero value; the result has none.
+        Every ``SparseMatrix`` product runs this loop, so a ring may
+        override it with a faster one on its own values."""
+        add, mul, is_zero, zero = self.add, self.mul, self.is_zero, self.zero()
+        by_row = {}
+        for (r, c), v in right.items():
+            by_row.setdefault(r, []).append((c, v))
+        out = {}
+        for (r, k), u in left.items():
+            for c, v in by_row.get(k, ()):
+                key = (r, c)
+                s = add(out.get(key, zero), mul(u, v))
+                if is_zero(s):
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return out
 
     def divmod(self, a, b):
         """(q, r) with a = q*b + r and size(r) < size(b)."""
@@ -656,6 +683,36 @@ class GenericAlpha(CoefficientRing):
 
     def scalar_qdeg(self, a):
         return a.qdeg()
+
+    def matmul(self, left, right):
+        """The product on raw terms: the right operand's rows are indexed
+        once as ``(col, i, j, coeff)`` terms, every term product is summed
+        into one dict of ints keyed ``(row, col, i, j)``, and each entry's
+        polynomial is built once at the end from its nonzero sums, so
+        terms that cancel leave no term and entries that cancel no entry."""
+        by_row = {}
+        for (k, c), v in right.items():
+            row = by_row.setdefault(k, [])
+            for (i, j), cf in v.terms.items():
+                row.append((c, i, j, cf))
+        acc = {}
+        get = acc.get
+        for (r, k), u in left.items():
+            row = by_row.get(k)
+            if row is None:
+                continue
+            for (i1, j1), c1 in u.terms.items():
+                for c, i2, j2, c2 in row:
+                    key = (r, c, i1 + i2, j1 + j2)
+                    acc[key] = get(key, 0) + c1 * c2
+        out = {}
+        for (r, c, i, j), s in acc.items():
+            if s:
+                p = out.get((r, c))
+                if p is None:
+                    p = out[(r, c)] = BivariatePoly()
+                p.terms[(i, j)] = s
+        return out
 
 
 INT = IntRing()

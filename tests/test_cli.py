@@ -167,6 +167,43 @@ def test_canonical_verb(capsys, corpus_dir):
     assert out.strip().endswith("span 2 expected 2 PASS")
 
 
+@pytest.mark.parametrize(
+    "verb, ignored",
+    [
+        ("lee-rank", ("--ring", "gf2")),
+        ("lee-rank", ("--variant", "planar")),
+        ("lee-rank", ("--format", "json")),
+        ("canonical", ("--ring", "gf2")),
+        ("canonical", ("--variant", "planar")),
+        ("verify", ("--format", "json")),
+    ],
+)
+def test_verbs_reject_options_they_do_not_read(capsys, corpus_dir, verb, ignored):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(corpus_dir / "hopf_null.json"), *ignored])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(ignored)}" in err
+
+
+def test_invariance_rejects_format(capsys, corpus_dir):
+    path = str(corpus_dir / "hopf_null.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["invariance", path, path, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_canonical_reads_format(capsys, corpus_dir):
+    code, out, _ = run(
+        capsys, "canonical", corpus_dir / "hopf_null.json", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out.splitlines()[0])
+    assert data["columns"] == ["orientation", "adeg", "expected", "cycle", "verdict"]
+    assert out.splitlines()[1] == "span 4 expected 4 PASS"
+
+
 def test_tl_eval_verb(capsys):
     code, out, _ = run(
         capsys, "tl-eval", "[(1,2)]", "--n", "1", "--m", "1",

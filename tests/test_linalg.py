@@ -1,0 +1,156 @@
+"""The matrix product: the GENERIC term-level kernel against the base loop.
+
+``SparseMatrix.__matmul__`` hands its two entry dicts to ``ring.matmul``.
+``CoefficientRing.matmul`` is the loop every ring but GENERIC runs;
+``GenericAlpha.matmul`` multiplies raw polynomial terms.  The kernel must
+give the entries the base loop gives, store no zero, and commute with
+every specialization.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from annkh.errors import ShapeMismatchError
+from annkh.linalg import SparseMatrix
+from annkh.ring import (
+    A0,
+    A1,
+    GENERIC,
+    GF,
+    INT,
+    QH,
+    BivariatePoly,
+    CoefficientRing,
+    alpha_eval,
+)
+
+
+def rand_poly(rng):
+    """A nonzero polynomial of degree at most 3, coefficients of both signs."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, 3)
+            j = rng.randint(0, 3 - i)
+            terms[(i, j)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        p = BivariatePoly(terms)
+        if p:
+            return p
+
+
+def rand_matrix(rng, nrows, ncols, density, pool):
+    """Sparse GENERIC matrix drawing entries from ``pool`` and its negatives,
+    so sums of products often cancel."""
+    entries = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            if rng.random() < density:
+                p = rng.choice(pool)
+                entries[(r, c)] = -p if rng.random() < 0.5 else p
+    return SparseMatrix(GENERIC, nrows, ncols, entries)
+
+
+def base_product(a, b):
+    return CoefficientRing.matmul(GENERIC, a.entries, b.entries)
+
+
+def cases():
+    rng = random.Random(20081)
+    out = []
+    for n in range(120):
+        pool = [rand_poly(rng) for _ in range(rng.randint(1, 4))]
+        m = rng.randint(0, 6) if n % 10 else 0
+        k = rng.randint(0, 6)
+        c = rng.randint(0, 6) if n % 7 else 0
+        density = rng.choice((0.2, 0.5, 0.9))
+        out.append(
+            (rand_matrix(rng, m, k, density, pool), rand_matrix(rng, k, c, density, pool))
+        )
+    # whole entries cancel: p*q - p*q
+    p, q = A0 - 2 * A1, A1 * A1 + 3
+    out.append(
+        (
+            SparseMatrix(GENERIC, 1, 2, {(0, 0): p, (0, 1): p}),
+            SparseMatrix(GENERIC, 2, 2, {(0, 0): q, (1, 0): -q, (1, 1): A0}),
+        )
+    )
+    # some terms cancel, others stay: (a0 + 1) + (a0 - 1) = 2 a0
+    out.append(
+        (
+            SparseMatrix(GENERIC, 1, 2, {(0, 0): A0 + 1, (0, 1): A0 - 1}),
+            SparseMatrix.from_rows(GENERIC, [[GENERIC.one()], [GENERIC.one()]]),
+        )
+    )
+    return out
+
+
+CASES = cases()
+
+
+def test_cases_cover_the_edge_shapes():
+    """The seeded cases reach every situation the kernel must handle."""
+    shapes = [(a.nrows, a.ncols, b.ncols) for a, b in CASES]
+    assert any(m == 0 for m, _, _ in shapes)
+    assert any(k == 0 for _, k, _ in shapes)
+    assert any(c == 0 for _, _, c in shapes)
+    whole, partial, empty_row, empty_col = 0, 0, 0, 0
+    for a, b in CASES:
+        out = base_product(a, b)
+        naive = {}
+        for (r, k), u in a.entries.items():
+            for (k2, c), v in b.entries.items():
+                if k == k2:
+                    naive.setdefault((r, c), []).append(u * v)
+        whole += sum(1 for key in naive if key not in out)
+        for key, prods in naive.items():
+            if key in out:
+                raw = {t for p in prods for t in p.terms}
+                partial += len(raw) > len(out[key].terms)
+        empty_row += any(
+            not any(r == i for r, _ in a.entries) for i in range(a.nrows)
+        )
+        empty_col += any(
+            not any(c == j for _, c in b.entries) for j in range(b.ncols)
+        )
+    assert whole and partial and empty_row and empty_col
+
+
+def test_kernel_matches_base_loop():
+    for n, (a, b) in enumerate(CASES):
+        out = GENERIC.matmul(a.entries, b.entries)
+        assert out == base_product(a, b), n
+        prod = a @ b
+        assert prod.entries == out, n
+        assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols), n
+        for (r, c), v in out.items():
+            assert 0 <= r < a.nrows and 0 <= c < b.ncols, n
+            assert isinstance(v, BivariatePoly) and v.terms, n
+            assert all(v.terms.values()), n
+
+
+def test_shape_mismatch_still_raises():
+    a = SparseMatrix(GENERIC, 2, 3, {(0, 0): A0})
+    b = SparseMatrix(GENERIC, 2, 2, {(0, 0): A1})
+    with pytest.raises(ShapeMismatchError):
+        a @ b
+    with pytest.raises(ShapeMismatchError):
+        SparseMatrix.zeros(GENERIC, 0, 1) @ SparseMatrix.zeros(GENERIC, 0, 1)
+
+
+SPECIALIZATIONS = {
+    "int": INT,
+    "gf3": GF(3),
+    "qh": QH,
+    "alpha_2_1/3": alpha_eval(2, Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALIZATIONS))
+def test_specialization_commutes_with_the_product(name):
+    t = SPECIALIZATIONS[name]
+    for a, b in CASES:
+        lhs = (a @ b).map_entries(t.specialize_poly, t)
+        rhs = a.map_entries(t.specialize_poly, t) @ b.map_entries(t.specialize_poly, t)
+        assert lhs == rhs

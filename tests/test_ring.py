@@ -170,6 +170,29 @@ def test_poly_ascii_form():
     assert str(BivariatePoly()) == "0"
 
 
+def test_equal_values_hash_equal():
+    """A constant polynomial equals its number, so it hashes as it does."""
+    for n in (0, 1, 3, -7, 2**70):
+        p = BivariatePoly.from_int(n)
+        assert p == n and hash(p) == hash(n)
+        assert len({p, n}) == 1
+        for c in (n, Fraction(n), Fraction(n, 3)):
+            h = HPoly(c)
+            assert h == c and hash(h) == hash(c)
+            assert len({h, c}) == 1
+    assert len({BivariatePoly(), 0}) == 1 and len({HPoly(()), 0, Fraction(0)}) == 1
+    # equal non-constant polynomials hash equal however they were built
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = rand_poly(rng), rand_poly(rng)
+        assert hash((a + b) - b) == hash(a) and hash(a * b) == hash(b * a)
+        h = HPoly([rng.randint(-3, 3) for _ in range(4)])
+        assert hash(h + HPoly.gen() - HPoly.gen()) == hash(h)
+    for p in (A0, A1, A0 * A1 + 3):
+        assert p != 3 and len({p, p * 1}) == 1
+    assert HPoly.gen() != 0 and len({HPoly.gen(), HPoly((0, 1))}) == 1
+
+
 def test_hpoly_string_and_monic():
     p = HPoly((1, 0, 2))
     assert str(p) == "2*h^2 + 1"
