@@ -47,19 +47,30 @@ def parse_ring(text):
             return alpha_eval(Fraction(parts[0]), Fraction(parts[1]))
         except ValueError as e:
             raise InputError(f"bad alpha values: {e}")
+        except ZeroDivisionError:
+            raise InputError(f"bad alpha values: a zero denominator in {text!r}")
     raise InputError(f"unknown ring {text!r}")
 
 
 def pick_variant(ring, variant_flag):
-    if variant_flag == "planar":
-        return tqft.GENERIC
-    if ring.annular_variant == tqft.ANNULAR_D and not ring.distinct:
+    """Whether ``--variant`` picks the planar theory; the ring picks
+    everything else."""
+    planar = variant_flag == "planar"
+    if not planar and isinstance(ring, AlphaEval) and not ring.distinct:
         raise InputError(
             f"ring {ring} has equal parameters a0 = a1, so the annular theory "
             "has no idempotent basis over it; --variant planar works, as do "
             "distinct values"
         )
-    return ring.annular_variant
+    return planar
+
+
+def nonnegative_int(text):
+    """The argparse type of a count of boundary points."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
 
 
 def load(path, nudge=False):
@@ -98,25 +109,25 @@ def table_rows(h):
 
 def cmd_homology(args):
     ring = parse_ring(args.ring)
-    variant = pick_variant(ring, args.variant)
+    planar = pick_variant(ring, args.variant)
     d = load(args.diagram, args.nudge)
     if not ring.is_euclidean:
         raise InputError(
             "homology needs a Euclidean ring; use verify for generic checks"
         )
-    h = homology.homology(complexes.build_complex(d, ring, variant))
+    h = homology.homology(complexes.build_complex(d, ring, planar))
     print(emit_rows(("i", "q", "a", "rank", "torsion"), table_rows(h), args.format))
     return 0
 
 
 def _verify_generic(d):
-    """The five generic checks, on one GENERIC cube and the BETA complex
-    of its (d0, d2) parts; d0 alone is the ANNULAR_ALPHA differential."""
-    cube_full = complexes.build_cube(d, GENERIC, tqft.GENERIC)
+    """The five generic checks, on one planar cube and the complex of its
+    split cube; d0 alone is the annular differential."""
+    cube_full = complexes.build_cube(d, GENERIC, planar=True)
     # split_cube raises unless every map splits into adeg 0 and +2 parts,
     # so `splitting` passes whenever the checks run
-    cube_beta = complexes.split_cube(cube_full)
-    cb = complexes.assemble(cube_beta)
+    cube_split = complexes.split_cube(cube_full)
+    cb = complexes.assemble(cube_split)
     rep = complexes.verify_beta(cb)
     checks = [
         ("d_squared", rep["d0d0"] is None),
@@ -126,7 +137,7 @@ def _verify_generic(d):
     by_u = {}
     for e in cube_full.edges:
         by_u.setdefault(e.u, []).append(e)
-    annular = {(e.u, e.v): e.map[0] for e in cube_beta.edges}
+    annular = {(e.u, e.v): e.map[0] for e in cube_split.edges}
     fun_ok = True
     for e1 in cube_full.edges:
         for e2 in by_u.get(e1.v, ()):
@@ -142,12 +153,12 @@ def _verify_generic(d):
 
 def cmd_verify(args):
     ring = parse_ring(args.ring)
-    variant = pick_variant(ring, args.variant)
+    planar = pick_variant(ring, args.variant)
     d = load(args.diagram, args.nudge)
-    if not ring.is_euclidean and variant != tqft.GENERIC:
+    if not ring.is_euclidean and not planar:
         checks = _verify_generic(d)
     else:
-        c = complexes.build_complex(d, ring, variant)
+        c = complexes.build_complex(d, ring, planar)
         checks = [
             ("d_squared", complexes.verify_d_squared(c) is None),
             ("grading", complexes.verify_grading(c) is None),
@@ -163,11 +174,11 @@ def cmd_invariance(args):
     ring = parse_ring(args.ring)
     if not ring.is_euclidean:
         raise InputError("invariance comparison needs a Euclidean ring")
-    variant = pick_variant(ring, args.variant)
+    planar = pick_variant(ring, args.variant)
     tables = []
     for path in (args.diagram_a, args.diagram_b):
         d = load(path, args.nudge)
-        h = homology.homology(complexes.build_complex(d, ring, variant))
+        h = homology.homology(complexes.build_complex(d, ring, planar))
         tables.append(h.rank_table())
     same = tables[0] == tables[1]
     print("EQUAL" if same else "DIFFER")
@@ -233,12 +244,11 @@ def parse_tangle(text, n, m, dots=None):
 
 def cmd_tl_eval(args):
     ring = parse_ring(args.ring)
-    variant = pick_variant(ring, args.variant)
-    if variant == tqft.GENERIC:
+    if pick_variant(ring, args.variant):
         raise InputError("tangles evaluate through the annular theory")
     t = parse_tangle(args.tangle, args.n, args.m, args.dots)
     f = tl.reduce_tangle(t)
-    m = tl.spin_evaluate(f, ring, variant)
+    m = tl.spin_evaluate(f, ring)
     rows = [
         (r, c, ring.to_str(v))
         for (r, c), v in sorted(m.entries.items())
@@ -299,8 +309,8 @@ def make_parser():
 
     sp = sub.add_parser("tl-eval", help="evaluate a dotted tangle")
     sp.add_argument("tangle", help="pairing list, e.g. \"[(1,4),(2,3)]\"")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n", type=nonnegative_int, required=True)
+    sp.add_argument("--m", type=nonnegative_int, required=True)
     sp.add_argument("--dots", default=None, help="comma-separated per strand")
     sp.add_argument("--ring", default="generic")
     sp.add_argument("--variant", default="annular", choices=("annular", "planar"))
@@ -308,8 +318,8 @@ def make_parser():
     sp.set_defaults(fn=cmd_tl_eval)
 
     sp = sub.add_parser("tl-rank", help="evaluation rank of all reduced tangles")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n", type=nonnegative_int, required=True)
+    sp.add_argument("--m", type=nonnegative_int, required=True)
     sp.add_argument("--ring", default="alpha")
     sp.set_defaults(fn=cmd_tl_rank)
     return p

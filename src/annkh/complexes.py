@@ -5,6 +5,11 @@ complex in homological degree i collects the vertices of weight
 i + n_minus with quantum grading shifted by n_minus - n_plus - i.
 The differential preserves the shifted bigrading; d^2 = 0 holds
 already over the generic bivariate ring.
+
+A cube is planar or annular (``planar``); the ring picks the slot bases
+and whether the quantum grading survives.  :func:`split_cube` turns a
+planar cube into its split cube, whose edges carry the annular part and
+the adeg-raising part of each planar map.
 """
 
 from __future__ import annotations
@@ -33,23 +38,23 @@ class CubeEdge:
     coordinate: int
     sign_exponent: int
     descriptor: object
-    map: object  # LinearMap, or a (d0, d2) pair for the BETA variant
+    map: object  # LinearMap, or a (d0, d2) pair in a split cube
 
 
 @dataclass
 class Cube:
     diagram: object
     ring: object
-    variant: str
+    planar: bool  # edge maps are the untruncated planar maps
     resolutions: dict
     spaces: dict
     edges: list
+    split: bool = False  # edge maps are (d0, d2) pairs; see split_cube
 
 
-def build_cube(d, ring, variant):
+def build_cube(d, ring, planar=False):
     """Resolve all smoothings and build every classified edge map
     between the cube's own vertex spaces."""
-    tqft.check_variant_ring(ring, variant)
     d.ensure_valid()
     n = d.n_crossings
     resolutions = {}
@@ -57,8 +62,8 @@ def build_cube(d, ring, variant):
     for u in product((0, 1), repeat=n):
         rd = d.resolve(u)
         resolutions[u] = rd
-        spaces[u] = tqft.state_space(rd, ring, variant)
-    if variant == tqft.GENERIC:
+        spaces[u] = tqft.state_space(rd, ring, planar)
+    if planar:
         saddle_map = tqft.full_saddle_map
     else:
         saddle_map = tqft.annular_saddle_map
@@ -70,24 +75,22 @@ def build_cube(d, ring, variant):
             edges.append(
                 CubeEdge(u, v, i, sign_assignment(u, i), sd, m)
             )
-    return Cube(d, ring, variant, resolutions, spaces, edges)
+    return Cube(d, ring, planar, resolutions, spaces, edges)
 
 
 def split_cube(cube):
-    """The BETA cube of a GENERIC cube: every edge map becomes its
+    """The split cube of a planar cube: every edge map becomes its
     (d0, d2) pair from ``tqft.annular_parts``.
 
-    This is the only way to a BETA cube: ``build_cube`` refuses the
-    variant.  BETA slots have the GENERIC conventions, so the vertices
-    keep the GENERIC cube's spaces, labels included, and the pairs are
-    maps between them.
+    This is the only way to a split cube.  Its d0 maps are the annular
+    differential, so the split cube is not planar, and ``assemble``
+    puts the d2 maps in ``diff2``.  The vertices keep the planar cube's
+    spaces, and the pairs are maps between them.
     """
-    if cube.variant != tqft.GENERIC:
-        raise VariantRingMismatchError(f"cannot split a {cube.variant} cube")
+    if not cube.planar:
+        raise VariantRingMismatchError("only a planar cube splits")
     edges = [replace(e, map=tqft.annular_parts(e.map)) for e in cube.edges]
-    return Cube(
-        cube.diagram, cube.ring, tqft.BETA, cube.resolutions, cube.spaces, edges
-    )
+    return replace(cube, planar=False, edges=edges, split=True)
 
 
 @dataclass
@@ -95,17 +98,23 @@ class ChainComplexData:
     """Assembled bigraded complex over a coefficient ring."""
 
     ring: object
-    variant: str
+    planar: bool  # diff is the untruncated planar differential
     n_plus: int
     n_minus: int
     degrees: list
     basis: dict  # i -> list of (smoothing, word)
     bigrade: dict  # i -> list of (qdeg, adeg); qdeg None when ungraded
     diff: dict  # i -> SparseMatrix  C^i -> C^{i+1}
-    diff2: dict = field(default=None)  # BETA: the adeg-raising family
+    diff2: dict = field(default=None)  # split cube: the adeg-raising family
     offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
-    qdeg_graded: bool = True
-    adeg_graded: bool = True  # False for the untruncated planar variant
+
+    @property
+    def qdeg_graded(self):
+        return self.ring.preserves_qdeg
+
+    @property
+    def adeg_graded(self):
+        return not self.planar
 
     def rank(self, i):
         return len(self.basis.get(i, ()))
@@ -123,9 +132,7 @@ def assemble(cube, choice=None):
     d = cube.diagram
     n_plus, n_minus = d.n_plus_minus(choice)
     ring = cube.ring
-    beta = cube.variant == tqft.BETA
-    qdeg_graded = ring.preserves_qdeg
-    adeg_graded = cube.variant != tqft.GENERIC
+    split = cube.split
 
     degrees = list(range(-n_minus, n_plus + 1))
     basis = {}
@@ -150,7 +157,7 @@ def assemble(cube, choice=None):
     for edge in cube.edges:
         by_degree.setdefault(sum(edge.u) - n_minus, []).append(edge)
     diff = {}
-    diff2 = {} if beta else None
+    diff2 = {} if split else None
     for i in degrees[:-1]:
         nrows = len(basis[i + 1])
         ncols = len(basis[i])
@@ -160,16 +167,16 @@ def assemble(cube, choice=None):
             cof = offsets[(i, edge.u)]
             rof = offsets[(i + 1, edge.v)]
             negate = edge.sign_exponent == 1
-            parts = edge.map if beta else (edge.map,)
+            parts = edge.map if split else (edge.map,)
             for target, em in zip((m0, m2), parts):
                 for (r, c), v in em.entries.items():
                     target[(rof + r, cof + c)] = ring.neg(v) if negate else v
         diff[i] = SparseMatrix.wrap(ring, nrows, ncols, m0)
-        if beta:
+        if split:
             diff2[i] = SparseMatrix.wrap(ring, nrows, ncols, m2)
     return ChainComplexData(
         ring=ring,
-        variant=cube.variant,
+        planar=cube.planar,
         n_plus=n_plus,
         n_minus=n_minus,
         degrees=degrees,
@@ -178,13 +185,11 @@ def assemble(cube, choice=None):
         diff=diff,
         diff2=diff2,
         offsets=offsets,
-        qdeg_graded=qdeg_graded,
-        adeg_graded=adeg_graded,
     )
 
 
-def build_complex(d, ring, variant, choice=None):
-    return assemble(build_cube(d, ring, variant), choice)
+def build_complex(d, ring, planar=False, choice=None):
+    return assemble(build_cube(d, ring, planar), choice)
 
 
 def verify_d_squared(c):
@@ -201,7 +206,7 @@ def verify_d_squared(c):
 def verify_beta(c):
     """The three components of d_beta^2 = 0, each as in verify_d_squared."""
     if c.diff2 is None:
-        raise VariantRingMismatchError("not a BETA complex")
+        raise VariantRingMismatchError("not the complex of a split cube")
     report = {}
     for name, left, right in (
         ("d0d0", c.diff, c.diff),
@@ -225,12 +230,12 @@ def verify_beta(c):
 def verify_grading(c):
     """Check every differential entry respects the shifted bigrade.
 
-    Annular variants must preserve adeg exactly; the untruncated planar
-    variant may also raise it by 2.  Quantum degrees of entries are
+    Annular differentials must preserve adeg exactly; the untruncated
+    planar one may also raise it by 2.  Quantum degrees of entries are
     accounted through their polynomial degree; over ungraded rings only
     the annular degree is checked.
     """
-    adeg_shifts = (0, 2) if c.variant == tqft.GENERIC else (0,)
+    adeg_shifts = (0, 2) if c.planar else (0,)
     for i in c.degrees[:-1]:
         src = c.bigrade[i]
         dst = c.bigrade[i + 1]
@@ -248,7 +253,7 @@ def verify_grading(c):
 
 def specialize_complex(c, target):
     """Entrywise specialization of a generic complex; grading metadata is
-    preserved, with qdeg marked ungraded for evaluated parameters."""
+    preserved, and the target ring decides whether qdeg is graded."""
     if not isinstance(c.ring, GenericAlpha):
         raise UnsupportedRingError("can only specialize the generic complex")
     diff = {
@@ -263,7 +268,7 @@ def specialize_complex(c, target):
         }
     return ChainComplexData(
         ring=target,
-        variant=c.variant,
+        planar=c.planar,
         n_plus=c.n_plus,
         n_minus=c.n_minus,
         degrees=list(c.degrees),
@@ -272,6 +277,4 @@ def specialize_complex(c, target):
         diff=diff,
         diff2=diff2,
         offsets=dict(c.offsets),
-        qdeg_graded=target.preserves_qdeg,
-        adeg_graded=c.adeg_graded,
     )

@@ -20,7 +20,7 @@ class InvalidBasisError(AnnkhError):
 
 
 class VariantRingMismatchError(AnnkhError):
-    """TQFT variant is incompatible with the coefficient ring."""
+    """The theory or operation does not fit the coefficient ring or cube."""
 
 
 class ShapeMismatchError(AnnkhError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import complexes, tqft
+from . import complexes
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
 from .linalg import SparseMatrix, cancel_units
@@ -135,7 +135,6 @@ def _unit_free_torsion(ring, invariants):
 @dataclass
 class BigradedHomology:
     ring: object
-    qdeg_graded: bool
     entries: dict  # (i, q, a) -> (free rank, torsion); ungraded q or a is None
 
     def total_rank(self):
@@ -196,7 +195,7 @@ def homology(c):
             if free or tors:
                 q, a = key
                 entries[(i, q, a)] = (free, tors)
-    return BigradedHomology(ring, c.qdeg_graded, entries)
+    return BigradedHomology(ring, entries)
 
 
 def poincare_table(h):
@@ -230,7 +229,7 @@ def poincare_table(h):
 
 def lee_complex(d, q0=0, q1=1):
     ring = alpha_eval(q0, q1)
-    return complexes.build_complex(d, ring, tqft.ANNULAR_D)
+    return complexes.build_complex(d, ring)
 
 
 def lee_rank(d, q0=0, q1=1):

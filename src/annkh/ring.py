@@ -374,14 +374,15 @@ class CoefficientRing:
 
     Concrete rings expose ``kind`` plus exact arithmetic on plain values
     (ints, Fractions, HPoly, or BivariatePoly depending on the ring).
-    Each ring names the annular variant of ``tqft`` it computes by
-    default; ``kind`` only labels the ring in messages and hashes.
+    The ring, not a separate switch, fixes the theory's conventions:
+    ``preserves_qdeg`` says whether maps keep the quantum grading, and
+    ``tqft`` gives annular slots over :class:`AlphaEval` the localized
+    bases.  ``kind`` only labels the ring in messages and hashes.
     """
 
     kind = "?"
     is_euclidean = False
     preserves_qdeg = True  # maps keep the quantum grading over this ring
-    annular_variant = None  # the tqft variant name the ring defaults to
 
     def zero(self):
         raise NotImplementedError
@@ -464,7 +465,6 @@ class CoefficientRing:
 class IntRing(CoefficientRing):
     kind = "INT"
     is_euclidean = True
-    annular_variant = "ANNULAR_ZERO"
 
     def zero(self):
         return 0
@@ -500,7 +500,6 @@ class IntRing(CoefficientRing):
 class RatRing(CoefficientRing):
     kind = "RAT"
     is_euclidean = True
-    annular_variant = "ANNULAR_ZERO"
 
     def zero(self):
         return Fraction(0)
@@ -533,7 +532,6 @@ class RatRing(CoefficientRing):
 
 class PrimeField(CoefficientRing):
     is_euclidean = True
-    annular_variant = "ANNULAR_ZERO"
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -595,7 +593,6 @@ class PrimeField(CoefficientRing):
 class RatPolyH(CoefficientRing):
     kind = "RAT_POLY_H"
     is_euclidean = True
-    annular_variant = "ANNULAR_H"
 
     def zero(self):
         return HPoly(())
@@ -639,7 +636,6 @@ class AlphaEval(RatRing):
 
     kind = "RAT_ALPHA_EVAL"
     preserves_qdeg = False  # a0, a1 of degree 2 become numbers of degree 0
-    annular_variant = "ANNULAR_D"
 
     def __init__(self, q0, q1):
         self.q0 = Fraction(q0)
@@ -667,7 +663,6 @@ class GenericAlpha(CoefficientRing):
     d^2 = 0 checks; refuses Smith normal form (not Euclidean)."""
 
     kind = "GENERIC_ALPHA"
-    annular_variant = "ANNULAR_ALPHA"
 
     def zero(self):
         return BivariatePoly()

@@ -29,7 +29,7 @@ from .errors import (
     VariantRingMismatchError,
 )
 from .linalg import SparseMatrix, cancel_units
-from .ring import A0, A1, E1, E2, BivariatePoly, GENERIC, AlphaEval
+from .ring import A0, A1, E1, E2, BivariatePoly, GENERIC, AlphaEval, RatPolyH
 
 
 def circle_value(k):
@@ -62,6 +62,9 @@ class DottedTangle:
         )
         if dots is None:
             dots = (0,) * len(pairs)
+        if len(dots) != len(pairs):
+            k = len(pairs)
+            raise ValueError(f"{k} strands need {k} dot counts, not {len(dots)}")
         dd = tuple(int(dots[i]) for i in order)
         t = DottedTangle(n, m, norm, dd, tuple(sorted(closed_loops)))
         t.check()
@@ -73,6 +76,8 @@ class DottedTangle:
             raise ValueError("pairs must match boundary labels exactly")
         if len(self.dots) != len(self.pairs):
             raise ValueError("one dot count per strand")
+        if any(d < 0 for d in self.dots):
+            raise ValueError(f"dot counts {list(self.dots)} must not be negative")
         for (a, b), (c, d) in product(self.pairs, repeat=2):
             if a < c < b < d:
                 raise ValueError(f"pairs ({a},{b}) and ({c},{d}) cross")
@@ -299,7 +304,11 @@ def bend_to_bottom(t):
 # spinning into the annular TQFT
 
 
-_SPIN_VARIANTS = (tqft.ANNULAR_ALPHA, tqft.ANNULAR_ZERO, tqft.ANNULAR_D)
+def _check_spin_ring(ring):
+    """Spinning evaluates over every ring but Q[h]; the refusal keeps
+    the wording the CLI has always printed."""
+    if isinstance(ring, RatPolyH):
+        raise VariantRingMismatchError("cannot spin with variant ANNULAR_H")
 
 
 def _classify_pairs(t):
@@ -316,16 +325,15 @@ def _classify_pairs(t):
     return bb, tt, thru
 
 
-def spin_tangle(t, ring, variant):
+def spin_tangle(t, ring):
     """The annular TQFT value of one reduced spun tangle."""
-    if variant not in _SPIN_VARIANTS:
-        raise VariantRingMismatchError(f"cannot spin with variant {variant}")
+    _check_spin_ring(ring)
     if not t.is_reduced():
         raise ValueError("spin_tangle needs a reduced tangle")
     bb, tt, thru = _classify_pairs(t)
 
     def essentials(k):
-        return tqft.essential_space(k, ring, variant)
+        return tqft.essential_space(k, ring)
 
     total = tqft.identity_map(essentials(t.n))
 
@@ -360,9 +368,7 @@ def spin_tangle(t, ring, variant):
             space = total.codomain
         k = len(cur)
         mid = tqft.make_space(
-            ring,
-            variant,
-            [(False, None)] + [(True, s + 1) for s in range(k - 2)],
+            ring, [(False, None)] + [(True, s + 1) for s in range(k - 2)]
         )
         pairs = [
             (s, 1 + (s if s < i else s - 2))
@@ -397,17 +403,16 @@ def spin_tangle(t, ring, variant):
     return total
 
 
-def spin_evaluate(f, ring, variant):
+def spin_evaluate(f, ring):
     """Annular TQFT value of a morphism: the weighted sum of its
     spun reduced tangles."""
-    if variant not in _SPIN_VARIANTS:
-        raise VariantRingMismatchError(f"cannot spin with variant {variant}")
-    dom = tqft.essential_space(f.n, ring, variant)
-    cod = tqft.essential_space(f.m, ring, variant)
+    _check_spin_ring(ring)
+    dom = tqft.essential_space(f.n, ring)
+    cod = tqft.essential_space(f.m, ring)
     total = tqft.LinearMap.wrap(dom, cod, {})
     for t, c in f.terms:
         spec = ring.specialize_poly(c)
-        total = total.add(spin_tangle(t, ring, variant).scale(spec))
+        total = total.add(spin_tangle(t, ring).scale(spec))
     return total
 
 
@@ -424,7 +429,7 @@ def kernel_rank_experiment(n, m, ring):
     tangles = enumerate_reduced(n, m)
     entries = {}
     for k, t in enumerate(tangles):
-        mat = spin_tangle(t, GENERIC, tqft.ANNULAR_ALPHA).specialize(ring)
+        mat = spin_tangle(t, GENERIC).specialize(ring)
         for (r, c), v in mat.entries.items():
             entries[(k, r * (1 << n) + c)] = v
     dim = (1 << n) * (1 << m)

@@ -6,24 +6,19 @@ circles keep the {1, X} basis while the i-th essential circle (counted
 from the puncture outward) carries {1, X - a0} for odd i and
 {1, X - a1} for even i; words in these bases carry an annular degree.
 Cobordism maps are computed from the Frobenius structure in the slot
-bases, so truncating to the annular-degree-preserving part yields each
-variant:
-
-* ``GENERIC``       -- the full planar map, no truncation
-* ``ANNULAR_ALPHA`` -- adeg-preserving part over the bivariate ring
-* ``ANNULAR_ZERO``  -- the same with both parameters set to zero
-* ``ANNULAR_H``     -- parameters (0, h) over Q[h]
-* ``ANNULAR_D``     -- evaluated parameters, idempotent/rescaled bases
-* ``BETA``          -- the pair (adeg-0 part, adeg-raising part); only
-  ``complexes.split_cube`` makes it, from a ``GENERIC`` cube
+bases.  A space is planar or annular, and that is the one choice: the
+ring picks the slot bases (:func:`make_space`) and the grading, so the
+annular theory over each ring is the annular-degree-preserving part of
+the planar one.  ``complexes.split_cube`` keeps both parts of a planar
+cube, the annular one and the adeg-raising one.
 
 Every elementary cobordism (merge, split, dot, birth, death) is a local
 table on its involved slots, placed on the caller's spaces with the
 identity on the other slots.  The spaces decide the truncation: a
-builder returns the planar map between ``GENERIC`` spaces and the
-annular map between annular ones.  A saddle's table depends only on the
-ring and the involved slots' conventions, so :func:`local_table` builds
-it once per process.
+builder returns the planar map between planar spaces and its
+annular-degree-0 part between annular ones.  A saddle's table depends
+only on the ring and the involved slots' conventions, so
+:func:`local_table` builds it once per process.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
@@ -45,16 +40,7 @@ from .errors import (
 )
 from .frobenius import Frobenius, basis_bidegree
 from .linalg import SparseMatrix, accumulate
-from .ring import GenericAlpha
-
-GENERIC = "GENERIC"
-ANNULAR_ALPHA = "ANNULAR_ALPHA"
-ANNULAR_ZERO = "ANNULAR_ZERO"
-ANNULAR_H = "ANNULAR_H"
-ANNULAR_D = "ANNULAR_D"
-BETA = "BETA"
-
-VARIANTS = (GENERIC, ANNULAR_ALPHA, ANNULAR_ZERO, ANNULAR_H, ANNULAR_D, BETA)
+from .ring import AlphaEval, GenericAlpha
 
 MERGE_TT = "MERGE_TT"
 SPLIT_T = "SPLIT_T"
@@ -64,32 +50,26 @@ TYPE_III = "TYPE_III"
 TYPE_IV = "TYPE_IV"
 
 
-def check_variant_ring(ring, variant):
-    if variant not in VARIANTS:
-        raise VariantRingMismatchError(f"unknown variant {variant!r}")
-    ok = variant in (GENERIC, ring.annular_variant)
-    if ok and variant == ANNULAR_D:
-        ok = ring.distinct  # equal parameters leave no idempotent basis
-    if not ok:
-        raise VariantRingMismatchError(f"variant {variant} over ring {ring}")
-
-
-def slot_convention(essential, essential_index, variant):
-    """Basis of a slot.  ``ANNULAR_D`` has its own bases; every other
-    variant shares V/V'/ONE_X."""
-    if variant == ANNULAR_D:
-        if essential:
-            return fb.D_V if essential_index % 2 == 1 else fb.D_V_PRIME
-        return fb.E
-    if essential:
-        return fb.V if essential_index % 2 == 1 else fb.V_PRIME
-    return fb.ONE_X
-
-
 class Slot(NamedTuple):
     essential: bool
     convention: str
     essential_index: object  # int for essential slots, None otherwise
+
+
+def _slot(ring, planar, essential, essential_index):
+    """A slot in the basis its ring and theory pick: annular slots over
+    evaluated parameters take the localized bases D_V/D_V'/E, every
+    other slot V/V' (odd/even essential) or ONE_X (trivial)."""
+    if not planar and isinstance(ring, AlphaEval):
+        if essential:
+            conv = fb.D_V if essential_index % 2 == 1 else fb.D_V_PRIME
+        else:
+            conv = fb.E
+    elif essential:
+        conv = fb.V if essential_index % 2 == 1 else fb.V_PRIME
+    else:
+        conv = fb.ONE_X
+    return Slot(essential, conv, essential_index)
 
 
 @dataclass(frozen=True)
@@ -101,7 +81,7 @@ class StateSpace:
     """
 
     ring: object
-    variant: str
+    planar: bool
     slots: tuple
 
     @property
@@ -149,34 +129,37 @@ class StateSpace:
             return NotImplemented
         return (
             self.ring == other.ring
-            and self.variant == other.variant
+            and self.planar == other.planar
             and self.slots == other.slots
         )
 
     def __hash__(self):
-        return hash((self.variant, self.slots))
+        return hash((self.planar, self.slots))
 
 
-def state_space(rd, ring, variant):
+def state_space(rd, ring, planar=False):
     """State space of a resolved diagram: slots parallel rd.circles."""
     return make_space(
-        ring, variant, [(c.essential, c.essential_index) for c in rd.circles]
+        ring, [(c.essential, c.essential_index) for c in rd.circles], planar
     )
 
 
-def make_space(ring, variant, flags):
-    """Explicit state space from (essential, essential_index) pairs."""
-    check_variant_ring(ring, variant)
-    slots = tuple(
-        Slot(ess, slot_convention(ess, idx, variant), idx)
-        for ess, idx in flags
-    )
-    return StateSpace(ring, variant, slots)
+def make_space(ring, flags, planar=False):
+    """Explicit state space from (essential, essential_index) pairs.
+
+    Equal evaluated parameters leave the annular theory no idempotent
+    basis, so annular spaces over them raise."""
+    if not planar and isinstance(ring, AlphaEval) and not ring.distinct:
+        raise VariantRingMismatchError(
+            f"annular spaces over {ring} need distinct parameters"
+        )
+    slots = tuple(_slot(ring, planar, ess, idx) for ess, idx in flags)
+    return StateSpace(ring, planar, slots)
 
 
-def essential_space(n, ring, variant):
-    """n concentric essential circles, innermost first."""
-    return make_space(ring, variant, [(True, i + 1) for i in range(n)])
+def essential_space(n, ring):
+    """n concentric essential circles, innermost first, annular."""
+    return make_space(ring, [(True, i + 1) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +249,7 @@ class LinearMap:
             raise VariantRingMismatchError("specialize needs generic entries")
 
         def conv(space):
-            return StateSpace(target, space.variant, space.slots)
+            return StateSpace(target, space.planar, space.slots)
 
         m = self.matrix.map_entries(target.specialize_poly, target)
         return LinearMap(
@@ -491,14 +474,14 @@ def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
     """Multiplication of two slots into one, between explicit spaces."""
-    planar = _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
-    return _in_theory(planar)
+    full = _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
+    return _in_theory(full)
 
 
 def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     """Comultiplication of one slot into two, between explicit spaces."""
-    planar = _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
-    return _in_theory(planar)
+    full = _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
+    return _in_theory(full)
 
 
 def full_saddle_map(sd, dom_space, cod_space):
@@ -537,12 +520,12 @@ def annular_parts(full):
     return parts[0], parts[2]
 
 
-def _in_theory(planar):
+def _in_theory(full):
     """A planar map as a map of its spaces' theory: itself between
-    ``GENERIC`` spaces, its annular-degree-0 part between annular ones."""
-    if planar.domain.variant == GENERIC:
-        return planar
-    return annular_parts(planar)[0]
+    planar spaces, its annular-degree-0 part between annular ones."""
+    if full.domain.planar:
+        return full
+    return annular_parts(full)[0]
 
 
 def annular_saddle_map(sd, dom_space, cod_space):
@@ -565,12 +548,12 @@ def dotted_identity_map(space, slot, dots):
 
 def birth_map(space, position):
     """Insert a trivial circle at the given slot position (the unit)."""
-    conv = slot_convention(False, None, space.variant)
+    new = _slot(space.ring, space.planar, False, None)
     slots = space.slots
-    new_slots = slots[:position] + (Slot(False, conv, None),) + slots[position:]
-    cod = StateSpace(space.ring, space.variant, new_slots)
+    new_slots = slots[:position] + (new,) + slots[position:]
+    cod = StateSpace(space.ring, space.planar, new_slots)
     fr = Frobenius(space.ring)
-    table = (tuple(_terms(space.ring, fr.convert(fr.unit(), conv).coords)),)
+    table = (tuple(_terms(space.ring, fr.convert(fr.unit(), new.convention).coords)),)
     pairs = tuple((j, j + (j >= position)) for j in range(len(slots)))
     return _embed(space, cod, (), (position,), pairs, table, (-1, 0))
 
@@ -580,7 +563,7 @@ def death_map(space, slot):
     if space.slots[slot].essential:
         raise ValueError("death caps a trivial circle")
     new_slots = space.slots[:slot] + space.slots[slot + 1 :]
-    cod = StateSpace(space.ring, space.variant, new_slots)
+    cod = StateSpace(space.ring, space.planar, new_slots)
     fr = Frobenius(space.ring)
     conv = space.slots[slot].convention
     eps = (fr.counit(_basis_elt(fr, conv, b)) for b in (0, 1))

@@ -40,9 +40,9 @@ def report(n, text):
 
 def test_criterion_01_d_squared_symbolic(diagrams):
     for name, d in diagrams.items():
-        for variant in (tqft.ANNULAR_ALPHA, tqft.GENERIC):
-            c = build_complex(d, GENERIC, variant)
-            assert verify_d_squared(c) is None, (name, variant)
+        for planar in (False, True):
+            c = build_complex(d, GENERIC, planar)
+            assert verify_d_squared(c) is None, (name, planar)
     report(1, "d^2 = 0 over the bivariate ring, whole corpus, exact zero")
 
 
@@ -51,13 +51,13 @@ def test_criterion_02_reduction_to_nonequivariant(diagrams):
     one = 1
 
     def merge0(dom_flags, cod_flags):
-        dom = tqft.make_space(INT, tqft.ANNULAR_ZERO, dom_flags)
-        cod = tqft.make_space(INT, tqft.ANNULAR_ZERO, cod_flags)
+        dom = tqft.make_space(INT, dom_flags)
+        cod = tqft.make_space(INT, cod_flags)
         return tqft.truncate_adeg(tqft.merge_map(dom, cod, (0, 1), 0, []), 0)
 
     def split0(dom_flags, cod_flags):
-        dom = tqft.make_space(INT, tqft.ANNULAR_ZERO, dom_flags)
-        cod = tqft.make_space(INT, tqft.ANNULAR_ZERO, cod_flags)
+        dom = tqft.make_space(INT, dom_flags)
+        cod = tqft.make_space(INT, cod_flags)
         return tqft.truncate_adeg(tqft.split_map(dom, cod, 0, (0, 1), []), 0)
 
     def table(m):
@@ -79,15 +79,15 @@ def test_criterion_02_reduction_to_nonequivariant(diagrams):
         assert table(m) == {(0,): {(0, 1): one, (1, 0): one}}
     # Boerner vanishing: dotted essential identities die at zero
     for i in (1, 2):
-        sp = tqft.make_space(INT, tqft.ANNULAR_ZERO, [(True, i)])
+        sp = tqft.make_space(INT, [(True, i)])
         for dots in (1, 2, 3):
             assert tqft.dotted_identity_map(sp, 0, dots).is_zero()
     # every equivariant cube map specializes to the non-equivariant one
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        alpha_cube = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
-        zero_cube = build_cube(d, INT, tqft.ANNULAR_ZERO)
+        alpha_cube = build_cube(d, GENERIC)
+        zero_cube = build_cube(d, INT)
         zero_maps = {(e.u, e.v): e.map for e in zero_cube.edges}
         for e in alpha_cube.edges:
             assert e.map.specialize(INT).entries == zero_maps[(e.u, e.v)].entries
@@ -99,7 +99,7 @@ def test_criterion_03_splitting_and_functoriality(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        cube = build_cube(d, GENERIC, tqft.GENERIC)
+        cube = build_cube(d, GENERIC, planar=True)
         by_u = {}
         for e in cube.edges:
             assert set(e.map.adeg_split()) <= {0, 2}, (name, e.u, e.v)
@@ -139,16 +139,11 @@ def test_criterion_05_canonical_generators(diagrams):
 
 
 def test_criterion_06_reidemeister_invariance(diagrams):
-    rings = [
-        (INT, tqft.ANNULAR_ZERO),
-        (GF(2), tqft.ANNULAR_ZERO),
-        (QH, tqft.ANNULAR_H),
-        (alpha_eval(0, 1), tqft.ANNULAR_D),
-    ]
+    rings = [INT, GF(2), QH, alpha_eval(0, 1)]
     for move, (a, b) in R_PAIRS.items():
-        for ring, variant in rings:
-            ha = homology(build_complex(diagrams[a], ring, variant))
-            hb = homology(build_complex(diagrams[b], ring, variant))
+        for ring in rings:
+            ha = homology(build_complex(diagrams[a], ring))
+            hb = homology(build_complex(diagrams[b], ring))
             assert ha.rank_table() == hb.rank_table(), (move, ring.kind)
     report(6, "rank and torsion tables agree across the R1/R2/R3 pairs "
               "over all four coefficient rings")
@@ -157,7 +152,7 @@ def test_criterion_06_reidemeister_invariance(diagrams):
 def test_criterion_07_dense_oracle(diagrams):
     for name, d in diagrams.items():
         assert d.n_crossings <= 3
-        got = homology(build_complex(d, RAT, tqft.ANNULAR_ZERO))
+        got = homology(build_complex(d, RAT))
         per_degree = {}
         for (i, _, _), (rank, _) in got.entries.items():
             per_degree[i] = per_degree.get(i, 0) + rank
@@ -171,7 +166,7 @@ def test_criterion_08_beta_deformation(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        c = assemble(split_cube(build_cube(d, GENERIC, tqft.GENERIC)))
+        c = assemble(split_cube(build_cube(d, GENERIC, planar=True)))
         rep = verify_beta(c)
         assert all(v is None for v in rep.values()), (name, rep)
     report(8, "the deformed differential squares to zero in all three "
@@ -208,12 +203,10 @@ def test_criterion_09_tangle_calculus():
                 mid, m, {rng.choice(tangles_g): BivariatePoly.from_int(
                     rng.randint(1, 3))}
             )
-            lhs = tl.spin_evaluate(
-                tl.tl_compose(f, g), GENERIC, tqft.ANNULAR_ALPHA
-            )
+            lhs = tl.spin_evaluate(tl.tl_compose(f, g), GENERIC)
             rhs = tqft.compose(
-                tl.spin_evaluate(g, GENERIC, tqft.ANNULAR_ALPHA),
-                tl.spin_evaluate(f, GENERIC, tqft.ANNULAR_ALPHA),
+                tl.spin_evaluate(g, GENERIC),
+                tl.spin_evaluate(f, GENERIC),
             )
             assert lhs.entries == rhs.entries
     report(9, "circle evaluations, reduced tangle counts (40 at (3,3)), "
@@ -222,15 +215,15 @@ def test_criterion_09_tangle_calculus():
 
 def test_criterion_10_grading_contract(diagrams):
     for name, d in diagrams.items():
-        for ring, variant in (
-            (GENERIC, tqft.ANNULAR_ALPHA),
-            (INT, tqft.ANNULAR_ZERO),
-            (GF(2), tqft.ANNULAR_ZERO),
-            (QH, tqft.ANNULAR_H),
-            (GENERIC, tqft.GENERIC),
-            (alpha_eval(0, 1), tqft.ANNULAR_D),
+        for ring, planar in (
+            (GENERIC, False),
+            (INT, False),
+            (GF(2), False),
+            (QH, False),
+            (GENERIC, True),
+            (alpha_eval(0, 1), False),
         ):
-            c = build_complex(d, ring, variant)
-            assert verify_grading(c) is None, (name, variant, ring.kind)
+            c = build_complex(d, ring, planar)
+            assert verify_grading(c) is None, (name, planar, ring.kind)
     report(10, "every differential entry preserves the shifted bigrade, "
                "checked exhaustively")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from annkh.cli import main, parse_ring, pick_variant
+from annkh.cli import main, parse_ring
 from annkh import tqft
 from annkh.corpus import write_corpus
 from annkh.diagram import dumps_diagram
@@ -33,12 +33,16 @@ def test_ring_parsing():
     assert parse_ring("alpha").alpha_images() == (0, 1)
 
 
-def test_variant_resolution():
-    assert pick_variant(parse_ring("generic"), "annular") == tqft.ANNULAR_ALPHA
-    assert pick_variant(parse_ring("int"), "annular") == tqft.ANNULAR_ZERO
-    assert pick_variant(parse_ring("qh"), "annular") == tqft.ANNULAR_H
-    assert pick_variant(parse_ring("alpha"), "annular") == tqft.ANNULAR_D
-    assert pick_variant(parse_ring("int"), "planar") == tqft.GENERIC
+@pytest.mark.parametrize("position", [0, 1])
+def test_alpha_ring_with_a_zero_denominator(capsys, corpus_dir, position):
+    values = ["1", "1"]
+    values[position] = "1/0"
+    ring = "alpha:" + ",".join(values)
+    code, out, err = run(
+        capsys, "homology", corpus_dir / "trefoil_right.json", "--ring", ring
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad alpha values: a zero denominator in {ring!r}\n"
 
 
 def test_equal_alpha_parameters_point_to_the_planar_variant(capsys, corpus_dir):
@@ -266,6 +270,54 @@ def test_tangle_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+def tl_eval_dots(capsys, tangle, n, m, dots):
+    return run(
+        capsys, "tl-eval", tangle, "--n", n, "--m", m, "--dots", dots
+    )
+
+
+def test_tl_eval_refuses_too_few_dot_counts(capsys):
+    code, out, err = tl_eval_dots(capsys, "[(1,4),(2,3)]", 2, 2, "1")
+    assert (code, out) == (2, "")
+    assert err == "error: 2 strands need 2 dot counts, not 1\n"
+
+
+def test_tl_eval_refuses_too_many_dot_counts(capsys):
+    code, out, err = tl_eval_dots(capsys, "[(1,4),(2,3)]", 2, 2, "1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: 2 strands need 2 dot counts, not 3\n"
+
+
+def test_tl_eval_refuses_a_negative_dot_count(capsys):
+    code, out, err = tl_eval_dots(capsys, "[(1,2)]", 1, 1, "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: dot counts [-1] must not be negative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tl-rank", "--n", "-1", "--m", "1"),
+        ("tl-eval", "[(1,2)]", "--n", "-1", "--m", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tl_verbs_refuse_a_negative_count(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: -1 is negative" in err and "spun" not in err
+
+
+def test_tl_eval_refuses_the_planar_variant(capsys):
+    code, out, err = run(
+        capsys, "tl-eval", "[(1,2)]", "--n", "1", "--m", "1", "--variant", "planar"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: tangles evaluate through the annular theory\n"
+
+
 @pytest.fixture
 def empty_table_memo():
     """Saddle tables are memoized per process, so a test that patches how
@@ -308,7 +360,7 @@ def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatc
         m = original(*args, **kwargs)
         cod = m.codomain
         slots = cod.slots + (tqft.Slot(True, "V", 1),)
-        extra = tqft.StateSpace(cod.ring, cod.variant, slots)
+        extra = tqft.StateSpace(cod.ring, cod.planar, slots)
         return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries), m.declared_bidegree)
 
     monkeypatch.setattr(tqft, "full_saddle_map", shifted)

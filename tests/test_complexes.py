@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -48,15 +49,15 @@ def test_every_square_face_is_odd():
 
 
 def test_cube_combinatorics(diagrams):
-    cube = build_cube(diagrams["trefoil_right"], INT, tqft.ANNULAR_ZERO)
+    cube = build_cube(diagrams["trefoil_right"], INT)
     assert len(cube.resolutions) == 8
     assert len(cube.edges) == 12
-    cube0 = build_cube(diagrams["essential_unknot_ccw"], INT, tqft.ANNULAR_ZERO)
+    cube0 = build_cube(diagrams["essential_unknot_ccw"], INT)
     assert len(cube0.resolutions) == 1 and not cube0.edges
 
 
 def test_zero_crossing_assembly(diagrams):
-    c = build_complex(diagrams["essential_unknot_ccw"], INT, tqft.ANNULAR_ZERO)
+    c = build_complex(diagrams["essential_unknot_ccw"], INT)
     assert c.degrees == [0]
     assert c.rank(0) == 2
     assert c.bigrade[0] == [(-1, -1), (1, 1)]
@@ -65,7 +66,7 @@ def test_zero_crossing_assembly(diagrams):
 def test_trefoil_group_ranks(diagrams):
     # ranks follow the circle counts of the eight smoothings
     d = diagrams["trefoil_right"]
-    c = build_complex(d, INT, tqft.ANNULAR_ZERO)
+    c = build_complex(d, INT)
     assert c.degrees == [0, 1, 2, 3]
     expected = {
         i: sum(
@@ -80,15 +81,15 @@ def test_trefoil_group_ranks(diagrams):
 
 def test_d_squared_generic_corpus(diagrams):
     for name, d in diagrams.items():
-        c = build_complex(d, GENERIC, tqft.ANNULAR_ALPHA)
+        c = build_complex(d, GENERIC)
         assert verify_d_squared(c) is None, name
-        cg = build_complex(d, GENERIC, tqft.GENERIC)
+        cg = build_complex(d, GENERIC, planar=True)
         assert verify_d_squared(cg) is None, name
 
 
 def test_corrupted_sign_is_caught(diagrams):
     d = diagrams["trefoil_right"]
-    c = build_complex(d, INT, tqft.ANNULAR_ZERO)
+    c = build_complex(d, INT)
     m = c.diff[0]
     bad = dict(m.entries)
     some = sorted(bad)[0]
@@ -99,19 +100,28 @@ def test_corrupted_sign_is_caught(diagrams):
 
 def test_grading_contract_corpus(diagrams):
     for name, d in diagrams.items():
-        for ring, variant in (
-            (GENERIC, tqft.ANNULAR_ALPHA),
-            (INT, tqft.ANNULAR_ZERO),
-            (QH, tqft.ANNULAR_H),
-            (GENERIC, tqft.GENERIC),
+        for ring, planar in (
+            (GENERIC, False),
+            (INT, False),
+            (QH, False),
+            (GENERIC, True),
         ):
-            c = build_complex(d, ring, variant)
-            assert verify_grading(c) is None, (name, variant)
+            c = build_complex(d, ring, planar)
+            assert verify_grading(c) is None, (name, ring, planar)
+
+
+def test_grading_allows_an_adeg_raise_only_when_planar(diagrams):
+    d = diagrams["trefoil_right"]
+    c = assemble(split_cube(build_cube(d, GENERIC, planar=True)))
+    raised = replace(c, diff=c.diff2)
+    assert any(m.entries for m in raised.diff.values())
+    assert verify_grading(raised)[3] == "adeg"
+    assert verify_grading(replace(raised, planar=True)) is None
 
 
 def test_homological_support(diagrams):
     d = diagrams["hopf_null"]  # two negative crossings at base orientation
-    c = build_complex(d, INT, tqft.ANNULAR_ZERO)
+    c = build_complex(d, INT)
     assert c.degrees == [-2, -1, 0]
     assert c.n_plus == 0 and c.n_minus == 2
 
@@ -119,14 +129,10 @@ def test_homological_support(diagrams):
 def test_specialization_commutes_with_assembly(diagrams):
     for name in ("hopf_essential", "essential_unknot_r1", "trefoil_left"):
         d = diagrams[name]
-        generic = build_complex(d, GENERIC, tqft.ANNULAR_ALPHA)
-        for target, variant in (
-            (INT, tqft.ANNULAR_ZERO),
-            (GF(2), tqft.ANNULAR_ZERO),
-            (QH, tqft.ANNULAR_H),
-        ):
+        generic = build_complex(d, GENERIC)
+        for target in (INT, GF(2), QH):
             spec = specialize_complex(generic, target)
-            direct = build_complex(d, target, variant)
+            direct = build_complex(d, target)
             assert spec.degrees == direct.degrees
             for i in spec.diff:
                 assert spec.diff[i].entries == direct.diff[i].entries, (name, i)
@@ -141,22 +147,18 @@ def test_specialization_to_evaluated_parameters_is_conjugate(diagrams):
 
     d = diagrams["hopf_essential"]
     ring = alpha_eval(0, 1)
-    generic = build_complex(d, GENERIC, tqft.ANNULAR_ALPHA)
+    generic = build_complex(d, GENERIC)
     spec = specialize_complex(generic, ring)
-    direct = build_complex(d, ring, tqft.ANNULAR_D)
+    direct = build_complex(d, ring)
     fr = Frobenius(ring)
-    cube = build_cube(d, ring, tqft.ANNULAR_D)
+    cube = build_cube(d, ring)
 
     def change_of_basis(i, c_from, c_to):
         # matrix of the identity from V-convention words to D-convention
         rows = {}
         for col, (u, word) in enumerate(c_from.basis[i]):
-            generic_space = tqft.state_space(
-                d.resolve(u), GENERIC, tqft.ANNULAR_ALPHA
-            )
-            space_v = tqft.StateSpace(
-                ring, tqft.ANNULAR_ALPHA, generic_space.slots
-            )
+            generic_space = tqft.state_space(d.resolve(u), GENERIC)
+            space_v = tqft.StateSpace(ring, False, generic_space.slots)
             space_d = cube.spaces[u]
             # convert each slot basis vector through the ring algebra
             vecs = []
@@ -198,22 +200,22 @@ def test_specialize_requires_generic():
 def build_complex_cached():
     from annkh.corpus import essential_unknot
 
-    return build_complex(essential_unknot(), INT, tqft.ANNULAR_ZERO)
+    return build_complex(essential_unknot(), INT)
 
 
 def test_beta_identities_corpus(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        c = assemble(split_cube(build_cube(d, GENERIC, tqft.GENERIC)))
+        c = assemble(split_cube(build_cube(d, GENERIC, planar=True)))
         rep = verify_beta(c)
         assert all(v is None for v in rep.values()), (name, rep)
 
 
 def test_dump_is_deterministic(diagrams):
     d = diagrams["unknot_clasp"]
-    a = build_complex(d, INT, tqft.ANNULAR_ZERO)
-    b = build_complex(d, INT, tqft.ANNULAR_ZERO)
+    a = build_complex(d, INT)
+    b = build_complex(d, INT)
     assert a.basis == b.basis and a.bigrade == b.bigrade
     assert a.diff == b.diff
     assert a.degrees[0] == 0 and not all(m.is_zero() for m in a.diff.values())
@@ -223,7 +225,7 @@ def test_edge_blocks_are_disjoint(diagrams):
     """assemble places edge entries without summing: every entry of
     every edge map lands in the differential, none on another."""
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
-        cube = split_cube(build_cube(diagrams[name], GENERIC, tqft.GENERIC))
+        cube = split_cube(build_cube(diagrams[name], GENERIC, planar=True))
         c = assemble(cube)
         for k, diff in ((0, c.diff), (1, c.diff2)):
             placed = sum(len(m.entries) for m in diff.values())
@@ -232,28 +234,29 @@ def test_edge_blocks_are_disjoint(diagrams):
 
 def test_gradedness_flags(diagrams):
     d = diagrams["essential_unknot_ccw"]
-    c = build_complex(d, alpha_eval(0, 1), tqft.ANNULAR_D)
+    c = build_complex(d, alpha_eval(0, 1))
     assert not c.qdeg_graded and c.adeg_graded
     assert [a for _, a in c.bigrade[0]] == [-1, 1]
-    g = build_complex(d, GF(2), tqft.ANNULAR_ZERO)
+    g = build_complex(d, GF(2))
     assert g.qdeg_graded and g.adeg_graded
-    p = build_complex(d, INT, tqft.GENERIC)
+    p = build_complex(d, INT, planar=True)
     assert p.qdeg_graded and not p.adeg_graded
 
 
 def test_gf2_build(diagrams):
-    c = build_complex(diagrams["trefoil_right"], GF(2), tqft.ANNULAR_ZERO)
+    c = build_complex(diagrams["trefoil_right"], GF(2))
     assert verify_d_squared(c) is None
     assert verify_grading(c) is None
 
 
 def test_split_cube_matches_the_built_annular_and_beta_cubes(diagrams):
-    # verify --ring generic derives both families from one GENERIC cube
+    # verify --ring generic derives both families from one planar cube
     for name, d in sorted(diagrams.items()):
-        derived = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
-        built_ann = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
-        built_beta = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
-        assert derived.variant == tqft.BETA
+        derived = split_cube(build_cube(d, GENERIC, planar=True))
+        built_ann = build_cube(d, GENERIC)
+        built_beta = split_cube(build_cube(d, GENERIC, planar=True))
+        assert derived.split and not derived.planar
+        assert not built_ann.split and not built_ann.planar
         keys = [(e.u, e.v) for e in derived.edges]
         assert keys == [(e.u, e.v) for e in built_ann.edges], name
         assert keys == [(e.u, e.v) for e in built_beta.edges], name
@@ -271,23 +274,22 @@ def test_split_cube_matches_the_built_annular_and_beta_cubes(diagrams):
             assert c.diff2[i].entries == cb.diff2[i].entries, (name, i)
 
 
-def test_split_cube_needs_a_generic_cube(diagrams):
-    cube = build_cube(diagrams["hopf_null"], GENERIC, tqft.ANNULAR_ALPHA)
+def test_split_cube_needs_a_planar_cube(diagrams):
+    cube = build_cube(diagrams["hopf_null"], GENERIC)
     with pytest.raises(VariantRingMismatchError):
         split_cube(cube)
+    # a split cube is not planar either, so it does not split again
+    split = split_cube(build_cube(diagrams["hopf_null"], GENERIC, planar=True))
+    with pytest.raises(VariantRingMismatchError):
+        split_cube(split)
 
 
 def test_split_cube_parts_are_the_truncations(diagrams):
     for name, d in sorted(diagrams.items()):
-        full = build_cube(d, GENERIC, tqft.GENERIC)
+        full = build_cube(d, GENERIC, planar=True)
         for e, eb in zip(full.edges, split_cube(full).edges):
             d0, d2 = eb.map
             assert d0.entries == tqft.truncate_adeg(e.map, 0).entries, name
             assert d2.entries == tqft.truncate_adeg(e.map, 2).entries, name
 
-
-def test_build_cube_refuses_beta(diagrams):
-    # split_cube is the only way to a BETA cube
-    with pytest.raises(VariantRingMismatchError):
-        build_cube(diagrams["hopf_null"], GENERIC, tqft.BETA)
 

@@ -5,7 +5,6 @@ from math import gcd
 
 import pytest
 
-from annkh import tqft
 from annkh.complexes import ChainComplexData, build_complex
 from annkh.diagram import all_orientations, cube_edge_pairs
 from annkh.errors import UnsupportedRingError
@@ -202,7 +201,7 @@ def test_unit_invariant_of_a_unit_free_slice_is_not_torsion():
     # no entry is a unit, yet the Smith form is diag(1, 8)
     grades = [(0, 0), (0, 0)]
     c = ChainComplexData(
-        INT, "hand-made", 0, 0, [0, 1],
+        INT, False, 0, 0, [0, 1],
         basis={0: [None] * 2, 1: [None] * 2},
         bigrade={0: grades, 1: grades},
         diff={0: mat(INT, [[2, 3], [0, 4]])},
@@ -215,12 +214,12 @@ def test_unit_invariant_of_a_unit_free_slice_is_not_torsion():
 
 
 def test_unknot_homologies(diagrams):
-    c = build_complex(diagrams["trivial_unknot"], INT, tqft.ANNULAR_ZERO)
+    c = build_complex(diagrams["trivial_unknot"], INT)
     assert homology(c).entries == {
         (0, -1, 0): (1, ()),
         (0, 1, 0): (1, ()),
     }
-    c = build_complex(diagrams["essential_unknot_ccw"], INT, tqft.ANNULAR_ZERO)
+    c = build_complex(diagrams["essential_unknot_ccw"], INT)
     assert homology(c).entries == {
         (0, -1, -1): (1, ()),
         (0, 1, 1): (1, ()),
@@ -229,7 +228,7 @@ def test_unknot_homologies(diagrams):
 
 def test_euler_characteristic_per_bigrade(diagrams):
     for name, d in diagrams.items():
-        c = build_complex(d, INT, tqft.ANNULAR_ZERO)
+        c = build_complex(d, INT)
         h = homology(c)
         chain = {}
         for i in c.degrees:
@@ -271,14 +270,14 @@ def test_sl2_weight_symmetry(diagrams):
         cases[f"braid {n} {word}"] = braid_closure(word, n)
     for name, d in cases.items():
         for ring in (RAT, GF(2), GF(3)):
-            h = homology(build_complex(d, ring, tqft.ANNULAR_ZERO))
+            h = homology(build_complex(d, ring))
             assert h.entries, (name, ring)
             assert sl2_defects(h) == [], (name, ring)
 
 
 def test_sl2_check_rejects_a_lopsided_table():
     h = BigradedHomology(
-        RAT, True, {(0, 2, 2): (1, ()), (0, 0, 0): (1, ()), (0, -2, -2): (1, ())}
+        RAT, {(0, 2, 2): (1, ()), (0, 0, 0): (1, ()), (0, -2, -2): (1, ())}
     )
     assert sl2_defects(h) == []
     h.entries[(0, 2, 2)] = (2, ())
@@ -295,16 +294,16 @@ def test_lee_rank_other_evaluation(diagrams):
 
 
 def test_poincare_table_shape(diagrams):
-    c = build_complex(diagrams["essential_unknot_ccw"], INT, tqft.ANNULAR_ZERO)
+    c = build_complex(diagrams["essential_unknot_ccw"], INT)
     rows = poincare_table(homology(c))
     assert rows == [(0, -1, -1, 1, "-"), (0, 1, 1, 1, "-")]
-    empty = BigradedHomology(INT, True, {})
+    empty = BigradedHomology(INT, {})
     assert poincare_table(empty) == []
 
 
 def test_alternating_rank_sum_matches_table(diagrams):
     d = diagrams["trefoil_left"]
-    c = build_complex(d, INT, tqft.ANNULAR_ZERO)
+    c = build_complex(d, INT)
     h = homology(c)
     rows = poincare_table(h)
     total = {}
@@ -326,7 +325,7 @@ def test_alternating_rank_sum_matches_table(diagrams):
 
 
 def _planar_table(d):
-    h = homology(build_complex(d, INT, tqft.GENERIC))
+    h = homology(build_complex(d, INT, planar=True))
     return {(i, q): val for (i, q, _), val in h.entries.items()}
 
 
@@ -431,19 +430,11 @@ def test_trefoil_canonical_adeg_values(diagrams):
 
 
 @pytest.mark.parametrize("move", ["r1", "r2"])
-@pytest.mark.parametrize(
-    "ring, variant",
-    [
-        (INT, tqft.ANNULAR_ZERO),
-        (GF(2), tqft.ANNULAR_ZERO),
-        (QH, tqft.ANNULAR_H),
-        (alpha_eval(0, 1), tqft.ANNULAR_D),
-    ],
-)
-def test_reidemeister_invariance(diagrams, move, ring, variant):
+@pytest.mark.parametrize("ring", [INT, GF(2), QH, alpha_eval(0, 1)], ids=repr)
+def test_reidemeister_invariance(diagrams, move, ring):
     a, b = R_PAIRS[move]
-    ha = homology(build_complex(diagrams[a], ring, variant))
-    hb = homology(build_complex(diagrams[b], ring, variant))
+    ha = homology(build_complex(diagrams[a], ring))
+    hb = homology(build_complex(diagrams[b], ring))
     assert ha.rank_table() == hb.rank_table(), move
 
 
@@ -557,7 +548,7 @@ def _oracle_homology_ranks(d):
 
 def test_rational_ranks_match_dense_oracle(diagrams):
     for name, d in diagrams.items():
-        got = homology(build_complex(d, RAT, tqft.ANNULAR_ZERO))
+        got = homology(build_complex(d, RAT))
         per_degree = {}
         for (i, _, _), (rank, _) in got.entries.items():
             per_degree[i] = per_degree.get(i, 0) + rank
@@ -577,8 +568,8 @@ def torus_2_8():
 
 
 def test_universal_coefficients_z_to_f2_on_t28(torus_2_8):
-    z = homology(build_complex(torus_2_8, INT, tqft.ANNULAR_ZERO)).entries
-    f2 = homology(build_complex(torus_2_8, GF(2), tqft.ANNULAR_ZERO)).entries
+    z = homology(build_complex(torus_2_8, INT)).entries
+    f2 = homology(build_complex(torus_2_8, GF(2))).entries
 
     def even(i, q, a):
         return sum(1 for t in z.get((i, q, a), (0, ()))[1] if t % 2 == 0)

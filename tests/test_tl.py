@@ -4,7 +4,7 @@ import pytest
 
 from annkh import tl, tqft
 from annkh.errors import ArityMismatchError, ParityError
-from annkh.ring import A0, A1, E1, E2, GENERIC, INT, BivariatePoly, alpha_eval
+from annkh.ring import A0, A1, E1, E2, GENERIC, INT, QH, BivariatePoly, alpha_eval
 
 EV = alpha_eval(0, 1)
 ONE = BivariatePoly.from_int(1)
@@ -147,19 +147,19 @@ def test_bending_commutes_with_reduce():
 
 
 def test_spin_dotted_strand_matrix():
-    m = tl.spin_evaluate(tl.morphism(strand(1)), GENERIC, tqft.ANNULAR_ALPHA)
+    m = tl.spin_evaluate(tl.morphism(strand(1)), GENERIC)
     assert m.entries == {(0, 0): A0, (1, 1): A1}
 
 
 def test_spin_dotted_strand_vanishes_at_zero():
-    m = tl.spin_evaluate(tl.morphism(strand(1)), INT, tqft.ANNULAR_ZERO)
+    m = tl.spin_evaluate(tl.morphism(strand(1)), INT)
     assert m.is_zero()
 
 
 def test_spin_closed_values():
     for k, expect in ((0, BivariatePoly.from_int(2)), (1, E1)):
         t = tl.DottedTangle.make(0, 0, [], [], closed_loops=(k,))
-        m = tl.spin_evaluate(tl.reduce_tangle(t), GENERIC, tqft.ANNULAR_ALPHA)
+        m = tl.spin_evaluate(tl.reduce_tangle(t), GENERIC)
         assert m.entries == {(0, 0): expect}
 
 
@@ -168,8 +168,8 @@ def test_spun_torus_through_saddles():
     cup = tl.morphism(tl.DottedTangle.make(0, 2, [(1, 2)]))
     cap = tl.morphism(tl.DottedTangle.make(2, 0, [(1, 2)]))
     m = tqft.compose(
-        tl.spin_evaluate(cap, GENERIC, tqft.ANNULAR_ALPHA),
-        tl.spin_evaluate(cup, GENERIC, tqft.ANNULAR_ALPHA),
+        tl.spin_evaluate(cap, GENERIC),
+        tl.spin_evaluate(cup, GENERIC),
     )
     assert m.entries == {(0, 0): BivariatePoly.from_int(2)}
 
@@ -183,12 +183,8 @@ def _random_morphism(rng, n, m):
     return tl.TLMorphism.make(n, m, out)
 
 
-@pytest.mark.parametrize("variant, ring", [
-    (tqft.ANNULAR_ALPHA, GENERIC),
-    (tqft.ANNULAR_ZERO, INT),
-    (tqft.ANNULAR_D, EV),
-])
-def test_spin_functoriality_random(variant, ring):
+@pytest.mark.parametrize("ring", [GENERIC, INT, EV], ids=repr)
+def test_spin_functoriality_random(ring):
     rng = random.Random(23)
     shapes = [(1, 1, 1), (2, 2, 2), (0, 2, 2), (2, 2, 0), (1, 3, 1)]
     for n, mid, m in shapes:
@@ -196,12 +192,12 @@ def test_spin_functoriality_random(variant, ring):
             f = _random_morphism(rng, n, mid)
             g = _random_morphism(rng, mid, m)
             comp = tl.tl_compose(f, g)
-            lhs = tl.spin_evaluate(comp, ring, variant)
+            lhs = tl.spin_evaluate(comp, ring)
             rhs = tqft.compose(
-                tl.spin_evaluate(g, ring, variant),
-                tl.spin_evaluate(f, ring, variant),
+                tl.spin_evaluate(g, ring),
+                tl.spin_evaluate(f, ring),
             )
-            assert lhs.entries == rhs.entries, (n, mid, m, variant)
+            assert lhs.entries == rhs.entries, (n, mid, m, ring)
 
 
 def test_kernel_rank_experiments():
@@ -219,8 +215,10 @@ def test_kernel_rank_parity_error():
         tl.kernel_rank_experiment(2, 1, EV)
 
 
-def test_spin_rejects_planar_variant():
+def test_spin_refuses_qh_and_equal_parameters():
     from annkh.errors import VariantRingMismatchError
 
-    with pytest.raises(VariantRingMismatchError):
-        tl.spin_evaluate(tl.morphism(strand()), GENERIC, tqft.GENERIC)
+    with pytest.raises(VariantRingMismatchError, match="cannot spin"):
+        tl.spin_evaluate(tl.morphism(strand()), QH)
+    with pytest.raises(VariantRingMismatchError, match="distinct"):
+        tl.spin_evaluate(tl.morphism(strand()), alpha_eval(1, 1))

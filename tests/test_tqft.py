@@ -8,7 +8,7 @@ from annkh.complexes import build_cube, split_cube
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import AnnkhError, VariantRingMismatchError
 from annkh import frobenius as fb
-from annkh.ring import A0, A1, GENERIC, GF, INT, QH, BivariatePoly, alpha_eval
+from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
 EV = alpha_eval(0, 1)
 EV2 = alpha_eval(2, 5)
@@ -27,8 +27,11 @@ def as_table(m):
     return out
 
 
-def space(ring, variant, flags):
-    return tqft.make_space(ring, variant, flags)
+PLANAR, ANNULAR = True, False
+
+
+def space(ring, planar, flags):
+    return tqft.make_space(ring, flags, planar)
 
 
 # ---------------------------------------------------------------------------
@@ -37,44 +40,73 @@ def space(ring, variant, flags):
 
 def test_state_space_trivial_circle(diagrams):
     rd = diagrams["trivial_unknot"].resolve(())
-    sp = tqft.state_space(rd, INT, tqft.ANNULAR_ZERO)
+    sp = tqft.state_space(rd, INT)
     assert sp.rank == 2
     assert [sp.word_bidegree(w) for w in sp.words()] == [(-1, 0), (1, 0)]
 
 
 def test_state_space_essential_circle(diagrams):
     rd = diagrams["essential_unknot_ccw"].resolve(())
-    sp = tqft.state_space(rd, INT, tqft.ANNULAR_ZERO)
+    sp = tqft.state_space(rd, INT)
     assert [sp.word_bidegree(w) for w in sp.words()] == [(-1, -1), (1, 1)]
 
 
 def test_state_space_two_essential(diagrams):
     rd = diagrams["unlink2_essential"].resolve(())
-    sp = tqft.state_space(rd, GENERIC, tqft.ANNULAR_ALPHA)
+    sp = tqft.state_space(rd, GENERIC)
     assert sp.rank == 4
     assert sorted(sp.adeg(w) for w in sp.words()) == [-2, 0, 0, 2]
     assert [s.convention for s in sp.slots] == ["V", "V_PRIME"]
 
 
-def test_variant_ring_compatibility():
-    with pytest.raises(VariantRingMismatchError):
-        tqft.check_variant_ring(INT, tqft.ANNULAR_ALPHA)
-    with pytest.raises(VariantRingMismatchError):
-        tqft.check_variant_ring(alpha_eval(1, 1), tqft.ANNULAR_D)
-    with pytest.raises(VariantRingMismatchError):
-        tqft.check_variant_ring(QH, tqft.ANNULAR_ZERO)
-    tqft.check_variant_ring(QH, tqft.ANNULAR_H)
-    # BETA cubes come only from complexes.split_cube, on GENERIC spaces
-    with pytest.raises(VariantRingMismatchError):
-        tqft.check_variant_ring(GENERIC, tqft.BETA)
+V_BASES = ("V", "V_PRIME", "ONE_X")
+LOCALIZED = ("D_V", "D_V_PRIME", "E")
+
+
+@pytest.mark.parametrize(
+    "ring, planar, conventions",
+    [
+        pytest.param(
+            ring,
+            planar,
+            LOCALIZED if localized and not planar else V_BASES,
+            id=f"{ring!r}-{'planar' if planar else 'annular'}",
+        )
+        for ring, localized in (
+            (INT, False),
+            (RAT, False),
+            (GF(2), False),
+            (QH, False),
+            (GENERIC, False),
+            (alpha_eval(0, 1), True),
+            (alpha_eval(2, Fraction(1, 3)), True),
+        )
+        for planar in (PLANAR, ANNULAR)
+    ],
+)
+def test_the_ring_and_the_theory_pick_the_bases(ring, planar, conventions):
+    # odd essential, even essential and trivial slots, in that order
+    sp = space(ring, planar, [(True, 1), (True, 2), (False, None)])
+    assert tuple(s.convention for s in sp.slots) == conventions
+    assert sp.planar is planar and sp.ring == ring
+    odd = space(ring, planar, [(True, 3)])
+    assert odd.slots[0].convention == conventions[0]
+
+
+def test_annular_spaces_need_distinct_parameters():
+    flags = [(True, 1), (False, None)]
+    with pytest.raises(VariantRingMismatchError, match="distinct"):
+        space(alpha_eval(1, 1), ANNULAR, flags)
+    planar = space(alpha_eval(1, 1), PLANAR, flags)
+    assert [s.convention for s in planar.slots] == ["V", "ONE_X"]
 
 
 def test_builders_truncate_between_annular_spaces():
-    # the spaces decide: the planar map between GENERIC spaces, its
+    # the spaces decide: the planar map between planar spaces, its
     # adeg-0 part between annular ones with the same slots
     def both(flags):
-        ann = space(GENERIC, tqft.ANNULAR_ALPHA, flags)
-        return ann, tqft.StateSpace(GENERIC, tqft.GENERIC, ann.slots)
+        ann = space(GENERIC, ANNULAR, flags)
+        return ann, tqft.StateSpace(GENERIC, PLANAR, ann.slots)
 
     two, two_g = both([(True, 1), (True, 2)])
     one, one_g = both([(False, None)])
@@ -100,22 +132,22 @@ def test_builders_truncate_between_annular_spaces():
 # were transcribed by expanding products in the quotient ring by hand.
 
 
-def merge(ring, variant, dom_flags, cod_flags):
-    dom = space(ring, variant, dom_flags)
-    cod = space(ring, variant, cod_flags)
+def merge(ring, planar, dom_flags, cod_flags):
+    dom = space(ring, planar, dom_flags)
+    cod = space(ring, planar, cod_flags)
     m = tqft.merge_map(dom, cod, (0, 1), 0, [])
-    return m if variant == tqft.GENERIC else tqft.truncate_adeg(m, 0)
+    return m if planar else tqft.truncate_adeg(m, 0)
 
 
-def split(ring, variant, dom_flags, cod_flags):
-    dom = space(ring, variant, dom_flags)
-    cod = space(ring, variant, cod_flags)
+def split(ring, planar, dom_flags, cod_flags):
+    dom = space(ring, planar, dom_flags)
+    cod = space(ring, planar, cod_flags)
     m = tqft.split_map(dom, cod, 0, (0, 1), [])
-    return m if variant == tqft.GENERIC else tqft.truncate_adeg(m, 0)
+    return m if planar else tqft.truncate_adeg(m, 0)
 
 
 def test_full_type_i():
-    m = merge(GENERIC, tqft.GENERIC, [(True, 1), (False, None)], [(True, 1)])
+    m = merge(GENERIC, PLANAR, [(True, 1), (False, None)], [(True, 1)])
     assert as_table(m) == {
         (0, 0): {(0,): ONE},
         (1, 0): {(1,): ONE},
@@ -125,7 +157,7 @@ def test_full_type_i():
 
 
 def test_full_type_i_even_swaps_parameters():
-    m = merge(GENERIC, tqft.GENERIC, [(True, 2), (False, None)], [(True, 2)])
+    m = merge(GENERIC, PLANAR, [(True, 2), (False, None)], [(True, 2)])
     assert as_table(m) == {
         (0, 0): {(0,): ONE},
         (1, 0): {(1,): ONE},
@@ -135,7 +167,7 @@ def test_full_type_i_even_swaps_parameters():
 
 
 def test_full_type_ii():
-    m = merge(GENERIC, tqft.GENERIC, [(True, 1), (True, 2)], [(False, None)])
+    m = merge(GENERIC, PLANAR, [(True, 1), (True, 2)], [(False, None)])
     assert as_table(m) == {
         (0, 0): {(0,): ONE},  # boxed
         (1, 0): {(0,): -A0, (1,): ONE},  # X - a0
@@ -144,7 +176,7 @@ def test_full_type_ii():
 
 
 def test_full_type_iii():
-    m = split(GENERIC, tqft.GENERIC, [(True, 1)], [(True, 1), (False, None)])
+    m = split(GENERIC, PLANAR, [(True, 1)], [(True, 1), (False, None)])
     assert as_table(m) == {
         (0,): {(0, 1): ONE, (0, 0): -A1, (1, 0): ONE},  # boxed v1 (x) 1
         (1,): {(1, 1): ONE, (1, 0): -A0},
@@ -152,7 +184,7 @@ def test_full_type_iii():
 
 
 def test_full_type_iv():
-    m = split(GENERIC, tqft.GENERIC, [(False, None)], [(True, 1), (True, 2)])
+    m = split(GENERIC, PLANAR, [(False, None)], [(True, 1), (True, 2)])
     assert as_table(m) == {
         (0,): {(0, 1): ONE, (1, 0): ONE},
         (1,): {(0, 1): A0, (1, 0): A1, (1, 1): ONE},  # boxed v1 (x) v1'
@@ -160,7 +192,7 @@ def test_full_type_iv():
 
 
 def test_annular_type_i():
-    m = merge(GENERIC, tqft.ANNULAR_ALPHA, [(True, 1), (False, None)], [(True, 1)])
+    m = merge(GENERIC, ANNULAR, [(True, 1), (False, None)], [(True, 1)])
     assert as_table(m) == {
         (0, 0): {(0,): ONE},
         (1, 0): {(1,): ONE},
@@ -170,7 +202,7 @@ def test_annular_type_i():
 
 
 def test_annular_type_ii():
-    m = merge(GENERIC, tqft.ANNULAR_ALPHA, [(True, 1), (True, 2)], [(False, None)])
+    m = merge(GENERIC, ANNULAR, [(True, 1), (True, 2)], [(False, None)])
     assert as_table(m) == {
         (1, 0): {(0,): -A0, (1,): ONE},
         (0, 1): {(0,): -A1, (1,): ONE},
@@ -178,7 +210,7 @@ def test_annular_type_ii():
 
 
 def test_annular_type_iii():
-    m = split(GENERIC, tqft.ANNULAR_ALPHA, [(True, 1)], [(True, 1), (False, None)])
+    m = split(GENERIC, ANNULAR, [(True, 1)], [(True, 1), (False, None)])
     assert as_table(m) == {
         (0,): {(0, 1): ONE, (0, 0): -A1},
         (1,): {(1, 1): ONE, (1, 0): -A0},
@@ -186,7 +218,7 @@ def test_annular_type_iii():
 
 
 def test_annular_type_iv():
-    m = split(GENERIC, tqft.ANNULAR_ALPHA, [(False, None)], [(True, 1), (True, 2)])
+    m = split(GENERIC, ANNULAR, [(False, None)], [(True, 1), (True, 2)])
     assert as_table(m) == {
         (0,): {(0, 1): ONE, (1, 0): ONE},
         (1,): {(0, 1): A0, (1, 0): A1},
@@ -198,13 +230,13 @@ def test_zero_specialization_formulas():
     # non-equivariant rules: X dies on essential circles, splits create
     # v0 (x) v1 + v1 (x) v0, and merges send opposite pairs to X
     one = 1
-    m = merge(INT, tqft.ANNULAR_ZERO, [(True, 1), (False, None)], [(True, 1)])
+    m = merge(INT, ANNULAR, [(True, 1), (False, None)], [(True, 1)])
     assert as_table(m) == {(0, 0): {(0,): one}, (1, 0): {(1,): one}}
-    m = merge(INT, tqft.ANNULAR_ZERO, [(True, 1), (True, 2)], [(False, None)])
+    m = merge(INT, ANNULAR, [(True, 1), (True, 2)], [(False, None)])
     assert as_table(m) == {(1, 0): {(1,): one}, (0, 1): {(1,): one}}
-    m = split(INT, tqft.ANNULAR_ZERO, [(True, 1)], [(True, 1), (False, None)])
+    m = split(INT, ANNULAR, [(True, 1)], [(True, 1), (False, None)])
     assert as_table(m) == {(0,): {(0, 1): one}, (1,): {(1, 1): one}}
-    m = split(INT, tqft.ANNULAR_ZERO, [(False, None)], [(True, 1), (True, 2)])
+    m = split(INT, ANNULAR, [(False, None)], [(True, 1), (True, 2)])
     assert as_table(m) == {(0,): {(0, 1): one, (1, 0): one}}
 
 
@@ -212,22 +244,22 @@ def test_zero_specialization_formulas():
 def test_localized_formulas(ring):
     q0, q1 = ring.alpha_images()
     one = Fraction(1)
-    m = merge(ring, tqft.ANNULAR_D, [(True, 1), (False, None)], [(True, 1)])
+    m = merge(ring, ANNULAR, [(True, 1), (False, None)], [(True, 1)])
     assert as_table(m) == {
         (1, 0): {(1,): one},  # vbar1 (x) e0 -> vbar1
         (0, 1): {(0,): one},  # vbar0 (x) e1 -> vbar0
     }
-    m = merge(ring, tqft.ANNULAR_D, [(True, 1), (True, 2)], [(False, None)])
+    m = merge(ring, ANNULAR, [(True, 1), (True, 2)], [(False, None)])
     assert as_table(m) == {
         (1, 0): {(0,): one},  # vbar1 (x) vbar0' -> e0
         (0, 1): {(1,): one},  # vbar0 (x) vbar1' -> e1
     }
-    m = split(ring, tqft.ANNULAR_D, [(True, 1)], [(True, 1), (False, None)])
+    m = split(ring, ANNULAR, [(True, 1)], [(True, 1), (False, None)])
     assert as_table(m) == {
         (0,): {(0, 1): q0 - q1},
         (1,): {(1, 0): q1 - q0},
     }
-    m = split(ring, tqft.ANNULAR_D, [(False, None)], [(True, 1), (True, 2)])
+    m = split(ring, ANNULAR, [(False, None)], [(True, 1), (True, 2)])
     assert as_table(m) == {
         (0,): {(1, 0): q1 - q0},  # e0 -> (a1-a0) vbar1 (x) vbar0'
         (1,): {(0, 1): q0 - q1},
@@ -238,22 +270,22 @@ def test_localized_formulas(ring):
 def test_localized_primed_formulas(ring):
     q0, q1 = ring.alpha_images()
     one = Fraction(1)
-    m = merge(ring, tqft.ANNULAR_D, [(True, 2), (False, None)], [(True, 2)])
+    m = merge(ring, ANNULAR, [(True, 2), (False, None)], [(True, 2)])
     assert as_table(m) == {
         (0, 0): {(0,): one},
         (1, 1): {(1,): one},
     }
-    m = merge(ring, tqft.ANNULAR_D, [(True, 2), (True, 3)], [(False, None)])
+    m = merge(ring, ANNULAR, [(True, 2), (True, 3)], [(False, None)])
     assert as_table(m) == {
         (1, 0): {(1,): one},  # vbar1' (x) vbar0 -> e1
         (0, 1): {(0,): one},
     }
-    m = split(ring, tqft.ANNULAR_D, [(True, 2)], [(True, 2), (False, None)])
+    m = split(ring, ANNULAR, [(True, 2)], [(True, 2), (False, None)])
     assert as_table(m) == {
         (0,): {(0, 0): q1 - q0},
         (1,): {(1, 1): q0 - q1},
     }
-    m = split(ring, tqft.ANNULAR_D, [(False, None)], [(True, 2), (True, 3)])
+    m = split(ring, ANNULAR, [(False, None)], [(True, 2), (True, 3)])
     assert as_table(m) == {
         (0,): {(0, 1): q1 - q0},  # e0 -> (a1-a0) vbar0' (x) vbar1
         (1,): {(1, 0): q0 - q1},
@@ -299,7 +331,7 @@ def test_ab_uniform_rules(ring, inner):
     q0, q1 = ring.alpha_images()
     one = Fraction(1)
     m = merge(
-        ring, tqft.ANNULAR_D, [(True, inner), (False, None)], [(True, inner)]
+        ring, ANNULAR, [(True, inner), (False, None)], [(True, inner)]
     )
     assert _ab_table(m) == {
         ("a", "a"): {("a",): one},
@@ -307,7 +339,7 @@ def test_ab_uniform_rules(ring, inner):
     }
     m = merge(
         ring,
-        tqft.ANNULAR_D,
+        ANNULAR,
         [(True, inner), (True, inner + 1)],
         [(False, None)],
     )
@@ -316,7 +348,7 @@ def test_ab_uniform_rules(ring, inner):
         ("b", "b"): {("b",): one},
     }
     m = split(
-        ring, tqft.ANNULAR_D, [(True, inner)], [(True, inner), (False, None)]
+        ring, ANNULAR, [(True, inner)], [(True, inner), (False, None)]
     )
     assert _ab_table(m) == {
         ("a",): {("a", "a"): q1 - q0},
@@ -324,7 +356,7 @@ def test_ab_uniform_rules(ring, inner):
     }
     m = split(
         ring,
-        tqft.ANNULAR_D,
+        ANNULAR,
         [(False, None)],
         [(True, inner), (True, inner + 1)],
     )
@@ -339,7 +371,7 @@ def test_ab_uniform_rules(ring, inner):
 
 
 def test_dotted_identity_on_essential_slots():
-    sp = tqft.essential_space(2, GENERIC, tqft.ANNULAR_ALPHA)
+    sp = tqft.essential_space(2, GENERIC)
     inner = tqft.dotted_identity_map(sp, 0, 1)
     assert as_table(inner) == {
         (0, 0): {(0, 0): A0},
@@ -357,13 +389,13 @@ def test_dotted_identity_on_essential_slots():
 
 
 def test_boerner_vanishing_at_zero():
-    sp = tqft.essential_space(1, INT, tqft.ANNULAR_ZERO)
+    sp = tqft.essential_space(1, INT)
     assert tqft.dotted_identity_map(sp, 0, 1).is_zero()
     assert tqft.dotted_identity_map(sp, 0, 3).is_zero()
 
 
 def test_two_dots_on_trivial_slot():
-    sp = space(GENERIC, tqft.ANNULAR_ALPHA, [(False, None)])
+    sp = space(GENERIC, ANNULAR, [(False, None)])
     m = tqft.dotted_identity_map(sp, 0, 2)
     # X^2 = (a0+a1) X - a0 a1
     assert as_table(m) == {
@@ -374,7 +406,7 @@ def test_two_dots_on_trivial_slot():
 
 
 def test_dotted_identity_bidegree():
-    sp = tqft.essential_space(1, GENERIC, tqft.ANNULAR_ALPHA)
+    sp = tqft.essential_space(1, GENERIC)
     m = tqft.dotted_identity_map(sp, 0, 1)
     assert m.check_bidegree(2, 0)
 
@@ -387,7 +419,7 @@ def _generic_cubes(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        yield name, build_cube(d, GENERIC, tqft.GENERIC)
+        yield name, build_cube(d, GENERIC, planar=True)
 
 
 def test_all_saddle_kinds_appear(diagrams):
@@ -445,8 +477,8 @@ def test_commuting_square_with_zero_specialization(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        cube_a = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
-        cube_z = build_cube(d, INT, tqft.ANNULAR_ZERO)
+        cube_a = build_cube(d, GENERIC)
+        cube_z = build_cube(d, INT)
         zmaps = {(e.u, e.v): e.map for e in cube_z.edges}
         for e in cube_a.edges:
             spec = e.map.specialize(INT)
@@ -457,14 +489,14 @@ def test_annular_maps_have_saddle_bidegree(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        cube = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
+        cube = build_cube(d, GENERIC)
         for e in cube.edges:
             assert e.map.check_bidegree(1, 0), (name, e.u, e.v)
 
 
 def test_compose_with_identity(diagrams):
     d = diagrams["hopf_essential"]
-    cube = build_cube(d, GENERIC, tqft.ANNULAR_ALPHA)
+    cube = build_cube(d, GENERIC)
     e = cube.edges[0]
     ident = tqft.identity_map(e.map.domain)
     assert tqft.compose(e.map, ident).entries == e.map.entries
@@ -473,7 +505,7 @@ def test_compose_with_identity(diagrams):
 def test_double_merge_associativity(diagrams):
     # two successive trivial merges agree along both square paths
     d = diagrams["hopf_null"]
-    cube = build_cube(d, GENERIC, tqft.GENERIC)
+    cube = build_cube(d, GENERIC, planar=True)
     maps = {(e.u, e.v): e.map for e in cube.edges}
     lhs = tqft.compose(maps[((0, 1), (1, 1))], maps[((0, 0), (0, 1))])
     rhs = tqft.compose(maps[((1, 0), (1, 1))], maps[((0, 0), (1, 0))])
@@ -482,8 +514,8 @@ def test_double_merge_associativity(diagrams):
 
 def test_beta_pair_reassembles_full_map(diagrams):
     d = diagrams["trefoil_right"]
-    cube_full = build_cube(d, GENERIC, tqft.GENERIC)
-    cube_beta = split_cube(build_cube(d, GENERIC, tqft.GENERIC))
+    cube_full = build_cube(d, GENERIC, planar=True)
+    cube_beta = split_cube(build_cube(d, GENERIC, planar=True))
     full = {(e.u, e.v): e.map for e in cube_full.edges}
     for e in cube_beta.edges:
         d0, d2 = e.map
@@ -491,8 +523,8 @@ def test_beta_pair_reassembles_full_map(diagrams):
 
 
 def test_annular_saddle_map_rejects_an_odd_adeg_shift(monkeypatch):
-    dom = space(INT, tqft.ANNULAR_ZERO, [(True, 1)])
-    cod = space(INT, tqft.ANNULAR_ZERO, [(False, None)])
+    dom = space(INT, ANNULAR, [(True, 1)])
+    cod = space(INT, ANNULAR, [(False, None)])
     shifted = tqft.LinearMap.wrap(dom, cod, {(0, 0): 1}, (1, None))
     assert set(shifted.adeg_split()) == {1}
     monkeypatch.setattr(tqft, "full_saddle_map", lambda sd, dom, cod: shifted)
@@ -505,24 +537,24 @@ def test_memoized_tables_are_not_shared_across_rings(diagrams):
     # must equal the one built alone from an empty memo
     d = diagrams["trefoil_left"]
     cases = [
-        (GF(2), tqft.ANNULAR_ZERO),
-        (GF(3), tqft.ANNULAR_ZERO),
-        (alpha_eval(1, 3), tqft.ANNULAR_D),
-        (GF(2), tqft.GENERIC),
-        (GF(3), tqft.GENERIC),
-        (alpha_eval(1, 3), tqft.GENERIC),
-        (alpha_eval(1, 1), tqft.GENERIC),
+        (GF(2), ANNULAR),
+        (GF(3), ANNULAR),
+        (alpha_eval(1, 3), ANNULAR),
+        (GF(2), PLANAR),
+        (GF(3), PLANAR),
+        (alpha_eval(1, 3), PLANAR),
+        (alpha_eval(1, 1), PLANAR),
     ]
     tqft.local_table.cache_clear()
-    together = [build_cube(d, ring, variant) for ring, variant in cases]
+    together = [build_cube(d, ring, planar) for ring, planar in cases]
     info = tqft.local_table.cache_info()
     assert info.hits > info.misses > 0
-    for (ring, variant), cube in zip(cases, together):
+    for (ring, planar), cube in zip(cases, together):
         tqft.local_table.cache_clear()
-        alone = build_cube(d, ring, variant)
+        alone = build_cube(d, ring, planar)
         assert [e.map for e in cube.edges] == [e.map for e in alone.edges], (
             ring,
-            variant,
+            planar,
         )
     tqft.local_table.cache_clear()
 
