@@ -121,25 +121,25 @@ def cmd_homology(args):
 
 
 def _verify_generic(d):
-    """The five generic checks, on one planar cube and the complex of its
-    split cube; d0 alone is the annular differential."""
-    cube_full = complexes.build_cube(d, GENERIC, planar=True)
-    # split_cube raises unless every map splits into adeg 0 and +2 parts,
-    # so `splitting` passes whenever the checks run
-    cube_split = complexes.split_cube(cube_full)
-    cb = complexes.assemble(cube_split)
-    rep = complexes.verify_beta(cb)
+    """The five generic checks, on one planar cube and its complex,
+    whose differential is d_beta = d0 + d2; d0 alone is the annular
+    differential."""
+    cube = complexes.build_cube(d, GENERIC, planar=True)
+    # annular_parts raises unless every map splits into adeg 0 and +2
+    # parts, so `splitting` passes whenever the checks run
+    annular = {(e.u, e.v): tqft.annular_parts(e.map)[0] for e in cube.edges}
+    c = complexes.assemble(cube)
+    rep = complexes.verify_beta(c)
     checks = [
         ("d_squared", rep["d0d0"] is None),
-        ("grading", complexes.verify_grading(cb) is None),
+        ("grading", complexes.verify_grading(c) is None),
         ("splitting", True),
     ]
     by_u = {}
-    for e in cube_full.edges:
+    for e in cube.edges:
         by_u.setdefault(e.u, []).append(e)
-    annular = {(e.u, e.v): e.map[0] for e in cube_split.edges}
     fun_ok = True
-    for e1 in cube_full.edges:
+    for e1 in cube.edges:
         for e2 in by_u.get(e1.v, ()):
             full = tqft.compose(e2.map, e1.map)
             lhs = tqft.truncate_adeg(full, 0)

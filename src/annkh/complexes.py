@@ -7,19 +7,21 @@ The differential preserves the shifted bigrading; d^2 = 0 holds
 already over the generic bivariate ring.
 
 A cube is planar or annular (``planar``); the ring picks the slot bases
-and whether the quantum grading survives.  :func:`split_cube` turns a
-planar cube into its split cube, whose edges carry the annular part and
-the adeg-raising part of each planar map.
+and whether the quantum grading survives.  The planar differential is
+the deformed one, d_beta = d0 + d2: its annular-degree-preserving part
+d0 is the annular differential and d2 raises annular degree by 2, so
+:func:`verify_beta` reads the three parts of d_beta^2 = 0 off one
+product by their annular-degree shifts 0, 2 and 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import tqft
 from .diagram import cube_edge_pairs
-from .errors import UnsupportedRingError, VariantRingMismatchError
+from .errors import InvariantError, UnsupportedRingError, VariantRingMismatchError
 from .linalg import SparseMatrix
 from .ring import GenericAlpha
 
@@ -38,7 +40,7 @@ class CubeEdge:
     coordinate: int
     sign_exponent: int
     descriptor: object
-    map: object  # LinearMap, or a (d0, d2) pair in a split cube
+    map: object  # LinearMap
 
 
 @dataclass
@@ -49,7 +51,6 @@ class Cube:
     resolutions: dict
     spaces: dict
     edges: list
-    split: bool = False  # edge maps are (d0, d2) pairs; see split_cube
 
 
 def build_cube(d, ring, planar=False):
@@ -63,34 +64,15 @@ def build_cube(d, ring, planar=False):
         rd = d.resolve(u)
         resolutions[u] = rd
         spaces[u] = tqft.state_space(rd, ring, planar)
-    if planar:
-        saddle_map = tqft.full_saddle_map
-    else:
-        saddle_map = tqft.annular_saddle_map
     edges = []
     for u in resolutions:
         for i, v in cube_edge_pairs(d, u):
             sd = tqft.classify_saddle(d, resolutions[u], resolutions[v], i)
-            m = saddle_map(sd, spaces[u], spaces[v])
+            m = tqft.annular_saddle_map(sd, spaces[u], spaces[v])
             edges.append(
                 CubeEdge(u, v, i, sign_assignment(u, i), sd, m)
             )
     return Cube(d, ring, planar, resolutions, spaces, edges)
-
-
-def split_cube(cube):
-    """The split cube of a planar cube: every edge map becomes its
-    (d0, d2) pair from ``tqft.annular_parts``.
-
-    This is the only way to a split cube.  Its d0 maps are the annular
-    differential, so the split cube is not planar, and ``assemble``
-    puts the d2 maps in ``diff2``.  The vertices keep the planar cube's
-    spaces, and the pairs are maps between them.
-    """
-    if not cube.planar:
-        raise VariantRingMismatchError("only a planar cube splits")
-    edges = [replace(e, map=tqft.annular_parts(e.map)) for e in cube.edges]
-    return replace(cube, planar=False, edges=edges, split=True)
 
 
 @dataclass
@@ -105,8 +87,10 @@ class ChainComplexData:
     basis: dict  # i -> list of (smoothing, word)
     bigrade: dict  # i -> list of (qdeg, adeg); qdeg None when ungraded
     diff: dict  # i -> SparseMatrix  C^i -> C^{i+1}
-    diff2: dict = field(default=None)  # split cube: the adeg-raising family
     offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
+    # Always None: the planar diff is d0 + d2 in one matrix.  Kept only
+    # because perfbench/spans.py::_assemble_probe reads it.
+    diff2 = None
 
     @property
     def qdeg_graded(self):
@@ -132,7 +116,6 @@ def assemble(cube, choice=None):
     d = cube.diagram
     n_plus, n_minus = d.n_plus_minus(choice)
     ring = cube.ring
-    split = cube.split
 
     degrees = list(range(-n_minus, n_plus + 1))
     basis = {}
@@ -157,23 +140,15 @@ def assemble(cube, choice=None):
     for edge in cube.edges:
         by_degree.setdefault(sum(edge.u) - n_minus, []).append(edge)
     diff = {}
-    diff2 = {} if split else None
     for i in degrees[:-1]:
-        nrows = len(basis[i + 1])
-        ncols = len(basis[i])
-        m0 = {}
-        m2 = {}
+        m = {}
         for edge in by_degree.get(i, ()):
             cof = offsets[(i, edge.u)]
             rof = offsets[(i + 1, edge.v)]
             negate = edge.sign_exponent == 1
-            parts = edge.map if split else (edge.map,)
-            for target, em in zip((m0, m2), parts):
-                for (r, c), v in em.entries.items():
-                    target[(rof + r, cof + c)] = ring.neg(v) if negate else v
-        diff[i] = SparseMatrix.wrap(ring, nrows, ncols, m0)
-        if split:
-            diff2[i] = SparseMatrix.wrap(ring, nrows, ncols, m2)
+            for (r, c), v in edge.map.entries.items():
+                m[(rof + r, cof + c)] = ring.neg(v) if negate else v
+        diff[i] = SparseMatrix.wrap(ring, len(basis[i + 1]), len(basis[i]), m)
     return ChainComplexData(
         ring=ring,
         planar=cube.planar,
@@ -183,7 +158,6 @@ def assemble(cube, choice=None):
         basis=basis,
         bigrade=bigrade,
         diff=diff,
-        diff2=diff2,
         offsets=offsets,
     )
 
@@ -192,38 +166,48 @@ def build_complex(d, ring, planar=False, choice=None):
     return assemble(build_cube(d, ring, planar), choice)
 
 
+def _first_nonzero(i, entries):
+    """The least (row, col) entry as (degree, row, col, value)."""
+    (r, col), v = min(entries.items())
+    return (i, r, col, v)
+
+
 def verify_d_squared(c):
     """None when every consecutive product vanishes, else the first
     nonzero entry as (degree, row, col, value)."""
     for i in c.degrees[:-2]:
         prod = c.diff[i + 1] @ c.diff[i]
         if not prod.is_zero():
-            (r, col), v = sorted(prod.entries.items())[0]
-            return (i, r, col, v)
+            return _first_nonzero(i, prod.entries)
     return None
 
 
+_BETA_PARTS = {0: "d0d0", 2: "d0d2+d2d0", 4: "d2d2"}
+
+
 def verify_beta(c):
-    """The three components of d_beta^2 = 0, each as in verify_d_squared."""
-    if c.diff2 is None:
-        raise VariantRingMismatchError("not the complex of a split cube")
-    report = {}
-    for name, left, right in (
-        ("d0d0", c.diff, c.diff),
-        ("d0d2+d2d0", c.diff, c.diff2),
-        ("d2d2", c.diff2, c.diff2),
-    ):
-        bad = None
-        for i in c.degrees[:-2]:
-            if name == "d0d2+d2d0":
-                prod = (c.diff[i + 1] @ c.diff2[i]) + (c.diff2[i + 1] @ c.diff[i])
-            else:
-                prod = left[i + 1] @ right[i]
-            if not prod.is_zero():
-                (r, col), v = sorted(prod.entries.items())[0]
-                bad = (i, r, col, v)
-                break
-        report[name] = bad
+    """The three components of d_beta^2 = 0 on the planar complex, each
+    as in verify_d_squared.
+
+    The planar differential is d_beta = d0 + d2, so d_beta^2 is one
+    product per degree, and its d0d0, d0d2+d2d0 and d2d2 parts are its
+    entries of annular-degree shift 0, 2 and 4.  Any other shift raises
+    ``InvariantError``.
+    """
+    if not c.planar:
+        raise VariantRingMismatchError("verify_beta needs the planar complex")
+    report = dict.fromkeys(_BETA_PARTS.values())
+    for i in c.degrees[:-2]:
+        src, dst = c.bigrade[i], c.bigrade[i + 2]
+        parts = {}
+        for (r, col), v in (c.diff[i + 1] @ c.diff[i]).entries.items():
+            shift = dst[r][1] - src[col][1]
+            if shift not in _BETA_PARTS:
+                raise InvariantError(f"d_beta^2 shifts adeg by {shift}")
+            parts.setdefault(_BETA_PARTS[shift], {})[(r, col)] = v
+        for name, entries in parts.items():
+            if report[name] is None:
+                report[name] = _first_nonzero(i, entries)
     return report
 
 
@@ -260,12 +244,6 @@ def specialize_complex(c, target):
         i: m.map_entries(target.specialize_poly, target)
         for i, m in c.diff.items()
     }
-    diff2 = None
-    if c.diff2 is not None:
-        diff2 = {
-            i: m.map_entries(target.specialize_poly, target)
-            for i, m in c.diff2.items()
-        }
     return ChainComplexData(
         ring=target,
         planar=c.planar,
@@ -275,6 +253,5 @@ def specialize_complex(c, target):
         basis={i: list(b) for i, b in c.basis.items()},
         bigrade={i: list(g) for i, g in c.bigrade.items()},
         diff=diff,
-        diff2=diff2,
         offsets=dict(c.offsets),
     )

@@ -29,7 +29,7 @@ from .errors import (
     VariantRingMismatchError,
 )
 from .linalg import SparseMatrix, cancel_units
-from .ring import A0, A1, E1, E2, BivariatePoly, GENERIC, AlphaEval, RatPolyH
+from .ring import A0, A1, E1, E2, BivariatePoly, AlphaEval, RatPolyH
 
 
 def circle_value(k):
@@ -121,14 +121,6 @@ class TLMorphism:
         return TLMorphism.make(
             self.n, self.m, {t: c * poly for t, c in self.terms}
         )
-
-    def plus(self, other):
-        if (self.n, self.m) != (other.n, other.m):
-            raise ArityMismatchError("sum of morphisms of different shape")
-        out = dict(self.terms)
-        for t, c in other.terms:
-            out[t] = out.get(t, BivariatePoly()) + c
-        return TLMorphism.make(self.n, self.m, out)
 
     def __str__(self):
         if not self.terms:
@@ -429,7 +421,7 @@ def kernel_rank_experiment(n, m, ring):
     tangles = enumerate_reduced(n, m)
     entries = {}
     for k, t in enumerate(tangles):
-        mat = spin_tangle(t, GENERIC).specialize(ring)
+        mat = spin_tangle(t, ring)
         for (r, c), v in mat.entries.items():
             entries[(k, r * (1 << n) + c)] = v
     dim = (1 << n) * (1 << m)

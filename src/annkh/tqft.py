@@ -9,8 +9,8 @@ Cobordism maps are computed from the Frobenius structure in the slot
 bases.  A space is planar or annular, and that is the one choice: the
 ring picks the slot bases (:func:`make_space`) and the grading, so the
 annular theory over each ring is the annular-degree-preserving part of
-the planar one.  ``complexes.split_cube`` keeps both parts of a planar
-cube, the annular one and the adeg-raising one.
+the planar one.  :func:`annular_parts` splits a planar map into that
+part and the part raising annular degree by 2.
 
 Every elementary cobordism (merge, split, dot, birth, death) is a local
 table on its involved slots, placed on the caller's spaces with the
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .frobenius import Frobenius, basis_bidegree
 from .linalg import SparseMatrix, accumulate
-from .ring import AlphaEval, GenericAlpha
+from .ring import AlphaEval
 
 MERGE_TT = "MERGE_TT"
 SPLIT_T = "SPLIT_T"
@@ -108,9 +108,6 @@ class StateSpace:
             q += dq
             a += da
         return q, a
-
-    def adeg(self, word):
-        return self.word_bidegree(word)[1]
 
     @cached_property
     def adegs(self):
@@ -242,19 +239,6 @@ class LinearMap:
                 if self.qdeg_shift_of_entry(row, col) != expect_q:
                     return False
         return True
-
-    def specialize(self, target):
-        """Entrywise ring homomorphism image; only from the generic ring."""
-        if not isinstance(self.domain.ring, GenericAlpha):
-            raise VariantRingMismatchError("specialize needs generic entries")
-
-        def conv(space):
-            return StateSpace(target, space.planar, space.slots)
-
-        m = self.matrix.map_entries(target.specialize_poly, target)
-        return LinearMap(
-            conv(self.domain), conv(self.codomain), m, self.declared_bidegree
-        )
 
 
 def identity_map(space):
@@ -484,14 +468,6 @@ def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     return _in_theory(full)
 
 
-def full_saddle_map(sd, dom_space, cod_space):
-    """The untruncated planar map of a classified saddle, between the
-    state spaces of its two resolutions, in their slot conventions."""
-    return _saddle(
-        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved
-    )
-
-
 def truncate_adeg(m, keep=0):
     """The part of a map shifting annular degree by exactly ``keep``."""
     cod, dom = m.codomain.adegs, m.domain.adegs
@@ -529,10 +505,13 @@ def _in_theory(full):
 
 
 def annular_saddle_map(sd, dom_space, cod_space):
-    """The map of a classified saddle in its spaces' theory: the
-    adeg-preserving part of :func:`full_saddle_map` between annular
-    spaces."""
-    return _in_theory(full_saddle_map(sd, dom_space, cod_space))
+    """The map of a classified saddle between the state spaces of its
+    two resolutions, in their theory: the planar map between planar
+    spaces, its adeg-preserving part between annular ones."""
+    full = _saddle(
+        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved
+    )
+    return _in_theory(full)
 
 
 def dotted_identity_map(space, slot, dots):

@@ -1,6 +1,6 @@
 import pytest
 
-from annkh import corpus
+from annkh import corpus, tqft
 
 
 @pytest.fixture(scope="session")
@@ -9,6 +9,23 @@ def diagrams():
     for d in ds.values():
         d.ensure_valid()
     return ds
+
+
+@pytest.fixture
+def corrupted_merge(monkeypatch):
+    """Every merge table with m(1 (x) 1) doubled.  Saddle tables are
+    memoized per process, so the memo is empty before and after."""
+    original = tqft._local_merge
+
+    def corrupted(fr, *convs):
+        local = original(fr, *convs)
+        local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
+        return local
+
+    tqft.local_table.cache_clear()
+    monkeypatch.setattr(tqft, "_local_merge", corrupted)
+    yield
+    tqft.local_table.cache_clear()
 
 
 def pd_circle_count(d, u):

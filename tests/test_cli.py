@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from annkh.cli import main, parse_ring
-from annkh import tqft
+from annkh import complexes, tqft
 from annkh.corpus import write_corpus
 from annkh.diagram import dumps_diagram
 from annkh.ring import QH, alpha_eval
@@ -318,17 +319,8 @@ def test_tl_eval_refuses_the_planar_variant(capsys):
     assert err == "error: tangles evaluate through the annular theory\n"
 
 
-@pytest.fixture
-def empty_table_memo():
-    """Saddle tables are memoized per process, so a test that patches how
-    they are computed starts and ends with an empty memo."""
-    tqft.local_table.cache_clear()
-    yield
-    tqft.local_table.cache_clear()
-
-
 def test_verify_generic_fails_on_a_corrupted_merge_table(
-    capsys, corpus_dir, monkeypatch, empty_table_memo
+    capsys, corpus_dir, corrupted_merge
 ):
     # with m(1 (x) 1) = 2 instead of 1, some squares of the trefoil_left
     # cube stop commuting: d0.d0 and the d_beta identities must fail,
@@ -336,14 +328,6 @@ def test_verify_generic_fails_on_a_corrupted_merge_table(
     # 2).  trefoil_right would not do: each of its squares runs the same
     # merge, then the same split, along both paths, so any change to the
     # merge table cancels.
-    original = tqft._local_merge
-
-    def corrupted(fr, *convs):
-        local = original(fr, *convs)
-        local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
-        return local
-
-    monkeypatch.setattr(tqft, "_local_merge", corrupted)
     code, out, _ = run(
         capsys, "verify", corpus_dir / "trefoil_left.json", "--ring", "generic"
     )
@@ -352,9 +336,37 @@ def test_verify_generic_fails_on_a_corrupted_merge_table(
     assert "d_squared FAIL" in lines and "beta FAIL" in lines
 
 
+def test_verify_generic_fails_beta_alone_on_a_doubled_d2(
+    capsys, corpus_dir, monkeypatch
+):
+    # doubling the adeg +2 part of the maps at crossing 0 leaves d0 and
+    # every truncation alone, so only the d_beta identities can see it
+    original = complexes.build_cube
+
+    def doubled(*args, **kwargs):
+        cube = original(*args, **kwargs)
+        edges = [
+            replace(e, map=e.map.add(tqft.annular_parts(e.map)[1]))
+            if e.coordinate == 0
+            else e
+            for e in cube.edges
+        ]
+        return replace(cube, edges=edges)
+
+    monkeypatch.setattr(complexes, "build_cube", doubled)
+    code, out, err = run(
+        capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "d_squared PASS\ngrading PASS\nsplitting PASS\n"
+        "functoriality PASS\nbeta FAIL\n"
+    )
+
+
 def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatch):
     # one more essential codomain circle makes every adeg shift odd
-    original = tqft.full_saddle_map
+    original = tqft._saddle
 
     def shifted(*args, **kwargs):
         m = original(*args, **kwargs)
@@ -363,7 +375,7 @@ def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatc
         extra = tqft.StateSpace(cod.ring, cod.planar, slots)
         return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries), m.declared_bidegree)
 
-    monkeypatch.setattr(tqft, "full_saddle_map", shifted)
+    monkeypatch.setattr(tqft, "_saddle", shifted)
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )

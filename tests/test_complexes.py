@@ -10,12 +10,15 @@ from annkh.complexes import (
     build_cube,
     sign_assignment,
     specialize_complex,
-    split_cube,
     verify_beta,
     verify_d_squared,
     verify_grading,
 )
-from annkh.errors import UnsupportedRingError, VariantRingMismatchError
+from annkh.errors import (
+    InvariantError,
+    UnsupportedRingError,
+    VariantRingMismatchError,
+)
 from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, alpha_eval
 
@@ -110,10 +113,23 @@ def test_grading_contract_corpus(diagrams):
             assert verify_grading(c) is None, (name, ring, planar)
 
 
+def _shift_part(c, i, shift):
+    """The entries of c.diff[i] that shift annular degree by ``shift``."""
+    src, dst = c.bigrade[i], c.bigrade[i + 1]
+    m = c.diff[i]
+    kept = {
+        (r, col): v
+        for (r, col), v in m.entries.items()
+        if dst[r][1] - src[col][1] == shift
+    }
+    return SparseMatrix.wrap(c.ring, m.nrows, m.ncols, kept)
+
+
 def test_grading_allows_an_adeg_raise_only_when_planar(diagrams):
     d = diagrams["trefoil_right"]
-    c = assemble(split_cube(build_cube(d, GENERIC, planar=True)))
-    raised = replace(c, diff=c.diff2)
+    c = build_complex(d, GENERIC, planar=True)
+    d2 = {i: _shift_part(c, i, 2) for i in c.diff}
+    raised = replace(c, planar=False, diff=d2)
     assert any(m.entries for m in raised.diff.values())
     assert verify_grading(raised)[3] == "adeg"
     assert verify_grading(replace(raised, planar=True)) is None
@@ -207,9 +223,57 @@ def test_beta_identities_corpus(diagrams):
     for name, d in diagrams.items():
         if d.n_crossings == 0:
             continue
-        c = assemble(split_cube(build_cube(d, GENERIC, planar=True)))
-        rep = verify_beta(c)
+        rep = verify_beta(build_complex(d, GENERIC, planar=True))
         assert all(v is None for v in rep.values()), (name, rep)
+
+
+def four_product_beta(c):
+    """Oracle for verify_beta: split the planar differential into d0 and
+    d2 by annular-degree shift and take the four products separately."""
+    d0 = {i: _shift_part(c, i, 0) for i in c.diff}
+    d2 = {i: _shift_part(c, i, 2) for i in c.diff}
+    report = {}
+    for name, prod in (
+        ("d0d0", lambda i: d0[i + 1] @ d0[i]),
+        ("d0d2+d2d0", lambda i: (d0[i + 1] @ d2[i]) + (d2[i + 1] @ d0[i])),
+        ("d2d2", lambda i: d2[i + 1] @ d2[i]),
+    ):
+        report[name] = None
+        for i in c.degrees[:-2]:
+            m = prod(i)
+            if not m.is_zero():
+                (r, col), v = sorted(m.entries.items())[0]
+                report[name] = (i, r, col, v)
+                break
+    return report
+
+
+def test_verify_beta_matches_the_four_product_oracle(diagrams):
+    for name, d in sorted(diagrams.items()):
+        c = build_complex(d, GENERIC, planar=True)
+        assert verify_beta(c) == four_product_beta(c), name
+
+
+def test_verify_beta_matches_the_oracle_on_a_corrupted_merge(
+    diagrams, corrupted_merge
+):
+    failed = set()
+    for name, d in sorted(diagrams.items()):
+        c = build_complex(d, GENERIC, planar=True)
+        rep = verify_beta(c)
+        assert rep == four_product_beta(c), name
+        failed |= {k for k, v in rep.items() if v is not None}
+    assert "d0d0" in failed
+
+
+def test_verify_beta_rejects_a_shift_outside_0_2_4(diagrams, corrupted_merge):
+    c = build_complex(diagrams["trefoil_left"], GENERIC, planar=True)
+    assert verify_beta(c)["d0d0"] is not None
+    top = c.degrees[0] + 2
+    odd = dict(c.bigrade)
+    odd[top] = [(q, a + 1) for q, a in c.bigrade[top]]
+    with pytest.raises(InvariantError, match="shifts adeg by"):
+        verify_beta(replace(c, bigrade=odd))
 
 
 def test_dump_is_deterministic(diagrams):
@@ -225,11 +289,11 @@ def test_edge_blocks_are_disjoint(diagrams):
     """assemble places edge entries without summing: every entry of
     every edge map lands in the differential, none on another."""
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
-        cube = split_cube(build_cube(diagrams[name], GENERIC, planar=True))
-        c = assemble(cube)
-        for k, diff in ((0, c.diff), (1, c.diff2)):
-            placed = sum(len(m.entries) for m in diff.values())
-            assert placed == sum(len(e.map[k].entries) for e in cube.edges)
+        for planar in (False, True):
+            cube = build_cube(diagrams[name], GENERIC, planar)
+            c = assemble(cube)
+            placed = sum(len(m.entries) for m in c.diff.values())
+            assert placed == sum(len(e.map.entries) for e in cube.edges)
 
 
 def test_gradedness_flags(diagrams):
@@ -249,47 +313,28 @@ def test_gf2_build(diagrams):
     assert verify_grading(c) is None
 
 
-def test_split_cube_matches_the_built_annular_and_beta_cubes(diagrams):
-    # verify --ring generic derives both families from one planar cube
+def test_annular_parts_of_the_planar_cube_are_the_annular_cube(diagrams):
+    # verify --ring generic takes the annular maps from the planar cube
     for name, d in sorted(diagrams.items()):
-        derived = split_cube(build_cube(d, GENERIC, planar=True))
-        built_ann = build_cube(d, GENERIC)
-        built_beta = split_cube(build_cube(d, GENERIC, planar=True))
-        assert derived.split and not derived.planar
-        assert not built_ann.split and not built_ann.planar
-        keys = [(e.u, e.v) for e in derived.edges]
-        assert keys == [(e.u, e.v) for e in built_ann.edges], name
-        assert keys == [(e.u, e.v) for e in built_beta.edges], name
-        for e, ea, eb in zip(derived.edges, built_ann.edges, built_beta.edges):
-            d0, d2 = e.map
+        planar = build_cube(d, GENERIC, planar=True)
+        annular = build_cube(d, GENERIC)
+        keys = [(e.u, e.v) for e in planar.edges]
+        assert keys == [(e.u, e.v) for e in annular.edges], name
+        for e, ea in zip(planar.edges, annular.edges):
+            d0 = tqft.annular_parts(e.map)[0]
             assert d0.entries == ea.map.entries, (name, e.u, e.v)
-            assert d0.entries == eb.map[0].entries, (name, e.u, e.v)
-            assert d2.entries == eb.map[1].entries, (name, e.u, e.v)
             assert d0.declared_bidegree == ea.map.declared_bidegree
-            assert d2.declared_bidegree == eb.map[1].declared_bidegree
-        c, cb = assemble(derived), assemble(built_beta)
-        assert (c.basis, c.bigrade, c.offsets) == (cb.basis, cb.bigrade, cb.offsets)
-        for i in c.diff:
-            assert c.diff[i].entries == cb.diff[i].entries, (name, i)
-            assert c.diff2[i].entries == cb.diff2[i].entries, (name, i)
 
 
-def test_split_cube_needs_a_planar_cube(diagrams):
-    cube = build_cube(diagrams["hopf_null"], GENERIC)
+def test_verify_beta_needs_the_planar_complex(diagrams):
+    c = build_complex(diagrams["hopf_null"], GENERIC)
     with pytest.raises(VariantRingMismatchError):
-        split_cube(cube)
-    # a split cube is not planar either, so it does not split again
-    split = split_cube(build_cube(diagrams["hopf_null"], GENERIC, planar=True))
-    with pytest.raises(VariantRingMismatchError):
-        split_cube(split)
+        verify_beta(c)
 
 
-def test_split_cube_parts_are_the_truncations(diagrams):
+def test_annular_parts_are_the_truncations(diagrams):
     for name, d in sorted(diagrams.items()):
-        full = build_cube(d, GENERIC, planar=True)
-        for e, eb in zip(full.edges, split_cube(full).edges):
-            d0, d2 = eb.map
+        for e in build_cube(d, GENERIC, planar=True).edges:
+            d0, d2 = tqft.annular_parts(e.map)
             assert d0.entries == tqft.truncate_adeg(e.map, 0).entries, name
             assert d2.entries == tqft.truncate_adeg(e.map, 2).entries, name
-
-

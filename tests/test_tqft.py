@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from annkh import tqft
-from annkh.complexes import build_cube, split_cube
+from annkh.complexes import build_cube
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import AnnkhError, VariantRingMismatchError
 from annkh import frobenius as fb
@@ -55,7 +55,7 @@ def test_state_space_two_essential(diagrams):
     rd = diagrams["unlink2_essential"].resolve(())
     sp = tqft.state_space(rd, GENERIC)
     assert sp.rank == 4
-    assert sorted(sp.adeg(w) for w in sp.words()) == [-2, 0, 0, 2]
+    assert sorted(sp.adegs) == [-2, 0, 0, 2]
     assert [s.convention for s in sp.slots] == ["V", "V_PRIME"]
 
 
@@ -481,7 +481,7 @@ def test_commuting_square_with_zero_specialization(diagrams):
         cube_z = build_cube(d, INT)
         zmaps = {(e.u, e.v): e.map for e in cube_z.edges}
         for e in cube_a.edges:
-            spec = e.map.specialize(INT)
+            spec = e.map.matrix.map_entries(INT.specialize_poly, INT)
             assert spec.entries == zmaps[(e.u, e.v)].entries, (name, e.u)
 
 
@@ -512,14 +512,11 @@ def test_double_merge_associativity(diagrams):
     assert lhs.entries == rhs.entries
 
 
-def test_beta_pair_reassembles_full_map(diagrams):
+def test_annular_parts_reassemble_the_planar_map(diagrams):
     d = diagrams["trefoil_right"]
-    cube_full = build_cube(d, GENERIC, planar=True)
-    cube_beta = split_cube(build_cube(d, GENERIC, planar=True))
-    full = {(e.u, e.v): e.map for e in cube_full.edges}
-    for e in cube_beta.edges:
-        d0, d2 = e.map
-        assert d0.add(d2).entries == full[(e.u, e.v)].entries
+    for e in build_cube(d, GENERIC, planar=True).edges:
+        d0, d2 = tqft.annular_parts(e.map)
+        assert d0.add(d2).entries == e.map.entries
 
 
 def test_annular_saddle_map_rejects_an_odd_adeg_shift(monkeypatch):
@@ -527,9 +524,10 @@ def test_annular_saddle_map_rejects_an_odd_adeg_shift(monkeypatch):
     cod = space(INT, ANNULAR, [(False, None)])
     shifted = tqft.LinearMap.wrap(dom, cod, {(0, 0): 1}, (1, None))
     assert set(shifted.adeg_split()) == {1}
-    monkeypatch.setattr(tqft, "full_saddle_map", lambda sd, dom, cod: shifted)
+    monkeypatch.setattr(tqft, "_saddle", lambda *args: shifted)
+    sd = tqft.SaddleDescriptor(tqft.TYPE_III, 0, None, None, (0,), (0,), ())
     with pytest.raises(AnnkhError, match=r"shifts adeg by \[1\]"):
-        tqft.annular_saddle_map(None, dom, cod)
+        tqft.annular_saddle_map(sd, dom, cod)
 
 
 def test_memoized_tables_are_not_shared_across_rings(diagrams):
