@@ -1,10 +1,9 @@
-"""Annular link diagrams with exact rational geometry.
+"""Annular link diagrams with exact integer geometry.
 
 A diagram lives in the plane punctured at the origin; the reference ray
 is the positive x-axis.  Crossings are PD records: four edge identifiers
 in counterclockwise order starting from the incoming under-strand.
-Edges are polylines with Fraction coordinates whose open ends meet at
-crossing points.
+Edges are polylines whose open ends meet at crossing points.
 
 Smoothing convention (ends numbered 1..4 as in the PD record): the
 0-smoothing joins ends 1-2 and 3-4, the 1-smoothing joins 1-4 and 2-3.
@@ -13,15 +12,21 @@ around the puncture, computed from signed crossings of the reference
 ray, and essential circles are ordered innermost to outermost by the
 radius of their innermost ray crossing.
 
-Plane geometry is done once per diagram.  Validation scales every
-coordinate by the LCM of the denominators, so its predicates run on
-ints, and a sweep over segment bounding boxes sends only the pairs whose
-boxes meet to the exact intersection test.  Validation then truncates
-each edge at its crossing disks and records, per truncated edge, its
-ray stations and its least point.  ``resolve`` traces the circles of a
-smoothing through the PD slots and concatenates that per-arc data, with
-the stations of the chords across the crossing disks computed once, on
-first use.
+Coordinates are parsed once into Fractions, which are kept only to name
+points in violations and to write the diagram back out.  All geometry
+after parsing runs on ints.  Every coordinate is scaled by the LCM of
+the denominators; a positive scale keeps the sign of every orientation
+test and comparison, so validation's predicates are exact on ints, and
+a sweep over segment bounding boxes sends only the pairs whose boxes
+meet to the exact intersection test.  Validation then truncates each
+edge at its crossing disks, at cut points p + 2^-j (n - p), and scales
+once more by 2^J, J the largest j, so that the cuts are int points too:
+the working scale ``AnnularDiagram.scale``.  Per truncated edge it
+records the points, the ray stations and the least point.  ``resolve``
+traces the circles of a smoothing through the PD slots and concatenates
+that per-arc data, with the stations of the chords across the crossing
+disks computed once, on first use.  A station's radius
+cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
 """
 
 from __future__ import annotations
@@ -45,12 +50,49 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# exact planar predicates (on Fractions or on ints)
+# parsing
 
 
-def _pt(xy):
-    x, y = xy
-    return (Fraction(x), Fraction(y))
+def _parse_edges(edges):
+    """Each edge's points as Fraction pairs.  A malformed edge list or
+    coordinate raises ValueError naming the edge."""
+    try:
+        items = list(edges.items())
+    except AttributeError:
+        raise ValueError("edges must map edge ids to point lists") from None
+    out = {}
+    for eid, pts in items:
+        if not isinstance(pts, (list, tuple)):
+            raise ValueError(f"edge {eid}: points must be a list, not {pts!r}")
+        out[str(eid)] = [_pt(eid, p) for p in pts]
+    return out
+
+
+def _pt(eid, xy):
+    try:
+        if not isinstance(xy, (list, tuple)):
+            raise TypeError("a point is a list of two coordinates")
+        x, y = xy
+        return (Fraction(x), Fraction(y))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
+
+
+def _scaled(edges):
+    """The LCM S of all denominators, and every point times S as ints."""
+    scale = lcm(*(c.denominator for pts in edges.values() for p in pts for c in p))
+    return scale, {
+        eid: [
+            (x.numerator * (scale // x.denominator),
+             y.numerator * (scale // y.denominator))
+            for x, y in pts
+        ]
+        for eid, pts in edges.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# exact planar predicates (on ints; the tests also run them on Fractions)
 
 
 def _sub(a, b):
@@ -71,15 +113,17 @@ def _dist2(a, b):
 
 
 def _point_seg_dist2(p, a, b):
+    """The squared distance from p to the segment ab, as a pair
+    (num, den) of ints with den > 0."""
     ab, ap = _sub(b, a), _sub(p, a)
     dot = ap[0] * ab[0] + ap[1] * ab[1]
     if dot <= 0:
-        return _dist2(p, a)
+        return _dist2(p, a), 1
     denom = ab[0] * ab[0] + ab[1] * ab[1]
     if dot >= denom:
-        return _dist2(p, b)
+        return _dist2(p, b), 1
     # the foot of the perpendicular lies inside the segment
-    return Fraction(_cross(ab, ap) ** 2, denom)
+    return _cross(ab, ap) ** 2, denom
 
 
 def _on_segment(a, b, p):
@@ -176,7 +220,7 @@ def _ang_cmp(u, v):
 
 def signed_area_twice(points):
     """Twice the shoelace area; positive for counterclockwise traversal."""
-    total = Fraction(0)
+    total = 0
     n = len(points)
     for i in range(n):
         total += _cross(points[i], points[(i + 1) % n])
@@ -209,15 +253,19 @@ def point_winding(points, p):
 def _station(a, b):
     """Where the segment from a to b crosses the positive x-axis, as
     (x, sign), or None.  The rule is half-open at y = 0 on both ends, so
-    the segment from b to a gives (x, -sign)."""
+    the segment from b to a gives (x, -sign).  For int points x is the
+    Fraction cross(a, b) / (b_y - a_y)."""
     if a[1] <= 0 < b[1]:
         sign = 1
     elif b[1] <= 0 < a[1]:
         sign = -1
     else:
         return None
-    x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
-    return (x, sign) if x > 0 else None
+    num = _cross(a, b)
+    # the denominator b_y - a_y has the sign of the crossing
+    if num * sign <= 0:
+        return None
+    return (Fraction(num, b[1] - a[1]), sign)
 
 
 def _polyline_stations(points):
@@ -239,11 +287,18 @@ def ray_stations(points):
 
 @dataclass(frozen=True)
 class Circle:
-    """One closed curve of a resolved diagram."""
+    """One closed curve of a resolved diagram.
 
-    points: tuple  # closed polyline, first point not repeated
+    ``points`` is a closed polyline, first point not repeated, of int
+    points in the diagram's working coordinates: the diagram's own
+    coordinates times ``AnnularDiagram.scale``.  ``stations`` lists the
+    crossings of the reference ray in traversal order as (radius, sign),
+    the radius a Fraction in the same coordinates.
+    """
+
+    points: tuple
     edge_ids: frozenset
-    stations: tuple  # (radius, sign) in traversal order
+    stations: tuple
     winding: int
     essential: bool
     essential_index: object = None  # 1-based, innermost first; None if trivial
@@ -251,15 +306,6 @@ class Circle:
     @property
     def min_station(self):
         return min((x for x, _ in self.stations), default=None)
-
-
-def winding_number(circle):
-    """Signed station sum; embedded circles satisfy |w| <= 1."""
-    if abs(circle.winding) > 1:
-        raise EmbeddingViolationError(
-            f"circle winds {circle.winding} times around the puncture"
-        )
-    return circle.winding
 
 
 @dataclass(frozen=True)
@@ -314,9 +360,11 @@ class AnnularDiagram:
 
     def __init__(self, crossings, edges, components, orientations):
         self.crossings = [tuple(c) for c in crossings]
-        self.edges = {
-            str(e): [_pt(p) for p in pts] for e, pts in edges.items()
-        }
+        # the parsed Fractions name points in violations and serialize;
+        # all geometry runs on the int copy, times the LCM of denominators
+        self.edges = _parse_edges(edges)
+        self._lcm, self._int_edges = _scaled(self.edges)
+        self._scale = None
         self.components = [tuple(str(e) for e in comp) for comp in components]
         self.orientations = list(orientations)
         self._violations = None
@@ -328,6 +376,13 @@ class AnnularDiagram:
         self._end_lookup = None
         self._crossing_edges = None
         self._resolve_cache = {}
+
+    @property
+    def scale(self):
+        """The working scale: circles of ``resolve`` have int points, the
+        diagram's coordinates times this positive int."""
+        self.ensure_valid()
+        return self._scale
 
     @property
     def n_crossings(self):
@@ -367,16 +422,19 @@ class AnnularDiagram:
         if out:
             return out
         out.extend(self._validate_components())
-        scale, segs, cross = self._int_geometry()
-        out.extend(self._validate_geometry(scale, segs, cross))
+        segs = [
+            (eid, i, pts[i], pts[i + 1])
+            for eid, pts in self._int_edges.items()
+            for i in range(len(pts) - 1)
+        ]
+        out.extend(self._validate_geometry(segs))
         if not out:
-            self._prepare_cuts(scale, segs, cross)
-            self._prepare_arcs()
+            self._prepare_arcs(self._prepare_cuts(segs))
         return out
 
     def _validate_structure(self):
         out = []
-        for eid, pts in self.edges.items():
+        for eid, pts in self._int_edges.items():
             if len(pts) < 2:
                 out.append(
                     Violation(ENDPOINT_MISMATCH, f"edge {eid}", "too few points")
@@ -406,7 +464,7 @@ class AnnularDiagram:
                             f"unknown edge {eid}",
                         )
                     )
-        for eid, pts in self.edges.items():
+        for eid, pts in self._int_edges.items():
             if len(pts) >= 2 and self._edge_is_closed(eid) and pts[0] != pts[-1]:
                 out.append(
                     Violation(
@@ -447,7 +505,7 @@ class AnnularDiagram:
 
         role: 'head' (position 1), 'tail' (position 3), or 'any'.
         """
-        pts = self.edges[eid]
+        pts = self._int_edges[eid]
         if self._edge_is_closed(eid):
             return []
         cands = []
@@ -459,7 +517,7 @@ class AnnularDiagram:
 
     def _match_crossing(self, k):
         rec = self.crossings[k]
-        first = self.edges[rec[0]]
+        first = self._int_edges[rec[0]]
         if self._edge_is_closed(rec[0]):
             return None, None, Violation(
                 ENDPOINT_MISMATCH, f"crossing {k}", f"closed edge {rec[0]}"
@@ -578,31 +636,12 @@ class AnnularDiagram:
             )
         return out
 
-    def _int_geometry(self):
-        """Every coordinate times the LCM of all denominators.  A positive
-        scale keeps the sign of every orientation test and comparison, so
-        the geometric predicates run on ints.
-
-        Returns the scale, the scaled segments as (edge, index, a, b) and
-        the scaled crossing points.
-        """
-        scale = lcm(
-            *(c.denominator for pts in self.edges.values() for p in pts for c in p)
-        )
-
-        def up(p):
-            return tuple(c.numerator * (scale // c.denominator) for c in p)
-
-        segs = []
-        for eid, pts in self.edges.items():
-            scaled = [up(p) for p in pts]
-            for i in range(len(scaled) - 1):
-                segs.append((eid, i, scaled[i], scaled[i + 1]))
-        return scale, segs, [up(p) for p in self._cross_pts]
-
-    def _validate_geometry(self, scale, segs, cross):
+    def _validate_geometry(self, segs):
+        """Ray tangencies, the puncture on a segment, and segments that
+        meet away from their shared ends, on the LCM-scaled segments."""
         out = []
         origin = (0, 0)
+        cross = self._cross_pts
         cross_pts = set(cross)
         # segments adjacent to each crossing point
         adj_lookup = {}
@@ -611,15 +650,16 @@ class AnnularDiagram:
                 idx = 0 if e.end == 0 else len(self.edges[e.edge]) - 2
                 adj_lookup.setdefault((e.edge, idx), set()).add(cross[k])
 
-        for eid, pts in self.edges.items():
-            for p in pts:
+        for eid, pts in self._int_edges.items():
+            for p, at in zip(pts, self.edges[eid]):
                 if p[1] == 0 and p[0] > 0:
                     out.append(
-                        Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {p}")
+                        Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {at}")
                     )
-        for k, p in enumerate(self._cross_pts):
+        for k, p in enumerate(cross):
             if p[1] == 0 and p[0] > 0:
-                out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(p)))
+                at = self.edges[self.crossings[k][0]][-1]
+                out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(at)))
 
         closed = {eid: self._edge_is_closed(eid) for eid in self.edges}
         nsegs = {eid: len(self.edges[eid]) - 1 for eid in self.edges}
@@ -662,7 +702,7 @@ class AnnularDiagram:
                         shared = {a1, b1} & {a2, b2}
                         ok = pt in shared
                 if not ok:
-                    at = (Fraction(pt[0], scale), Fraction(pt[1], scale))
+                    at = (Fraction(pt[0], self._lcm), Fraction(pt[1], self._lcm))
                     out.append(
                         Violation(
                             SELF_INTERSECTION,
@@ -674,62 +714,75 @@ class AnnularDiagram:
 
     # -- crossing disks and truncation --------------------------------------
 
-    def _prepare_cuts(self, scale, segs, cross):
-        """Cut each end of a crossing inside the disk whose radius is half
-        the crossing's distance to the nearest other feature (segment or
-        crossing), halving t until the cut lies inside it."""
+    def _prepare_cuts(self, segs):
+        """Cut each end of a crossing p, toward its neighbor n, at
+        p + 2^-j (n - p) for the least j >= 1 that puts the cut inside
+        the disk whose radius is half the crossing's distance to the
+        nearest other feature (segment or crossing).  Each j is decided
+        by an int comparison on the LCM-scaled points.
+
+        Returns J, the largest j.  The cuts are stored as int points at
+        the working scale, the LCM times 2^J."""
         boxes = [_box(a, b) for _, _, a, b in segs]
-        cuts = {}
+        cross = self._cross_pts
+        steps = {}
         for k, combo in enumerate(self._ends):
             c = cross[k]
             adjacent = set()
             for e in combo:
                 pts = self.edges[e.edge]
                 adjacent.add((e.edge, 0 if e.end == 0 else len(pts) - 2))
-            delta2 = None
-            for k2, c2 in enumerate(cross):
-                if k2 != k:
-                    d2 = _dist2(c, c2)
-                    if delta2 is None or d2 < delta2:
-                        delta2 = d2
+            # the squared distance to the nearest other feature, num / den
+            num = min(
+                (_dist2(c, c2) for k2, c2 in enumerate(cross) if k2 != k),
+                default=None,
+            )
+            den = 1
             # nearest boxes first; a box's distance bounds its segment's
             near = sorted((_box_dist2(c, box), i) for i, box in enumerate(boxes))
             for bound, i in near:
-                if delta2 is not None and bound >= delta2:
+                if num is not None and bound * den >= num:
                     break
                 eid, idx, a, b = segs[i]
                 if (eid, idx) in adjacent:
                     continue
-                d2 = _point_seg_dist2(c, a, b)
-                if delta2 is None or d2 < delta2:
-                    delta2 = d2
-            if delta2 is None:
-                delta2 = 4 * scale * scale  # isolated crossing, any radius works
-            # back to the diagram's own coordinates
-            rho2 = Fraction(delta2) / (4 * scale * scale)
-            p = self._cross_pts[k]
+                n2, d2 = _point_seg_dist2(c, a, b)
+                if num is None or n2 * den < num * d2:
+                    num, den = n2, d2
+            if num is None:
+                # an isolated crossing: any disk works, so take radius 1
+                num, den = 4 * self._lcm * self._lcm, 1
             for q, e in enumerate(combo):
-                t = Fraction(1, 2)
-                d2 = _dist2(p, e.neighbor)
-                while t * t * d2 >= rho2:
-                    t /= 2
-                cuts[(k, q)] = (
-                    p[0] + t * (e.neighbor[0] - p[0]),
-                    p[1] + t * (e.neighbor[1] - p[1]),
-                )
+                # the cut at t = 2^-j lies in the disk once
+                # t^2 |n - p|^2 < (num / den) / 4
+                far = 4 * _dist2(c, e.neighbor) * den
+                j = 1
+                while far >= num << (2 * j):
+                    j += 1
+                steps[(k, q)] = j
+        top = max(steps.values(), default=0)
+        cuts = {}
+        for (k, q), j in steps.items():
+            p, n = cross[k], self._ends[k][q].neighbor
+            cuts[(k, q)] = (
+                (p[0] << top) + ((n[0] - p[0]) << (top - j)),
+                (p[1] << top) + ((n[1] - p[1]) << (top - j)),
+            )
         self._cuts = cuts
+        return top
 
-    def _prepare_arcs(self):
-        """Per truncated edge and direction: its points, its ray stations
-        in traversal order and its least point."""
+    def _prepare_arcs(self, top):
+        """Per truncated edge and direction: its points at the working
+        scale, its ray stations in traversal order and its least point."""
+        self._scale = self._lcm << top
         arcs = {}
-        for eid, pts in self.edges.items():
+        for eid, pts in self._int_edges.items():
+            run = [(x << top, y << top) for x, y in pts]
             if self._edge_is_closed(eid):
-                loop = tuple(pts[:-1])
-                for fwd, run in ((True, loop), (False, loop[::-1])):
-                    arcs[(eid, fwd)] = (run, tuple(ray_stations(run)), min(run))
+                loop = tuple(run[:-1])
+                for fwd, r in ((True, loop), (False, loop[::-1])):
+                    arcs[(eid, fwd)] = (r, tuple(ray_stations(r)), min(r))
                 continue
-            run = list(pts)
             tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
             run[0], run[-1] = self._cuts[tail], self._cuts[head]
             run = tuple(run)
@@ -892,10 +945,6 @@ class AnnularDiagram:
             for k in range(self.n_crossings)
         )
         return u, self.resolve(u, oriented=choice)
-
-
-def all_smoothings(n):
-    return product((0, 1), repeat=n)
 
 
 def all_orientations(diagram):

@@ -230,6 +230,32 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("point", '["1/0", "1"]', "edge e0: bad point"),
+        ("point", "null", "edge e0: bad point"),
+        ("point", '[1e400, "1"]', "edge e0: bad point"),
+        # a string of two characters is not a point
+        ("point", '"12"', "edge e0: bad point"),
+        ("edges", "[]", "edges must map"),
+    ],
+)
+def test_malformed_coordinates_are_input_errors(
+    capsys, corpus_dir, tmp_path, key, value, named
+):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    if key == "point":
+        data["edges"]["e0"][1] = "@"
+    else:
+        data["edges"] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@"', value))
+    code, out, err = run(capsys, "homology", bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: {named}"), err
+
+
 def test_homology_rejects_generic_before_building(capsys, corpus_dir, monkeypatch):
     from annkh import complexes
 

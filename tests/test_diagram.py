@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from annkh.diagram import (
     _on_segment,
     _orient,
     all_orientations,
-    all_smoothings,
     cube_edge_pairs,
     is_counterclockwise,
     load_diagram,
@@ -23,7 +23,6 @@ from annkh.diagram import (
     nudged,
     point_winding,
     ray_stations,
-    winding_number,
 )
 from annkh.errors import (
     ENDPOINT_MISMATCH,
@@ -35,6 +34,19 @@ from annkh.errors import (
 )
 
 from conftest import pd_circle_count
+
+
+def all_smoothings(n):
+    return product((0, 1), repeat=n)
+
+
+def winding_number(circle):
+    """Signed station sum; embedded circles satisfy |w| <= 1."""
+    if abs(circle.winding) > 1:
+        raise EmbeddingViolationError(
+            f"circle winds {circle.winding} times around the puncture"
+        )
+    return circle.winding
 
 
 def square(cx, cy, r):
@@ -330,6 +342,18 @@ def reference_seg_intersection(p1, p2, p3, p4):
     return None
 
 
+def fraction_crossings(d):
+    """The crossing points in the diagram's own Fraction coordinates: the
+    head of each crossing's incoming under-strand."""
+    return [d.edges[rec[0]][-1] for rec in d.crossings]
+
+
+def fraction_neighbor(d, e):
+    """The point next to an end's crossing along its edge, in Fractions."""
+    pts = d.edges[e.edge]
+    return pts[1] if e.end == 0 else pts[-2]
+
+
 def all_pairs_validate(d):
     """The validator before the box sweep: every pair of segments goes
     through the exact test, in Fraction arithmetic."""
@@ -341,17 +365,18 @@ def all_pairs_validate(d):
         return out
     out = d._validate_components()
     origin = (Fraction(0), Fraction(0))
-    cross_pts = set(d._cross_pts)
+    crossings = fraction_crossings(d)
+    cross_pts = set(crossings)
     adj_lookup = {}
     for k, combo in enumerate(d._ends):
         for e in combo:
             idx = 0 if e.end == 0 else len(d.edges[e.edge]) - 2
-            adj_lookup.setdefault((e.edge, idx), set()).add(d._cross_pts[k])
+            adj_lookup.setdefault((e.edge, idx), set()).add(crossings[k])
     for eid, pts in d.edges.items():
         for p in pts:
             if p[1] == 0 and p[0] > 0:
                 out.append(Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {p}"))
-    for k, p in enumerate(d._cross_pts):
+    for k, p in enumerate(crossings):
         if p[1] == 0 and p[0] > 0:
             out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(p)))
     segs = [
@@ -487,20 +512,22 @@ def reference_truncation(d):
         for i in range(len(pts) - 1)
     ]
     trunc = {eid: list(pts) for eid, pts in d.edges.items()}
+    crossings = fraction_crossings(d)
     for k, combo in enumerate(d._ends):
-        p = d._cross_pts[k]
+        p = crossings[k]
         adjacent = {
             (e.edge, 0 if e.end == 0 else len(d.edges[e.edge]) - 2) for e in combo
         }
         dists = [reference_point_seg_dist2(p, a, b) for eid, i, a, b in segs
                  if (eid, i) not in adjacent]
-        dists += [_dist2(p, p2) for k2, p2 in enumerate(d._cross_pts) if k2 != k]
+        dists += [_dist2(p, p2) for k2, p2 in enumerate(crossings) if k2 != k]
         rho2 = min(dists, default=Fraction(4)) / 4
         for e in combo:
+            n = fraction_neighbor(d, e)
             t = Fraction(1, 2)
-            while t * t * _dist2(p, e.neighbor) >= rho2:
+            while t * t * _dist2(p, n) >= rho2:
                 t /= 2
-            cut = (p[0] + t * (e.neighbor[0] - p[0]), p[1] + t * (e.neighbor[1] - p[1]))
+            cut = (p[0] + t * (n[0] - p[0]), p[1] + t * (n[1] - p[1]))
             trunc[e.edge][0 if e.end == 0 else -1] = cut
     return trunc
 
@@ -530,9 +557,11 @@ def test_pruned_nearest_feature_gives_the_same_cuts(oracle_cases):
     for name, d in oracle_cases.items():
         if not d.is_valid():
             continue
+        scale = d.scale
         for eid, pts in reference_truncation(d).items():
             if not d._edge_is_closed(eid):
-                assert d._arcs[(eid, True)][0] == tuple(pts), (name, eid)
+                want = tuple((x * scale, y * scale) for x, y in pts)
+                assert d._arcs[(eid, True)][0] == want, (name, eid)
 
 
 def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
@@ -565,3 +594,115 @@ def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
     monkeypatch.setattr(diagram, "_seg_intersection", counting)
     assert d.is_valid()
     assert 0 < len(calls) <= 3 * nsegs
+
+
+# ---------------------------------------------------------------------------
+# oracles for the int working coordinates: the Fraction predicates as they
+# were before the geometry after parsing moved to ints
+
+
+def reference_signed_area_twice(points):
+    total = Fraction(0)
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        total += a[0] * b[1] - a[1] * b[0]
+    return total
+
+
+def reference_point_winding(points, p):
+    wn = 0
+    n = len(points)
+    for i in range(n):
+        a = points[i]
+        b = points[(i + 1) % n]
+        left = _orient(a, b, p)
+        if a[1] <= p[1]:
+            if b[1] > p[1] and left > 0:
+                wn += 1
+        else:
+            if b[1] <= p[1] and left < 0:
+                wn -= 1
+    return wn
+
+
+def reference_nesting_depth(polylines, index):
+    probe = polylines[index][0]
+    return sum(
+        1
+        for j, other in enumerate(polylines)
+        if j != index and reference_point_winding(other, probe) != 0
+    )
+
+
+def reference_ray_stations(points):
+    out = []
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        if a[1] <= 0 < b[1]:
+            sign = 1
+        elif b[1] <= 0 < a[1]:
+            sign = -1
+        else:
+            continue
+        x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
+        if x > 0:
+            out.append((x, sign))
+    return out
+
+
+def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
+    essential_seen = 0
+    for name, d in oracle_cases.items():
+        if not d.is_valid():
+            continue
+        scale = d.scale
+        assert type(scale) is int and scale > 0
+        rds = [d.resolve(u) for u in all_smoothings(d.n_crossings)]
+        rds += [d.oriented_resolution(o)[1] for o in all_orientations(d)]
+        for rd in rds:
+            where = (name, rd.smoothing)
+            # the circles back in the diagram's own coordinates
+            plain = [
+                tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in c.points)
+                for c in rd.circles
+            ]
+            innermost = []
+            for idx, c in enumerate(rd.circles):
+                assert all(type(v) is int for p in c.points for v in p), where
+                assert all(type(x) in (int, Fraction) for x, _ in c.stations), where
+                stations = reference_ray_stations(plain[idx])
+                assert [(x / scale, s) for x, s in c.stations] == stations, where
+                assert nesting_depth(rd, idx) == reference_nesting_depth(plain, idx)
+                ccw = reference_signed_area_twice(plain[idx]) > 0
+                assert is_counterclockwise(c) == ccw, where
+                if c.essential:
+                    innermost.append(min(x for x, _ in stations))
+            # essential circles come innermost first, at distinct radii
+            assert innermost == sorted(set(innermost)), where
+            essential_seen += len(innermost)
+    assert essential_seen > 0
+
+
+def test_loading_builds_no_fractions_beyond_the_coordinates(monkeypatch):
+    from annkh import cli, homology
+
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    path = Path(__file__).resolve().parent.parent / "corpus" / "braid3_r3_a.json"
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    d = cli.load(path)
+    coordinates = sum(2 * len(pts) for pts in d.edges.values())
+    # the rest are the few ray-station radii of the truncated edges
+    stations = sum(len(st) for _, st, _ in d._arcs.values()) // 2
+    assert len(made) == coordinates + stations
+    made.clear()
+    for o in all_orientations(d):
+        homology.canonical_generator(d, o)
+    assert made == []
