@@ -68,6 +68,15 @@ def _parse_edges(edges):
     return out
 
 
+def _listed(name, value, entry):
+    """A list field, each entry through ``entry``; a field or an entry
+    of the wrong shape raises ValueError naming the field."""
+    try:
+        return [entry(x) for x in value]
+    except TypeError as e:
+        raise ValueError(f"{name}: malformed field ({e})") from None
+
+
 def _pt(eid, xy):
     try:
         if not isinstance(xy, (list, tuple)):
@@ -359,14 +368,16 @@ class AnnularDiagram:
     """An annular link diagram with exact geometric realization."""
 
     def __init__(self, crossings, edges, components, orientations):
-        self.crossings = [tuple(c) for c in crossings]
+        self.crossings = _listed("crossings", crossings, tuple)
         # the parsed Fractions name points in violations and serialize;
         # all geometry runs on the int copy, times the LCM of denominators
         self.edges = _parse_edges(edges)
         self._lcm, self._int_edges = _scaled(self.edges)
         self._scale = None
-        self.components = [tuple(str(e) for e in comp) for comp in components]
-        self.orientations = list(orientations)
+        self.components = _listed(
+            "components", components, lambda comp: tuple(str(e) for e in comp)
+        )
+        self.orientations = _listed("orientations", orientations, bool)
         self._violations = None
         self._ends = None
         self._cross_pts = None

@@ -16,9 +16,12 @@ Every elementary cobordism (merge, split, dot, birth, death) is a local
 table on its involved slots, placed on the caller's spaces with the
 identity on the other slots.  The spaces decide the truncation: a
 builder returns the planar map between planar spaces and its
-annular-degree-0 part between annular ones.  A saddle's table depends
-only on the ring and the involved slots' conventions, so
-:func:`local_table` builds it once per process.
+annular-degree-0 part between annular ones.  The table is truncated
+before it is placed: an uninvolved slot keeps its bit and its
+essential flag, so it adds the same annular degree to both sides, and
+a term's shift is fixed by the involved slots' conventions alone.  A
+saddle's table depends only on the ring, the theory and the involved
+slots' conventions, so :func:`local_table` builds it once per process.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
@@ -217,29 +220,6 @@ class LinearMap:
             for da, ent in parts.items()
         }
 
-    def qdeg_shift_of_entry(self, row, col):
-        """q(target) + q(entry) - q(source); None if entry inhomogeneous."""
-        v = self.entries[(row, col)]
-        sq = self.domain.ring.scalar_qdeg(v)
-        if sq is None:
-            return None
-        qt, _ = self.codomain.word_bidegree(self.codomain.index_word(row))
-        qs, _ = self.domain.word_bidegree(self.domain.index_word(col))
-        return qt + sq - qs
-
-    def check_bidegree(self, expect_q, expect_a):
-        """Verify every entry realizes the given bidegree (q check is
-        skipped over rings that do not preserve the quantum grading)."""
-        graded = self.domain.ring.preserves_qdeg
-        cod, dom = self.codomain.adegs, self.domain.adegs
-        for (row, col) in self.entries:
-            if expect_a is not None and cod[row] - dom[col] != expect_a:
-                return False
-            if expect_q is not None and graded:
-                if self.qdeg_shift_of_entry(row, col) != expect_q:
-                    return False
-        return True
-
 
 def identity_map(space):
     m = SparseMatrix.identity(space.ring, space.rank)
@@ -397,29 +377,51 @@ def _local_power_of_x(fr, conv, dots):
     return local
 
 
-def _freeze(local, n_in):
-    """A local map as a table: one tuple of (output bits, value) terms
-    per word of the ``n_in`` involved input slots, in word order.
-    Tables are shared between maps, so nothing in them is mutable."""
-    return tuple(
-        tuple(local.get(bits, ())) for bits in product((0, 1), repeat=n_in)
+def _adeg(convs, bits):
+    """Annular degree of a word of involved slots: the trivial slots'
+    conventions (ONE_X, E) carry none."""
+    return sum(
+        basis_bidegree(c, b, c not in (fb.ONE_X, fb.E))[1] for c, b in zip(convs, bits)
     )
 
 
-@lru_cache(maxsize=None)
-def local_table(ring, dom_convs, cod_convs):
-    """The frozen local table of a saddle whose involved slots carry the
-    given conventions: a merge when ``dom_convs`` names two slots, a
-    split when it names one.
+def _freeze(local, dom_convs, cod_convs, planar):
+    """A local map as a table: one tuple of (output bits, value) terms
+    per word of the involved input slots, in word order.  An annular
+    table keeps only the terms that preserve annular degree.  A term
+    shifting it by anything but 0 or +2 raises ``InvariantError``.
+    Tables are shared between maps, so nothing in them is mutable."""
+    rows, bad = [], set()
+    for bits in product((0, 1), repeat=len(dom_convs)):
+        row, a = [], _adeg(dom_convs, bits)
+        for out, v in local.get(bits, ()):
+            shift = _adeg(cod_convs, out) - a
+            if shift not in (0, 2):
+                bad.add(shift)
+            elif planar or shift == 0:
+                row.append((out, v))
+        rows.append(tuple(row))
+    if bad:
+        raise InvariantError(f"saddle map shifts adeg by {sorted(bad)}")
+    return tuple(rows)
 
-    Memoized per process, keyed by the ring and both convention tuples:
-    a cube has hundreds of edges but only a few such keys.
+
+@lru_cache(maxsize=None)
+def local_table(ring, dom_convs, cod_convs, planar):
+    """The frozen local table of a saddle whose involved slots carry the
+    given conventions, in the planar or the annular theory: a merge when
+    ``dom_convs`` names two slots, a split when it names one.
+
+    Memoized per process, keyed by the ring, both convention tuples and
+    the theory: a cube has hundreds of edges but only a few such keys.
     ``local_table.cache_clear()`` empties the memo.
     """
     fr = Frobenius(ring)
     if len(dom_convs) == 2:
-        return _freeze(_local_merge(fr, *dom_convs, *cod_convs), 2)
-    return _freeze(_local_split(fr, *dom_convs, *cod_convs), 1)
+        local = _local_merge(fr, *dom_convs, *cod_convs)
+    else:
+        local = _local_split(fr, *dom_convs, *cod_convs)
+    return _freeze(local, dom_convs, cod_convs, planar)
 
 
 def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
@@ -428,7 +430,12 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
     Each (row, col) arises once: a column is one domain word, and its
     rows differ in the involved codomain bits, which are distinct
     outputs of one table row.  So entries are placed, never summed.
+    An uninvolved pair must agree in essentiality, or the table's
+    truncation would not be the placed map's.
     """
+    for ds, cs in pairs:
+        if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
+            raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
     entries = {}
     k_cod = len(cod_space.slots)
     for col, word in enumerate(dom_space.words()):
@@ -446,38 +453,27 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
 
 
 def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
-    """The planar merge (two involved domain slots) or split (one)
-    between explicit spaces, from the memoized local table."""
+    """A merge (two involved domain slots) or split (one) between
+    explicit spaces, in their theory, from the memoized local table."""
+    planar = dom_space.planar
     table = local_table(
         dom_space.ring,
         tuple(dom_space.slots[s].convention for s in dom_inv),
         tuple(cod_space.slots[s].convention for s in cod_inv),
+        planar,
     )
-    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, (1, None))
+    bidegree = (1, None if planar else 0)
+    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree)
 
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
     """Multiplication of two slots into one, between explicit spaces."""
-    full = _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
-    return _in_theory(full)
+    return _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
 
 
 def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     """Comultiplication of one slot into two, between explicit spaces."""
-    full = _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
-    return _in_theory(full)
-
-
-def truncate_adeg(m, keep=0):
-    """The part of a map shifting annular degree by exactly ``keep``."""
-    cod, dom = m.codomain.adegs, m.domain.adegs
-    kept = {
-        (row, col): v
-        for (row, col), v in m.entries.items()
-        if cod[row] - dom[col] == keep
-    }
-    bidegree = (m.declared_bidegree[0], keep)
-    return LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
+    return _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
 
 
 def annular_parts(full):
@@ -496,33 +492,25 @@ def annular_parts(full):
     return parts[0], parts[2]
 
 
-def _in_theory(full):
-    """A planar map as a map of its spaces' theory: itself between
-    planar spaces, its annular-degree-0 part between annular ones."""
-    if full.domain.planar:
-        return full
-    return annular_parts(full)[0]
-
-
 def annular_saddle_map(sd, dom_space, cod_space):
     """The map of a classified saddle between the state spaces of its
     two resolutions, in their theory: the planar map between planar
     spaces, its adeg-preserving part between annular ones."""
-    full = _saddle(
+    return _saddle(
         dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved
     )
-    return _in_theory(full)
 
 
 def dotted_identity_map(space, slot, dots):
     """Multiplication by the dotted identity cobordism on one circle."""
     if dots < 1:
         raise ValueError("dots must be positive")
-    fr = Frobenius(space.ring)
-    table = _freeze(_local_power_of_x(fr, space.slots[slot].convention, dots), 1)
+    convs = (space.slots[slot].convention,)
+    local = _local_power_of_x(Frobenius(space.ring), convs[0], dots)
+    table = _freeze(local, convs, convs, space.planar)
     pairs = tuple((j, j) for j in range(len(space.slots)) if j != slot)
-    bidegree = (2 * dots, None)
-    return _in_theory(_embed(space, space, (slot,), (slot,), pairs, table, bidegree))
+    bidegree = (2 * dots, None if space.planar else 0)
+    return _embed(space, space, (slot,), (slot,), pairs, table, bidegree)
 
 
 def birth_map(space, position):

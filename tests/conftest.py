@@ -28,6 +28,90 @@ def corrupted_merge(monkeypatch):
     tqft.local_table.cache_clear()
 
 
+def truncate_adeg(m, keep=0):
+    """The part of a map shifting annular degree by exactly ``keep``."""
+    cod, dom = m.codomain.adegs, m.domain.adegs
+    kept = {
+        (row, col): v
+        for (row, col), v in m.entries.items()
+        if cod[row] - dom[col] == keep
+    }
+    bidegree = (m.declared_bidegree[0], keep)
+    return tqft.LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
+
+
+def qdeg_shift_of_entry(m, row, col):
+    """q(target) + q(entry) - q(source); None if the entry is
+    inhomogeneous."""
+    sq = m.domain.ring.scalar_qdeg(m.entries[(row, col)])
+    if sq is None:
+        return None
+    qt, _ = m.codomain.word_bidegree(m.codomain.index_word(row))
+    qs, _ = m.domain.word_bidegree(m.domain.index_word(col))
+    return qt + sq - qs
+
+
+def check_bidegree(m, expect_q, expect_a):
+    """Whether every entry of a map realizes the given bidegree (the q
+    check is skipped over rings that do not preserve the quantum
+    grading)."""
+    graded = m.domain.ring.preserves_qdeg
+    cod, dom = m.codomain.adegs, m.domain.adegs
+    for (row, col) in m.entries:
+        if expect_a is not None and cod[row] - dom[col] != expect_a:
+            return False
+        if expect_q is not None and graded:
+            if qdeg_shift_of_entry(m, row, col) != expect_q:
+                return False
+    return True
+
+
+def first_noncommuting_square(cube):
+    """The square oracle: truncate_0(B.A) = B_0.A_0 for every pair of
+    consecutive edges A, B of a planar cube.  None when it holds, else
+    the first failing pair's (start, end) vertices."""
+    by_u = {}
+    for e in cube.edges:
+        by_u.setdefault(e.u, []).append(e)
+    for e1 in cube.edges:
+        for e2 in by_u.get(e1.v, ()):
+            lhs = truncate_adeg(tqft.compose(e2.map, e1.map), 0)
+            rhs = tqft.compose(truncate_adeg(e2.map, 0), truncate_adeg(e1.map, 0))
+            if lhs.entries != rhs.entries:
+                return e1.u, e2.v
+    return None
+
+
+TABLE_MUTATIONS = ("keeps_a_plus2_term", "drops_an_adeg0_term")
+
+
+@pytest.fixture(params=TABLE_MUTATIONS)
+def mutated_annular_table(request, monkeypatch):
+    """Every annular saddle table, mutated in one term: one +2 term of
+    the planar table kept, or one adeg-0 term dropped.  Planar tables
+    are left alone."""
+    original = tqft.local_table
+
+    def mutated(ring, dom_convs, cod_convs, planar):
+        table = original(ring, dom_convs, cod_convs, planar)
+        if planar:
+            return table
+        rows = [list(row) for row in table]
+        if request.param == "keeps_a_plus2_term":
+            full = original(ring, dom_convs, cod_convs, True)
+            plus2 = [
+                (k, t) for k, row in enumerate(full) for t in row if t not in table[k]
+            ]
+            if plus2:
+                rows[plus2[0][0]].append(plus2[0][1])
+        else:
+            next(row for row in rows if row).pop()
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(tqft, "local_table", mutated)
+    return request.param
+
+
 def pd_circle_count(d, u):
     """Independent circle-count oracle from PD combinatorics alone.
 

@@ -256,6 +256,28 @@ def test_malformed_coordinates_are_input_errors(
     assert err.startswith(f"error: {bad}: {named}"), err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("crossings", "null"),
+        ("crossings", "[5]"),
+        ("components", "null"),
+        ("components", "[null]"),
+        ("orientations", "null"),
+    ],
+)
+def test_malformed_fields_are_input_errors(
+    capsys, corpus_dir, tmp_path, key, value
+):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data[key] = json.loads(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: {key}: malformed field"), err
+
+
 def test_homology_rejects_generic_before_building(capsys, corpus_dir, monkeypatch):
     from annkh import complexes
 
@@ -387,6 +409,21 @@ def test_verify_generic_fails_beta_alone_on_a_doubled_d2(
     assert out == (
         "d_squared PASS\ngrading PASS\nsplitting PASS\n"
         "functoriality PASS\nbeta FAIL\n"
+    )
+
+
+def test_verify_generic_fails_functoriality_on_a_mutated_annular_table(
+    capsys, corpus_dir, mutated_annular_table
+):
+    # the planar cube is untouched, so only functoriality, which places
+    # the annular table on every edge, can see the mutation
+    code, out, err = run(
+        capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "d_squared PASS\ngrading PASS\nsplitting PASS\n"
+        "functoriality FAIL\nbeta PASS\n"
     )
 
 

@@ -22,6 +22,8 @@ from annkh.errors import (
 from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, alpha_eval
 
+from conftest import truncate_adeg
+
 
 def test_sign_assignment_examples():
     assert sign_assignment((0, 0), 0) == 0
@@ -336,5 +338,5 @@ def test_annular_parts_are_the_truncations(diagrams):
     for name, d in sorted(diagrams.items()):
         for e in build_cube(d, GENERIC, planar=True).edges:
             d0, d2 = tqft.annular_parts(e.map)
-            assert d0.entries == tqft.truncate_adeg(e.map, 0).entries, name
-            assert d2.entries == tqft.truncate_adeg(e.map, 2).entries, name
+            assert d0.entries == truncate_adeg(e.map, 0).entries, name
+            assert d2.entries == truncate_adeg(e.map, 2).entries, name
