@@ -1,6 +1,6 @@
 """Byte-for-byte CLI output over the whole corpus.
 
-Runs 14 jobs on each of the 13 diagrams in ``corpus/`` through
+Runs 17 jobs on each of the 13 diagrams in ``corpus/`` through
 ``annkh.cli.main`` and compares exit code, stdout and stderr with
 ``tests/data/cli_golden.json``.  A refactor that keeps the mathematics
 keeps every byte here.
@@ -42,6 +42,9 @@ VERBS = (
     ["verify", "--ring", "generic"],
     ["lee-rank"],
     ["canonical"],
+    ["verify", "--ring", "alpha:1,3"],
+    ["verify", "--variant", "planar", "--ring", "gf3"],
+    ["homology", "--variant", "planar", "--ring", "alpha:1,3"],
 )
 
 
@@ -69,7 +72,7 @@ def load_golden():
 
 
 def test_golden_covers_every_job():
-    assert len(jobs()) == 13 * len(VERBS) == 182
+    assert len(jobs()) == 13 * len(VERBS) == 221
     assert set(load_golden()) == {tuple(j) for j in jobs()}
 
 
