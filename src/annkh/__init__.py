@@ -11,7 +11,6 @@ from .complexes import (
     build_complex,
     build_cube,
     assemble,
-    specialize_complex,
     verify_beta,
     verify_d_squared,
     verify_grading,

@@ -205,7 +205,7 @@ def cmd_canonical(args):
             )
         )
         ok = ok and rep.ok
-    span = homology.canonical_span_rank(d)
+    span = homology.canonical_span_rank(d, c)
     expect = 2 ** d.n_components
     print(
         emit_rows(

@@ -21,9 +21,8 @@ from itertools import product
 
 from . import tqft
 from .diagram import cube_edge_pairs
-from .errors import InvariantError, UnsupportedRingError, VariantRingMismatchError
+from .errors import InvariantError, VariantRingMismatchError
 from .linalg import SparseMatrix
-from .ring import GenericAlpha
 
 
 def sign_assignment(u, i):
@@ -84,8 +83,11 @@ class ChainComplexData:
     n_plus: int
     n_minus: int
     degrees: list
-    basis: dict  # i -> list of (smoothing, word)
-    bigrade: dict  # i -> list of (qdeg, adeg); qdeg None when ungraded
+    # i -> (qdeg, adeg) of each generator of C^i, in basis order: the
+    # vertices of degree i sorted, each vertex's words in index order.
+    # qdeg is the shifted quantum degree, filled in also over rings
+    # that do not preserve it (see ``qdeg_graded``).
+    bigrade: dict
     diff: dict  # i -> SparseMatrix  C^i -> C^{i+1}
     offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
     # Always None: the planar diff is d0 + d2 in one matrix.  Kept only
@@ -101,10 +103,10 @@ class ChainComplexData:
         return not self.planar
 
     def rank(self, i):
-        return len(self.basis.get(i, ()))
+        return len(self.bigrade.get(i, ()))
 
     def total_rank(self):
-        return sum(len(b) for b in self.basis.values())
+        return sum(len(g) for g in self.bigrade.values())
 
     def offset(self, i, u):
         """Index of the first basis vector of vertex u in degree i."""
@@ -118,20 +120,14 @@ def assemble(cube, choice=None):
     ring = cube.ring
 
     degrees = list(range(-n_minus, n_plus + 1))
-    basis = {}
     bigrade = {}
     offsets = {}
     for i in degrees:
-        blist = []
         grade = []
+        shift = n_minus - n_plus - i
         for u in sorted(u for u in cube.resolutions if sum(u) == i + n_minus):
-            offsets[(i, u)] = len(blist)
-            space = cube.spaces[u]
-            for word in space.words():
-                q, a = space.word_bidegree(word)
-                blist.append((u, word))
-                grade.append((q + n_minus - n_plus - i, a))
-        basis[i] = blist
+            offsets[(i, u)] = len(grade)
+            grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
         bigrade[i] = grade
 
     # Each edge u -> v fills its own block (rows of v, columns of u), so
@@ -148,14 +144,13 @@ def assemble(cube, choice=None):
             negate = edge.sign_exponent == 1
             for (r, c), v in edge.map.entries.items():
                 m[(rof + r, cof + c)] = ring.neg(v) if negate else v
-        diff[i] = SparseMatrix.wrap(ring, len(basis[i + 1]), len(basis[i]), m)
+        diff[i] = SparseMatrix.wrap(ring, len(bigrade[i + 1]), len(bigrade[i]), m)
     return ChainComplexData(
         ring=ring,
         planar=cube.planar,
         n_plus=n_plus,
         n_minus=n_minus,
         degrees=degrees,
-        basis=basis,
         bigrade=bigrade,
         diff=diff,
         offsets=offsets,
@@ -233,25 +228,3 @@ def verify_grading(c):
                 if sq is None or qt + sq != qs:
                     return (i, r, col, "qdeg")
     return None
-
-
-def specialize_complex(c, target):
-    """Entrywise specialization of a generic complex; grading metadata is
-    preserved, and the target ring decides whether qdeg is graded."""
-    if not isinstance(c.ring, GenericAlpha):
-        raise UnsupportedRingError("can only specialize the generic complex")
-    diff = {
-        i: m.map_entries(target.specialize_poly, target)
-        for i, m in c.diff.items()
-    }
-    return ChainComplexData(
-        ring=target,
-        planar=c.planar,
-        n_plus=c.n_plus,
-        n_minus=c.n_minus,
-        degrees=list(c.degrees),
-        basis={i: list(b) for i, b in c.basis.items()},
-        bigrade={i: list(g) for i, g in c.bigrade.items()},
-        diff=diff,
-        offsets=dict(c.offsets),
-    )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidBasisError, RingMismatchError
 from .linalg import accumulate
-from .ring import QDEG_ANY, AlphaEval
+from .ring import AlphaEval
 
 ONE_X = "ONE_X"
 V = "V"
@@ -33,23 +33,18 @@ D_V_PRIME = "D_V_PRIME"
 
 BASIS_TAGS = (ONE_X, V, V_PRIME, E, D_V, D_V_PRIME)
 
-# (qdeg b0, qdeg b1) per convention; the localized bases sit entirely in
-# quantum degree -1 because their generators carry a degree-2 denominator.
-_QDEG = {
-    ONE_X: (-1, 1),
-    V: (-1, 1),
-    V_PRIME: (-1, 1),
-    E: (-1, -1),
-    D_V: (-1, -1),
-    D_V_PRIME: (-1, -1),
-}
-
-# (adeg b0, adeg b1) when the basis decorates an essential circle.
-_ADEG_ESSENTIAL = {
-    V: (-1, 1),
-    V_PRIME: (-1, 1),
-    D_V: (-1, 1),
-    D_V_PRIME: (-1, 1),
+# ((qdeg, adeg) of b0, (qdeg, adeg) of b1) per convention.  The
+# localized bases sit entirely in quantum degree -1 because their
+# generators carry a degree-2 denominator.  A convention decorates one
+# kind of circle: V, V', D_V and D_V' essential ones, which carry
+# annular degree -1/+1, and ONE_X and E trivial ones, which carry none.
+_BIDEGREE = {
+    ONE_X: ((-1, 0), (1, 0)),
+    V: ((-1, -1), (1, 1)),
+    V_PRIME: ((-1, -1), (1, 1)),
+    E: ((-1, 0), (-1, 0)),
+    D_V: ((-1, -1), (-1, 1)),
+    D_V_PRIME: ((-1, -1), (-1, 1)),
 }
 
 _EVAL_ONLY = (E, D_V, D_V_PRIME)
@@ -211,47 +206,11 @@ class Frobenius:
         prod = self.mult(a, x)
         return self.convert(prod, a.basis)
 
-    # -- gradings ----------------------------------------------------------
-
-    def bidegree(self, a, essential):
-        """(qdeg, adeg) for homogeneous elements; None components for
-        inhomogeneous input; QDEG_ANY for the zero element."""
-        self._check_ring(a)
-        r = self.ring
-        if a.is_zero():
-            return QDEG_ANY, QDEG_ANY
-        qtab = _QDEG[a.basis]
-        if essential:
-            atab = _ADEG_ESSENTIAL.get(a.basis)
-            if atab is None:
-                raise InvalidBasisError(
-                    f"{a.basis} does not decorate essential circles"
-                )
-        else:
-            atab = (0, 0)
-        qdegs, adegs = set(), set()
-        for k, c in enumerate(a.coords):
-            if r.is_zero(c):
-                continue
-            sq = r.scalar_qdeg(c)
-            if sq is None:
-                return None, None
-            qdegs.add(sq + qtab[k])
-            adegs.add(atab[k])
-        q = qdegs.pop() if len(qdegs) == 1 else None
-        adeg = adegs.pop() if len(adegs) == 1 else None
-        return q, adeg
-
     def _check_ring(self, a):
         if a.ring != self.ring:
             raise RingMismatchError(f"{a.ring} vs {self.ring}")
 
 
-def basis_bidegree(basis, index, essential):
-    """Bidegree of the index-th basis vector of a slot convention."""
-    q = _QDEG[basis][index]
-    if essential:
-        a = _ADEG_ESSENTIAL[basis][index]
-    else:
-        a = 0
-    return q, a
+def basis_bidegree(basis, index):
+    """(qdeg, adeg) of the index-th basis vector of a slot convention."""
+    return _BIDEGREE[basis][index]

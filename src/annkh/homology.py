@@ -164,12 +164,12 @@ def homology(c):
     ring = c.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
+    slices = {i: _slices(c, i) for i in c.degrees}
     slice_ranks = {}
     slice_tors = {}
     for i in c.degrees[:-1]:
-        src = _slices(c, i)
-        dst = _slices(c, i + 1)
-        for key, cols in src.items():
+        dst = slices[i + 1]
+        for key, cols in slices[i].items():
             rows = dst.get(key, [])
             if not rows:
                 continue
@@ -186,7 +186,7 @@ def homology(c):
             slice_ranks[(i, key)] = rank
     entries = {}
     for i in c.degrees:
-        for key, idxs in _slices(c, i).items():
+        for key, idxs in slices[i].items():
             dim = len(idxs)
             rank_out = slice_ranks.get((i, key), 0)
             rank_in = slice_ranks.get((i - 1, key), 0)
@@ -246,7 +246,7 @@ class CanonicalGenerator:
     orientation: tuple
     smoothing: tuple
     letters: tuple  # 'a'/'b' per circle, in slot order
-    word: tuple  # coordinate bits per slot in the localized bases
+    word: int  # basis word of the smoothing's state space, localized bases
     adeg: int
     degree: int  # homological degree of the smoothing
 
@@ -269,15 +269,14 @@ def canonical_generator(d, choice):
     """
     u, rd = d.oriented_resolution(choice)
     letters = []
-    bits = []
-    adeg = 0
+    word = adeg = 0
     for idx, c in enumerate(rd.circles):
         ccw = is_counterclockwise(c)
         lab = (nesting_depth(rd, idx) + (1 if ccw else 0)) % 2
         letter = "a" if lab == 0 else "b"
         letters.append(letter)
         bit = _letter_to_bit(letter, c)
-        bits.append(bit)
+        word = (word << 1) | bit
         if c.essential:
             adeg += 1 if bit == 1 else -1
     _, n_minus = d.n_plus_minus()
@@ -285,7 +284,7 @@ def canonical_generator(d, choice):
         orientation=tuple(choice),
         smoothing=u,
         letters=tuple(letters),
-        word=tuple(bits),
+        word=word,
         adeg=adeg,
         degree=sum(u) - n_minus,
     )
@@ -293,11 +292,7 @@ def canonical_generator(d, choice):
 
 def generator_vector_index(c, gen):
     """Position of the generator in its chain group of the complex."""
-    off = c.offset(gen.degree, gen.smoothing)
-    space_rank_index = 0
-    for b in gen.word:
-        space_rank_index = (space_rank_index << 1) | b
-    return off + space_rank_index
+    return c.offset(gen.degree, gen.smoothing) + gen.word
 
 
 @dataclass
@@ -335,13 +330,15 @@ def verify_canonical(d, choice, c=None):
     )
 
 
-def canonical_span_rank(d):
+def canonical_span_rank(d, c=None):
     """Rank spanned by all canonical generator classes in the localized
     homology: the rank the generators add to the boundaries, each rank
-    counted by unit cancellation (over a field every entry is a unit)."""
+    counted by unit cancellation (over a field every entry is a unit).
+    ``c`` is the diagram's Lee complex when the caller has built it."""
     from .diagram import all_orientations
 
-    c = lee_complex(d)
+    if c is None:
+        c = lee_complex(d)
     gens = [canonical_generator(d, o) for o in all_orientations(d)]
     by_degree = {}
     for g in gens:

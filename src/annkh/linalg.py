@@ -73,17 +73,6 @@ class SparseMatrix:
         one = ring.one()
         return cls.wrap(ring, n, n, {(i, i): one for i in range(n)})
 
-    @classmethod
-    def from_rows(cls, ring, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if not ring.is_zero(v):
-                    entries[(r, c)] = v
-        return cls.wrap(ring, nrows, ncols, entries)
-
     def get(self, r, c):
         return self.entries.get((r, c), self.ring.zero())
 

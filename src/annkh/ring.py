@@ -29,18 +29,6 @@ from fractions import Fraction
 from .errors import UnsupportedRingError
 
 
-class _QDegAny:
-    """Quantum degree of the zero element: homogeneous of every degree."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "QDEG_ANY"
-
-
-QDEG_ANY = _QDegAny()
-
-
 # ---------------------------------------------------------------------------
 # The bivariate ground ring Z[a0, a1]
 
@@ -148,12 +136,10 @@ class BivariatePoly:
         return res
 
     def qdeg(self):
-        """Quantum degree: 2*(i+j) when homogeneous, None when mixed,
-        QDEG_ANY for the zero polynomial."""
-        if not self.terms:
-            return QDEG_ANY
+        """Quantum degree: 2*(i+j) when homogeneous, None when mixed
+        or zero."""
         degs = {i + j for (i, j) in self.terms}
-        if len(degs) > 1:
+        if len(degs) != 1:
             return None
         return 2 * degs.pop()
 
@@ -322,11 +308,10 @@ class HPoly:
         return HPoly([c / lead for c in self.coeffs])
 
     def qdeg(self):
-        """h carries quantum degree 2; defined for monomials only."""
-        if not self.coeffs:
-            return QDEG_ANY
+        """h carries quantum degree 2; defined for monomials only, None
+        otherwise."""
         nz = [k for k, c in enumerate(self.coeffs) if c != 0]
-        if len(nz) > 1:
+        if len(nz) != 1:
             return None
         return 2 * nz[0]
 

@@ -5,6 +5,10 @@ multiplication/comultiplication to saddles.  Over the annulus, trivial
 circles keep the {1, X} basis while the i-th essential circle (counted
 from the puncture outward) carries {1, X - a0} for odd i and
 {1, X - a1} for even i; words in these bases carry an annular degree.
+A basis word of a space is an int whose bits pick one basis vector per
+slot, the first slot most significant, and ``StateSpace.bidegrees``
+holds every word's (qdeg, adeg), summed from the one per-convention
+table :func:`annkh.frobenius.basis_bidegree`.
 Cobordism maps are computed from the Frobenius structure in the slot
 bases.  A space is planar or annular, and that is the one choice: the
 ring picks the slot bases (:func:`make_space`) and the grading, so the
@@ -79,8 +83,10 @@ def _slot(ring, planar, essential, essential_index):
 class StateSpace:
     """Tensor product of one rank-2 module per circle.
 
-    Basis words are tuples of bits, one per slot (0 = first basis vector
-    of the slot convention), enumerated lexicographically.
+    A basis word is an int below ``rank``: bit ``k - 1 - j`` of it picks
+    the basis vector of slot j (0 = the first vector of the slot's
+    convention), so the first slot is the most significant bit and
+    words in index order run lexicographically.
     """
 
     ring: object
@@ -91,37 +97,14 @@ class StateSpace:
     def rank(self):
         return 1 << len(self.slots)
 
-    def words(self):
-        return product((0, 1), repeat=len(self.slots))
-
-    def word_index(self, word):
-        idx = 0
-        for b in word:
-            idx = (idx << 1) | b
-        return idx
-
-    def index_word(self, idx):
-        k = len(self.slots)
-        return tuple((idx >> (k - 1 - j)) & 1 for j in range(k))
-
-    def word_bidegree(self, word):
-        q = a = 0
-        for slot, bit in zip(self.slots, word):
-            dq, da = basis_bidegree(slot.convention, bit, slot.essential)
-            q += dq
-            a += da
-        return q, a
-
     @cached_property
-    def adegs(self):
-        """Annular degree of every basis word, indexed like the words;
+    def bidegrees(self):
+        """(qdeg, adeg) of every basis word, indexed by the word;
         computed once per space."""
-        out = [0]
+        out = [(0, 0)]
         for slot in self.slots:
-            steps = [
-                basis_bidegree(slot.convention, b, slot.essential)[1] for b in (0, 1)
-            ]
-            out = [a + step for a in out for step in steps]
+            steps = [basis_bidegree(slot.convention, b) for b in (0, 1)]
+            out = [(q + dq, a + da) for q, a in out for dq, da in steps]
         return tuple(out)
 
     def __eq__(self, other):
@@ -210,10 +193,10 @@ class LinearMap:
 
     def adeg_split(self):
         """Split entries by annular-degree shift; returns {shift: map}."""
-        cod, dom = self.codomain.adegs, self.domain.adegs
+        cod, dom = self.codomain.bidegrees, self.domain.bidegrees
         parts = {}
         for (row, col), v in self.entries.items():
-            parts.setdefault(cod[row] - dom[col], {})[(row, col)] = v
+            parts.setdefault(cod[row][1] - dom[col][1], {})[(row, col)] = v
         q = self.declared_bidegree[0]
         return {
             da: LinearMap.wrap(self.domain, self.codomain, ent, (q, da))
@@ -378,11 +361,8 @@ def _local_power_of_x(fr, conv, dots):
 
 
 def _adeg(convs, bits):
-    """Annular degree of a word of involved slots: the trivial slots'
-    conventions (ONE_X, E) carry none."""
-    return sum(
-        basis_bidegree(c, b, c not in (fb.ONE_X, fb.E))[1] for c, b in zip(convs, bits)
-    )
+    """Annular degree of a word of involved slots."""
+    return sum(basis_bidegree(c, b)[1] for c, b in zip(convs, bits))
 
 
 def _freeze(local, dom_convs, cod_convs, planar):
@@ -436,19 +416,29 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
     for ds, cs in pairs:
         if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
             raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
+    k_dom, k_cod = len(dom_space.slots), len(cod_space.slots)
+    # What a set bit of each domain slot adds to the column's table key
+    # and to its rows' uninvolved codomain bits.
+    step = [(0, 0)] * k_dom
+    for pos, s in enumerate(dom_inv):
+        step[s] = (1 << (len(dom_inv) - 1 - pos), 0)
+    for ds, cs in pairs:
+        step[ds] = (0, 1 << (k_cod - 1 - cs))
+    # The key and row base of every column, first slot most significant.
+    keys, bases = [0], [0]
+    for dk, db in step:
+        keys = [k | x for k in keys for x in (0, dk)]
+        bases = [b | x for b in bases for x in (0, db)]
+    # Each table row with its outputs as masks on the involved codomain bits.
+    shifts = [k_cod - 1 - s for s in cod_inv]
+    placed = [
+        [(sum(bit << sh for bit, sh in zip(out, shifts)), v) for out, v in row]
+        for row in table
+    ]
     entries = {}
-    k_cod = len(cod_space.slots)
-    for col, word in enumerate(dom_space.words()):
-        key = 0
-        for s in dom_inv:
-            key = (key << 1) | word[s]
-        for loc_out, v in table[key]:
-            bits = [0] * k_cod
-            for pos, s in enumerate(cod_inv):
-                bits[s] = loc_out[pos]
-            for ds, cs in pairs:
-                bits[cs] = word[ds]
-            entries[(cod_space.word_index(tuple(bits)), col)] = v
+    for col, (key, base) in enumerate(zip(keys, bases)):
+        for mask, v in placed[key]:
+            entries[(base | mask, col)] = v
     return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
 
 

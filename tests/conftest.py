@@ -1,6 +1,12 @@
+from itertools import product
+
 import pytest
 
 from annkh import corpus, tqft
+from annkh.complexes import ChainComplexData
+from annkh.errors import InvariantError, UnsupportedRingError
+from annkh.linalg import SparseMatrix
+from annkh.ring import GenericAlpha
 
 
 @pytest.fixture(scope="session")
@@ -28,13 +34,87 @@ def corrupted_merge(monkeypatch):
     tqft.local_table.cache_clear()
 
 
+def word_bits(space, word):
+    """A basis word of a state space as its tuple of slot bits, first
+    slot first."""
+    k = len(space.slots)
+    return tuple((word >> (k - 1 - j)) & 1 for j in range(k))
+
+
+def bits_word(bits):
+    """The basis word whose slot bits are ``bits``, first slot first."""
+    word = 0
+    for b in bits:
+        word = (word << 1) | b
+    return word
+
+
+def as_table(m):
+    """{domain bits: {codomain bits: value}} with zero columns dropped."""
+    out = {}
+    for (r, c), v in m.entries.items():
+        out.setdefault(word_bits(m.domain, c), {})[word_bits(m.codomain, r)] = v
+    return out
+
+
+def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
+    """The placement of a local table on bit tuples, slot by slot: the
+    oracle for ``tqft._embed``, which works on the word ints."""
+    for ds, cs in pairs:
+        if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
+            raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
+    entries = {}
+    k_cod = len(cod_space.slots)
+    for col, word in enumerate(product((0, 1), repeat=len(dom_space.slots))):
+        key = bits_word(word[s] for s in dom_inv)
+        for loc_out, v in table[key]:
+            bits = [0] * k_cod
+            for pos, s in enumerate(cod_inv):
+                bits[s] = loc_out[pos]
+            for ds, cs in pairs:
+                bits[cs] = word[ds]
+            entries[(bits_word(bits), col)] = v
+    return tqft.LinearMap.wrap(dom_space, cod_space, entries, bidegree)
+
+
+def from_rows(ring, rows):
+    """A sparse matrix from a dense list of rows."""
+    entries = {}
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if not ring.is_zero(v):
+                entries[(r, c)] = v
+    return SparseMatrix.wrap(ring, len(rows), len(rows[0]) if rows else 0, entries)
+
+
+def specialize_complex(c, target):
+    """Entrywise specialization of a generic complex; grading metadata is
+    preserved, and the target ring decides whether qdeg is graded."""
+    if not isinstance(c.ring, GenericAlpha):
+        raise UnsupportedRingError("can only specialize the generic complex")
+    diff = {
+        i: m.map_entries(target.specialize_poly, target)
+        for i, m in c.diff.items()
+    }
+    return ChainComplexData(
+        ring=target,
+        planar=c.planar,
+        n_plus=c.n_plus,
+        n_minus=c.n_minus,
+        degrees=list(c.degrees),
+        bigrade={i: list(g) for i, g in c.bigrade.items()},
+        diff=diff,
+        offsets=dict(c.offsets),
+    )
+
+
 def truncate_adeg(m, keep=0):
     """The part of a map shifting annular degree by exactly ``keep``."""
-    cod, dom = m.codomain.adegs, m.domain.adegs
+    cod, dom = m.codomain.bidegrees, m.domain.bidegrees
     kept = {
         (row, col): v
         for (row, col), v in m.entries.items()
-        if cod[row] - dom[col] == keep
+        if cod[row][1] - dom[col][1] == keep
     }
     bidegree = (m.declared_bidegree[0], keep)
     return tqft.LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
@@ -46,9 +126,7 @@ def qdeg_shift_of_entry(m, row, col):
     sq = m.domain.ring.scalar_qdeg(m.entries[(row, col)])
     if sq is None:
         return None
-    qt, _ = m.codomain.word_bidegree(m.codomain.index_word(row))
-    qs, _ = m.domain.word_bidegree(m.domain.index_word(col))
-    return qt + sq - qs
+    return m.codomain.bidegrees[row][0] + sq - m.domain.bidegrees[col][0]
 
 
 def check_bidegree(m, expect_q, expect_a):
@@ -56,9 +134,9 @@ def check_bidegree(m, expect_q, expect_a):
     check is skipped over rings that do not preserve the quantum
     grading)."""
     graded = m.domain.ring.preserves_qdeg
-    cod, dom = m.codomain.adegs, m.domain.adegs
+    cod, dom = m.codomain.bidegrees, m.domain.bidegrees
     for (row, col) in m.entries:
-        if expect_a is not None and cod[row] - dom[col] != expect_a:
+        if expect_a is not None and cod[row][1] - dom[col][1] != expect_a:
             return False
         if expect_q is not None and graded:
             if qdeg_shift_of_entry(m, row, col) != expect_q:

@@ -29,7 +29,7 @@ from annkh.homology import (
 )
 from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
-from conftest import first_noncommuting_square, truncate_adeg
+from conftest import as_table, first_noncommuting_square, truncate_adeg
 from test_homology import _oracle_homology_ranks
 
 
@@ -59,23 +59,15 @@ def test_criterion_02_reduction_to_nonequivariant(diagrams):
         cod = tqft.make_space(INT, cod_flags)
         return truncate_adeg(tqft.split_map(dom, cod, 0, (0, 1), []), 0)
 
-    def table(m):
-        out = {}
-        for (r, c), v in m.entries.items():
-            out.setdefault(m.domain.index_word(c), {})[
-                m.codomain.index_word(r)
-            ] = v
-        return out
-
     for i in (1, 2):  # odd and even innermost essential circle
         m = merge0([(True, i), (False, None)], [(True, i)])
-        assert table(m) == {(0, 0): {(0,): one}, (1, 0): {(1,): one}}
+        assert as_table(m) == {(0, 0): {(0,): one}, (1, 0): {(1,): one}}
         m = merge0([(True, i), (True, i + 1)], [(False, None)])
-        assert table(m) == {(1, 0): {(1,): one}, (0, 1): {(1,): one}}
+        assert as_table(m) == {(1, 0): {(1,): one}, (0, 1): {(1,): one}}
         m = split0([(True, i)], [(True, i), (False, None)])
-        assert table(m) == {(0,): {(0, 1): one}, (1,): {(1, 1): one}}
+        assert as_table(m) == {(0,): {(0, 1): one}, (1,): {(1, 1): one}}
         m = split0([(False, None)], [(True, i), (True, i + 1)])
-        assert table(m) == {(0,): {(0, 1): one, (1, 0): one}}
+        assert as_table(m) == {(0,): {(0, 1): one, (1, 0): one}}
     # Boerner vanishing: dotted essential identities die at zero
     for i in (1, 2):
         sp = tqft.make_space(INT, [(True, i)])

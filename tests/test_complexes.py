@@ -9,7 +9,6 @@ from annkh.complexes import (
     build_complex,
     build_cube,
     sign_assignment,
-    specialize_complex,
     verify_beta,
     verify_d_squared,
     verify_grading,
@@ -22,7 +21,7 @@ from annkh.errors import (
 from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, alpha_eval
 
-from conftest import truncate_adeg
+from conftest import bits_word, specialize_complex, truncate_adeg, word_bits
 
 
 def test_sign_assignment_examples():
@@ -174,31 +173,33 @@ def test_specialization_to_evaluated_parameters_is_conjugate(diagrams):
     def change_of_basis(i, c_from, c_to):
         # matrix of the identity from V-convention words to D-convention
         rows = {}
-        for col, (u, word) in enumerate(c_from.basis[i]):
+        for (deg, u), start in c_from.offsets.items():
+            if deg != i:
+                continue
             generic_space = tqft.state_space(d.resolve(u), GENERIC)
             space_v = tqft.StateSpace(ring, False, generic_space.slots)
             space_d = cube.spaces[u]
-            # convert each slot basis vector through the ring algebra
-            vecs = []
-            for slot_v, slot_d, bit in zip(
-                space_v.slots, space_d.slots, word
-            ):
-                src = fr.element(
-                    slot_v.convention,
-                    ring.one() if bit == 0 else ring.zero(),
-                    ring.one() if bit == 1 else ring.zero(),
-                )
-                vecs.append(fr.convert(src, slot_d.convention).coords)
-            off = c_to.offset(i, u)
-            for bits in product((0, 1), repeat=len(vecs)):
-                coeff = ring.one()
-                for v, b in zip(vecs, bits):
-                    coeff = ring.mul(coeff, v[b])
-                if ring.is_zero(coeff):
-                    continue
-                row = off + space_d.word_index(bits)
-                rows[(row, col)] = coeff
-        return SparseMatrix(ring, len(c_to.basis[i]), len(c_from.basis[i]), rows)
+            for word in range(space_v.rank):
+                # convert each slot basis vector through the ring algebra
+                vecs = []
+                for slot_v, slot_d, bit in zip(
+                    space_v.slots, space_d.slots, word_bits(space_v, word)
+                ):
+                    src = fr.element(
+                        slot_v.convention,
+                        ring.one() if bit == 0 else ring.zero(),
+                        ring.one() if bit == 1 else ring.zero(),
+                    )
+                    vecs.append(fr.convert(src, slot_d.convention).coords)
+                off = c_to.offset(i, u)
+                for bits in product((0, 1), repeat=len(vecs)):
+                    coeff = ring.one()
+                    for v, b in zip(vecs, bits):
+                        coeff = ring.mul(coeff, v[b])
+                    if ring.is_zero(coeff):
+                        continue
+                    rows[(off + bits_word(bits), start + word)] = coeff
+        return SparseMatrix(ring, c_to.rank(i), c_from.rank(i), rows)
 
     for i in spec.degrees[:-1]:
         phi_src = change_of_basis(i, spec, direct)
@@ -282,7 +283,7 @@ def test_dump_is_deterministic(diagrams):
     d = diagrams["unknot_clasp"]
     a = build_complex(d, INT)
     b = build_complex(d, INT)
-    assert a.basis == b.basis and a.bigrade == b.bigrade
+    assert a.offsets == b.offsets and a.bigrade == b.bigrade
     assert a.diff == b.diff
     assert a.degrees[0] == 0 and not all(m.is_zero() for m in a.diff.values())
 

@@ -14,7 +14,7 @@ from annkh.frobenius import (
     V_PRIME,
     Frobenius,
 )
-from annkh.ring import A0, A1, E1, E2, GENERIC, INT, QDEG_ANY, alpha_eval
+from annkh.ring import A0, A1, E1, E2, GENERIC, INT, alpha_eval
 
 FR = Frobenius(GENERIC)
 EV = alpha_eval(0, 1)
@@ -142,19 +142,6 @@ def test_localized_bases_are_rescaled_idempotents():
     vb1p = FREV.element(D_V_PRIME, Fraction(0), Fraction(1))
     e1 = FREV.element(E, Fraction(0), Fraction(1))
     assert FREV.to_one_x(vb1p) == FREV.to_one_x(e1)
-
-
-def test_bidegree():
-    v1 = FR.element(V, GENERIC.zero(), GENERIC.one())
-    assert FR.bidegree(v1, essential=True) == (1, 1)
-    assert FR.bidegree(FR.unit(), essential=False) == (-1, 0)
-    mixed = FR.element(V, GENERIC.one(), GENERIC.one())
-    assert FR.bidegree(mixed, essential=True) == (None, None)
-    zero = FR.element(V, GENERIC.zero(), GENERIC.zero())
-    assert FR.bidegree(zero, essential=True) == (QDEG_ANY, QDEG_ANY)
-    # scalar degrees fold in: a0*v0 is homogeneous of qdeg 1
-    scaled = FR.element(V, A0, GENERIC.zero())
-    assert FR.bidegree(scaled, essential=True) == (1, -1)
 
 
 def _structure_matrices(fr):

@@ -23,6 +23,8 @@ from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
 from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 
+from conftest import from_rows
+
 
 def field_rank(ring, dense):
     """Rank of a dense matrix over a field by Gaussian elimination: the
@@ -59,7 +61,7 @@ def field_rank(ring, dense):
 
 
 def mat(ring, rows):
-    return SparseMatrix.from_rows(ring, [[ring.from_int(x) if isinstance(x, int) else x for x in row] for row in rows])
+    return from_rows(ring, [[ring.from_int(x) if isinstance(x, int) else x for x in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def test_snf_over_fields_gives_rank():
                 [ring.from_int(rng.randint(-4, 4)) for _ in range(nc)]
                 for _ in range(nr)
             ]
-            m = SparseMatrix.from_rows(ring, rows)
+            m = from_rows(ring, rows)
             res = smith_normal_form(m)
             assert res.rank == field_rank(ring, rows)
             assert cancel_units(m)[0] == field_rank(ring, rows)
@@ -202,7 +204,6 @@ def test_unit_invariant_of_a_unit_free_slice_is_not_torsion():
     grades = [(0, 0), (0, 0)]
     c = ChainComplexData(
         INT, False, 0, 0, [0, 1],
-        basis={0: [None] * 2, 1: [None] * 2},
         bigrade={0: grades, 1: grades},
         diff={0: mat(INT, [[2, 3], [0, 4]])},
     )
@@ -388,16 +389,16 @@ def test_canonical_single_essential_circle(diagrams):
     gen = canonical_generator(diagrams["essential_unknot_ccw"], (False,))
     # counterclockwise: depth 0 plus 1 -> letter b -> vbar0, adeg -1
     assert gen.letters == ("b",)
-    assert gen.word == (0,)
+    assert gen.word == 0
     assert gen.adeg == -1
     gen = canonical_generator(diagrams["essential_unknot_ccw"], (True,))
-    assert gen.letters == ("a",) and gen.word == (1,) and gen.adeg == 1
+    assert gen.letters == ("a",) and gen.word == 1 and gen.adeg == 1
 
 
 def test_canonical_trivial_circle(diagrams):
     gen = canonical_generator(diagrams["trivial_unknot"], (False,))
     # counterclockwise trivial circle: letter b picks the idempotent e1
-    assert gen.letters == ("b",) and gen.word == (1,) and gen.adeg == 0
+    assert gen.letters == ("b",) and gen.word == 1 and gen.adeg == 0
 
 
 def test_canonical_cycles_and_adeg_corpus(diagrams):

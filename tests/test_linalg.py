@@ -26,6 +26,8 @@ from annkh.ring import (
     alpha_eval,
 )
 
+from conftest import from_rows
+
 
 def rand_poly(rng):
     """A nonzero polynomial of degree at most 3, coefficients of both signs."""
@@ -80,7 +82,7 @@ def cases():
     out.append(
         (
             SparseMatrix(GENERIC, 1, 2, {(0, 0): A0 + 1, (0, 1): A0 - 1}),
-            SparseMatrix.from_rows(GENERIC, [[GENERIC.one()], [GENERIC.one()]]),
+            from_rows(GENERIC, [[GENERIC.one()], [GENERIC.one()]]),
         )
     )
     return out

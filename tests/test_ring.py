@@ -11,7 +11,6 @@ from annkh.ring import (
     GENERIC,
     GF,
     INT,
-    QDEG_ANY,
     QH,
     RAT,
     BivariatePoly,
@@ -49,7 +48,7 @@ def test_qdeg_values():
     assert (A0 + A1).qdeg() == 2
     assert (A0 * A1).qdeg() == 4
     assert (BivariatePoly.from_int(1) + A0).qdeg() is None
-    assert BivariatePoly().qdeg() is QDEG_ANY
+    assert BivariatePoly().qdeg() is None
 
 
 def test_qdeg_additive_on_homogeneous():

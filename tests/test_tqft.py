@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,23 +11,21 @@ from annkh.errors import AnnkhError, VariantRingMismatchError
 from annkh import frobenius as fb
 from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
-from conftest import check_bidegree, first_noncommuting_square, truncate_adeg
+from conftest import (
+    as_table,
+    bits_word,
+    check_bidegree,
+    embed_oracle,
+    first_noncommuting_square,
+    truncate_adeg,
+    word_bits,
+)
 
 EV = alpha_eval(0, 1)
 EV2 = alpha_eval(2, 5)
 
 ZERO = BivariatePoly()
 ONE = BivariatePoly.from_int(1)
-
-
-def as_table(m):
-    """{domain word: {codomain word: value}} with zero rows dropped."""
-    out = {}
-    for (r, c), v in m.entries.items():
-        dw = m.domain.index_word(c)
-        cw = m.codomain.index_word(r)
-        out.setdefault(dw, {})[cw] = v
-    return out
 
 
 PLANAR, ANNULAR = True, False
@@ -44,21 +43,42 @@ def test_state_space_trivial_circle(diagrams):
     rd = diagrams["trivial_unknot"].resolve(())
     sp = tqft.state_space(rd, INT)
     assert sp.rank == 2
-    assert [sp.word_bidegree(w) for w in sp.words()] == [(-1, 0), (1, 0)]
+    assert sp.bidegrees == ((-1, 0), (1, 0))
 
 
 def test_state_space_essential_circle(diagrams):
     rd = diagrams["essential_unknot_ccw"].resolve(())
     sp = tqft.state_space(rd, INT)
-    assert [sp.word_bidegree(w) for w in sp.words()] == [(-1, -1), (1, 1)]
+    assert sp.bidegrees == ((-1, -1), (1, 1))
 
 
 def test_state_space_two_essential(diagrams):
     rd = diagrams["unlink2_essential"].resolve(())
     sp = tqft.state_space(rd, GENERIC)
     assert sp.rank == 4
-    assert sorted(sp.adegs) == [-2, 0, 0, 2]
+    assert [a for _, a in sp.bidegrees] == [-2, 0, 0, 2]
     assert [s.convention for s in sp.slots] == ["V", "V_PRIME"]
+
+
+def test_bidegrees_are_the_slotwise_sums_of_basis_bidegree():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(200):
+        convs = [rng.choice(fb.BASIS_TAGS) for _ in range(rng.randint(0, 6))]
+        seen.update(convs)
+        slots = tuple(
+            tqft.Slot(c not in (fb.ONE_X, fb.E), c, None) for c in convs
+        )
+        sp = tqft.StateSpace(EV2, ANNULAR, slots)
+        want = []
+        for bits in product((0, 1), repeat=len(convs)):
+            q = a = 0
+            for c, b in zip(convs, bits):
+                dq, da = fb.basis_bidegree(c, b)
+                q, a = q + dq, a + da
+            want.append((q, a))
+        assert sp.bidegrees == tuple(want), convs
+    assert seen == set(fb.BASIS_TAGS)
 
 
 V_BASES = ("V", "V_PRIME", "ONE_X")
@@ -310,12 +330,12 @@ def _ab_table(m):
         word = tuple(
             _ab_bit(s, l) for s, l in zip(m.domain.slots, din)
         )
-        col = m.domain.word_index(word)
+        col = bits_word(word)
         img = {}
         for (r, c), v in m.entries.items():
             if c != col:
                 continue
-            cw = m.codomain.index_word(r)
+            cw = word_bits(m.codomain, r)
             lets = tuple(
                 "a" if _ab_bit(s, "a") == b else "b"
                 for s, b in zip(m.codomain.slots, cw)
@@ -602,6 +622,42 @@ def test_annular_builders_are_annular_parts_of_the_planar_ones(ring):
             ann = tqft.dotted_identity_map(ess_triv, slot, dots)
             planar = tqft.dotted_identity_map(_planar_twin(ess_triv), slot, dots)
             assert _same_map(ann, planar), (slot, dots)
+
+
+EMBED_CASES = [
+    (INT, ANNULAR),
+    (GF(2), ANNULAR),
+    (alpha_eval(1, 3), ANNULAR),
+    (GENERIC, PLANAR),
+    (GENERIC, ANNULAR),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, planar", EMBED_CASES, ids=lambda x: x if isinstance(x, bool) else repr(x)
+)
+def test_embed_places_what_the_bit_tuple_oracle_places(diagrams, ring, planar):
+    edges = 0
+    for name, d in sorted(diagrams.items()):
+        cube = build_cube(d, ring, planar)
+        for e in cube.edges:
+            sd, dom, cod = e.descriptor, cube.spaces[e.u], cube.spaces[e.v]
+            table = tqft.local_table(
+                ring,
+                tuple(dom.slots[s].convention for s in sd.dom_involved),
+                tuple(cod.slots[s].convention for s in sd.cod_involved),
+                planar,
+            )
+            want = embed_oracle(
+                dom, cod, sd.dom_involved, sd.cod_involved, sd.uninvolved,
+                table, e.map.declared_bidegree,
+            )
+            # entries and their order
+            assert list(e.map.entries.items()) == list(want.entries.items()), (
+                name, e.u, e.v,
+            )
+            edges += 1
+    assert edges > 0
 
 
 def test_memoized_tables_are_not_shared_across_rings(diagrams):
