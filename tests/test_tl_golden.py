@@ -1,7 +1,7 @@
 """Byte-for-byte output of the Temperley-Lieb verbs.
 
 Runs ``tl-eval`` on every reduced (n, m)-tangle with n, m <= 3 over
-seven rings, and ``tl-rank`` on five shapes, through ``annkh.cli.main``,
+seven rings, and ``tl-rank`` on eight shapes, through ``annkh.cli.main``,
 and compares exit code, stdout and stderr with
 ``tests/data/tl_golden.json``.  Rings that cannot spin (``qh``) keep
 their exit-2 rows, so the error text is pinned too.  Regenerate the
@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "tl_golden.json"
 
 RINGS = ("generic", "int", "gf3", "alpha", "alpha:1,3", "qh", "alpha:1,1")
 SHAPES = [(n, m) for n in range(4) for m in range(4) if (n + m) % 2 == 0]
-RANK_SHAPES = ((1, 1), (2, 2), (3, 1), (2, 4), (1, 3))
+RANK_SHAPES = ((1, 1), (2, 2), (3, 1), (2, 4), (1, 3), (3, 3), (4, 2), (4, 4))
 
 
 def tangle_args(t):
@@ -52,7 +52,7 @@ def load_golden():
 
 def test_golden_covers_every_job():
     # 71 reduced tangles: 1 + 2 + 2 + 2 + 8 + 8 + 8 + 40
-    assert len(jobs()) == 71 * len(RINGS) + len(RANK_SHAPES) == 502
+    assert len(jobs()) == 71 * len(RINGS) + len(RANK_SHAPES) == 505
     assert set(load_golden()) == {tuple(j) for j in jobs()}
 
 
