@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import complexes
+from . import complexes, tqft
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
 from .linalg import SparseMatrix, cancel_units
@@ -227,6 +227,9 @@ def poincare_table(h):
 # the localized (Lee-type) theory
 
 
+_LEE_RING = alpha_eval(0, 1)  # built once: it holds Fractions
+
+
 def lee_complex(d, q0=0, q1=1):
     ring = alpha_eval(q0, q1)
     return complexes.build_complex(d, ring)
@@ -265,27 +268,27 @@ def canonical_generator(d, choice):
     Each circle of the oriented resolution gets the mod-2 count of
     circles separating it from infinity, plus one when it runs
     counterclockwise; 0 becomes the letter a and 1 the letter b, which
-    pick out basis vectors of the localized theory.
+    pick out basis vectors of the localized theory.  The annular degree
+    is the word's in the resolution's state space over the Lee ring, so
+    the winding check of :func:`verify_canonical` checks that table too.
     """
     u, rd = d.oriented_resolution(choice)
     letters = []
-    word = adeg = 0
+    word = 0
     for idx, c in enumerate(rd.circles):
         ccw = is_counterclockwise(c)
         lab = (nesting_depth(rd, idx) + (1 if ccw else 0)) % 2
         letter = "a" if lab == 0 else "b"
         letters.append(letter)
-        bit = _letter_to_bit(letter, c)
-        word = (word << 1) | bit
-        if c.essential:
-            adeg += 1 if bit == 1 else -1
+        word = (word << 1) | _letter_to_bit(letter, c)
     _, n_minus = d.n_plus_minus()
+    space = tqft.state_space(rd, _LEE_RING)
     return CanonicalGenerator(
         orientation=tuple(choice),
         smoothing=u,
         letters=tuple(letters),
         word=word,
-        adeg=adeg,
+        adeg=space.bidegrees[word][1],
         degree=sum(u) - n_minus,
     )
 

@@ -2,8 +2,8 @@
 
 Every map in the pipeline is a :class:`SparseMatrix`: saddles, dotted
 identities, births, deaths and the differential.  ``tqft.LinearMap`` is
-a ``SparseMatrix`` between state spaces, so sums, scalings and products
-of maps all run through the arithmetic here.  :func:`accumulate` sums
+a ``SparseMatrix`` between state spaces, so sums and products of maps
+all run through the arithmetic here.  :func:`accumulate` sums
 terms that share a key.  ``__matmul__`` checks shapes and hands the
 product loop to the ring (``CoefficientRing.matmul``), which may run it
 on its raw values: the GENERIC ring multiplies polynomial terms as ints.
@@ -102,9 +102,6 @@ class SparseMatrix:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, s):
-        return self.map_entries(lambda v: self.ring.mul(s, v))
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:

@@ -9,26 +9,24 @@ minus a0*a1 undotted.  Reduced tangles have no closed loops and at most
 one dot per strand.
 
 Spinning a tangle around the annulus turns bottom/top points into
-concentric essential circles; caps become merges followed by deaths,
-cups become births followed by splits, and dots become dotted identity
-cobordisms.  Evaluating with the annular TQFT then yields linear maps,
-which is also how kernel elements of the spinning functor are detected
-numerically.
+concentric essential circles, and each strand into its own annulus or
+cylinder.  So the annular TQFT value of a spun tangle is the tensor
+product of one piece per strand: a cap is a merge followed by a death,
+a cup a birth followed by a split, and a through strand the identity,
+with the strand's dots as a dotted identity on its first leg.  These
+linear maps are also how kernel elements of the spinning functor are
+detected numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import tqft
-from .errors import (
-    ArityMismatchError,
-    InvariantError,
-    ParityError,
-    VariantRingMismatchError,
-)
-from .linalg import SparseMatrix, cancel_units
+from .errors import ArityMismatchError, ParityError, VariantRingMismatchError
+from .linalg import SparseMatrix, accumulate, cancel_units
 from .ring import A0, A1, E1, E2, BivariatePoly, AlphaEval, RatPolyH
 
 
@@ -156,94 +154,60 @@ def reduce_tangle(t):
     return TLMorphism.make(t.n, t.m, out)
 
 
-def morphism(t):
-    return reduce_tangle(t)
-
-
 def identity_tangle(n):
     pairs = [(i, 2 * n + 1 - i) for i in range(1, n + 1)]
     return DottedTangle.make(n, n, pairs)
 
 
 def _compose_tangles(f, g):
-    """Stack f then g (f at the bottom); returns an unreduced tangle."""
-    # nodes: ("b", i) bottom of f, ("m", p) glued level, ("t", p) top of g
-    def f_node(label):
-        if label <= f.n:
-            return ("b", label)
-        return ("m", f.top_position(label))
+    """Stack f then g (f at the bottom); returns an unreduced tangle.
 
-    def g_node(label):
-        if label <= g.n:
-            return ("m", label)
-        return ("t", g.top_position(label))
+    Each layer maps a point to its strand's other end and dots.  A walk
+    follows one strand at a time and switches layer at every glued
+    point: f's top label x meets g's bottom label glue - x.  It ends at
+    an outer point, or back at its start for a closed loop; every closed
+    loop passes through f's top, so starting there finds them all.
+    """
+    n, mid, k = f.n, f.m, g.m
+    glue = n + mid + 1
+    partner = []
+    for t in (f, g):
+        ends = {}
+        for (a, b), d in zip(t.pairs, t.dots):
+            ends[a], ends[b] = (b, d), (a, d)
+        partner.append(ends)
 
-    strands = []
-    for (a, b), d in zip(f.pairs, f.dots):
-        strands.append((f_node(a), f_node(b), d))
-    for (a, b), d in zip(g.pairs, g.dots):
-        strands.append((g_node(a), g_node(b), d))
-    incident = {}
-    for sid, (u, v, d) in enumerate(strands):
-        incident.setdefault(u, []).append(sid)
-        incident.setdefault(v, []).append(sid)
+    def outer(layer, x):
+        return x <= n if layer == 0 else x > mid
 
-    def other_end(sid, node):
-        u, v, _ = strands[sid]
-        return v if node == u else u
+    def label(layer, x):
+        """The stacked tangle's label of an outer point."""
+        return x + layer * (n - mid)
 
-    seen = [False] * len(strands)
-    open_paths = []
-    loops = []
-    endpoints = sorted(
-        n for n in incident if n[0] != "m"
+    seen = set()
+    pairs, dots, loops = [], [], []
+    starts = (
+        [(0, x) for x in range(1, n + 1)]
+        + [(1, x) for x in range(mid + 1, mid + k + 1)]
+        + [(0, x) for x in range(n + 1, glue)]
     )
-    for start in endpoints:
-        sid = incident[start][0]
-        if seen[sid]:
+    for start in starts:
+        if start in seen:
             continue
-        node = start
-        total = 0
+        (layer, x), total = start, 0
         while True:
-            seen[sid] = True
-            total += strands[sid][2]
-            node = other_end(sid, node)
-            if node[0] != "m":
-                open_paths.append((start, node, total))
+            y, d = partner[layer][x]
+            seen.update(((layer, x), (layer, y)))
+            total += d
+            if outer(layer, y):
+                pairs.append((label(*start), label(layer, y)))
+                dots.append(total)
                 break
-            a, b = incident[node]
-            sid = b if a == sid else a
-    for sid0 in range(len(strands)):
-        if seen[sid0]:
-            continue
-        total = 0
-        sid = sid0
-        node = strands[sid][0]
-        while True:
-            seen[sid] = True
-            total += strands[sid][2]
-            node = other_end(sid, node)
-            a, b = incident[node]
-            nxt = b if a == sid else a
-            if nxt == sid0 and node == strands[sid0][0]:
+            layer, x = 1 - layer, glue - y
+            if (layer, x) == start:
+                loops.append(total)
                 break
-            sid = nxt
-        loops.append(total)
-
-    nn, kk = f.n, g.m
-
-    def out_label(node):
-        kind, p = node
-        if kind == "b":
-            return p
-        return nn + kk + 1 - p
-
-    pairs = []
-    dots = []
-    for u, v, d in open_paths:
-        pairs.append((out_label(u), out_label(v)))
-        dots.append(d)
-    return DottedTangle.make(nn, kk, pairs, dots, tuple(loops))
+    return DottedTangle.make(n, k, pairs, dots, tuple(loops))
 
 
 def tl_compose(f, g):
@@ -303,96 +267,68 @@ def _check_spin_ring(ring):
         raise VariantRingMismatchError("cannot spin with variant ANNULAR_H")
 
 
-def _classify_pairs(t):
-    bb, tt, thru = [], [], []
-    for idx, (a, b) in enumerate(t.pairs):
-        a_bot = a <= t.n
-        b_bot = b <= t.n
-        if a_bot and b_bot:
-            bb.append(idx)
-        elif not a_bot and not b_bot:
-            tt.append(idx)
-        else:
-            thru.append(idx)
-    return bb, tt, thru
+@lru_cache(maxsize=None)
+def _piece(ring, bottom_legs, parity, dots):
+    """The TQFT value of one spun strand on its own circles: a cap (two
+    bottom legs), a through strand (one) or a cup (none), with its dots
+    on the first leg.  The first leg sits at a slot of the given parity,
+    which picks the bases of the legs.  Memoized per process, as
+    ``tqft.local_table`` is: a tangle places its pieces, never composes.
+    """
+    def circles(k):
+        return tqft.make_space(ring, [(True, parity + 1 + s) for s in range(k)])
+
+    legs = circles(1 if bottom_legs == 1 else 2)
+    dot = tqft.dotted_identity_map(legs, 0, dots) if dots else tqft.identity_map(legs)
+    if bottom_legs == 1:
+        return dot
+    circle = tqft.make_space(ring, [(False, None)])
+    if bottom_legs == 2:
+        merge = tqft.merge_map(legs, circle, (0, 1), 0, ())
+        return tqft.compose(tqft.death_map(circle, 0), tqft.compose(merge, dot))
+    split = tqft.split_map(circle, legs, 0, (0, 1), ())
+    return tqft.compose(dot, tqft.compose(split, tqft.birth_map(circles(0), 0)))
+
+
+def _spread(word, slots, k):
+    """A piece's word on its legs, placed at those slots of a k-slot word."""
+    last = len(slots) - 1
+    return sum(1 << (k - 1 - s) for i, s in enumerate(slots) if word >> (last - i) & 1)
 
 
 def spin_tangle(t, ring):
-    """The annular TQFT value of one reduced spun tangle."""
+    """The annular TQFT value of one reduced spun tangle.
+
+    Spun, each strand is its own annulus or cylinder, so the value is the
+    tensor product of one piece per strand, placed at its legs' slots.
+    Bottom label p is domain slot p - 1 and a top label is the codomain
+    slot of its position.  The points on either side of a strand pair up
+    among themselves, so a through strand's two slots share a parity and
+    a cap's or cup's two alternate.  So the first leg's parity picks a
+    piece's bases, and they are the bases of the slots it is placed at.
+    """
     _check_spin_ring(ring)
     if not t.is_reduced():
         raise ValueError("spin_tangle needs a reduced tangle")
-    bb, tt, thru = _classify_pairs(t)
-
-    def essentials(k):
-        return tqft.essential_space(k, ring)
-
-    total = tqft.identity_map(essentials(t.n))
-
-    # tokens at radial slots, innermost first
-    cur = []
-    for p in range(1, t.n + 1):
-        idx = next(i for i, pr in enumerate(t.pairs) if p in pr)
-        a, b = t.pairs[idx]
-        if idx in bb:
-            cur.append(("bb", idx, "l" if p == a else "r", None))
-        else:
-            top = t.top_position(b if p == a else a)
-            cur.append(("thru", idx, None, top))
-
-    def apply(m):
-        nonlocal total
-        total = tqft.compose(m, total)
-
-    # dots on through strands act first, at their bottom positions
-    for slot, tok in enumerate(cur):
-        if tok[0] == "thru" and t.dots[tok[1]]:
-            apply(tqft.dotted_identity_map(total.codomain, slot, t.dots[tok[1]]))
-
-    # caps: innermost bottom-bottom pairs first
-    for idx in sorted(bb, key=lambda i: t.pairs[i][1] - t.pairs[i][0]):
-        i = next(s for s, tok in enumerate(cur) if tok[1] == idx)
-        if cur[i + 1][1] != idx:
-            raise InvariantError(f"capped legs of strand {idx} are not adjacent")
-        space = total.codomain
-        if t.dots[idx]:
-            apply(tqft.dotted_identity_map(space, i, t.dots[idx]))
-            space = total.codomain
-        k = len(cur)
-        mid = tqft.make_space(
-            ring, [(False, None)] + [(True, s + 1) for s in range(k - 2)]
-        )
-        pairs = [
-            (s, 1 + (s if s < i else s - 2))
-            for s in range(k)
-            if s not in (i, i + 1)
+    dom = tqft.essential_space(t.n, ring)
+    cod = tqft.essential_space(t.m, ring)
+    terms, qdeg = [(0, 0, ring.one())], 0
+    for (a, b), d in zip(t.pairs, t.dots):
+        cols = [x - 1 for x in (a, b) if x <= t.n]
+        rows = [t.top_position(x) - 1 for x in (b, a) if x > t.n]
+        piece = _piece(ring, len(cols), (cols or rows)[0] % 2, d)
+        qdeg += piece.declared_bidegree[0]
+        placed = [
+            (_spread(r, rows, t.m), _spread(c, cols, t.n), v)
+            for (r, c), v in piece.entries.items()
         ]
-        apply(tqft.merge_map(space, mid, (i, i + 1), 0, pairs))
-        apply(tqft.death_map(mid, 0))
-        del cur[i : i + 2]
-
-    # cups: outermost top-top pairs first
-    for idx in sorted(
-        tt, key=lambda i: t.pairs[i][0] - t.pairs[i][1]
-    ):
-        a, b = t.pairs[idx]
-        t1, t2 = sorted((t.top_position(a), t.top_position(b)))
-        pos = sum(1 for tok in cur if tok[3] < t1)
-        k = len(cur)
-        apply(tqft.birth_map(total.codomain, 0))
-        cod = essentials(k + 2)
-        pairs = [
-            (1 + s, s if s < pos else s + 2) for s in range(k)
+        terms = [
+            (r | pr, c | pc, ring.mul(u, v))
+            for r, c, u in terms
+            for pr, pc, v in placed
         ]
-        apply(tqft.split_map(total.codomain, cod, 0, (pos, pos + 1), pairs))
-        cur[pos:pos] = [("tt", idx, "l", t1), ("tt", idx, "r", t2)]
-        if t.dots[idx]:
-            apply(tqft.dotted_identity_map(total.codomain, pos, t.dots[idx]))
-
-    tops = [tok[3] for tok in cur]
-    if tops != sorted(tops) or len(tops) != t.m:
-        raise InvariantError(f"spun top positions {tops} are not {t.m} in order")
-    return total
+    entries = {(r, c): v for r, c, v in terms}
+    return tqft.LinearMap.wrap(dom, cod, entries, (qdeg, 0))
 
 
 def spin_evaluate(f, ring):
@@ -401,11 +337,12 @@ def spin_evaluate(f, ring):
     _check_spin_ring(ring)
     dom = tqft.essential_space(f.n, ring)
     cod = tqft.essential_space(f.m, ring)
-    total = tqft.LinearMap.wrap(dom, cod, {})
+    entries = {}
     for t, c in f.terms:
         spec = ring.specialize_poly(c)
-        total = total.add(spin_tangle(t, ring).scale(spec))
-    return total
+        spun = spin_tangle(t, ring).entries.items()
+        accumulate(ring, entries, ((k, ring.mul(spec, v)) for k, v in spun))
+    return tqft.LinearMap.wrap(dom, cod, entries)
 
 
 def kernel_rank_experiment(n, m, ring):

@@ -181,16 +181,6 @@ class LinearMap:
             and self.entries == other.entries
         )
 
-    def add(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeMismatchError("sum of maps with different spaces")
-        m = self.matrix + other.matrix
-        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
-
-    def scale(self, s):
-        m = self.matrix.scale(s)
-        return LinearMap(self.domain, self.codomain, m, self.declared_bidegree)
-
     def adeg_split(self):
         """Split entries by annular-degree shift; returns {shift: map}."""
         cod, dom = self.codomain.bidegrees, self.domain.bidegrees

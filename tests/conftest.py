@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from annkh import corpus, tqft
+from annkh import corpus, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.errors import InvariantError, UnsupportedRingError
 from annkh.linalg import SparseMatrix
@@ -230,3 +230,124 @@ def pd_circle_count(d, u):
         assert len(ends) == 2, f"edge {eid} must have two ends"
         union(ends[0], ends[1])
     return len({find(s) for s in slots}) + free_loops
+
+
+def spin_tangle_oracle(t, ring):
+    """The spin of a reduced tangle step by step on the whole space: the
+    oracle for ``tl.spin_tangle``, which places one piece per strand.
+
+    A token list tracks the legs at the radial slots, innermost first.
+    Dots on through strands act first; then caps merge and die,
+    innermost first; then cups are born and split, outermost first.
+    """
+    bb = [i for i, (a, b) in enumerate(t.pairs) if b <= t.n]
+    tt = [i for i, (a, b) in enumerate(t.pairs) if a > t.n]
+
+    def essentials(k):
+        return tqft.essential_space(k, ring)
+
+    total = tqft.identity_map(essentials(t.n))
+    cur = []  # (strand, top position) per slot; None for a capped leg
+    for p in range(1, t.n + 1):
+        idx = next(i for i, pr in enumerate(t.pairs) if p in pr)
+        a, b = t.pairs[idx]
+        cur.append((idx, None if idx in bb else t.top_position(b)))
+
+    def apply(m):
+        nonlocal total
+        total = tqft.compose(m, total)
+
+    for slot, (idx, top) in enumerate(cur):
+        if top is not None and t.dots[idx]:
+            apply(tqft.dotted_identity_map(total.codomain, slot, t.dots[idx]))
+    for idx in sorted(bb, key=lambda i: t.pairs[i][1] - t.pairs[i][0]):
+        i = next(s for s, tok in enumerate(cur) if tok[0] == idx)
+        if cur[i + 1][0] != idx:
+            raise InvariantError(f"capped legs of strand {idx} are not adjacent")
+        if t.dots[idx]:
+            apply(tqft.dotted_identity_map(total.codomain, i, t.dots[idx]))
+        k = len(cur)
+        mid = tqft.make_space(
+            ring, [(False, None)] + [(True, s + 1) for s in range(k - 2)]
+        )
+        pairs = [(s, 1 + (s if s < i else s - 2)) for s in range(k) if s not in (i, i + 1)]
+        apply(tqft.merge_map(total.codomain, mid, (i, i + 1), 0, pairs))
+        apply(tqft.death_map(mid, 0))
+        del cur[i : i + 2]
+    for idx in sorted(tt, key=lambda i: t.pairs[i][0] - t.pairs[i][1]):
+        a, b = t.pairs[idx]
+        t1, t2 = sorted((t.top_position(a), t.top_position(b)))
+        pos = sum(1 for _, top in cur if top < t1)
+        k = len(cur)
+        apply(tqft.birth_map(total.codomain, 0))
+        pairs = [(1 + s, s if s < pos else s + 2) for s in range(k)]
+        apply(tqft.split_map(total.codomain, essentials(k + 2), 0, (pos, pos + 1), pairs))
+        cur[pos:pos] = [(idx, t1), (idx, t2)]
+        if t.dots[idx]:
+            apply(tqft.dotted_identity_map(total.codomain, pos, t.dots[idx]))
+    tops = [top for _, top in cur]
+    if tops != sorted(tops) or len(tops) != t.m:
+        raise InvariantError(f"spun top positions {tops} are not {t.m} in order")
+    return total
+
+
+def compose_tangles_oracle(f, g):
+    """Stacking f then g as a strand graph walked in two passes, open
+    paths from the outer points first, then closed loops: the oracle for
+    ``tl._compose_tangles``."""
+    # nodes: ("b", i) bottom of f, ("m", p) glued level, ("t", p) top of g
+    def f_node(label):
+        return ("b", label) if label <= f.n else ("m", f.top_position(label))
+
+    def g_node(label):
+        return ("m", label) if label <= g.n else ("t", g.top_position(label))
+
+    strands = [(f_node(a), f_node(b), d) for (a, b), d in zip(f.pairs, f.dots)]
+    strands += [(g_node(a), g_node(b), d) for (a, b), d in zip(g.pairs, g.dots)]
+    incident = {}
+    for sid, (u, v, d) in enumerate(strands):
+        incident.setdefault(u, []).append(sid)
+        incident.setdefault(v, []).append(sid)
+
+    def other_end(sid, node):
+        u, v, _ = strands[sid]
+        return v if node == u else u
+
+    seen = [False] * len(strands)
+    open_paths, loops = [], []
+    for start in sorted(n for n in incident if n[0] != "m"):
+        sid = incident[start][0]
+        if seen[sid]:
+            continue
+        node, total = start, 0
+        while True:
+            seen[sid] = True
+            total += strands[sid][2]
+            node = other_end(sid, node)
+            if node[0] != "m":
+                open_paths.append((start, node, total))
+                break
+            a, b = incident[node]
+            sid = b if a == sid else a
+    for sid0 in range(len(strands)):
+        if seen[sid0]:
+            continue
+        total, sid, node = 0, sid0, strands[sid0][0]
+        while True:
+            seen[sid] = True
+            total += strands[sid][2]
+            node = other_end(sid, node)
+            a, b = incident[node]
+            nxt = b if a == sid else a
+            if nxt == sid0 and node == strands[sid0][0]:
+                break
+            sid = nxt
+        loops.append(total)
+
+    def out_label(node):
+        kind, p = node
+        return p if kind == "b" else f.n + g.m + 1 - p
+
+    pairs = [(out_label(u), out_label(v)) for u, v, _ in open_paths]
+    dots = [d for _, _, d in open_paths]
+    return tl.DottedTangle.make(f.n, g.m, pairs, dots, tuple(loops))

@@ -391,12 +391,13 @@ def test_verify_generic_fails_beta_alone_on_a_doubled_d2(
     # every truncation alone, so only the d_beta identities can see it
     original = complexes.build_cube
 
+    def plus_d2(m):
+        return replace(m, matrix=m.matrix + tqft.annular_parts(m)[1].matrix)
+
     def doubled(*args, **kwargs):
         cube = original(*args, **kwargs)
         edges = [
-            replace(e, map=e.map.add(tqft.annular_parts(e.map)[1]))
-            if e.coordinate == 0
-            else e
+            replace(e, map=plus_d2(e.map)) if e.coordinate == 0 else e
             for e in cube.edges
         ]
         return replace(cube, edges=edges)

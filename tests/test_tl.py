@@ -1,10 +1,15 @@
 import math
 import random
+from itertools import product
+
 import pytest
 
 from annkh import tl, tqft
 from annkh.errors import ArityMismatchError, ParityError
-from annkh.ring import A0, A1, E1, E2, GENERIC, INT, QH, BivariatePoly, alpha_eval
+from annkh.ring import (
+    A0, A1, E1, E2, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval,
+)
+from conftest import compose_tangles_oracle, spin_tangle_oracle
 
 EV = alpha_eval(0, 1)
 ONE = BivariatePoly.from_int(1)
@@ -93,29 +98,53 @@ def test_reduction_confluence_random_orders():
 
 def test_compose_identity():
     rng = random.Random(22)
-    ident = tl.morphism(tl.identity_tangle(2))
+    ident = tl.reduce_tangle(tl.identity_tangle(2))
     for t in tl.enumerate_reduced(2, 2):
-        f = tl.morphism(t)
+        f = tl.reduce_tangle(t)
         assert tl.tl_compose(ident, f).terms == f.terms
         assert tl.tl_compose(f, ident).terms == f.terms
 
 
 def test_compose_cup_cap():
-    cup = tl.morphism(tl.DottedTangle.make(0, 2, [(1, 2)]))
-    cap = tl.morphism(tl.DottedTangle.make(2, 0, [(1, 2)]))
+    cup = tl.reduce_tangle(tl.DottedTangle.make(0, 2, [(1, 2)]))
+    cap = tl.reduce_tangle(tl.DottedTangle.make(2, 0, [(1, 2)]))
     got = tl.tl_compose(cup, cap)
     empty = tl.DottedTangle.make(0, 0, [])
     assert got.term_dict() == {empty: BivariatePoly.from_int(2)}
-    dotted_cup = tl.morphism(tl.DottedTangle.make(0, 2, [(1, 2)], [1]))
+    dotted_cup = tl.reduce_tangle(tl.DottedTangle.make(0, 2, [(1, 2)], [1]))
     got = tl.tl_compose(dotted_cup, cap)
     assert got.term_dict() == {empty: E1}
 
 
 def test_compose_arity_check():
-    f = tl.morphism(tl.identity_tangle(2))
-    g = tl.morphism(tl.identity_tangle(3))
+    f = tl.reduce_tangle(tl.identity_tangle(2))
+    g = tl.reduce_tangle(tl.identity_tangle(3))
     with pytest.raises(ArityMismatchError):
         tl.tl_compose(f, g)
+
+
+def _redotted(t, rng, most):
+    """The tangle with fresh random dot counts of at most ``most``."""
+    dots = [rng.randint(0, most) for _ in t.pairs]
+    return tl.DottedTangle.make(t.n, t.m, t.pairs, dots)
+
+
+def test_stacking_matches_the_strand_graph_oracle():
+    rng = random.Random(24)
+    checked = loops = 0
+    for n, mid, k in product(range(5), repeat=3):
+        if (n + mid) % 2 or (mid + k) % 2:
+            continue
+        fs, gs = tl.enumerate_reduced(n, mid), tl.enumerate_reduced(mid, k)
+        for _ in range(10):
+            f = _redotted(rng.choice(fs), rng, 3)
+            g = _redotted(rng.choice(gs), rng, 3)
+            got = tl._compose_tangles(f, g)
+            assert got == compose_tangles_oracle(f, g), (f, g)
+            checked += 1
+            loops += bool(got.closed_loops)
+    # 35 arity triples, and closed loops in about a third of the stacks
+    assert checked == 350 and loops > 100
 
 
 def test_enumerate_counts():
@@ -147,12 +176,12 @@ def test_bending_commutes_with_reduce():
 
 
 def test_spin_dotted_strand_matrix():
-    m = tl.spin_evaluate(tl.morphism(strand(1)), GENERIC)
+    m = tl.spin_evaluate(tl.reduce_tangle(strand(1)), GENERIC)
     assert m.entries == {(0, 0): A0, (1, 1): A1}
 
 
 def test_spin_dotted_strand_vanishes_at_zero():
-    m = tl.spin_evaluate(tl.morphism(strand(1)), INT)
+    m = tl.spin_evaluate(tl.reduce_tangle(strand(1)), INT)
     assert m.is_zero()
 
 
@@ -165,8 +194,8 @@ def test_spin_closed_values():
 
 def test_spun_torus_through_saddles():
     # cup then cap without reduction: birth, split, merge, death
-    cup = tl.morphism(tl.DottedTangle.make(0, 2, [(1, 2)]))
-    cap = tl.morphism(tl.DottedTangle.make(2, 0, [(1, 2)]))
+    cup = tl.reduce_tangle(tl.DottedTangle.make(0, 2, [(1, 2)]))
+    cap = tl.reduce_tangle(tl.DottedTangle.make(2, 0, [(1, 2)]))
     m = tqft.compose(
         tl.spin_evaluate(cap, GENERIC),
         tl.spin_evaluate(cup, GENERIC),
@@ -210,6 +239,47 @@ def test_kernel_rank_experiments():
     assert tl.kernel_rank_experiment(2, 2, alpha_eval(2, 5)) == (6, 2)
 
 
+SPIN_RINGS = (GENERIC, INT, GF(3), RAT, alpha_eval(1, 3))
+
+
+@pytest.mark.parametrize("ring", SPIN_RINGS, ids=repr)
+def test_spin_places_the_step_by_step_entries(ring):
+    # every reduced tangle with n + m <= 6
+    shapes = [(n, s - n) for s in (0, 2, 4, 6) for n in range(s + 1)]
+    for n, m in shapes:
+        for t in tl.enumerate_reduced(n, m):
+            assert tl.spin_tangle(t, ring) == spin_tangle_oracle(t, ring), t
+
+
+@pytest.mark.parametrize("ring", [GENERIC, EV], ids=repr)
+def test_spin_places_the_step_by_step_entries_at_4_4(ring):
+    for t in tl.enumerate_reduced(4, 4):
+        assert tl.spin_tangle(t, ring) == spin_tangle_oracle(t, ring), t
+
+
+def test_spin_composes_nothing_once_its_pieces_are_built(monkeypatch):
+    tangles = tl.enumerate_reduced(3, 3)
+    before = [tl.spin_tangle(t, EV) for t in tangles]
+
+    def refuse(f, g):
+        raise AssertionError("spin_tangle composed a map")
+
+    monkeypatch.setattr(tqft, "compose", refuse)
+    assert [tl.spin_tangle(t, EV) for t in tangles] == before
+
+
+@pytest.mark.parametrize("q", [(1, 3), (0, 1), (-2, 5), (1, 2), (7, -3)])
+def test_kernel_rank_is_the_central_binomial(q):
+    # the spun tangles span a space of dimension C(n + m, (n + m) / 2)
+    ring = alpha_eval(*q)
+    for n, m in product(range(5), repeat=2):
+        if (n + m) % 2:
+            continue
+        rank = math.comb(n + m, (n + m) // 2)
+        count = len(tl.enumerate_reduced(n, m))
+        assert tl.kernel_rank_experiment(n, m, ring) == (rank, count - rank)
+
+
 def test_kernel_rank_parity_error():
     with pytest.raises(ParityError):
         tl.kernel_rank_experiment(2, 1, EV)
@@ -219,6 +289,6 @@ def test_spin_refuses_qh_and_equal_parameters():
     from annkh.errors import VariantRingMismatchError
 
     with pytest.raises(VariantRingMismatchError, match="cannot spin"):
-        tl.spin_evaluate(tl.morphism(strand()), QH)
+        tl.spin_evaluate(tl.reduce_tangle(strand()), QH)
     with pytest.raises(VariantRingMismatchError, match="distinct"):
-        tl.spin_evaluate(tl.morphism(strand()), alpha_eval(1, 1))
+        tl.spin_evaluate(tl.reduce_tangle(strand()), alpha_eval(1, 1))

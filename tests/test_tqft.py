@@ -543,7 +543,7 @@ def test_annular_parts_reassemble_the_planar_map(diagrams):
     d = diagrams["trefoil_right"]
     for e in build_cube(d, GENERIC, planar=True).edges:
         d0, d2 = tqft.annular_parts(e.map)
-        assert d0.add(d2).entries == e.map.entries
+        assert (d0.matrix + d2.matrix).entries == e.map.entries
 
 
 def test_annular_saddle_map_rejects_an_odd_adeg_shift():
