@@ -6,9 +6,11 @@ separate matrix problem.  Over evaluated parameters the quantum grading
 collapses and slices are taken per (degree, adeg) only.  Each slice is
 reduced by unit cancellation, then SNF on the remainder: sparse
 Gaussian elimination cancels invertible entries until none is left,
-and the dense Smith normal form runs only on the small non-unit matrix
-that remains.  ``cancel_units`` lives in ``linalg`` and is importable
-from here as well.
+and the Smith normal form runs only on the small non-unit matrix that
+remains.  Both are sparse eliminations on one row form, with one row
+update (``linalg.row_form``, ``linalg.row_subtractor``); the SNF pivots
+on an entry of least Euclidean size.  ``cancel_units`` lives in
+``linalg`` and is importable from here as well.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from . import complexes, tqft
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
-from .linalg import SparseMatrix, cancel_units
+from .linalg import SparseMatrix, cancel_units, row_form, row_subtractor
 from .ring import alpha_eval
 
 
@@ -35,97 +37,46 @@ class SNFResult:
 def smith_normal_form(m):
     """Diagonalize over a Euclidean ring with a divisibility chain.
 
-    Pivots are chosen with minimal Euclidean size, breaking ties at the
-    leftmost column, which keeps coefficient growth tame at this scale.
+    Sparse Euclidean elimination on the row form of ``m``: pivot on an
+    entry of least Euclidean size (then leftmost, then topmost), clear
+    its column by row operations, then its row by column operations.  A
+    nonzero remainder is a smaller entry and becomes the next pivot; a
+    pivot left alone in its row and column is a diagonal entry.
     """
     ring = m.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
-    A = m.to_dense()
-    nr, nc = m.nrows, m.ncols
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for t in range(nc):
-            A[i][t] = ring.sub(A[i][t], ring.mul(q, A[j][t]))
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for t in range(nr):
-            A[t][i] = ring.sub(A[t][i], ring.mul(q, A[t][j]))
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for t in range(nr):
-                A[t][i], A[t][j] = A[t][j], A[t][i]
-
-    invariants = []
-    r = 0
-    while r < nr and r < nc:
-        best = None
-        for j in range(r, nc):
-            for i in range(r, nr):
-                v = A[i][j]
-                if ring.is_zero(v):
-                    continue
-                key = (ring.size(v), j, i)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(r, bi)
-        swap_cols(r, bj)
-        while True:
-            changed = False
-            for i in range(r + 1, nr):
-                if ring.is_zero(A[i][r]):
-                    continue
-                q, rem = ring.divmod(A[i][r], A[r][r])
-                row_op(i, r, q)
-                if not ring.is_zero(rem):
-                    swap_rows(r, i)
-                    changed = True
-            for j in range(r + 1, nc):
-                if ring.is_zero(A[r][j]):
-                    continue
-                q, rem = ring.divmod(A[r][j], A[r][r])
-                col_op(j, r, q)
-                if not ring.is_zero(rem):
-                    swap_cols(r, j)
-                    changed = True
-            if changed:
-                continue
-            if any(
-                not ring.is_zero(A[i][r]) for i in range(r + 1, nr)
-            ) or any(not ring.is_zero(A[r][j]) for j in range(r + 1, nc)):
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(r + 1, nr):
-                for j in range(r + 1, nc):
-                    if ring.is_zero(A[i][j]):
-                        continue
-                    _, rem = ring.divmod(A[i][j], A[r][r])
-                    if not ring.is_zero(rem):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for t in range(nc):
-                A[r][t] = ring.add(A[r][t], A[offender][t])
-        # keep only the normalized pivot: row r is zero beyond it and
-        # is never read again
-        invariants.append(ring.normalize_unit(A[r][r])[1])
-        r += 1
+    rows, cols = row_form(m)
+    subtract = row_subtractor(ring, rows, cols)
+    size, divmod_, is_zero = ring.size, ring.divmod, ring.is_zero
+    d = []
+    while rows:
+        _, c, r = min(
+            (size(v), c, r) for r, row in rows.items() for c, v in row.items()
+        )
+        prow = rows[r]
+        p = prow[c]
+        for i in cols[c] - {r}:
+            subtract(i, divmod_(rows[i][c], p)[0], prow)
+        if len(cols[c]) > 1:
+            continue
+        for j in [j for j in prow if j != c]:  # only row r has column c
+            prow[j] = divmod_(prow[j], p)[1]
+            if is_zero(prow[j]):
+                del prow[j]
+                cols[j].discard(r)
+        if len(prow) == 1:
+            del rows[r], cols[c]
+            d.append(p)
+    # pairwise gcd and lcm turn the diagonal into a divisibility chain
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g, b = d[i], d[j]
+            while not is_zero(b):
+                g, b = b, divmod_(g, b)[1]
+            d[i], d[j] = g, divmod_(ring.mul(d[i], d[j]), g)[0]
+    invariants = [ring.normalize_unit(v)[1] for v in d]
     return SNFResult(invariants=invariants, rank=len(invariants))
-
-
-def _unit_free_torsion(ring, invariants):
-    return [v for v in invariants if not ring.is_unit(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +131,7 @@ def homology(c):
             if not rest.is_zero():
                 res = smith_normal_form(rest)
                 rank += res.rank
-                tors = _unit_free_torsion(ring, res.invariants)
+                tors = [v for v in res.invariants if not ring.is_unit(v)]
                 if tors:
                     slice_tors[(i + 1, key)] = tors
             slice_ranks[(i, key)] = rank

@@ -12,8 +12,10 @@ Chain groups reach tens of thousands of generators (T(2,9) has about
 20k), but differentials stay very sparse, so the operations here cost
 time in proportion to the stored entries.  :func:`cancel_units` is the
 elimination routine: over a field it gives the rank, and elsewhere it
-leaves a small unit-free remainder for the Smith normal form.  The
-exception is ``to_dense``, which is meant for small matrices.
+leaves a small unit-free remainder for the Smith normal form, which
+eliminates on the same :func:`row_form` with the same row update.
+Nothing dense is built; ``to_dense`` stays only for the benchmark's
+tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ class SparseMatrix:
         return SparseMatrix.wrap(self.ring, len(rows), len(cols), out)
 
     def to_dense(self):
+        """Rows as lists; unused in ``annkh``, kept for the benchmark's
+        tracer, which wraps it by name."""
         z = self.ring.zero()
         rows = [[z] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -146,6 +150,37 @@ class SparseMatrix:
         )
 
 
+def row_form(m):
+    """Row dicts ``r -> {c: v}`` and column sets ``c -> {r}`` of ``m``."""
+    rows, cols = {}, {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    return rows, cols
+
+
+def row_subtractor(ring, rows, cols):
+    """``subtract(r, f, prow)``: row ``r`` -= ``f * prow`` in a row form,
+    keeping the column sets and dropping the row if it empties."""
+    sub, mul, is_zero, zero = ring.sub, ring.mul, ring.is_zero, ring.zero()
+
+    def subtract(r, f, prow):
+        row = rows[r]
+        for c, v in prow.items():
+            w = sub(row.get(c, zero), mul(f, v))
+            if not is_zero(w):
+                if c not in row:
+                    cols[c].add(r)
+                row[c] = w
+            elif c in row:
+                del row[c]
+                cols[c].discard(r)
+        if not row:
+            del rows[r]
+
+    return subtract
+
+
 def cancel_units(m):
     """Cancel unit pivots of ``m`` by sparse Gaussian elimination.
 
@@ -155,19 +190,16 @@ def cancel_units(m):
     surviving rows and columns in their original order and holds no
     unit entry.
 
-    The matrix is kept as row dicts plus column index sets.  Pivots are
-    found in sweeps over the rows, shortest row first, taking the unit
-    whose column is shortest; choosing a pivot costs the length of its
-    row, never a rescan of the matrix.  Sweeps repeat until one cancels
+    The matrix is kept in its :func:`row_form`.  Pivots are found in
+    sweeps over the rows, shortest row first, taking the unit whose
+    column is shortest; choosing a pivot costs the length of its row,
+    never a rescan of the matrix.  Sweeps repeat until one cancels
     nothing, since elimination can create new units.
     """
     ring = m.ring
-    rows, cols = {}, {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    is_unit, is_zero = ring.is_unit, ring.is_zero
-    zero = ring.zero()
+    rows, cols = row_form(m)
+    subtract = row_subtractor(ring, rows, cols)
+    is_unit, mul, divmod_, one = ring.is_unit, ring.mul, ring.divmod, ring.one()
     k = 0
     progress = True
     while progress:
@@ -185,21 +217,9 @@ def cancel_units(m):
             del rows[p]
             for c in prow:
                 cols[c].discard(p)
-            inv, _ = ring.divmod(ring.one(), prow.pop(q))
+            inv, _ = divmod_(one, prow.pop(q))
             for r in cols.pop(q):
-                row = rows[r]
-                f = ring.mul(row.pop(q), inv)
-                for c, v in prow.items():
-                    w = ring.sub(row.get(c, zero), ring.mul(f, v))
-                    if not is_zero(w):
-                        if c not in row:
-                            cols[c].add(r)
-                        row[c] = w
-                    elif c in row:
-                        del row[c]
-                        cols[c].discard(r)
-                if not row:
-                    del rows[r]
+                subtract(r, mul(rows[r].pop(q), inv), prow)
             k += 1
             progress = True
     rpos = {r: i for i, r in enumerate(sorted(rows))}

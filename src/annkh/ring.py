@@ -143,26 +143,6 @@ class BivariatePoly:
             return None
         return 2 * degs.pop()
 
-    def evaluate(self, q0, q1):
-        """Substitute rational values for a0, a1."""
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * q0**i * q1**j
-        return total
-
-    def eval_h(self):
-        """Substitute a0 -> 0, a1 -> h; returns an :class:`HPoly`."""
-        coeffs = {}
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                coeffs[j] = coeffs.get(j, 0) + c
-        if not coeffs:
-            return HPoly(())
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for j, c in coeffs.items():
-            out[j] = Fraction(c)
-        return HPoly(out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -427,8 +407,17 @@ class CoefficientRing:
         raise NotImplementedError
 
     def specialize_poly(self, p):
-        """Image of a bivariate polynomial under the specialization."""
-        raise NotImplementedError
+        """Image of a bivariate polynomial under the specialization: its
+        terms evaluated at :meth:`alpha_images` in this ring."""
+        x0, x1 = self.alpha_images()
+        add, mul = self.add, self.mul
+        out = self.zero()
+        for (i, j), c in p.terms.items():
+            t = self.from_int(c)
+            for x in (x0,) * i + (x1,) * j:
+                t = mul(t, x)
+            out = add(out, t)
+        return out
 
     def scalar_qdeg(self, a):
         """Quantum degree of a nonzero value; None if inhomogeneous."""
@@ -478,9 +467,6 @@ class IntRing(CoefficientRing):
     def alpha_images(self):
         return 0, 0
 
-    def specialize_poly(self, p):
-        return p.terms.get((0, 0), 0)
-
 
 class RatRing(CoefficientRing):
     kind = "RAT"
@@ -510,9 +496,6 @@ class RatRing(CoefficientRing):
 
     def alpha_images(self):
         return Fraction(0), Fraction(0)
-
-    def specialize_poly(self, p):
-        return Fraction(p.terms.get((0, 0), 0))
 
 
 class PrimeField(CoefficientRing):
@@ -565,9 +548,6 @@ class PrimeField(CoefficientRing):
     def alpha_images(self):
         return 0, 0
 
-    def specialize_poly(self, p):
-        return p.terms.get((0, 0), 0) % self.p
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -605,9 +585,6 @@ class RatPolyH(CoefficientRing):
     def alpha_images(self):
         return HPoly(()), HPoly.gen()
 
-    def specialize_poly(self, p):
-        return p.eval_h()
-
     def scalar_qdeg(self, a):
         return a.qdeg()
 
@@ -628,9 +605,6 @@ class AlphaEval(RatRing):
 
     def alpha_images(self):
         return self.q0, self.q1
-
-    def specialize_poly(self, p):
-        return p.evaluate(self.q0, self.q1)
 
     @property
     def distinct(self):
@@ -657,9 +631,6 @@ class GenericAlpha(CoefficientRing):
 
     def alpha_images(self):
         return A0, A1
-
-    def specialize_poly(self, p):
-        return p
 
     def scalar_qdeg(self, a):
         return a.qdeg()

@@ -115,11 +115,6 @@ class TLMorphism:
     def term_dict(self):
         return dict(self.terms)
 
-    def scaled(self, poly):
-        return TLMorphism.make(
-            self.n, self.m, {t: c * poly for t, c in self.terms}
-        )
-
     def __str__(self):
         if not self.terms:
             return "0"

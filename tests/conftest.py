@@ -5,6 +5,7 @@ import pytest
 from annkh import corpus, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.errors import InvariantError, UnsupportedRingError
+from annkh.homology import SNFResult
 from annkh.linalg import SparseMatrix
 from annkh.ring import GenericAlpha
 
@@ -85,6 +86,100 @@ def from_rows(ring, rows):
             if not ring.is_zero(v):
                 entries[(r, c)] = v
     return SparseMatrix.wrap(ring, len(rows), len(rows[0]) if rows else 0, entries)
+
+
+def dense_snf_oracle(m):
+    """Smith normal form on a dense copy of ``m``: the oracle for the
+    sparse ``homology.smith_normal_form``.
+
+    Pivots are chosen with minimal Euclidean size, breaking ties at the
+    leftmost column; each pivot is fixed up until it divides the whole
+    remaining block, so the diagonal is a divisibility chain as found.
+    """
+    ring = m.ring
+    if not ring.is_euclidean:
+        raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
+    A = m.to_dense()
+    nr, nc = m.nrows, m.ncols
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        for t in range(nc):
+            A[i][t] = ring.sub(A[i][t], ring.mul(q, A[j][t]))
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for t in range(nr):
+            A[t][i] = ring.sub(A[t][i], ring.mul(q, A[t][j]))
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for t in range(nr):
+                A[t][i], A[t][j] = A[t][j], A[t][i]
+
+    invariants = []
+    r = 0
+    while r < nr and r < nc:
+        best = None
+        for j in range(r, nc):
+            for i in range(r, nr):
+                v = A[i][j]
+                if ring.is_zero(v):
+                    continue
+                key = (ring.size(v), j, i)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        swap_rows(r, bi)
+        swap_cols(r, bj)
+        while True:
+            changed = False
+            for i in range(r + 1, nr):
+                if ring.is_zero(A[i][r]):
+                    continue
+                q, rem = ring.divmod(A[i][r], A[r][r])
+                row_op(i, r, q)
+                if not ring.is_zero(rem):
+                    swap_rows(r, i)
+                    changed = True
+            for j in range(r + 1, nc):
+                if ring.is_zero(A[r][j]):
+                    continue
+                q, rem = ring.divmod(A[r][j], A[r][r])
+                col_op(j, r, q)
+                if not ring.is_zero(rem):
+                    swap_cols(r, j)
+                    changed = True
+            if changed:
+                continue
+            if any(
+                not ring.is_zero(A[i][r]) for i in range(r + 1, nr)
+            ) or any(not ring.is_zero(A[r][j]) for j in range(r + 1, nc)):
+                continue
+            # enforce divisibility of the remaining block by the pivot
+            offender = None
+            for i in range(r + 1, nr):
+                for j in range(r + 1, nc):
+                    if ring.is_zero(A[i][j]):
+                        continue
+                    _, rem = ring.divmod(A[i][j], A[r][r])
+                    if not ring.is_zero(rem):
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for t in range(nc):
+                A[r][t] = ring.add(A[r][t], A[offender][t])
+        # keep only the normalized pivot: row r is zero beyond it and
+        # is never read again
+        invariants.append(ring.normalize_unit(A[r][r])[1])
+        r += 1
+    return SNFResult(invariants=invariants, rank=len(invariants))
 
 
 def specialize_complex(c, target):

@@ -19,7 +19,7 @@ from annkh.errors import (
     VariantRingMismatchError,
 )
 from annkh.linalg import SparseMatrix
-from annkh.ring import GENERIC, GF, INT, QH, alpha_eval
+from annkh.ring import A0, GENERIC, GF, INT, QH, alpha_eval
 
 from conftest import bits_word, specialize_complex, truncate_adeg, word_bits
 
@@ -134,6 +134,18 @@ def test_grading_allows_an_adeg_raise_only_when_planar(diagrams):
     assert any(m.entries for m in raised.diff.values())
     assert verify_grading(raised)[3] == "adeg"
     assert verify_grading(replace(raised, planar=True)) is None
+
+
+def test_grading_finds_an_entry_of_the_wrong_qdeg(diagrams):
+    c = build_complex(diagrams["trefoil_right"], GENERIC)
+    i = min(i for i, m in c.diff.items() if m.entries)
+    m = c.diff[i]
+    entries = dict(m.entries)
+    r, col = sorted(entries)[len(entries) // 2]
+    entries[(r, col)] = entries[(r, col)] * A0
+    wrong = SparseMatrix.wrap(GENERIC, m.nrows, m.ncols, entries)
+    bad = replace(c, diff={**c.diff, i: wrong})
+    assert verify_grading(bad) == (i, r, col, "qdeg")
 
 
 def test_homological_support(diagrams):

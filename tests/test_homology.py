@@ -23,7 +23,7 @@ from annkh.linalg import SparseMatrix
 from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
 from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 
-from conftest import from_rows
+from conftest import dense_snf_oracle, from_rows
 
 
 def field_rank(ring, dense):
@@ -148,8 +148,44 @@ def test_snf_rational_polynomial_matrix():
     assert res.invariants == [h]
 
 
+def _random_hpoly(rng):
+    return HPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+
+
+SNF_ORACLE_RINGS = {
+    "int": (INT, lambda rng: rng.randint(-6, 6)),
+    "gf3": (GF(3), lambda rng: rng.randint(0, 2)),
+    "rat": (RAT, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+    "qh": (QH, _random_hpoly),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNF_ORACLE_RINGS))
+def test_snf_matches_dense_oracle(name):
+    ring, draw = SNF_ORACLE_RINGS[name]
+    rng = random.Random(sorted(SNF_ORACLE_RINGS).index(name) + 40)
+    zero, one = ring.zero(), ring.one()
+    two = ring.add(one, one)
+    three = ring.add(two, one)
+    # diagonals that are not divisibility chains
+    cases = [[[two, zero], [zero, three]], [[three, zero, zero], [zero, two, two]]]
+    if ring == QH:
+        h = HPoly.gen()
+        cases.append([[h * h, zero], [zero, h + one]])
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.random()
+        cases.append([
+            [draw(rng) if rng.random() < density else ring.zero() for _ in range(nc)]
+            for _ in range(nr)
+        ])
+    for rows in cases:
+        m = from_rows(ring, rows)
+        assert smith_normal_form(m) == dense_snf_oracle(m), rows
+
+
 # ---------------------------------------------------------------------------
-# unit cancellation against the dense Smith normal form
+# unit cancellation against the dense Smith normal form oracle
 
 H = HPoly((0, 1))
 FIELD_CASES = {"gf2", "gf5", "rat", "alpha"}
@@ -181,7 +217,7 @@ def test_cancel_units_matches_dense_snf(name):
         m = SparseMatrix(ring, nr, nc, entries)
         k, rest = cancel_units(m)
         assert not any(ring.is_unit(v) for v in rest.entries.values())
-        dense = smith_normal_form(m)
+        dense = dense_snf_oracle(m)
         res = smith_normal_form(rest)
         assert k + res.rank == dense.rank
         non_units = [v for v in res.invariants if not ring.is_unit(v)]
