@@ -3,7 +3,8 @@
 Homology of a specialized complex is computed slice by slice: the
 differential preserves (qdeg, adeg) after shifts, so each slice is a
 separate matrix problem.  Over evaluated parameters the quantum grading
-collapses and slices are taken per (degree, adeg) only.  Each slice is
+collapses and slices are taken per (degree, adeg) only.  One pass over
+the entries of each d^i buckets them into its slices.  Each slice is
 reduced by unit cancellation, then SNF on the remainder: sparse
 Gaussian elimination cancels invertible entries until none is left,
 and the Smith normal form runs only on the small non-unit matrix that
@@ -11,6 +12,15 @@ remains.  Both are sparse eliminations on one row form, with one row
 update (``linalg.row_form``, ``linalg.row_subtractor``); the SNF pivots
 on an entry of least Euclidean size.  ``cancel_units`` lives in
 ``linalg`` and is importable from here as well.
+
+The degrees are reduced in order, and each cancellation carries over
+to the next degree (Bar-Natan's Gaussian elimination lemma): a unit
+pivot (p, q) of d^i takes q out of C^i and p out of C^{i+1}, so d^{i+1}
+drops column p before it is reduced.  The row updates of d^i change
+only the basis vector of p, which becomes a multiple of the image of
+q, so d^{i+1} kills it: the dropped columns lie in the span of the kept
+ones, and rank and torsion do not change.  Non-unit SNF pivots are not
+isomorphisms, and their rows stay.
 """
 
 from __future__ import annotations
@@ -109,25 +119,60 @@ def _slices(c, i):
     return out
 
 
+def _slice_blocks(m, row_slices, col_slices, dropped):
+    """The nonzero slices of ``m`` in one pass over its entries: key ->
+    (row positions, block).  Block columns are the slice's columns not
+    in ``dropped``, in order.  An entry joining two different slices is
+    dropped: over Q[h] that loses every h-term (ROADMAP item 1)."""
+    where = {}  # row or kept column position -> (key, position in slice)
+    for key, rows in row_slices.items():
+        where.update((r, (key, j)) for j, r in enumerate(rows))
+    cols = {
+        key: [p for p in ps if p not in dropped]
+        for key, ps in col_slices.items()
+        if key in row_slices
+    }
+    col_where = {}
+    for key, ps in cols.items():
+        col_where.update((p, (key, j)) for j, p in enumerate(ps))
+    blocks = {}
+    for (r, c), v in m.entries.items():
+        hit = col_where.get(c)
+        if hit is not None:
+            key, j = where[r]
+            if key == hit[0]:
+                blocks.setdefault(key, {})[(j, hit[1])] = v
+    return {
+        key: (
+            row_slices[key],
+            SparseMatrix.wrap(m.ring, len(row_slices[key]), len(cols[key]), b),
+        )
+        for key, b in blocks.items()
+    }
+
+
 def homology(c):
     """Kernel mod image per bigrade slice: ranks and torsion from unit
-    cancellation, then SNF on the remainder."""
+    cancellation, then SNF on the remainder.
+
+    The degrees are reduced in order, and d^i drops the columns of the
+    generators that d^{i-1} cancelled against a unit.  Those columns
+    lie in the span of the kept ones, so rank and torsion are unchanged.
+    Each free rank still uses the slice's full dimension."""
     ring = c.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
     slices = {i: _slices(c, i) for i in c.degrees}
     slice_ranks = {}
     slice_tors = {}
+    cancelled = set()  # positions of C^i cancelled against a unit of d^{i-1}
     for i in c.degrees[:-1]:
-        dst = slices[i + 1]
-        for key, cols in slices[i].items():
-            rows = dst.get(key, [])
-            if not rows:
-                continue
-            sub = c.diff[i].submatrix(rows, cols)
-            if sub.is_zero():
-                continue
-            rank, rest = cancel_units(sub)
+        blocks = _slice_blocks(c.diff[i], slices[i + 1], slices[i], cancelled)
+        cancelled = set()
+        for key, (rows, sub) in blocks.items():
+            pivots, rest = cancel_units(sub)
+            cancelled.update(rows[p] for p in pivots)
+            rank = len(pivots)
             if not rest.is_zero():
                 res = smith_normal_form(rest)
                 rank += res.rank
@@ -306,5 +351,5 @@ def canonical_span_rank(d, c=None):
         for j, g in enumerate(gg):
             spanned[(generator_vector_index(c, g), d_in.ncols + j)] = ring.one()
         with_gens = SparseMatrix.wrap(ring, dim, d_in.ncols + len(gg), spanned)
-        total += cancel_units(with_gens)[0] - cancel_units(d_in)[0]
+        total += len(cancel_units(with_gens)[0]) - len(cancel_units(d_in)[0])
     return total

@@ -14,8 +14,10 @@ time in proportion to the stored entries.  :func:`cancel_units` is the
 elimination routine: over a field it gives the rank, and elsewhere it
 leaves a small unit-free remainder for the Smith normal form, which
 eliminates on the same :func:`row_form` with the same row update.
-Nothing dense is built; ``to_dense`` stays only for the benchmark's
-tracer, which wraps it by name.
+Nothing dense is built.  ``to_dense`` and ``submatrix`` have no caller
+in ``annkh``: they stay only for the benchmark's tracer, which wraps
+them by name, and go when the program records its own stats (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class SparseMatrix:
         return SparseMatrix.wrap(ring, self.nrows, self.ncols, out)
 
     def submatrix(self, rows, cols):
-        """Restriction to the given row/col index lists (in that order)."""
+        """Restriction to the given row/col index lists (in that order);
+        unused in ``annkh``, kept for the benchmark's tracer."""
         rpos = {r: i for i, r in enumerate(rows)}
         cpos = {c: j for j, c in enumerate(cols)}
         out = {}
@@ -184,11 +187,15 @@ def row_subtractor(ring, rows, cols):
 def cancel_units(m):
     """Cancel unit pivots of ``m`` by sparse Gaussian elimination.
 
-    Returns ``(k, rest)`` with ``m`` equivalent to ``I_k`` plus ``rest``
-    (block diagonal), so ``m`` has the rank of ``rest`` plus ``k`` and
-    the non-unit Smith invariants of ``rest``.  ``rest`` keeps the
-    surviving rows and columns in their original order and holds no
-    unit entry.
+    Returns ``(pivot_rows, rest)`` with ``m`` equivalent to ``I_k``
+    plus ``rest`` (block diagonal), where ``k = len(pivot_rows)``; so
+    ``m`` has the rank of ``rest`` plus ``k`` and the non-unit Smith
+    invariants of ``rest``.  ``pivot_rows`` lists the rows of ``m``
+    cancelled against a unit, in the order they were cancelled.  The
+    row updates change only the basis vector of each pivot row, so in a
+    chain complex the next differential may drop those columns (see
+    ``homology.homology``).  ``rest`` keeps the surviving rows and
+    columns in their original order and holds no unit entry.
 
     The matrix is kept in its :func:`row_form`.  Pivots are found in
     sweeps over the rows, shortest row first, taking the unit whose
@@ -200,7 +207,7 @@ def cancel_units(m):
     rows, cols = row_form(m)
     subtract = row_subtractor(ring, rows, cols)
     is_unit, mul, divmod_, one = ring.is_unit, ring.mul, ring.divmod, ring.one()
-    k = 0
+    pivot_rows = []
     progress = True
     while progress:
         progress = False
@@ -220,11 +227,11 @@ def cancel_units(m):
             inv, _ = divmod_(one, prow.pop(q))
             for r in cols.pop(q):
                 subtract(r, mul(rows[r].pop(q), inv), prow)
-            k += 1
+            pivot_rows.append(p)
             progress = True
     rpos = {r: i for i, r in enumerate(sorted(rows))}
     cpos = {c: j for j, c in enumerate(sorted(c for c, rs in cols.items() if rs))}
     rest = {
         (rpos[r], cpos[c]): v for r, row in rows.items() for c, v in row.items()
     }
-    return k, SparseMatrix.wrap(ring, len(rpos), len(cpos), rest)
+    return pivot_rows, SparseMatrix.wrap(ring, len(rpos), len(cpos), rest)

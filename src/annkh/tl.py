@@ -308,7 +308,7 @@ def spin_tangle(t, ring):
     dom = tqft.essential_space(t.n, ring)
     cod = tqft.essential_space(t.m, ring)
     terms, qdeg = [(0, 0, ring.one())], 0
-    for (a, b), d in zip(t.pairs, t.dots):
+    for k, ((a, b), d) in enumerate(zip(t.pairs, t.dots)):
         cols = [x - 1 for x in (a, b) if x <= t.n]
         rows = [t.top_position(x) - 1 for x in (b, a) if x > t.n]
         piece = _piece(ring, len(cols), (cols or rows)[0] % 2, d)
@@ -317,11 +317,13 @@ def spin_tangle(t, ring):
             (_spread(r, rows, t.m), _spread(c, cols, t.n), v)
             for (r, c), v in piece.entries.items()
         ]
-        terms = [
-            (r | pr, c | pc, ring.mul(u, v))
-            for r, c, u in terms
-            for pr, pc, v in placed
-        ]
+        if k:
+            placed = [
+                (r | pr, c | pc, ring.mul(u, v))
+                for r, c, u in terms
+                for pr, pc, v in placed
+            ]
+        terms = placed
     entries = {(r, c): v for r, c, v in terms}
     return tqft.LinearMap.wrap(dom, cod, entries, (qdeg, 0))
 
@@ -357,5 +359,5 @@ def kernel_rank_experiment(n, m, ring):
         for (r, c), v in mat.entries.items():
             entries[(k, r * (1 << n) + c)] = v
     dim = (1 << n) * (1 << m)
-    rank = cancel_units(SparseMatrix.wrap(ring, len(tangles), dim, entries))[0]
+    rank = len(cancel_units(SparseMatrix.wrap(ring, len(tangles), dim, entries))[0])
     return rank, len(tangles) - rank

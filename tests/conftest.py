@@ -5,7 +5,7 @@ import pytest
 from annkh import corpus, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.errors import InvariantError, UnsupportedRingError
-from annkh.homology import SNFResult
+from annkh.homology import BigradedHomology, SNFResult
 from annkh.linalg import SparseMatrix
 from annkh.ring import GenericAlpha
 
@@ -180,6 +180,41 @@ def dense_snf_oracle(m):
         invariants.append(ring.normalize_unit(A[r][r])[1])
         r += 1
     return SNFResult(invariants=invariants, rank=len(invariants))
+
+
+def slice_positions(c, i):
+    """Positions of C^i per preserved (q, a) slice; an ungraded
+    direction is None in the key."""
+    out = {}
+    for pos, (q, a) in enumerate(c.bigrade[i]):
+        key = (q if c.qdeg_graded else None, a if c.adeg_graded else None)
+        out.setdefault(key, []).append(pos)
+    return out
+
+
+def per_slice_homology_oracle(c):
+    """Homology reduced slice by slice with no cancellation carried
+    between degrees: every d^i is cut out of the whole of C^i by
+    ``submatrix`` and diagonalized by :func:`dense_snf_oracle`.  The
+    oracle for ``homology.homology``."""
+    ring = c.ring
+    slices = {i: slice_positions(c, i) for i in c.degrees}
+    ranks, tors = {}, {}
+    for i in c.degrees[:-1]:
+        for key, cols in slices[i].items():
+            rows = slices[i + 1].get(key)
+            if rows:
+                res = dense_snf_oracle(c.diff[i].submatrix(rows, cols))
+                ranks[(i, key)] = res.rank
+                tors[(i + 1, key)] = [v for v in res.invariants if not ring.is_unit(v)]
+    entries = {}
+    for i in c.degrees:
+        for key, positions in slices[i].items():
+            free = len(positions) - ranks.get((i, key), 0) - ranks.get((i - 1, key), 0)
+            torsion = tuple(tors.get((i, key), ()))
+            if free or torsion:
+                entries[(i, *key)] = (free, torsion)
+    return BigradedHomology(ring, entries)
 
 
 def specialize_complex(c, target):
