@@ -124,7 +124,7 @@ def _slice_blocks(m, row_slices, col_slices, dropped):
     (row positions, block).  Block columns are the slice's columns not
     in ``dropped``, in order.  An entry joining two different slices is
     dropped: over Q[h] that loses every h-term (ROADMAP item 1)."""
-    where = {}  # row or kept column position -> (key, position in slice)
+    where = {}  # row -> (key, position in slice); col_where likewise
     for key, rows in row_slices.items():
         where.update((r, (key, j)) for j, r in enumerate(rows))
     cols = {
