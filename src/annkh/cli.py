@@ -103,10 +103,6 @@ def emit_rows(columns, rows, fmt):
     )
 
 
-def table_rows(h):
-    return homology.poincare_table(h)
-
-
 def cmd_homology(args):
     ring = parse_ring(args.ring)
     planar = pick_variant(ring, args.variant)
@@ -116,7 +112,8 @@ def cmd_homology(args):
             "homology needs a Euclidean ring; use verify for generic checks"
         )
     h = homology.homology(complexes.build_complex(d, ring, planar))
-    print(emit_rows(("i", "q", "a", "rank", "torsion"), table_rows(h), args.format))
+    rows = homology.poincare_table(h)
+    print(emit_rows(("i", "q", "a", "rank", "torsion"), rows, args.format))
     return 0
 
 
@@ -222,7 +219,7 @@ def parse_tangle(text, n, m, dots=None):
     try:
         pairs = ast.literal_eval(text)
         pairs = [tuple(int(x) for x in p) for p in pairs]
-    except (SyntaxError, ValueError) as e:
+    except (SyntaxError, TypeError, ValueError) as e:
         raise InputError(f"bad tangle notation {text!r}: {e}")
     dd = None
     if dots:

@@ -77,6 +77,19 @@ def _listed(name, value, entry):
         raise ValueError(f"{name}: malformed field ({e})") from None
 
 
+def _array(x):
+    """A JSON array entry as a tuple; anything else raises TypeError."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"{x!r} is not a list")
+    return tuple(x)
+
+
+def _boolean(x):
+    if not isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a boolean")
+    return x
+
+
 def _pt(eid, xy):
     try:
         if not isinstance(xy, (list, tuple)):
@@ -368,16 +381,16 @@ class AnnularDiagram:
     """An annular link diagram with exact geometric realization."""
 
     def __init__(self, crossings, edges, components, orientations):
-        self.crossings = _listed("crossings", crossings, tuple)
+        self.crossings = _listed("crossings", crossings, _array)
         # the parsed Fractions name points in violations and serialize;
         # all geometry runs on the int copy, times the LCM of denominators
         self.edges = _parse_edges(edges)
         self._lcm, self._int_edges = _scaled(self.edges)
         self._scale = None
         self.components = _listed(
-            "components", components, lambda comp: tuple(str(e) for e in comp)
+            "components", components, lambda comp: tuple(map(str, _array(comp)))
         )
-        self.orientations = _listed("orientations", orientations, bool)
+        self.orientations = _listed("orientations", orientations, _boolean)
         self._violations = None
         self._ends = None
         self._cross_pts = None
@@ -990,6 +1003,8 @@ def diagram_to_dict(d):
 
 
 def diagram_from_dict(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"a diagram is a JSON object, not {type(data).__name__}")
     return AnnularDiagram(
         crossings=data["crossings"],
         edges=data["edges"],  # AnnularDiagram parses the coordinates

@@ -4,14 +4,15 @@ Homology of a specialized complex is computed slice by slice: the
 differential preserves (qdeg, adeg) after shifts, so each slice is a
 separate matrix problem.  Over evaluated parameters the quantum grading
 collapses and slices are taken per (degree, adeg) only.  One pass over
-the entries of each d^i buckets them into its slices.  Each slice is
-reduced by unit cancellation, then SNF on the remainder: sparse
-Gaussian elimination cancels invertible entries until none is left,
-and the Smith normal form runs only on the small non-unit matrix that
-remains.  Both are sparse eliminations on one row form, with one row
-update (``linalg.row_form``, ``linalg.row_subtractor``); the SNF pivots
-on an entry of least Euclidean size.  ``cancel_units`` lives in
-``linalg`` and is importable from here as well.
+the entries of each d^i puts every entry into the row form of its
+slice: row dicts and column sets on the positions of C^{i+1} and C^i,
+with no renumbering.  Unit cancellation (``linalg.cancel_units``)
+eliminates that row form in place until no invertible entry is left;
+only a remainder that is not empty is renumbered (``linalg.packed``)
+into the small non-unit matrix the Smith normal form runs on.  Both
+are sparse eliminations on a row form, with one row update
+(``linalg.row_subtractor``); the SNF pivots on an entry of least
+Euclidean size.  ``cancel_units`` is importable from here as well.
 
 The degrees are reduced in order, and each cancellation carries over
 to the next degree (Bar-Natan's Gaussian elimination lemma): a unit
@@ -25,12 +26,13 @@ isomorphisms, and their rows stay.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import complexes, tqft
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
-from .linalg import SparseMatrix, cancel_units, row_form, row_subtractor
+from .linalg import cancel_units, packed, row_form, row_subtractor
 from .ring import alpha_eval
 
 
@@ -56,7 +58,7 @@ def smith_normal_form(m):
     ring = m.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
-    rows, cols = row_form(m)
+    rows, cols = row_form(m.entries)
     subtract = row_subtractor(ring, rows, cols)
     size, divmod_, is_zero = ring.size, ring.divmod, ring.is_zero
     d = []
@@ -109,72 +111,44 @@ class BigradedHomology:
         }
 
 
-def _slices(c, i):
-    """Positions per preserved-grading slice; an ungraded direction
-    collapses to None in the key."""
-    out = {}
-    for pos, (q, a) in enumerate(c.bigrade[i]):
-        key = (q if c.qdeg_graded else None, a if c.adeg_graded else None)
-        out.setdefault(key, []).append(pos)
-    return out
-
-
-def _slice_blocks(m, row_slices, col_slices, dropped):
-    """The nonzero slices of ``m`` in one pass over its entries: key ->
-    (row positions, block).  Block columns are the slice's columns not
-    in ``dropped``, in order.  An entry joining two different slices is
-    dropped: over Q[h] that loses every h-term (ROADMAP item 1)."""
-    where = {}  # row -> (key, position in slice); col_where likewise
-    for key, rows in row_slices.items():
-        where.update((r, (key, j)) for j, r in enumerate(rows))
-    cols = {
-        key: [p for p in ps if p not in dropped]
-        for key, ps in col_slices.items()
-        if key in row_slices
-    }
-    col_where = {}
-    for key, ps in cols.items():
-        col_where.update((p, (key, j)) for j, p in enumerate(ps))
-    blocks = {}
-    for (r, c), v in m.entries.items():
-        hit = col_where.get(c)
-        if hit is not None:
-            key, j = where[r]
-            if key == hit[0]:
-                blocks.setdefault(key, {})[(j, hit[1])] = v
-    return {
-        key: (
-            row_slices[key],
-            SparseMatrix.wrap(m.ring, len(row_slices[key]), len(cols[key]), b),
-        )
-        for key, b in blocks.items()
-    }
-
-
 def homology(c):
     """Kernel mod image per bigrade slice: ranks and torsion from unit
     cancellation, then SNF on the remainder.
 
-    The degrees are reduced in order, and d^i drops the columns of the
-    generators that d^{i-1} cancelled against a unit.  Those columns
-    lie in the span of the kept ones, so rank and torsion are unchanged.
-    Each free rank still uses the slice's full dimension."""
+    One pass over the entries of d^i puts each into the row form of its
+    slice, on the positions of C^{i+1} and C^i.  The degrees are reduced
+    in order, and the pass skips the columns of the generators that
+    d^{i-1} cancelled against a unit.  Those columns lie in the span of
+    the kept ones, so rank and torsion are unchanged.  Each free rank
+    still uses the slice's full dimension."""
     ring = c.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
-    slices = {i: _slices(c, i) for i in c.degrees}
-    slice_ranks = {}
-    slice_tors = {}
+    qg, ag = c.qdeg_graded, c.adeg_graded
+    keys = {  # slice key per position; an ungraded direction is None
+        i: [(q if qg else None, a if ag else None) for q, a in c.bigrade[i]]
+        for i in c.degrees
+    }
+    slice_ranks, slice_tors = {}, {}
     cancelled = set()  # positions of C^i cancelled against a unit of d^{i-1}
     for i in c.degrees[:-1]:
-        blocks = _slice_blocks(c.diff[i], slices[i + 1], slices[i], cancelled)
+        row_keys, col_keys = keys[i + 1], keys[i]
+        forms = defaultdict(lambda: ({}, {}))  # slice key -> (rows, cols)
+        for (r, col), v in c.diff[i].entries.items():
+            key = col_keys[col]
+            # an entry joining two slices is dropped: ROADMAP item 1 (Q[h])
+            if key != row_keys[r] or col in cancelled:
+                continue
+            rows, cols = forms[key]
+            rows.setdefault(r, {})[col] = v
+            cols.setdefault(col, set()).add(r)
         cancelled = set()
-        for key, (rows, sub) in blocks.items():
-            pivots, rest = cancel_units(sub)
-            cancelled.update(rows[p] for p in pivots)
+        for key, (rows, cols) in forms.items():
+            pivots = cancel_units(ring, rows, cols)
+            cancelled.update(pivots)
             rank = len(pivots)
-            if not rest.is_zero():
-                res = smith_normal_form(rest)
+            if rows:
+                res = smith_normal_form(packed(ring, rows, cols))
                 rank += res.rank
                 tors = [v for v in res.invariants if not ring.is_unit(v)]
                 if tors:
@@ -182,15 +156,11 @@ def homology(c):
             slice_ranks[(i, key)] = rank
     entries = {}
     for i in c.degrees:
-        for key, idxs in slices[i].items():
-            dim = len(idxs)
-            rank_out = slice_ranks.get((i, key), 0)
-            rank_in = slice_ranks.get((i - 1, key), 0)
-            free = dim - rank_out - rank_in
+        for key, dim in Counter(keys[i]).items():
+            free = dim - slice_ranks.get((i, key), 0) - slice_ranks.get((i - 1, key), 0)
             tors = tuple(slice_tors.get((i, key), ()))
             if free or tors:
-                q, a = key
-                entries[(i, q, a)] = (free, tors)
+                entries[(i, *key)] = (free, tors)
     return BigradedHomology(ring, entries)
 
 
@@ -345,11 +315,11 @@ def canonical_span_rank(d, c=None):
     ring = c.ring
     total = 0
     for i, gg in by_degree.items():
-        dim = c.rank(i)
-        d_in = c.diff.get(i - 1) or SparseMatrix.zeros(ring, dim, 0)
-        spanned = dict(d_in.entries)
+        d_in = c.diff[i - 1].entries if i - 1 in c.diff else {}
+        ncols = c.rank(i - 1)
+        spanned = dict(d_in)
         for j, g in enumerate(gg):
-            spanned[(generator_vector_index(c, g), d_in.ncols + j)] = ring.one()
-        with_gens = SparseMatrix.wrap(ring, dim, d_in.ncols + len(gg), spanned)
-        total += len(cancel_units(with_gens)[0]) - len(cancel_units(d_in)[0])
+            spanned[(generator_vector_index(c, g), ncols + j)] = ring.one()
+        total += len(cancel_units(ring, *row_form(spanned)))
+        total -= len(cancel_units(ring, *row_form(d_in)))
     return total

@@ -10,10 +10,11 @@ on its raw values: the GENERIC ring multiplies polynomial terms as ints.
 
 Chain groups reach tens of thousands of generators (T(2,9) has about
 20k), but differentials stay very sparse, so the operations here cost
-time in proportion to the stored entries.  :func:`cancel_units` is the
-elimination routine: over a field it gives the rank, and elsewhere it
-leaves a small unit-free remainder for the Smith normal form, which
-eliminates on the same :func:`row_form` with the same row update.
+time in proportion to the stored entries.  Elimination works in place
+on a row form (``homology.homology`` builds one per slice straight from
+a differential).  :func:`cancel_units` gives the rank over a field, and
+elsewhere leaves a small unit-free remainder, which :func:`packed`
+renumbers for the Smith normal form, on the same row update.
 Nothing dense is built.  ``to_dense`` and ``submatrix`` have no caller
 in ``annkh``: they stay only for the benchmark's tracer, which wraps
 them by name, and go when the program records its own stats (ROADMAP
@@ -153,10 +154,11 @@ class SparseMatrix:
         )
 
 
-def row_form(m):
-    """Row dicts ``r -> {c: v}`` and column sets ``c -> {r}`` of ``m``."""
+def row_form(entries):
+    """Row dicts ``r -> {c: v}`` and column sets ``c -> {r}`` of an
+    entry dict ``(r, c) -> v``."""
     rows, cols = {}, {}
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     return rows, cols
@@ -184,27 +186,24 @@ def row_subtractor(ring, rows, cols):
     return subtract
 
 
-def cancel_units(m):
-    """Cancel unit pivots of ``m`` by sparse Gaussian elimination.
+def cancel_units(ring, rows, cols):
+    """Cancel the unit pivots of a row form in place, by sparse
+    Gaussian elimination.
 
-    Returns ``(pivot_rows, rest)`` with ``m`` equivalent to ``I_k``
-    plus ``rest`` (block diagonal), where ``k = len(pivot_rows)``; so
-    ``m`` has the rank of ``rest`` plus ``k`` and the non-unit Smith
-    invariants of ``rest``.  ``pivot_rows`` lists the rows of ``m``
-    cancelled against a unit, in the order they were cancelled.  The
-    row updates change only the basis vector of each pivot row, so in a
+    Returns the rows cancelled against a unit, in the order they were
+    cancelled.  With ``k`` of them, the matrix is equivalent to ``I_k``
+    plus what is left in ``rows`` and ``cols`` (block diagonal): so it
+    has the rank of the remainder plus ``k`` and the non-unit Smith
+    invariants of the remainder, which holds no unit entry.  The row
+    updates change only the basis vector of each pivot row, so in a
     chain complex the next differential may drop those columns (see
-    ``homology.homology``).  ``rest`` keeps the surviving rows and
-    columns in their original order and holds no unit entry.
+    ``homology.homology``).
 
-    The matrix is kept in its :func:`row_form`.  Pivots are found in
-    sweeps over the rows, shortest row first, taking the unit whose
-    column is shortest; choosing a pivot costs the length of its row,
-    never a rescan of the matrix.  Sweeps repeat until one cancels
-    nothing, since elimination can create new units.
+    Pivots are found in sweeps over the rows, shortest row first,
+    taking the unit whose column is shortest; choosing a pivot costs
+    the length of its row, never a rescan of the matrix.  Sweeps repeat
+    until one cancels nothing, since elimination can create new units.
     """
-    ring = m.ring
-    rows, cols = row_form(m)
     subtract = row_subtractor(ring, rows, cols)
     is_unit, mul, divmod_, one = ring.is_unit, ring.mul, ring.divmod, ring.one()
     pivot_rows = []
@@ -229,9 +228,15 @@ def cancel_units(m):
                 subtract(r, mul(rows[r].pop(q), inv), prow)
             pivot_rows.append(p)
             progress = True
+    return pivot_rows
+
+
+def packed(ring, rows, cols):
+    """A row form as a :class:`SparseMatrix` on its nonempty rows and
+    columns, renumbered in their original order."""
     rpos = {r: i for i, r in enumerate(sorted(rows))}
     cpos = {c: j for j, c in enumerate(sorted(c for c, rs in cols.items() if rs))}
     rest = {
         (rpos[r], cpos[c]): v for r, row in rows.items() for c, v in row.items()
     }
-    return pivot_rows, SparseMatrix.wrap(ring, len(rpos), len(cpos), rest)
+    return SparseMatrix.wrap(ring, len(rpos), len(cpos), rest)

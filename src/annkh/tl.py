@@ -26,7 +26,7 @@ from itertools import product
 
 from . import tqft
 from .errors import ArityMismatchError, ParityError, VariantRingMismatchError
-from .linalg import SparseMatrix, accumulate, cancel_units
+from .linalg import accumulate, cancel_units, row_form
 from .ring import A0, A1, E1, E2, BivariatePoly, AlphaEval, RatPolyH
 
 
@@ -358,6 +358,5 @@ def kernel_rank_experiment(n, m, ring):
         mat = spin_tangle(t, ring)
         for (r, c), v in mat.entries.items():
             entries[(k, r * (1 << n) + c)] = v
-    dim = (1 << n) * (1 << m)
-    rank = len(cancel_units(SparseMatrix.wrap(ring, len(tangles), dim, entries))[0])
+    rank = len(cancel_units(ring, *row_form(entries)))
     return rank, len(tangles) - rank

@@ -223,11 +223,13 @@ def test_tl_rank_verb(capsys):
     assert code == 0 and out.strip() == "tangles 8 rank 6 kernel 2"
 
 
-def test_input_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("text", ["{not json", "[]", '"x"', "3"])
+def test_input_error_exit_code(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "homology", bad)
-    assert code == 2 and "error" in err
+    bad.write_text(text)
+    code, out, err = run(capsys, "homology", bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: "), err
 
 
 @pytest.mark.parametrize(
@@ -264,6 +266,11 @@ def test_malformed_coordinates_are_input_errors(
         ("components", "null"),
         ("components", "[null]"),
         ("orientations", "null"),
+        # entries are JSON booleans and arrays, never coerced
+        ("orientations", '["false"]'),
+        ("orientations", "[0]"),
+        ("crossings", '["abcd"]'),
+        ("components", '["e0"]'),
     ],
 )
 def test_malformed_fields_are_input_errors(
@@ -312,11 +319,20 @@ def test_nudge_flag(capsys, tmp_path):
     assert code == 0 and out.strip() == "2 PASS"
 
 
-def test_tangle_parse_error(capsys):
-    code, _, err = run(
-        capsys, "tl-eval", "[(1,", "--n", "1", "--m", "1"
-    )
-    assert code == 2 and "error" in err
+@pytest.mark.parametrize(
+    "tangle, n, m",
+    [
+        ("[(1,", "1", "1"),
+        ("5", "2", "0"),
+        ("[(1,2),3]", "2", "0"),
+        ("[(1,None)]", "2", "0"),
+        ("{1:2}", "2", "0"),
+    ],
+)
+def test_tangle_parse_error(capsys, tangle, n, m):
+    code, out, err = run(capsys, "tl-eval", tangle, "--n", n, "--m", m)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad tangle notation {tangle!r}"), err
 
 
 def tl_eval_dots(capsys, tangle, n, m, dots):

@@ -19,7 +19,7 @@ from annkh.homology import (
     smith_normal_form,
     verify_canonical,
 )
-from annkh.linalg import SparseMatrix
+from annkh.linalg import SparseMatrix, packed, row_form
 from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
 from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 
@@ -137,7 +137,8 @@ def test_snf_over_fields_gives_rank():
             m = from_rows(ring, rows)
             res = smith_normal_form(m)
             assert res.rank == field_rank(ring, rows)
-            assert len(cancel_units(m)[0]) == field_rank(ring, rows)
+            pivots = cancel_units(ring, *row_form(m.entries))
+            assert len(pivots) == field_rank(ring, rows)
             assert all(v == ring.one() for v in res.invariants)
 
 
@@ -220,9 +221,12 @@ def test_cancel_units_matches_dense_snf(name):
             if rng.random() < 0.4
         }
         m = SparseMatrix(ring, nr, nc, entries)
-        pivots, rest = cancel_units(m)
+        rows, cols = row_form(m.entries)
+        pivots = cancel_units(ring, rows, cols)
+        rest = packed(ring, rows, cols)
         assert len(set(pivots)) == len(pivots)
         assert all(0 <= p < nr for p in pivots)
+        assert not rows.keys() & set(pivots)  # eliminated in place
         assert rest.nrows <= nr - len(pivots)
         assert not any(ring.is_unit(v) for v in rest.entries.values())
         dense = dense_snf_oracle(m)
@@ -239,9 +243,12 @@ def test_cancel_units_matches_dense_snf(name):
 
 
 def test_cancel_units_keeps_surviving_order():
-    m = mat(INT, [[2, 0, 1], [0, 3, 0], [4, 0, 0]])
-    pivots, rest = cancel_units(m)
-    assert pivots == [0]
+    # column 3 empties when row 0 is cancelled, and packing drops it
+    m = mat(INT, [[2, 0, 1, 5], [0, 3, 0, 0], [4, 0, 0, 0]])
+    rows, cols = row_form(m.entries)
+    assert cancel_units(INT, rows, cols) == [0]
+    assert rows == {1: {1: 3}, 2: {0: 4}}  # on the positions of m
+    rest = packed(INT, rows, cols)
     assert (rest.nrows, rest.ncols) == (2, 2)
     assert rest.entries == {(0, 1): 3, (1, 0): 4}
 
@@ -268,7 +275,8 @@ def test_cancelled_rows_leave_the_next_differential_alone(diagrams, ring):
                     mid, top = slices[i + 1].get(key), slices[i + 2].get(key)
                     if not mid or not top:
                         continue
-                    pivots, _ = cancel_units(c.diff[i].submatrix(mid, cols))
+                    block = c.diff[i].submatrix(mid, cols)
+                    pivots = cancel_units(ring, *row_form(block.entries))
                     dropped = {mid[p] for p in pivots}
                     kept = [p for p in mid if p not in dropped]
                     full = dense_snf_oracle(c.diff[i + 1].submatrix(top, mid))
