@@ -113,10 +113,10 @@ class ChainComplexData:
         return self.offsets[(i, u)]
 
 
-def assemble(cube, choice=None):
+def assemble(cube):
     """Groups and signed differentials, with the quantum shift applied."""
     d = cube.diagram
-    n_plus, n_minus = d.n_plus_minus(choice)
+    n_plus, n_minus = d.n_plus_minus()
     ring = cube.ring
 
     degrees = list(range(-n_minus, n_plus + 1))
@@ -157,8 +157,8 @@ def assemble(cube, choice=None):
     )
 
 
-def build_complex(d, ring, planar=False, choice=None):
-    return assemble(build_cube(d, ring, planar), choice)
+def build_complex(d, ring, planar=False):
+    return assemble(build_cube(d, ring, planar))
 
 
 def _first_nonzero(i, entries):

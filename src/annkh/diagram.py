@@ -84,6 +84,12 @@ def _array(x):
     return tuple(x)
 
 
+def _string(x):
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a string")
+    return x
+
+
 def _boolean(x):
     if not isinstance(x, bool):
         raise TypeError(f"{x!r} is not a boolean")
@@ -381,7 +387,9 @@ class AnnularDiagram:
     """An annular link diagram with exact geometric realization."""
 
     def __init__(self, crossings, edges, components, orientations):
-        self.crossings = _listed("crossings", crossings, _array)
+        self.crossings = _listed(
+            "crossings", crossings, lambda rec: tuple(map(_string, _array(rec)))
+        )
         # the parsed Fractions name points in violations and serialize;
         # all geometry runs on the int copy, times the LCM of denominators
         self.edges = _parse_edges(edges)

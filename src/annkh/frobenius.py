@@ -7,22 +7,27 @@ sends 1 to 0 and X to 1.  Several distinguished bases are supported:
 * ``ONE_X``     -- {1, X}, the canonical internal basis (trivial circles)
 * ``V``         -- {1, X - i0} (essential circles in odd position)
 * ``V_PRIME``   -- {1, X - i1} (essential circles in even position)
-* ``E``         -- the idempotents {e0, e1}; needs distinct evaluated
-                   parameters so their denominators are invertible
+* ``E``         -- the idempotents {e0, e1}; needs i1 - i0 invertible,
+                   as over distinct evaluated parameters
 * ``D_V``/``D_V_PRIME`` -- the rescaled essential bases of the localized
                    theory, {1, (X - i0)/(i1 - i0)} and {1, (X - i1)/(i0 - i1)}
 
-Every operation converts through ONE_X, so there is a single conversion
-layer rather than pairwise converters.
+One table, :data:`CONVENTIONS`, holds every fact about a convention:
+the bidegree of each basis vector, the letter a/b that the canonical
+generators of the localized theory give each of its vectors, and the
+expansions of 1 and X on its basis.  Each :class:`Frobenius` inverts
+those expansions once, for the conventions its ring admits: the ones
+whose change of basis is invertible over the ring.  So every operation
+converts through ONE_X in one step each way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidBasisError, RingMismatchError
 from .linalg import accumulate
-from .ring import AlphaEval
 
 ONE_X = "ONE_X"
 V = "V"
@@ -31,23 +36,33 @@ E = "E"
 D_V = "D_V"
 D_V_PRIME = "D_V_PRIME"
 
-BASIS_TAGS = (ONE_X, V, V_PRIME, E, D_V, D_V_PRIME)
 
-# ((qdeg, adeg) of b0, (qdeg, adeg) of b1) per convention.  The
-# localized bases sit entirely in quantum degree -1 because their
+class Convention(NamedTuple):
+    """Every fact about one slot basis {b0, b1}."""
+
+    bidegrees: tuple  # (qdeg, adeg) of b0 and of b1
+    # 1 and X on {b0, b1}; an entry names a ring value: 0, 1, the image
+    # i0 or i1 of a0 or a1, or their difference
+    one_and_x: tuple
+    letters: tuple = None  # canonical letter of b0 and of b1, if localized
+
+
+# The localized bases sit entirely in quantum degree -1 because their
 # generators carry a degree-2 denominator.  A convention decorates one
 # kind of circle: V, V', D_V and D_V' essential ones, which carry
 # annular degree -1/+1, and ONE_X and E trivial ones, which carry none.
-_BIDEGREE = {
-    ONE_X: ((-1, 0), (1, 0)),
-    V: ((-1, -1), (1, 1)),
-    V_PRIME: ((-1, -1), (1, 1)),
-    E: ((-1, 0), (-1, 0)),
-    D_V: ((-1, -1), (-1, 1)),
-    D_V_PRIME: ((-1, -1), (-1, 1)),
+CONVENTIONS = {
+    ONE_X: Convention(((-1, 0), (1, 0)), ((1, 0), (0, 1))),
+    V: Convention(((-1, -1), (1, 1)), ((1, 0), ("i0", 1))),
+    V_PRIME: Convention(((-1, -1), (1, 1)), ((1, 0), ("i1", 1))),
+    E: Convention(((-1, 0), (-1, 0)), ((1, 1), ("i1", "i0")), ("a", "b")),
+    D_V: Convention(((-1, -1), (-1, 1)), ((1, 0), ("i0", "i1-i0")), ("b", "a")),
+    D_V_PRIME: Convention(
+        ((-1, -1), (-1, 1)), ((1, 0), ("i1", "i0-i1")), ("a", "b")
+    ),
 }
 
-_EVAL_ONLY = (E, D_V, D_V_PRIME)
+BASIS_TAGS = tuple(CONVENTIONS)
 
 
 @dataclass(frozen=True)
@@ -66,86 +81,60 @@ class AlgebraElement:
     def is_zero(self):
         return self.ring.is_zero(self.c0) and self.ring.is_zero(self.c1)
 
-    def __str__(self):
-        names = {
-            ONE_X: ("1", "X"),
-            V: ("v0", "v1"),
-            V_PRIME: ("v0'", "v1'"),
-            E: ("e0", "e1"),
-            D_V: ("vbar0", "vbar1"),
-            D_V_PRIME: ("vbar0'", "vbar1'"),
-        }[self.basis]
-        parts = []
-        for c, name in zip(self.coords, names):
-            if not self.ring.is_zero(c):
-                parts.append(f"({self.ring.to_str(c)})*{name}")
-        return " + ".join(parts) if parts else "0"
-
-
-def check_basis(ring, basis):
-    if basis not in BASIS_TAGS:
-        raise InvalidBasisError(f"unknown basis {basis!r}")
-    if basis in _EVAL_ONLY:
-        if not (isinstance(ring, AlphaEval) and ring.distinct):
-            raise InvalidBasisError(
-                f"{basis} needs evaluated parameters with distinct values"
-            )
-
 
 class Frobenius:
     """Structure maps of the algebra over a fixed coefficient ring."""
 
     def __init__(self, ring):
-        self.ring = ring
+        r = self.ring = ring
         self.i0, self.i1 = ring.alpha_images()
-        self.e1_img = ring.add(self.i0, self.i1)  # X^2 coefficient on X
-        self.e2_img = ring.mul(self.i0, self.i1)  # minus the constant term
+        self.e1_img = r.add(self.i0, self.i1)  # X^2 coefficient on X
+        self.e2_img = r.mul(self.i0, self.i1)  # minus the constant term
+        named = {
+            0: r.zero(),
+            1: r.one(),
+            "i0": self.i0,
+            "i1": self.i1,
+            "i1-i0": r.sub(self.i1, self.i0),
+            "i0-i1": r.sub(self.i0, self.i1),
+        }
+        # convention -> (matrix to {1, X}, matrix from {1, X}), row-major
+        self._bases = {}
+        for name, conv in CONVENTIONS.items():
+            (u0, u1), (x0, x1) = ([named[t] for t in v] for v in conv.one_and_x)
+            inv, normal = r.normalize_unit(r.sub(r.mul(u0, x1), r.mul(x0, u1)))
+            if normal != r.one():
+                continue  # the determinant is no unit: the ring admits no such basis
+            to = (
+                (r.mul(inv, x1), r.neg(r.mul(inv, x0))),
+                (r.neg(r.mul(inv, u1)), r.mul(inv, u0)),
+            )
+            self._bases[name] = (to, ((u0, x0), (u1, x1)))
 
     # -- basis plumbing ---------------------------------------------------
 
+    def _basis(self, basis):
+        """The (to, from) {1, X} matrices of a basis the ring admits."""
+        if basis not in self._bases:
+            raise InvalidBasisError(f"no basis {basis!r} over {self.ring}")
+        return self._bases[basis]
+
+    def _change(self, m, c0, c1):
+        r = self.ring
+        return tuple(r.add(r.mul(a, c0), r.mul(b, c1)) for a, b in m)
+
     def element(self, basis, c0, c1):
-        check_basis(self.ring, basis)
+        self._basis(basis)
         return AlgebraElement(self.ring, basis, c0, c1)
 
     def to_one_x(self, a):
         """Coordinates of a on {1, X}."""
-        r = self.ring
-        c0, c1 = a.c0, a.c1
-        b = a.basis
-        if b == ONE_X:
-            return c0, c1
-        if b == V:
-            return r.sub(c0, r.mul(self.i0, c1)), c1
-        if b == V_PRIME:
-            return r.sub(c0, r.mul(self.i1, c1)), c1
-        # evaluated-parameter bases
-        q0, q1 = self.i0, self.i1
-        d = q1 - q0
-        if b == E:
-            return (q1 * c1 - q0 * c0) / d, (c0 - c1) / d
-        if b == D_V:
-            return c0 - q0 * c1 / d, c1 / d
-        if b == D_V_PRIME:
-            return c0 + q1 * c1 / d, -c1 / d
-        raise InvalidBasisError(b)
+        return self._change(self._basis(a.basis)[0], a.c0, a.c1)
 
     def from_one_x(self, basis, d0, d1):
-        r = self.ring
-        if basis == ONE_X:
-            return self.element(ONE_X, d0, d1)
-        if basis == V:
-            return self.element(V, r.add(d0, r.mul(self.i0, d1)), d1)
-        if basis == V_PRIME:
-            return self.element(V_PRIME, r.add(d0, r.mul(self.i1, d1)), d1)
-        check_basis(self.ring, basis)
-        q0, q1 = self.i0, self.i1
-        if basis == E:
-            return self.element(E, d0 + q1 * d1, d0 + q0 * d1)
-        if basis == D_V:
-            return self.element(D_V, d0 + q0 * d1, d1 * (q1 - q0))
-        if basis == D_V_PRIME:
-            return self.element(D_V_PRIME, d0 + q1 * d1, d1 * (q0 - q1))
-        raise InvalidBasisError(basis)
+        """The element with coordinates (d0, d1) on {1, X}, in ``basis``."""
+        coords = self._change(self._basis(basis)[1], d0, d1)
+        return AlgebraElement(self.ring, basis, *coords)
 
     def convert(self, a, to):
         """Same element, new coordinates.  Round trips are identities."""
@@ -213,4 +202,4 @@ class Frobenius:
 
 def basis_bidegree(basis, index):
     """(qdeg, adeg) of the index-th basis vector of a slot convention."""
-    return _BIDEGREE[basis][index]
+    return CONVENTIONS[basis].bidegrees[index]

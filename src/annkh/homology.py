@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from . import complexes, tqft
 from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
+from .frobenius import CONVENTIONS
 from .linalg import cancel_units, packed, row_form, row_subtractor
 from .ring import alpha_eval
 
@@ -220,35 +221,29 @@ class CanonicalGenerator:
     degree: int  # homological degree of the smoothing
 
 
-def _letter_to_bit(letter, circle):
-    if not circle.essential:
-        return 0 if letter == "a" else 1
-    if circle.essential_index % 2 == 1:
-        return 1 if letter == "a" else 0
-    return 0 if letter == "a" else 1
-
-
 def canonical_generator(d, choice):
     """The distinguished cycle attached to an orientation.
 
     Each circle of the oriented resolution gets the mod-2 count of
     circles separating it from infinity, plus one when it runs
-    counterclockwise; 0 becomes the letter a and 1 the letter b, which
-    pick out basis vectors of the localized theory.  The annular degree
-    is the word's in the resolution's state space over the Lee ring, so
-    the winding check of :func:`verify_canonical` checks that table too.
+    counterclockwise; 0 becomes the letter a and 1 the letter b.  The
+    slot conventions of the resolution's state space over the Lee ring
+    say which basis vector each letter picks
+    (:data:`annkh.frobenius.CONVENTIONS`), and the annular degree is the
+    word's in that space, so the winding check of
+    :func:`verify_canonical` checks that table too.
     """
     u, rd = d.oriented_resolution(choice)
+    space = tqft.state_space(rd, _LEE_RING)
     letters = []
     word = 0
-    for idx, c in enumerate(rd.circles):
+    for idx, (c, slot) in enumerate(zip(rd.circles, space.slots)):
         ccw = is_counterclockwise(c)
         lab = (nesting_depth(rd, idx) + (1 if ccw else 0)) % 2
         letter = "a" if lab == 0 else "b"
         letters.append(letter)
-        word = (word << 1) | _letter_to_bit(letter, c)
+        word = (word << 1) | CONVENTIONS[slot.convention].letters.index(letter)
     _, n_minus = d.n_plus_minus()
-    space = tqft.state_space(rd, _LEE_RING)
     return CanonicalGenerator(
         orientation=tuple(choice),
         smoothing=u,

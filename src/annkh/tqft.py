@@ -7,25 +7,28 @@ from the puncture outward) carries {1, X - a0} for odd i and
 {1, X - a1} for even i; words in these bases carry an annular degree.
 A basis word of a space is an int whose bits pick one basis vector per
 slot, the first slot most significant, and ``StateSpace.bidegrees``
-holds every word's (qdeg, adeg), summed from the one per-convention
-table :func:`annkh.frobenius.basis_bidegree`.
-Cobordism maps are computed from the Frobenius structure in the slot
-bases.  A space is planar or annular, and that is the one choice: the
-ring picks the slot bases (:func:`make_space`) and the grading, so the
-annular theory over each ring is the annular-degree-preserving part of
-the planar one.  :func:`annular_parts` splits a planar map into that
-part and the part raising annular degree by 2.
+holds every word's (qdeg, adeg), summed from the convention table
+:data:`annkh.frobenius.CONVENTIONS`.  A space is planar or annular, and
+that is the one choice: the ring picks the slot bases
+(:func:`make_space`) and the grading, so the annular theory over each
+ring is the annular-degree-preserving part of the planar one.
+:func:`annular_parts` splits a planar map into that part and the part
+raising annular degree by 2.
 
-Every elementary cobordism (merge, split, dot, birth, death) is a local
-table on its involved slots, placed on the caller's spaces with the
-identity on the other slots.  The spaces decide the truncation: a
-builder returns the planar map between planar spaces and its
-annular-degree-0 part between annular ones.  The table is truncated
-before it is placed: an uninvolved slot keeps its bit and its
+Every elementary cobordism (merge, split, dot, birth, death) is a
+connected genus-0 cobordism, so one builder reads its local table off
+the Frobenius structure maps: multiply the inputs, multiply by X once
+per dot, comultiply into the outputs, and expand through {1, X} in the
+involved slots' conventions.  The table is placed on the caller's
+spaces with the identity on the other slots.  The spaces decide the
+truncation: a builder returns the planar map between planar spaces and
+its annular-degree-0 part between annular ones.  The table is
+truncated before it is placed: an uninvolved slot keeps its bit and its
 essential flag, so it adds the same annular degree to both sides, and
 a term's shift is fixed by the involved slots' conventions alone.  A
-saddle's table depends only on the ring, the theory and the involved
-slots' conventions, so :func:`local_table` builds it once per process.
+table depends only on the ring, the theory, the involved slots'
+conventions and the dots, so :func:`local_table`, the one memo of
+every elementary cobordism, builds it once per process.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
@@ -106,18 +109,6 @@ class StateSpace:
             steps = [basis_bidegree(slot.convention, b) for b in (0, 1)]
             out = [(q + dq, a + da) for q, a in out for dq, da in steps]
         return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.planar == other.planar
-            and self.slots == other.slots
-        )
-
-    def __hash__(self):
-        return hash((self.planar, self.slots))
 
 
 def state_space(rd, ring, planar=False):
@@ -295,58 +286,39 @@ def classify_saddle(d, rd_from, rd_to, crossing):
 # map construction
 
 
-def _basis_elt(fr, conv, bit):
+def _cobordism(fr, dom_convs, cod_convs, dots):
+    """The connected genus-0 cobordism from the involved domain slots
+    to the codomain ones, carrying ``dots`` dots, as a local map
+    {input bits: sorted (output bits, value) terms}: the product of the
+    inputs (the unit if there are none), times X^dots, comultiplied into
+    the outputs (the counit if there are none), expanded through {1, X}.
+    A merge, split, dotted identity, birth or death is one of these."""
     r = fr.ring
-    if bit == 0:
-        return fr.element(conv, r.one(), r.zero())
-    return fr.element(conv, r.zero(), r.one())
-
-
-def _terms(r, coords):
-    """One slot's coordinates as (output bits, value) terms, zeros dropped."""
-    return [((bit,), c) for bit, c in enumerate(coords) if not r.is_zero(c)]
-
-
-def _local_merge(fr, conv_a, conv_b, conv_out):
+    unit_vectors = ((r.one(), r.zero()), (r.zero(), r.one()))
+    # per output slot: 1 and X in its convention
+    outs = [[fr.from_one_x(c, *e).coords for e in unit_vectors] for c in cod_convs]
     local = {}
-    for ba, bb in product((0, 1), repeat=2):
-        prod = fr.mult(_basis_elt(fr, conv_a, ba), _basis_elt(fr, conv_b, bb))
-        local[(ba, bb)] = _terms(fr.ring, fr.convert(prod, conv_out).coords)
-    return local
-
-
-def _local_split(fr, conv_in, conv_out1, conv_out2):
-    r = fr.ring
-    one, zero = r.one(), r.zero()
-    local = {}
-    for b in (0, 1):
-        tens = fr.comult_tensor(_basis_elt(fr, conv_in, b))
-        terms = []
-        for (i, j), v in tens.items():
-            f1 = fr.from_one_x(
-                conv_out1, one if i == 0 else zero, one if i == 1 else zero
-            )
-            f2 = fr.from_one_x(
-                conv_out2, one if j == 0 else zero, one if j == 1 else zero
-            )
-            for o1, c1 in enumerate(f1.coords):
-                if r.is_zero(c1):
-                    continue
-                for o2, c2 in enumerate(f2.coords):
-                    if r.is_zero(c2):
-                        continue
-                    terms.append(((o1, o2), r.mul(v, r.mul(c1, c2))))
-        local[(b,)] = sorted(accumulate(r, {}, terms).items())
-    return local
-
-
-def _local_power_of_x(fr, conv, dots):
-    local = {}
-    for b in (0, 1):
-        elt = _basis_elt(fr, conv, b)
+    for bits in product((0, 1), repeat=len(dom_convs)):
+        elt = fr.unit()
+        for conv, b in zip(dom_convs, bits):
+            elt = fr.mult(elt, fr.element(conv, *unit_vectors[b]))
         for _ in range(dots):
             elt = fr.x_action(elt)
-        local[(b,)] = _terms(fr.ring, elt.coords)
+        # on {1, X} per output slot: comultiplied, as it is, or traced
+        if len(cod_convs) == 2:
+            tensor = fr.comult_tensor(elt)
+        elif cod_convs:
+            tensor = {(i,): c for i, c in enumerate(elt.coords)}
+        else:
+            tensor = {(): fr.counit(elt)}
+        terms = []  # each output slot changed from {1, X} to its convention
+        for idx, v in tensor.items():
+            for out in product((0, 1), repeat=len(cod_convs)):
+                c = v
+                for o, i, vecs in zip(out, idx, outs):
+                    c = r.mul(c, vecs[i][o])
+                terms.append((out, c))
+        local[bits] = sorted(accumulate(r, {}, terms).items())
     return local
 
 
@@ -377,20 +349,19 @@ def _freeze(local, dom_convs, cod_convs, planar):
 
 
 @lru_cache(maxsize=None)
-def local_table(ring, dom_convs, cod_convs, planar):
-    """The frozen local table of a saddle whose involved slots carry the
-    given conventions, in the planar or the annular theory: a merge when
-    ``dom_convs`` names two slots, a split when it names one.
+def local_table(ring, dom_convs, cod_convs, planar, dots=0):
+    """The frozen local table of an elementary cobordism whose involved
+    slots carry the given conventions, in the planar or the annular
+    theory: a merge when ``dom_convs`` names two slots and
+    ``cod_convs`` one, a split for one and two, a birth for none and
+    one, a death for one and none, and for one and one the identity
+    with ``dots`` dots.
 
-    Memoized per process, keyed by the ring, both convention tuples and
-    the theory: a cube has hundreds of edges but only a few such keys.
-    ``local_table.cache_clear()`` empties the memo.
+    Memoized per process, keyed by the ring, both convention tuples, the
+    theory and the dots: a cube has hundreds of edges but only a few
+    such keys.  ``local_table.cache_clear()`` empties the memo.
     """
-    fr = Frobenius(ring)
-    if len(dom_convs) == 2:
-        local = _local_merge(fr, *dom_convs, *cod_convs)
-    else:
-        local = _local_split(fr, *dom_convs, *cod_convs)
+    local = _cobordism(Frobenius(ring), dom_convs, cod_convs, dots)
     return _freeze(local, dom_convs, cod_convs, planar)
 
 
@@ -486,8 +457,7 @@ def dotted_identity_map(space, slot, dots):
     if dots < 1:
         raise ValueError("dots must be positive")
     convs = (space.slots[slot].convention,)
-    local = _local_power_of_x(Frobenius(space.ring), convs[0], dots)
-    table = _freeze(local, convs, convs, space.planar)
+    table = local_table(space.ring, convs, convs, space.planar, dots)
     pairs = tuple((j, j) for j in range(len(space.slots)) if j != slot)
     bidegree = (2 * dots, None if space.planar else 0)
     return _embed(space, space, (slot,), (slot,), pairs, table, bidegree)
@@ -499,8 +469,7 @@ def birth_map(space, position):
     slots = space.slots
     new_slots = slots[:position] + (new,) + slots[position:]
     cod = StateSpace(space.ring, space.planar, new_slots)
-    fr = Frobenius(space.ring)
-    table = (tuple(_terms(space.ring, fr.convert(fr.unit(), new.convention).coords)),)
+    table = local_table(space.ring, (), (new.convention,), space.planar)
     pairs = tuple((j, j + (j >= position)) for j in range(len(slots)))
     return _embed(space, cod, (), (position,), pairs, table, (-1, 0))
 
@@ -511,9 +480,7 @@ def death_map(space, slot):
         raise ValueError("death caps a trivial circle")
     new_slots = space.slots[:slot] + space.slots[slot + 1 :]
     cod = StateSpace(space.ring, space.planar, new_slots)
-    fr = Frobenius(space.ring)
-    conv = space.slots[slot].convention
-    eps = (fr.counit(_basis_elt(fr, conv, b)) for b in (0, 1))
-    table = tuple(() if space.ring.is_zero(c) else (((), c),) for c in eps)
+    convs = (space.slots[slot].convention,)
+    table = local_table(space.ring, convs, (), space.planar)
     pairs = tuple((j, j - (j > slot)) for j in range(len(space.slots)) if j != slot)
     return _embed(space, cod, (slot,), (), pairs, table, (-1, 0))

@@ -20,17 +20,18 @@ def diagrams():
 
 @pytest.fixture
 def corrupted_merge(monkeypatch):
-    """Every merge table with m(1 (x) 1) doubled.  Saddle tables are
+    """Every merge table with m(1 (x) 1) doubled.  Local tables are
     memoized per process, so the memo is empty before and after."""
-    original = tqft._local_merge
+    original = tqft._cobordism
 
-    def corrupted(fr, *convs):
-        local = original(fr, *convs)
-        local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
+    def corrupted(fr, dom_convs, cod_convs, dots):
+        local = original(fr, dom_convs, cod_convs, dots)
+        if len(dom_convs) == 2:
+            local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
         return local
 
     tqft.local_table.cache_clear()
-    monkeypatch.setattr(tqft, "_local_merge", corrupted)
+    monkeypatch.setattr(tqft, "_cobordism", corrupted)
     yield
     tqft.local_table.cache_clear()
 
@@ -297,12 +298,12 @@ TABLE_MUTATIONS = ("keeps_a_plus2_term", "drops_an_adeg0_term")
 def mutated_annular_table(request, monkeypatch):
     """Every annular saddle table, mutated in one term: one +2 term of
     the planar table kept, or one adeg-0 term dropped.  Planar tables
-    are left alone."""
+    and the tables of the other cobordisms are left alone."""
     original = tqft.local_table
 
-    def mutated(ring, dom_convs, cod_convs, planar):
-        table = original(ring, dom_convs, cod_convs, planar)
-        if planar:
+    def mutated(ring, dom_convs, cod_convs, planar, dots=0):
+        table = original(ring, dom_convs, cod_convs, planar, dots)
+        if planar or len(dom_convs) + len(cod_convs) != 3:
             return table
         rows = [list(row) for row in table]
         if request.param == "keeps_a_plus2_term":

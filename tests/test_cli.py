@@ -270,6 +270,9 @@ def test_malformed_coordinates_are_input_errors(
         ("orientations", '["false"]'),
         ("orientations", "[0]"),
         ("crossings", '["abcd"]'),
+        # a crossing record names edges by their string ids
+        ("crossings", '[[["x"], "b", "c", "d"]]'),
+        ("crossings", '[[{}, "b", "c", "d"]]'),
         ("components", '["e0"]'),
     ],
 )

@@ -14,7 +14,7 @@ from annkh.frobenius import (
     V_PRIME,
     Frobenius,
 )
-from annkh.ring import A0, A1, E1, E2, GENERIC, INT, alpha_eval
+from annkh.ring import A0, A1, E1, E2, GENERIC, GF, INT, QH, RAT, alpha_eval
 
 FR = Frobenius(GENERIC)
 EV = alpha_eval(0, 1)
@@ -232,6 +232,37 @@ def test_basis_validation():
         FR.element(E, GENERIC.one(), GENERIC.zero())
     with pytest.raises(InvalidBasisError):
         Frobenius(alpha_eval(1, 1)).element(E, Fraction(1), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "ring, localized",
+    [
+        (INT, False),
+        (GF(2), False),
+        (RAT, False),
+        (QH, False),
+        (GENERIC, False),
+        (alpha_eval(1, 1), False),
+        (alpha_eval(0, 1), True),
+        (alpha_eval(1, 3), True),
+    ],
+    ids=repr,
+)
+def test_a_ring_admits_the_bases_its_change_of_basis_inverts(ring, localized):
+    # V, V' and ONE_X change basis with determinant 1; E, D_V and D_V'
+    # need i1 - i0 invertible, which only distinct evaluations give
+    fr = Frobenius(ring)
+    one, zero = ring.one(), ring.zero()
+    for basis in (ONE_X, V, V_PRIME):
+        assert fr.convert(fr.element(basis, one, zero), basis).coords == (one, zero)
+    for basis in (E, D_V, D_V_PRIME):
+        if localized:
+            fr.element(basis, one, zero)
+        else:
+            with pytest.raises(InvalidBasisError, match=f"no basis '{basis}'"):
+                fr.element(basis, one, zero)
+    with pytest.raises(InvalidBasisError):
+        fr.element("W", one, zero)
 
 
 def test_ring_mismatch():

@@ -707,3 +707,29 @@ def test_the_annular_table_is_the_planar_one_less_its_plus2_terms():
     annular = tqft.local_table(*key, ANNULAR)
     assert planar[0] and not planar[3]
     assert annular == ((), planar[1], planar[2], ())
+
+
+@pytest.mark.parametrize("ring", [INT, alpha_eval(1, 3), GENERIC], ids=repr)
+@pytest.mark.parametrize("planar", [PLANAR, ANNULAR], ids=["planar", "annular"])
+def test_dots_births_and_deaths_are_memoized_local_tables(ring, planar):
+    # a second call over the same ring and conventions is a cache hit,
+    # and returns the map the first call built
+    sp = space(ring, planar, [(True, 1), (False, None)])
+    calls = [
+        lambda: tqft.dotted_identity_map(sp, 0, 2),
+        lambda: tqft.dotted_identity_map(sp, 1, 1),
+        lambda: tqft.birth_map(sp, 1),
+        lambda: tqft.death_map(sp, 1),
+    ]
+    tqft.local_table.cache_clear()
+    try:
+        for build in calls:
+            first = build()
+            info = tqft.local_table.cache_info()
+            assert build() == first
+            again = tqft.local_table.cache_info()
+            assert (again.hits, again.misses) == (info.hits + 1, info.misses)
+        assert tqft.local_table.cache_info().misses == len(calls)
+    finally:
+        tqft.local_table.cache_clear()
+    assert tqft.local_table.cache_info().currsize == 0
