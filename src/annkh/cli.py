@@ -127,9 +127,12 @@ def _verify_generic(d):
     # annular_parts raises unless every map splits into adeg 0 and +2
     # parts, so `splitting` passes whenever the checks run
     fun_ok = True
+    placements = {}
     for e in cube.edges:
         d0 = tqft.annular_parts(e.map)[0]
-        placed = tqft.annular_saddle_map(e.descriptor, annular[e.u], annular[e.v])
+        placed = tqft.annular_saddle_map(
+            e.descriptor, annular[e.u], annular[e.v], placements
+        )
         fun_ok = fun_ok and d0.entries == placed.entries
     c = complexes.assemble(cube)
     rep = complexes.verify_beta(c)

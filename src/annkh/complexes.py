@@ -12,6 +12,10 @@ the deformed one, d_beta = d0 + d2: its annular-degree-preserving part
 d0 is the annular differential and d2 raises annular degree by 2, so
 :func:`verify_beta` reads the three parts of d_beta^2 = 0 off one
 product by their annular-degree shifts 0, 2 and 4.
+
+Edge maps of one placement shape share one entry dict (see ``tqft``),
+so :func:`assemble` negates each shared dict once, on the first edge
+of sign exponent 1 that carries it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class Cube:
 
 def build_cube(d, ring, planar=False):
     """Resolve all smoothings and build every classified edge map
-    between the cube's own vertex spaces."""
+    between the cube's own vertex spaces.  Edges of one placement shape
+    share one entry dict, placed once per cube (``tqft._embed``)."""
     d.ensure_valid()
     n = d.n_crossings
     resolutions = {}
@@ -64,10 +69,11 @@ def build_cube(d, ring, planar=False):
         resolutions[u] = rd
         spaces[u] = tqft.state_space(rd, ring, planar)
     edges = []
+    placements = {}
     for u in resolutions:
         for i, v in cube_edge_pairs(d, u):
             sd = tqft.classify_saddle(d, resolutions[u], resolutions[v], i)
-            m = tqft.annular_saddle_map(sd, spaces[u], spaces[v])
+            m = tqft.annular_saddle_map(sd, spaces[u], spaces[v], placements)
             edges.append(
                 CubeEdge(u, v, i, sign_assignment(u, i), sd, m)
             )
@@ -135,15 +141,21 @@ def assemble(cube):
     by_degree = {}
     for edge in cube.edges:
         by_degree.setdefault(sum(edge.u) - n_minus, []).append(edge)
+    negated = {}  # id of a shared entry dict -> its negated items
     diff = {}
     for i in degrees[:-1]:
         m = {}
         for edge in by_degree.get(i, ()):
             cof = offsets[(i, edge.u)]
             rof = offsets[(i + 1, edge.v)]
-            negate = edge.sign_exponent == 1
-            for (r, c), v in edge.map.entries.items():
-                m[(rof + r, cof + c)] = ring.neg(v) if negate else v
+            items = edge.map.entries.items()
+            if edge.sign_exponent == 1:
+                shared = id(edge.map.entries)
+                if shared not in negated:
+                    negated[shared] = [(k, ring.neg(v)) for k, v in items]
+                items = negated[shared]
+            for (r, c), v in items:
+                m[(rof + r, cof + c)] = v
         diff[i] = SparseMatrix.wrap(ring, len(bigrade[i + 1]), len(bigrade[i]), m)
     return ChainComplexData(
         ring=ring,

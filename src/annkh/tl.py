@@ -121,31 +121,39 @@ class TLMorphism:
         return " + ".join(f"({c}) {t}" for t, c in self.terms)
 
 
+def _dot_power(k):
+    """(p, q) with X^k = p X + q for k >= 1, by the two-dot rule
+    X^2 = e1 X - e2."""
+    p, q = BivariatePoly.from_int(1), BivariatePoly()
+    for _ in range(k - 1):
+        p, q = E1 * p + q, -(E2 * p)
+    return p, q
+
+
 def reduce_tangle(t):
     """Rewrite to a combination of reduced tangles.
 
-    Closed loops evaluate to scalars and multiply dotted strands are
-    expanded with the two-dot rule; the rewriting terminates because the
-    total dot count drops at every step.
+    Closed loops evaluate to scalars, and the k dots of a strand to
+    X^k = p X + q (see :func:`_dot_power`).  Strands are lowered one at
+    a time, and the coefficients of equal dot states are added up
+    before the next strand is expanded, so the work is linear in the
+    dots on each strand.
     """
     coeff = BivariatePoly.from_int(1)
     for k in t.closed_loops:
         coeff = coeff * circle_value(k)
-    work = [(t.pairs, t.dots, coeff)]
-    out = {}
-    while work:
-        pairs, dots, c = work.pop()
-        hot = next((i for i, d in enumerate(dots) if d >= 2), None)
-        if hot is None:
-            key = DottedTangle(t.n, t.m, pairs, dots)
-            out[key] = out.get(key, BivariatePoly()) + c
+    states = {t.dots: coeff}
+    for i, k in enumerate(t.dots):
+        if k < 2:
             continue
-        d1 = list(dots)
-        d1[hot] -= 1
-        d2 = list(dots)
-        d2[hot] -= 2
-        work.append((pairs, tuple(d1), c * E1))
-        work.append((pairs, tuple(d2), -(c * E2)))
+        p, q = _dot_power(k)
+        lowered = {}
+        for dots, c in states.items():
+            for d, w in ((1, p), (0, q)):
+                key = dots[:i] + (d,) + dots[i + 1 :]
+                lowered[key] = lowered.get(key, BivariatePoly()) + c * w
+        states = lowered
+    out = {DottedTangle(t.n, t.m, t.pairs, dots): c for dots, c in states.items()}
     return TLMorphism.make(t.n, t.m, out)
 
 

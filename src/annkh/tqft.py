@@ -30,6 +30,13 @@ table depends only on the ring, the theory, the involved slots'
 conventions and the dots, so :func:`local_table`, the one memo of
 every elementary cobordism, builds it once per process.
 
+A placed map depends only on its shape: the table's key, the slot
+counts of the two spaces and which slots are involved and which pairs
+are not.  A cube of T(2,7) has 448 edges of 27 shapes, so
+``complexes.build_cube`` hands every edge one placement memo that
+lives for that call, and edges of one shape share one entry dict.  A
+single map is placed from an empty memo, by the same code.
+
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
 its sums and products are the matrix ones.
 """
@@ -365,19 +372,15 @@ def local_table(ring, dom_convs, cod_convs, planar, dots=0):
     return _freeze(local, dom_convs, cod_convs, planar)
 
 
-def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
-    """Place a local table on the involved slots, identity on the others.
+def _placement(table, k_dom, k_cod, dom_inv, cod_inv, pairs):
+    """The entries of a local table placed on the involved slots of a
+    ``k_dom``-slot domain and ``k_cod``-slot codomain, identity on the
+    uninvolved ``pairs``.
 
     Each (row, col) arises once: a column is one domain word, and its
     rows differ in the involved codomain bits, which are distinct
     outputs of one table row.  So entries are placed, never summed.
-    An uninvolved pair must agree in essentiality, or the table's
-    truncation would not be the placed map's.
     """
-    for ds, cs in pairs:
-        if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
-            raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
-    k_dom, k_cod = len(dom_space.slots), len(cod_space.slots)
     # What a set bit of each domain slot adds to the column's table key
     # and to its rows' uninvolved codomain bits.
     step = [(0, 0)] * k_dom
@@ -400,21 +403,48 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
     for col, (key, base) in enumerate(zip(keys, bases)):
         for mask, v in placed[key]:
             entries[(base | mask, col)] = v
-    return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
+    return entries
 
 
-def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs):
-    """A merge (two involved domain slots) or split (one) between
-    explicit spaces, in their theory, from the memoized local table."""
-    planar = dom_space.planar
-    table = local_table(
+def _embed(
+    dom_space, cod_space, dom_inv, cod_inv, pairs, bidegree, dots=0, memo=None
+):
+    """The memoized local table of the involved slots' conventions,
+    placed on them, identity on the others.
+
+    An uninvolved pair must agree in essentiality, or the table's
+    truncation would not be the placed map's; that is checked on every
+    call, memo hit or miss.  ``memo`` maps placement shapes to placed
+    entries, so maps built with one memo share one entry dict per
+    shape, which nothing mutates.
+    """
+    pairs = tuple(pairs)
+    for ds, cs in pairs:
+        if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
+            raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
+    key = (
         dom_space.ring,
         tuple(dom_space.slots[s].convention for s in dom_inv),
         tuple(cod_space.slots[s].convention for s in cod_inv),
-        planar,
+        dom_space.planar,
+        dots,
     )
-    bidegree = (1, None if planar else 0)
-    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree)
+    k_dom, k_cod = len(dom_space.slots), len(cod_space.slots)
+    shape = (key, k_dom, k_cod, dom_inv, cod_inv, pairs)
+    memo = {} if memo is None else memo
+    entries = memo.get(shape)
+    if entries is None:
+        table = local_table(*key)
+        entries = _placement(table, k_dom, k_cod, dom_inv, cod_inv, pairs)
+        memo[shape] = entries
+    return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
+
+
+def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs, memo=None):
+    """A merge (two involved domain slots) or split (one) between
+    explicit spaces, in their theory, from the memoized local table."""
+    bidegree = (1, None if dom_space.planar else 0)
+    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, bidegree, memo=memo)
 
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
@@ -443,12 +473,14 @@ def annular_parts(full):
     return parts[0], parts[2]
 
 
-def annular_saddle_map(sd, dom_space, cod_space):
+def annular_saddle_map(sd, dom_space, cod_space, memo=None):
     """The map of a classified saddle between the state spaces of its
     two resolutions, in their theory: the planar map between planar
-    spaces, its adeg-preserving part between annular ones."""
+    spaces, its adeg-preserving part between annular ones.  Maps built
+    with one ``memo`` share the placement of each shape (see
+    :func:`_embed`)."""
     return _saddle(
-        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved
+        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved, memo
     )
 
 
@@ -456,11 +488,9 @@ def dotted_identity_map(space, slot, dots):
     """Multiplication by the dotted identity cobordism on one circle."""
     if dots < 1:
         raise ValueError("dots must be positive")
-    convs = (space.slots[slot].convention,)
-    table = local_table(space.ring, convs, convs, space.planar, dots)
     pairs = tuple((j, j) for j in range(len(space.slots)) if j != slot)
     bidegree = (2 * dots, None if space.planar else 0)
-    return _embed(space, space, (slot,), (slot,), pairs, table, bidegree)
+    return _embed(space, space, (slot,), (slot,), pairs, bidegree, dots)
 
 
 def birth_map(space, position):
@@ -469,9 +499,8 @@ def birth_map(space, position):
     slots = space.slots
     new_slots = slots[:position] + (new,) + slots[position:]
     cod = StateSpace(space.ring, space.planar, new_slots)
-    table = local_table(space.ring, (), (new.convention,), space.planar)
     pairs = tuple((j, j + (j >= position)) for j in range(len(slots)))
-    return _embed(space, cod, (), (position,), pairs, table, (-1, 0))
+    return _embed(space, cod, (), (position,), pairs, (-1, 0))
 
 
 def death_map(space, slot):
@@ -480,7 +509,5 @@ def death_map(space, slot):
         raise ValueError("death caps a trivial circle")
     new_slots = space.slots[:slot] + space.slots[slot + 1 :]
     cod = StateSpace(space.ring, space.planar, new_slots)
-    convs = (space.slots[slot].convention,)
-    table = local_table(space.ring, convs, (), space.planar)
     pairs = tuple((j, j - (j > slot)) for j in range(len(space.slots)) if j != slot)
-    return _embed(space, cod, (slot,), (), pairs, table, (-1, 0))
+    return _embed(space, cod, (slot,), (), pairs, (-1, 0))

@@ -7,7 +7,7 @@ from annkh.complexes import ChainComplexData
 from annkh.errors import InvariantError, UnsupportedRingError
 from annkh.homology import BigradedHomology, SNFResult
 from annkh.linalg import SparseMatrix
-from annkh.ring import GenericAlpha
+from annkh.ring import E1, E2, BivariatePoly, GenericAlpha
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +77,29 @@ def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree)
                 bits[cs] = word[ds]
             entries[(bits_word(bits), col)] = v
     return tqft.LinearMap.wrap(dom_space, cod_space, entries, bidegree)
+
+
+def reduce_tangle_oracle(t):
+    """The two-dot rule applied term by term on a binary work tree,
+    never merging equal states: the oracle for ``tl.reduce_tangle``.
+    One strand with k dots makes Fib(k) work items."""
+    coeff = BivariatePoly.from_int(1)
+    for k in t.closed_loops:
+        coeff = coeff * tl.circle_value(k)
+    work = [(t.dots, coeff)]
+    out = {}
+    while work:
+        dots, c = work.pop()
+        hot = next((i for i, d in enumerate(dots) if d >= 2), None)
+        if hot is None:
+            key = tl.DottedTangle(t.n, t.m, t.pairs, dots)
+            out[key] = out.get(key, BivariatePoly()) + c
+            continue
+        for drop, w in ((1, E1), (2, -E2)):
+            lowered = list(dots)
+            lowered[hot] -= drop
+            work.append((tuple(lowered), c * w))
+    return tl.TLMorphism.make(t.n, t.m, out)
 
 
 def from_rows(ring, rows):

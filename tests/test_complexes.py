@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from annkh import tqft
+from annkh import corpus, tqft
 from annkh.complexes import (
     assemble,
     build_complex,
@@ -302,13 +302,62 @@ def test_dump_is_deterministic(diagrams):
 
 def test_edge_blocks_are_disjoint(diagrams):
     """assemble places edge entries without summing: every entry of
-    every edge map lands in the differential, none on another."""
+    every edge map lands in the differential, none on another, negated
+    exactly on the edges of sign exponent 1."""
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
         for planar in (False, True):
             cube = build_cube(diagrams[name], GENERIC, planar)
             c = assemble(cube)
+            n_minus = c.n_minus
             placed = sum(len(m.entries) for m in c.diff.values())
             assert placed == sum(len(e.map.entries) for e in cube.edges)
+            for e in cube.edges:
+                i = sum(e.u) - n_minus
+                cof, rof = c.offset(i, e.u), c.offset(i + 1, e.v)
+                got = c.diff[i].entries
+                for (r, col), v in e.map.entries.items():
+                    want = -v if e.sign_exponent == 1 else v
+                    assert got[(rof + r, cof + col)] == want, (name, e.u, e.v)
+
+
+def _placement_shape(cube, e):
+    """What an edge's placement depends on: the local table's key, the
+    slot counts and the involved and uninvolved slots."""
+    sd, dom, cod = e.descriptor, cube.spaces[e.u], cube.spaces[e.v]
+    table_key = (
+        cube.ring,
+        tuple(dom.slots[s].convention for s in sd.dom_involved),
+        tuple(cod.slots[s].convention for s in sd.cod_involved),
+        cube.planar,
+    )
+    return (
+        table_key,
+        len(dom.slots),
+        len(cod.slots),
+        sd.dom_involved,
+        sd.cod_involved,
+        sd.uninvolved,
+    )
+
+
+@pytest.mark.parametrize(
+    "ring, planar", [(INT, False), (GENERIC, True)], ids=["int", "generic-planar"]
+)
+def test_edges_of_one_shape_share_one_placement(ring, planar):
+    cube = build_cube(corpus.braid_closure([1] * 7, 2), ring, planar)
+    shapes = {_placement_shape(cube, e) for e in cube.edges}
+    placements = {id(e.map.entries) for e in cube.edges}
+    pairs = {(_placement_shape(cube, e), id(e.map.entries)) for e in cube.edges}
+    assert len(cube.edges) == 448
+    assert len(placements) == len(shapes) == len(pairs) == 27
+
+
+def test_cubes_share_no_placement(diagrams):
+    d = diagrams["trefoil_right"]
+    first, second = build_cube(d, INT), build_cube(d, INT)
+    ids = [{id(e.map.entries) for e in cube.edges} for cube in (first, second)]
+    assert ids[0] and not ids[0] & ids[1]
+    assert [e.map for e in first.edges] == [e.map for e in second.edges]
 
 
 def test_gradedness_flags(diagrams):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from annkh.errors import ArityMismatchError, ParityError
 from annkh.ring import (
     A0, A1, E1, E2, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval,
 )
-from conftest import compose_tangles_oracle, spin_tangle_oracle
+from conftest import compose_tangles_oracle, reduce_tangle_oracle, spin_tangle_oracle
 
 EV = alpha_eval(0, 1)
 ONE = BivariatePoly.from_int(1)
@@ -66,6 +67,38 @@ def test_reduce_matches_algebra_on_many_dots():
         for _ in range(d):
             p0, p1 = -E2 * p1, p0 + E1 * p1
         assert (c0, c1) == (p0, p1)
+
+
+def test_reduce_sums_equal_dot_states_before_expanding():
+    # the binary expansion makes Fib(60) work items for this strand
+    start = time.perf_counter()
+    red = tl.reduce_tangle(strand(60)).term_dict()
+    assert time.perf_counter() - start < 1.0
+    p0, p1 = BivariatePoly.from_int(1), BivariatePoly()
+    for _ in range(60):
+        p0, p1 = -E2 * p1, p0 + E1 * p1
+    assert red == {strand(0): p0, strand(1): p1}
+
+
+@pytest.mark.parametrize(
+    "n, m, pairs, loops",
+    [
+        (1, 1, [(1, 2)], ()),
+        (2, 2, [(1, 4), (2, 3)], (2,)),
+        (2, 4, [(1, 6), (2, 3), (4, 5)], ()),
+        (3, 3, [(1, 6), (2, 5), (3, 4)], (0, 1)),
+    ],
+)
+def test_reduce_matches_the_binary_expansion(n, m, pairs, loops):
+    # every dot count up to 12 dots in all on the strands
+    count = 0
+    for dots in product(range(13), repeat=len(pairs)):
+        if sum(dots) > 12:
+            continue
+        t = tl.DottedTangle.make(n, m, pairs, dots, loops)
+        assert tl.reduce_tangle(t) == reduce_tangle_oracle(t), dots
+        count += 1
+    assert count > 12
 
 
 def test_reduction_confluence_random_orders():

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from annkh import tqft
+from annkh import corpus, tqft
 from annkh.complexes import build_cube
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import AnnkhError, VariantRingMismatchError
@@ -633,12 +633,26 @@ EMBED_CASES = [
 ]
 
 
+def _with_memo_hits(diagrams):
+    """The corpus plus T(2,5) and a seeded 5-crossing 3-braid, whose
+    cubes have many edges of one placement shape."""
+    rng = random.Random(5)
+    word = [rng.choice((1, -1, 2, -2)) for _ in range(5)]
+    extra = {
+        "T(2,5)": corpus.braid_closure([1] * 5, 2),
+        f"braid3 {word}": corpus.braid_closure(word, 3),
+    }
+    for d in extra.values():
+        d.ensure_valid()
+    return {**diagrams, **extra}
+
+
 @pytest.mark.parametrize(
     "ring, planar", EMBED_CASES, ids=lambda x: x if isinstance(x, bool) else repr(x)
 )
 def test_embed_places_what_the_bit_tuple_oracle_places(diagrams, ring, planar):
     edges = 0
-    for name, d in sorted(diagrams.items()):
+    for name, d in sorted(_with_memo_hits(diagrams).items()):
         cube = build_cube(d, ring, planar)
         for e in cube.edges:
             sd, dom, cod = e.descriptor, cube.spaces[e.u], cube.spaces[e.v]
