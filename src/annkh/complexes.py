@@ -126,12 +126,15 @@ def assemble(cube):
     ring = cube.ring
 
     degrees = list(range(-n_minus, n_plus + 1))
+    by_weight = {}  # vertices of each weight, in sorted order
+    for u in sorted(cube.resolutions):
+        by_weight.setdefault(sum(u), []).append(u)
     bigrade = {}
     offsets = {}
     for i in degrees:
         grade = []
         shift = n_minus - n_plus - i
-        for u in sorted(u for u in cube.resolutions if sum(u) == i + n_minus):
+        for u in by_weight.get(i + n_minus, ()):
             offsets[(i, u)] = len(grade)
             grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
         bigrade[i] = grade

@@ -101,6 +101,8 @@ def _pt(eid, xy):
         if not isinstance(xy, (list, tuple)):
             raise TypeError("a point is a list of two coordinates")
         x, y = xy
+        if isinstance(x, bool) or isinstance(y, bool):
+            raise TypeError("a coordinate is a number or a string, not a boolean")
         return (Fraction(x), Fraction(y))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
@@ -396,7 +398,7 @@ class AnnularDiagram:
         self._lcm, self._int_edges = _scaled(self.edges)
         self._scale = None
         self.components = _listed(
-            "components", components, lambda comp: tuple(map(str, _array(comp)))
+            "components", components, lambda comp: tuple(map(_string, _array(comp)))
         )
         self.orientations = _listed("orientations", orientations, _boolean)
         self._violations = None

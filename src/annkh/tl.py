@@ -10,18 +10,16 @@ one dot per strand.
 
 Spinning a tangle around the annulus turns bottom/top points into
 concentric essential circles, and each strand into its own annulus or
-cylinder.  So the annular TQFT value of a spun tangle is the tensor
-product of one piece per strand: a cap is a merge followed by a death,
-a cup a birth followed by a split, and a through strand the identity,
-with the strand's dots as a dotted identity on its first leg.  These
-linear maps are also how kernel elements of the spinning functor are
-detected numerically.
+cylinder, a connected genus-0 cobordism between its legs' circles.  So
+the annular TQFT value of a spun tangle is the tensor product of one
+local table per strand, the table ``tqft`` reads every elementary
+cobordism off, placed at the strand's legs.  These linear maps are also
+how kernel elements of the spinning functor are detected numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import tqft
@@ -270,70 +268,37 @@ def _check_spin_ring(ring):
         raise VariantRingMismatchError("cannot spin with variant ANNULAR_H")
 
 
-@lru_cache(maxsize=None)
-def _piece(ring, bottom_legs, parity, dots):
-    """The TQFT value of one spun strand on its own circles: a cap (two
-    bottom legs), a through strand (one) or a cup (none), with its dots
-    on the first leg.  The first leg sits at a slot of the given parity,
-    which picks the bases of the legs.  Memoized per process, as
-    ``tqft.local_table`` is: a tangle places its pieces, never composes.
-    """
-    def circles(k):
-        return tqft.make_space(ring, [(True, parity + 1 + s) for s in range(k)])
-
-    legs = circles(1 if bottom_legs == 1 else 2)
-    dot = tqft.dotted_identity_map(legs, 0, dots) if dots else tqft.identity_map(legs)
-    if bottom_legs == 1:
-        return dot
-    circle = tqft.make_space(ring, [(False, None)])
-    if bottom_legs == 2:
-        merge = tqft.merge_map(legs, circle, (0, 1), 0, ())
-        return tqft.compose(tqft.death_map(circle, 0), tqft.compose(merge, dot))
-    split = tqft.split_map(circle, legs, 0, (0, 1), ())
-    return tqft.compose(dot, tqft.compose(split, tqft.birth_map(circles(0), 0)))
-
-
-def _spread(word, slots, k):
-    """A piece's word on its legs, placed at those slots of a k-slot word."""
-    last = len(slots) - 1
-    return sum(1 << (k - 1 - s) for i, s in enumerate(slots) if word >> (last - i) & 1)
-
-
 def spin_tangle(t, ring):
     """The annular TQFT value of one reduced spun tangle.
 
-    Spun, each strand is its own annulus or cylinder, so the value is the
-    tensor product of one piece per strand, placed at its legs' slots.
-    Bottom label p is domain slot p - 1 and a top label is the codomain
-    slot of its position.  The points on either side of a strand pair up
-    among themselves, so a through strand's two slots share a parity and
-    a cap's or cup's two alternate.  So the first leg's parity picks a
-    piece's bases, and they are the bases of the slots it is placed at.
+    Spun, each strand is its own annulus or cylinder, a connected genus-0
+    cobordism between its legs' essential circles: a cap from two bottom
+    legs to none, a cup from none to two top legs, a through strand from
+    one to one, carrying the strand's dots.  So the value is the tensor
+    product of one local table per strand (``tqft.local_table``, in the
+    conventions of its legs' slots), placed at those slots.  Bottom label
+    p is domain slot p - 1 and a top label is the codomain slot of its
+    position; every slot is a leg of exactly one strand.
     """
     _check_spin_ring(ring)
     if not t.is_reduced():
         raise ValueError("spin_tangle needs a reduced tangle")
     dom = tqft.essential_space(t.n, ring)
     cod = tqft.essential_space(t.m, ring)
-    terms, qdeg = [(0, 0, ring.one())], 0
-    for k, ((a, b), d) in enumerate(zip(t.pairs, t.dots)):
-        cols = [x - 1 for x in (a, b) if x <= t.n]
-        rows = [t.top_position(x) - 1 for x in (b, a) if x > t.n]
-        piece = _piece(ring, len(cols), (cols or rows)[0] % 2, d)
-        qdeg += piece.declared_bidegree[0]
-        placed = [
-            (_spread(r, rows, t.m), _spread(c, cols, t.n), v)
-            for (r, c), v in piece.entries.items()
-        ]
-        if k:
-            placed = [
-                (r | pr, c | pc, ring.mul(u, v))
-                for r, c, u in terms
-                for pr, pc, v in placed
-            ]
-        terms = placed
-    entries = {(r, c): v for r, c, v in terms}
-    return tqft.LinearMap.wrap(dom, cod, entries, (qdeg, 0))
+    factors = []
+    for (a, b), d in zip(t.pairs, t.dots):
+        cols = tuple(x - 1 for x in (a, b) if x <= t.n)
+        rows = tuple(t.top_position(x) - 1 for x in (b, a) if x > t.n)
+        table = tqft.local_table(
+            ring,
+            tuple(dom.slots[s].convention for s in cols),
+            tuple(cod.slots[s].convention for s in rows),
+            False,
+            d,
+        )
+        factors.append((table, cols, rows))
+    entries = tqft._placement(ring, factors, t.n, t.m, ())
+    return tqft.LinearMap.wrap(dom, cod, entries, (2 * sum(t.dots), 0))
 
 
 def spin_evaluate(f, ring):

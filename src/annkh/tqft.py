@@ -30,9 +30,12 @@ table depends only on the ring, the theory, the involved slots'
 conventions and the dots, so :func:`local_table`, the one memo of
 every elementary cobordism, builds it once per process.
 
-A placed map depends only on its shape: the table's key, the slot
-counts of the two spaces and which slots are involved and which pairs
-are not.  A cube of T(2,7) has 448 edges of 27 shapes, so
+A placement is a tensor product of tables, each on its own involved
+slots, with the identity on the uninvolved pairs: a cube edge places
+one table, and a spun tangle (:func:`annkh.tl.spin_tangle`) one per
+strand.  A placed map depends only on its shape: the table's key, the
+slot counts of the two spaces and which slots are involved and which
+pairs are not.  A cube of T(2,7) has 448 edges of 27 shapes, so
 ``complexes.build_cube`` hands every edge one placement memo that
 lives for that call, and edges of one shape share one entry dict.  A
 single map is placed from an empty memo, by the same code.
@@ -372,15 +375,39 @@ def local_table(ring, dom_convs, cod_convs, planar, dots=0):
     return _freeze(local, dom_convs, cod_convs, planar)
 
 
-def _placement(table, k_dom, k_cod, dom_inv, cod_inv, pairs):
-    """The entries of a local table placed on the involved slots of a
+def _placement(ring, factors, k_dom, k_cod, pairs):
+    """The entries of the tensor product of local tables placed on a
     ``k_dom``-slot domain and ``k_cod``-slot codomain, identity on the
-    uninvolved ``pairs``.
+    uninvolved ``pairs``.  Each factor is ``(table, dom_inv, cod_inv)``,
+    a table with the slots it acts on.
 
-    Each (row, col) arises once: a column is one domain word, and its
-    rows differ in the involved codomain bits, which are distinct
-    outputs of one table row.  So entries are placed, never summed.
+    The factors multiply out into one table, keyed by their involved
+    domain bits in turn, the first factor's most significant; a single
+    factor is placed as it is.  Each (row, col) arises once: a column is
+    one domain word, and its rows differ in the involved codomain bits,
+    which are distinct outputs of one table row.  So entries are placed,
+    never summed.
     """
+    # The factors' tensor product as (key, mask, value) terms, each
+    # output a mask on the involved codomain bits, then grouped by key.
+    terms, dom_inv = [(0, 0, ring.one())], ()
+    for i, (table, f_dom, f_cod) in enumerate(factors):
+        shifts = [k_cod - 1 - s for s in f_cod]
+        flat = [
+            (key, sum(bit << sh for bit, sh in zip(out, shifts)), v)
+            for key, row in enumerate(table)
+            for out, v in row
+        ]
+        w = len(f_dom)
+        terms = flat if i == 0 else [
+            (k1 << w | k2, m1 | m2, ring.mul(v1, v2))
+            for k1, m1, v1 in terms
+            for k2, m2, v2 in flat
+        ]
+        dom_inv += f_dom
+    placed = [[] for _ in range(1 << len(dom_inv))]
+    for key, mask, v in terms:
+        placed[key].append((mask, v))
     # What a set bit of each domain slot adds to the column's table key
     # and to its rows' uninvolved codomain bits.
     step = [(0, 0)] * k_dom
@@ -393,12 +420,6 @@ def _placement(table, k_dom, k_cod, dom_inv, cod_inv, pairs):
     for dk, db in step:
         keys = [k | x for k in keys for x in (0, dk)]
         bases = [b | x for b in bases for x in (0, db)]
-    # Each table row with its outputs as masks on the involved codomain bits.
-    shifts = [k_cod - 1 - s for s in cod_inv]
-    placed = [
-        [(sum(bit << sh for bit, sh in zip(out, shifts)), v) for out, v in row]
-        for row in table
-    ]
     entries = {}
     for col, (key, base) in enumerate(zip(keys, bases)):
         for mask, v in placed[key]:
@@ -434,8 +455,8 @@ def _embed(
     memo = {} if memo is None else memo
     entries = memo.get(shape)
     if entries is None:
-        table = local_table(*key)
-        entries = _placement(table, k_dom, k_cod, dom_inv, cod_inv, pairs)
+        factors = [(local_table(*key), dom_inv, cod_inv)]
+        entries = _placement(dom_space.ring, factors, k_dom, k_cod, pairs)
         memo[shape] = entries
     return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
 

@@ -388,7 +388,7 @@ def pd_circle_count(d, u):
 
 def spin_tangle_oracle(t, ring):
     """The spin of a reduced tangle step by step on the whole space: the
-    oracle for ``tl.spin_tangle``, which places one piece per strand.
+    oracle for ``tl.spin_tangle``, which places one local table per strand.
 
     A token list tracks the legs at the radial slots, innermost first.
     Dots on through strands act first; then caps merge and die,

@@ -240,6 +240,8 @@ def test_input_error_exit_code(capsys, tmp_path, text):
         ("point", '[1e400, "1"]', "edge e0: bad point"),
         # a string of two characters is not a point
         ("point", '"12"', "edge e0: bad point"),
+        # JSON booleans are not coordinates, though Fraction(True) is 1
+        ("point", '[true, "1"]', "edge e0: bad point"),
         ("edges", "[]", "edges must map"),
     ],
 )
@@ -274,6 +276,8 @@ def test_malformed_coordinates_are_input_errors(
         ("crossings", '[[["x"], "b", "c", "d"]]'),
         ("crossings", '[[{}, "b", "c", "d"]]'),
         ("components", '["e0"]'),
+        # a component names edges by their string ids, as a crossing does
+        ("components", "[[0]]"),
     ],
 )
 def test_malformed_fields_are_input_errors(

@@ -290,6 +290,42 @@ def test_spin_places_the_step_by_step_entries_at_4_4(ring):
         assert tl.spin_tangle(t, ring) == spin_tangle_oracle(t, ring), t
 
 
+@pytest.mark.parametrize("ring", [GENERIC, alpha_eval(1, 3)], ids=repr)
+def test_spin_places_the_step_by_step_entries_at_6_2_and_2_6(ring):
+    # four strands on up to six slots of one side: many factors per map
+    for n, m in ((6, 2), (2, 6)):
+        for t in tl.enumerate_reduced(n, m):
+            assert tl.spin_tangle(t, ring) == spin_tangle_oracle(t, ring), t
+
+
+def test_clearing_the_table_memo_reaches_spinning(monkeypatch):
+    # The counit and comultiplication negated give another Frobenius
+    # structure: a connected genus-0 cobordism with l outputs is scaled
+    # by (-1)^(1 - l), consistently under composition.  Spinning reads
+    # the tables, so clearing their memo must reach it.
+    t = tl.DottedTangle.make(3, 1, [(1, 2), (3, 4)], [1, 1])  # cap, through
+    before = tl.spin_tangle(t, GENERIC)
+    original = tqft._cobordism
+
+    def twisted(fr, dom_convs, cod_convs, dots):
+        local = original(fr, dom_convs, cod_convs, dots)
+        if len(cod_convs) == 1:
+            return local
+        return {
+            bits: [(out, fr.ring.neg(v)) for out, v in terms]
+            for bits, terms in local.items()
+        }
+
+    monkeypatch.setattr(tqft, "_cobordism", twisted)
+    tqft.local_table.cache_clear()
+    try:
+        after = tl.spin_tangle(t, GENERIC)
+        assert after != before
+        assert after == spin_tangle_oracle(t, GENERIC)
+    finally:
+        tqft.local_table.cache_clear()
+
+
 def test_spin_composes_nothing_once_its_pieces_are_built(monkeypatch):
     tangles = tl.enumerate_reduced(3, 3)
     before = [tl.spin_tangle(t, EV) for t in tangles]
