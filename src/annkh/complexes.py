@@ -13,14 +13,17 @@ d0 is the annular differential and d2 raises annular degree by 2, so
 :func:`verify_beta` reads the three parts of d_beta^2 = 0 off one
 product by their annular-degree shifts 0, 2 and 4.
 
-Edge maps of one placement shape share one entry dict (see ``tqft``),
-so :func:`assemble` negates each shared dict once, on the first edge
-of sign exponent 1 that carries it.
+The complex is its cube: each edge map is one block of its degree, at
+its vertices' offsets, and nothing is re-keyed.  ``homology`` adds the
+offsets as it reads; ``ChainComplexData.diff`` assembles the blocks
+only for the checks.  Edge maps of one placement shape share one entry
+dict (see ``tqft``), so :func:`assemble` negates each shared dict once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import tqft
@@ -82,7 +85,7 @@ def build_cube(d, ring, planar=False):
 
 @dataclass
 class ChainComplexData:
-    """Assembled bigraded complex over a coefficient ring."""
+    """Bigraded complex over a coefficient ring, kept as its edge blocks."""
 
     ring: object
     planar: bool  # diff is the untruncated planar differential
@@ -94,7 +97,9 @@ class ChainComplexData:
     # qdeg is the shifted quantum degree, filled in also over rings
     # that do not preserve it (see ``qdeg_graded``).
     bigrade: dict
-    diff: dict  # i -> SparseMatrix  C^i -> C^{i+1}
+    # i -> [(row offset, col offset, ((row, col), value) items)] of
+    # C^i -> C^{i+1}, one disjoint block per edge, signed
+    blocks: dict
     offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
     # Always None: the planar diff is d0 + d2 in one matrix.  Kept only
     # because perfbench/spans.py::_assemble_probe reads it.
@@ -118,9 +123,21 @@ class ChainComplexData:
         """Index of the first basis vector of vertex u in degree i."""
         return self.offsets[(i, u)]
 
+    @cached_property
+    def diff(self):
+        """i -> SparseMatrix C^i -> C^{i+1}, from the blocks on first read."""
+        diff = {}
+        for i in self.degrees[:-1]:
+            m = {}
+            for rof, cof, items in self.blocks.get(i, ()):
+                for (r, c), v in items:
+                    m[(rof + r, cof + c)] = v
+            diff[i] = SparseMatrix.wrap(self.ring, self.rank(i + 1), self.rank(i), m)
+        return diff
+
 
 def assemble(cube):
-    """Groups and signed differentials, with the quantum shift applied."""
+    """Groups and signed edge blocks, with the quantum shift applied."""
     d = cube.diagram
     n_plus, n_minus = d.n_plus_minus()
     ring = cube.ring
@@ -139,27 +156,19 @@ def assemble(cube):
             grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
         bigrade[i] = grade
 
-    # Each edge u -> v fills its own block (rows of v, columns of u), so
-    # edge entries are placed, never summed.
-    by_degree = {}
-    for edge in cube.edges:
-        by_degree.setdefault(sum(edge.u) - n_minus, []).append(edge)
     negated = {}  # id of a shared entry dict -> its negated items
-    diff = {}
-    for i in degrees[:-1]:
-        m = {}
-        for edge in by_degree.get(i, ()):
-            cof = offsets[(i, edge.u)]
-            rof = offsets[(i + 1, edge.v)]
-            items = edge.map.entries.items()
-            if edge.sign_exponent == 1:
-                shared = id(edge.map.entries)
-                if shared not in negated:
-                    negated[shared] = [(k, ring.neg(v)) for k, v in items]
-                items = negated[shared]
-            for (r, c), v in items:
-                m[(rof + r, cof + c)] = v
-        diff[i] = SparseMatrix.wrap(ring, len(bigrade[i + 1]), len(bigrade[i]), m)
+    blocks = {}
+    for edge in cube.edges:
+        i = sum(edge.u) - n_minus
+        items = edge.map.entries.items()
+        if edge.sign_exponent == 1:
+            shared = id(edge.map.entries)
+            if shared not in negated:
+                negated[shared] = [(k, ring.neg(v)) for k, v in items]
+            items = negated[shared]
+        # rows of v, columns of u
+        rof, cof = offsets[(i + 1, edge.v)], offsets[(i, edge.u)]
+        blocks.setdefault(i, []).append((rof, cof, items))
     return ChainComplexData(
         ring=ring,
         planar=cube.planar,
@@ -167,7 +176,7 @@ def assemble(cube):
         n_minus=n_minus,
         degrees=degrees,
         bigrade=bigrade,
-        diff=diff,
+        blocks=blocks,
         offsets=offsets,
     )
 

@@ -32,9 +32,9 @@ cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import product
 from math import lcm
 
@@ -303,6 +303,12 @@ def _polyline_stations(points):
     return tuple(h for h in hits if h is not None)
 
 
+def _sums(stations):
+    """Stations with their winding and least radius (None if none)."""
+    radius = min((x for x, _ in stations), default=None)
+    return stations, sum(s for _, s in stations), radius
+
+
 def ray_stations(points):
     """Signed crossings of the positive x-axis, in traversal order.
 
@@ -353,6 +359,16 @@ class ResolvedDiagram:
     @property
     def n_essential(self):
         return sum(1 for c in self.circles if c.essential)
+
+    @cached_property
+    def circle_of_edge(self):
+        """Edge id -> index of the circle through that edge."""
+        return {e: j for j, c in enumerate(self.circles) for e in c.edge_ids}
+
+    @cached_property
+    def index_of_circle(self):
+        """A circle's edge ids -> its index."""
+        return {c.edge_ids: j for j, c in enumerate(self.circles)}
 
 
 def nesting_depth(rd, index):
@@ -807,7 +823,8 @@ class AnnularDiagram:
 
     def _prepare_arcs(self, top):
         """Per truncated edge and direction: its points at the working
-        scale, its ray stations in traversal order and its least point."""
+        scale, its ray stations in traversal order, its least point, and
+        the sums ``resolve`` adds up: winding and least station radius."""
         self._scale = self._lcm << top
         arcs = {}
         for eid, pts in self._int_edges.items():
@@ -815,27 +832,27 @@ class AnnularDiagram:
             if self._edge_is_closed(eid):
                 loop = tuple(run[:-1])
                 for fwd, r in ((True, loop), (False, loop[::-1])):
-                    arcs[(eid, fwd)] = (r, tuple(ray_stations(r)), min(r))
+                    arcs[(eid, fwd)] = (r, *_sums(tuple(ray_stations(r))), min(r))
                 continue
             tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
             run[0], run[-1] = self._cuts[tail], self._cuts[head]
             run = tuple(run)
-            st = _polyline_stations(run)
+            st, w, radius = _sums(_polyline_stations(run))
             low = min(run)
-            arcs[(eid, True)] = (run, st, low)
-            arcs[(eid, False)] = (
-                run[::-1], tuple((x, -sign) for x, sign in reversed(st)), low
-            )
+            arcs[(eid, True)] = (run, st, w, radius, low)
+            back = tuple((x, -sign) for x, sign in reversed(st))
+            arcs[(eid, False)] = (run[::-1], back, -w, radius, low)
         self._arcs = arcs
 
     def _chord(self, k, q, partner):
-        """Stations of the chord from cut (k, q) to cut (k, partner)."""
+        """Stations, winding and least radius of the chord from cut (k, q)
+        to cut (k, partner)."""
         key = (k, q, partner)
-        st = self._chords.get(key)
-        if st is None:
-            st = _polyline_stations((self._cuts[(k, q)], self._cuts[(k, partner)]))
-            self._chords[key] = st
-        return st
+        sums = self._chords.get(key)
+        if sums is None:
+            ends = (self._cuts[(k, q)], self._cuts[(k, partner)])
+            sums = self._chords[key] = _sums(_polyline_stations(ends))
+        return sums
 
     # -- resolution ----------------------------------------------------------
 
@@ -862,8 +879,10 @@ class AnnularDiagram:
         else:
             eff_reversed = None
 
+        arcs, ends = self._arcs, self._ends
         visited = set()
-        raw_circles = []  # (points, stations, edge ids, least point)
+        # (points, stations, edge ids, least point, winding, station radii)
+        raw_circles = []
         for eid in sorted(self.edges):
             if eid in visited:
                 continue
@@ -871,73 +890,64 @@ class AnnularDiagram:
             if eff_reversed is not None:
                 forward = not eff_reversed[self.comp_of_edge(eid)]
             if self._edge_is_closed(eid):
-                visited.add(eid)
-                run, run_st, low = self._arcs[(eid, forward)]
-                raw_circles.append((run, run_st, frozenset([eid]), low))
-                continue
-            start = (eid, forward)
-            cur_edge, cur_fwd = eid, forward
-            pts, st, lows = [], [], []
-            ids = set()
-            while True:
-                visited.add(cur_edge)
-                ids.add(cur_edge)
-                run, run_st, low = self._arcs[(cur_edge, cur_fwd)]
-                arrive = 1 if cur_fwd else 0
-                k, q = self._end_lookup[(cur_edge, arrive)]
-                partner = _PAIRING[u[k]][q]
-                pts.extend(run)
-                st.extend(run_st)
-                st.extend(self._chord(k, q, partner))
-                lows.append(low)
-                nxt = self._ends[k][partner]
-                nxt_fwd = nxt.end == 0
-                if eff_reversed is not None:
-                    want_fwd = not eff_reversed[self.comp_of_edge(nxt.edge)]
-                    if nxt_fwd != want_fwd:
-                        raise InvalidDiagramError(
-                            [
-                                Violation(
-                                    ENDPOINT_MISMATCH,
-                                    f"crossing {k}",
-                                    "smoothing inconsistent with orientation",
-                                )
-                            ]
-                        )
-                if (nxt.edge, nxt_fwd) == start:
-                    break
-                cur_edge, cur_fwd = nxt.edge, nxt_fwd
-            raw_circles.append((tuple(pts), tuple(st), frozenset(ids), min(lows)))
+                pts, st, w, radius, low = arcs[(eid, forward)]
+                ids, radii = [eid], [radius]
+            else:
+                cur_edge, cur_fwd = eid, forward
+                pts, st, ids, lows, radii = [], [], [], [], []
+                w = 0
+                while True:
+                    ids.append(cur_edge)
+                    run, run_st, run_w, run_radius, low = arcs[(cur_edge, cur_fwd)]
+                    k, q = self._end_lookup[(cur_edge, 1 if cur_fwd else 0)]
+                    partner = _PAIRING[u[k]][q]
+                    chord = self._chord(k, q, partner)
+                    pts += run
+                    st += run_st
+                    st += chord[0]
+                    w += run_w + chord[1]
+                    lows.append(low)
+                    radii += (run_radius, chord[2])
+                    nxt = ends[k][partner]
+                    nxt_fwd = nxt.end == 0
+                    if eff_reversed is not None:
+                        if nxt_fwd == eff_reversed[self.comp_of_edge(nxt.edge)]:
+                            why = "smoothing inconsistent with orientation"
+                            raise InvalidDiagramError(
+                                [Violation(ENDPOINT_MISMATCH, f"crossing {k}", why)]
+                            )
+                    if nxt.edge == eid and nxt_fwd == forward:
+                        break
+                    cur_edge, cur_fwd = nxt.edge, nxt_fwd
+                pts, st, low = tuple(pts), tuple(st), min(lows)
+            visited.update(ids)
+            raw_circles.append((pts, st, ids, low, w, radii))
 
         trivial, essential = [], []
-        for pts, st, ids, low in raw_circles:
-            w = sum(s for _, s in st)
+        for pts, st, ids, low, w, radii in raw_circles:
             if abs(w) > 1:
                 raise EmbeddingViolationError(
                     f"circle through {sorted(ids)} winds {w} times"
                 )
-            c = Circle(
-                points=pts,
-                edge_ids=ids,
-                stations=st,
-                winding=w,
-                essential=w != 0,
-            )
-            if c.essential:
-                essential.append(c)
+            ids = frozenset(ids)
+            if w:
+                radius = min(x for x in radii if x is not None)
+                essential.append((radius, pts, ids, st, w))
             else:
-                trivial.append((low, c))
-        trivial = [c for _, c in sorted(trivial, key=lambda lc: lc[0])]
-        essential.sort(key=lambda c: c.min_station)
-        radii = [c.min_station for c in essential]
+                trivial.append((low, pts, ids, st))
+        trivial.sort(key=lambda t: t[0])
+        essential.sort(key=lambda e: e[0])
+        radii = [e[0] for e in essential]
         if radii != sorted(set(radii)):
             raise InvariantError(f"essential circles share a radius: {radii}")
-        essential = [
-            replace(c, essential_index=i + 1) for i, c in enumerate(essential)
+        circles = [Circle(pts, ids, st, 0, False) for _, pts, ids, st in trivial]
+        circles += [
+            Circle(pts, ids, st, w, True, n + 1)
+            for n, (_, pts, ids, st, w) in enumerate(essential)
         ]
         rd = ResolvedDiagram(
             smoothing=u,
-            circles=tuple(trivial) + tuple(essential),
+            circles=tuple(circles),
             oriented=oriented is not None,
         )
         self._resolve_cache[key] = rd

@@ -4,15 +4,17 @@ Homology of a specialized complex is computed slice by slice: the
 differential preserves (qdeg, adeg) after shifts, so each slice is a
 separate matrix problem.  Over evaluated parameters the quantum grading
 collapses and slices are taken per (degree, adeg) only.  One pass over
-the entries of each d^i puts every entry into the row form of its
-slice: row dicts and column sets on the positions of C^{i+1} and C^i,
-with no renumbering.  Unit cancellation (``linalg.cancel_units``)
-eliminates that row form in place until no invertible entry is left;
-only a remainder that is not empty is renumbered (``linalg.packed``)
-into the small non-unit matrix the Smith normal form runs on.  Both
-are sparse eliminations on a row form, with one row update
-(``linalg.row_subtractor``); the SNF pivots on an entry of least
-Euclidean size.  ``cancel_units`` is importable from here as well.
+the edge blocks of each d^i (``ChainComplexData.blocks``) adds each
+block's offsets and puts every entry into the row form of its slice:
+row dicts and column sets on the positions of C^{i+1} and C^i, with no
+renumbering and no assembled differential.  Unit cancellation
+(``linalg.cancel_units``) eliminates that row form in place until no
+invertible entry is left; only a remainder that is not empty is
+renumbered (``linalg.packed``) into the small non-unit matrix the Smith
+normal form runs on.  Both are sparse eliminations on a row form, with
+one row update (``linalg.row_subtractor``); the SNF pivots on an entry
+of least Euclidean size.  ``cancel_units`` is importable from here as
+well.
 
 The degrees are reduced in order, and each cancellation carries over
 to the next degree (Bar-Natan's Gaussian elimination lemma): a unit
@@ -116,12 +118,12 @@ def homology(c):
     """Kernel mod image per bigrade slice: ranks and torsion from unit
     cancellation, then SNF on the remainder.
 
-    One pass over the entries of d^i puts each into the row form of its
-    slice, on the positions of C^{i+1} and C^i.  The degrees are reduced
-    in order, and the pass skips the columns of the generators that
-    d^{i-1} cancelled against a unit.  Those columns lie in the span of
-    the kept ones, so rank and torsion are unchanged.  Each free rank
-    still uses the slice's full dimension."""
+    One pass over the edge blocks of d^i puts each entry into the row
+    form of its slice, on the positions of C^{i+1} and C^i.  The degrees
+    are reduced in order, and the pass skips the columns of the
+    generators that d^{i-1} cancelled against a unit.  Those columns lie
+    in the span of the kept ones, so rank and torsion are unchanged.
+    Each free rank still uses the slice's full dimension."""
     ring = c.ring
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
@@ -135,14 +137,17 @@ def homology(c):
     for i in c.degrees[:-1]:
         row_keys, col_keys = keys[i + 1], keys[i]
         forms = defaultdict(lambda: ({}, {}))  # slice key -> (rows, cols)
-        for (r, col), v in c.diff[i].entries.items():
-            key = col_keys[col]
-            # an entry joining two slices is dropped: ROADMAP item 1 (Q[h])
-            if key != row_keys[r] or col in cancelled:
-                continue
-            rows, cols = forms[key]
-            rows.setdefault(r, {})[col] = v
-            cols.setdefault(col, set()).add(r)
+        for rof, cof, items in c.blocks.get(i, ()):
+            for (r, col), v in items:
+                r += rof
+                col += cof
+                key = col_keys[col]
+                # an entry joining two slices is dropped: ROADMAP item 1 (Q[h])
+                if key != row_keys[r] or col in cancelled:
+                    continue
+                rows, cols = forms[key]
+                rows.setdefault(r, {})[col] = v
+                cols.setdefault(col, set()).add(r)
         cancelled = set()
         for key, (rows, cols) in forms.items():
             pivots = cancel_units(ring, rows, cols)

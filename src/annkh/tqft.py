@@ -141,8 +141,10 @@ def make_space(ring, flags, planar=False):
     return StateSpace(ring, planar, slots)
 
 
+@lru_cache(maxsize=None)
 def essential_space(n, ring):
-    """n concentric essential circles, innermost first, annular."""
+    """n concentric essential circles, innermost first, annular; one
+    space per (n, ring), so spins between the same spaces share them."""
     return make_space(ring, [(True, i + 1) for i in range(n)])
 
 
@@ -229,6 +231,18 @@ class SaddleDescriptor:
     uninvolved: tuple  # (domain slot, codomain slot) pairs
 
 
+# (involved domain circles, essential among them, essential among the
+# involved codomain circles) -> kind
+_SADDLE_KINDS = {
+    (2, 0, 0): MERGE_TT,
+    (2, 1, 1): TYPE_I,
+    (2, 2, 0): TYPE_II,
+    (1, 0, 0): SPLIT_T,
+    (1, 1, 1): TYPE_III,
+    (1, 0, 2): TYPE_IV,
+}
+
+
 def classify_saddle(d, rd_from, rd_to, crossing):
     """Identify the elementary saddle between two resolutions that differ
     exactly at the given crossing."""
@@ -236,57 +250,33 @@ def classify_saddle(d, rd_from, rd_to, crossing):
     diff = [i for i, (a, b) in enumerate(zip(uf, ut)) if a != b]
     if diff != [crossing] or uf[crossing] != 0:
         raise NotACubeEdgeError(f"{uf} -> {ut} not an edge at {crossing}")
-    incident = set(d.crossings[crossing])
-    dom_inv = [
-        i for i, c in enumerate(rd_from.circles) if c.edge_ids & incident
-    ]
-    cod_inv = [
-        i for i, c in enumerate(rd_to.circles) if c.edge_ids & incident
-    ]
+    incident = d.crossings[crossing]
+    of_from, of_to = rd_from.circle_of_edge, rd_to.circle_of_edge
+    dom_inv = sorted({of_from[e] for e in incident if e in of_from})
+    cod_inv = sorted({of_to[e] for e in incident if e in of_to})
     if not ((len(dom_inv), len(cod_inv)) in ((2, 1), (1, 2))):
         raise NotACubeEdgeError(
             f"saddle at {crossing} involves {len(dom_inv)} -> {len(cod_inv)} circles"
         )
-    by_key = {c.edge_ids: j for j, c in enumerate(rd_to.circles)}
+    index_to = rd_to.index_of_circle
     pairs = []
     for i, c in enumerate(rd_from.circles):
         if i in dom_inv:
             continue
-        j = by_key.get(c.edge_ids)
+        j = index_to.get(c.edge_ids)
         if j is None or j in cod_inv:
             raise NotACubeEdgeError("untouched circles do not match")
         pairs.append((i, j))
 
-    def pattern(rd, idxs):
-        ess = [i for i in idxs if rd.circles[i].essential]
-        triv = [i for i in idxs if not rd.circles[i].essential]
-        ess.sort(key=lambda i: rd.circles[i].essential_index)
-        return ess, triv
-
-    dess, dtriv = pattern(rd_from, dom_inv)
-    cess, ctriv = pattern(rd_to, cod_inv)
-    if len(dom_inv) == 2:
-        if len(dess) == 0 and len(cess) == 0:
-            kind = MERGE_TT
-        elif len(dess) == 1 and len(cess) == 1:
-            kind = TYPE_I
-        elif len(dess) == 2 and len(cess) == 0:
-            kind = TYPE_II
-        else:
-            raise NotACubeEdgeError("impossible merge pattern")
-        dom = tuple(dess + dtriv)
-        cod = tuple(cess + ctriv)
-    else:
-        if len(dess) == 0 and len(cess) == 0:
-            kind = SPLIT_T
-        elif len(dess) == 1 and len(cess) == 1:
-            kind = TYPE_III
-        elif len(dess) == 0 and len(cess) == 2:
-            kind = TYPE_IV
-        else:
-            raise NotACubeEdgeError("impossible split pattern")
-        dom = tuple(dess + dtriv)
-        cod = tuple(cess + ctriv)
+    # circles are in slot order, so essential ones come innermost first
+    dess = [i for i in dom_inv if rd_from.circles[i].essential]
+    cess = [i for i in cod_inv if rd_to.circles[i].essential]
+    kind = _SADDLE_KINDS.get((len(dom_inv), len(dess), len(cess)))
+    if kind is None:
+        shape = "merge" if len(dom_inv) == 2 else "split"
+        raise NotACubeEdgeError(f"impossible {shape} pattern")
+    dom = tuple(dess + [i for i in dom_inv if i not in dess])
+    cod = tuple(cess + [i for i in cod_inv if i not in cess])
     return SaddleDescriptor(
         kind, crossing, rd_from, rd_to, dom, cod, tuple(pairs)
     )

@@ -1,10 +1,20 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from annkh import corpus, tl, tqft
+from annkh import corpus, diagram, tl, tqft
 from annkh.complexes import ChainComplexData
-from annkh.errors import InvariantError, UnsupportedRingError
+from annkh.errors import (
+    ENDPOINT_MISMATCH,
+    AnnkhError,
+    EmbeddingViolationError,
+    InvalidDiagramError,
+    InvariantError,
+    NotACubeEdgeError,
+    UnsupportedRingError,
+    Violation,
+)
 from annkh.homology import BigradedHomology, SNFResult
 from annkh.linalg import SparseMatrix
 from annkh.ring import E1, E2, BivariatePoly, GenericAlpha
@@ -241,6 +251,12 @@ def per_slice_homology_oracle(c):
     return BigradedHomology(ring, entries)
 
 
+def one_block(diff):
+    """Blocks of a hand-built differential {i: SparseMatrix}: each
+    degree one block at (0, 0)."""
+    return {i: [(0, 0, m.entries.items())] for i, m in diff.items()}
+
+
 def specialize_complex(c, target):
     """Entrywise specialization of a generic complex; grading metadata is
     preserved, and the target ring decides whether qdeg is graded."""
@@ -257,7 +273,7 @@ def specialize_complex(c, target):
         n_minus=c.n_minus,
         degrees=list(c.degrees),
         bigrade={i: list(g) for i, g in c.bigrade.items()},
-        diff=diff,
+        blocks=one_block(diff),
         offsets=dict(c.offsets),
     )
 
@@ -384,6 +400,154 @@ def pd_circle_count(d, u):
         assert len(ends) == 2, f"edge {eid} must have two ends"
         union(ends[0], ends[1])
     return len({find(s) for s in slots}) + free_loops
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except AnnkhError as e:
+        return type(e), str(e)
+
+
+def reference_resolve(d, u, oriented=None):
+    """The whole-circle tracer: concatenate each circle's arcs and chord
+    stations, then rescan them for the winding and the least radius, and
+    number the essential circles by ``replace``.  Chord stations are
+    found afresh from the cuts, not read from the diagram's memo.  The
+    oracle for ``AnnularDiagram.resolve``, which adds per-arc sums."""
+    u = tuple(u)
+    d.ensure_valid()
+    if oriented is not None:
+        eff_reversed = [
+            bool(d.orientations[i]) ^ bool(oriented[i])
+            for i in range(len(d.components))
+        ]
+    else:
+        eff_reversed = None
+    visited = set()
+    raw_circles = []  # (points, stations, edge ids, least point)
+    for eid in sorted(d.edges):
+        if eid in visited:
+            continue
+        forward = True
+        if eff_reversed is not None:
+            forward = not eff_reversed[d.comp_of_edge(eid)]
+        if d._edge_is_closed(eid):
+            visited.add(eid)
+            arc = d._arcs[(eid, forward)]
+            raw_circles.append((arc[0], arc[1], frozenset([eid]), arc[-1]))
+            continue
+        start = (eid, forward)
+        cur_edge, cur_fwd = eid, forward
+        pts, st, lows = [], [], []
+        ids = set()
+        while True:
+            visited.add(cur_edge)
+            ids.add(cur_edge)
+            arc = d._arcs[(cur_edge, cur_fwd)]
+            k, q = d._end_lookup[(cur_edge, 1 if cur_fwd else 0)]
+            partner = diagram._PAIRING[u[k]][q]
+            pts.extend(arc[0])
+            st.extend(arc[1])
+            st.extend(diagram._polyline_stations((d._cuts[(k, q)], d._cuts[(k, partner)])))
+            lows.append(arc[-1])
+            nxt = d._ends[k][partner]
+            nxt_fwd = nxt.end == 0
+            if eff_reversed is not None:
+                want_fwd = not eff_reversed[d.comp_of_edge(nxt.edge)]
+                if nxt_fwd != want_fwd:
+                    raise InvalidDiagramError(
+                        [
+                            Violation(
+                                ENDPOINT_MISMATCH,
+                                f"crossing {k}",
+                                "smoothing inconsistent with orientation",
+                            )
+                        ]
+                    )
+            if (nxt.edge, nxt_fwd) == start:
+                break
+            cur_edge, cur_fwd = nxt.edge, nxt_fwd
+        raw_circles.append((tuple(pts), tuple(st), frozenset(ids), min(lows)))
+    trivial, essential = [], []
+    for pts, st, ids, low in raw_circles:
+        w = sum(s for _, s in st)
+        if abs(w) > 1:
+            raise EmbeddingViolationError(f"circle through {sorted(ids)} winds {w} times")
+        c = diagram.Circle(
+            points=pts, edge_ids=ids, stations=st, winding=w, essential=w != 0
+        )
+        if c.essential:
+            essential.append(c)
+        else:
+            trivial.append((low, c))
+    trivial = [c for _, c in sorted(trivial, key=lambda lc: lc[0])]
+    essential.sort(key=lambda c: c.min_station)
+    radii = [c.min_station for c in essential]
+    if radii != sorted(set(radii)):
+        raise InvariantError(f"essential circles share a radius: {radii}")
+    essential = [replace(c, essential_index=i + 1) for i, c in enumerate(essential)]
+    return diagram.ResolvedDiagram(
+        smoothing=u,
+        circles=tuple(trivial) + tuple(essential),
+        oriented=oriented is not None,
+    )
+
+
+def reference_classify_saddle(d, rd_from, rd_to, crossing):
+    """The classifier that intersects every circle's edge ids with the
+    crossing's and sorts the involved circles: the oracle for
+    ``tqft.classify_saddle``, which reads per-resolution tables."""
+    uf, ut = rd_from.smoothing, rd_to.smoothing
+    diff = [i for i, (a, b) in enumerate(zip(uf, ut)) if a != b]
+    if diff != [crossing] or uf[crossing] != 0:
+        raise NotACubeEdgeError(f"{uf} -> {ut} not an edge at {crossing}")
+    incident = set(d.crossings[crossing])
+    dom_inv = [i for i, c in enumerate(rd_from.circles) if c.edge_ids & incident]
+    cod_inv = [i for i, c in enumerate(rd_to.circles) if c.edge_ids & incident]
+    if not ((len(dom_inv), len(cod_inv)) in ((2, 1), (1, 2))):
+        raise NotACubeEdgeError(
+            f"saddle at {crossing} involves {len(dom_inv)} -> {len(cod_inv)} circles"
+        )
+    by_key = {c.edge_ids: j for j, c in enumerate(rd_to.circles)}
+    pairs = []
+    for i, c in enumerate(rd_from.circles):
+        if i in dom_inv:
+            continue
+        j = by_key.get(c.edge_ids)
+        if j is None or j in cod_inv:
+            raise NotACubeEdgeError("untouched circles do not match")
+        pairs.append((i, j))
+
+    def pattern(rd, idxs):
+        ess = [i for i in idxs if rd.circles[i].essential]
+        triv = [i for i in idxs if not rd.circles[i].essential]
+        ess.sort(key=lambda i: rd.circles[i].essential_index)
+        return ess, triv
+
+    dess, dtriv = pattern(rd_from, dom_inv)
+    cess, ctriv = pattern(rd_to, cod_inv)
+    if len(dom_inv) == 2:
+        if len(dess) == 0 and len(cess) == 0:
+            kind = tqft.MERGE_TT
+        elif len(dess) == 1 and len(cess) == 1:
+            kind = tqft.TYPE_I
+        elif len(dess) == 2 and len(cess) == 0:
+            kind = tqft.TYPE_II
+        else:
+            raise NotACubeEdgeError("impossible merge pattern")
+    else:
+        if len(dess) == 0 and len(cess) == 0:
+            kind = tqft.SPLIT_T
+        elif len(dess) == 1 and len(cess) == 1:
+            kind = tqft.TYPE_III
+        elif len(dess) == 0 and len(cess) == 2:
+            kind = tqft.TYPE_IV
+        else:
+            raise NotACubeEdgeError("impossible split pattern")
+    dom, cod = tuple(dess + dtriv), tuple(cess + ctriv)
+    return tqft.SaddleDescriptor(kind, crossing, rd_from, rd_to, dom, cod, tuple(pairs))
 
 
 def spin_tangle_oracle(t, ring):

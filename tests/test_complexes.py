@@ -21,7 +21,13 @@ from annkh.errors import (
 from annkh.linalg import SparseMatrix
 from annkh.ring import A0, GENERIC, GF, INT, QH, alpha_eval
 
-from conftest import bits_word, specialize_complex, truncate_adeg, word_bits
+from conftest import (
+    bits_word,
+    one_block,
+    specialize_complex,
+    truncate_adeg,
+    word_bits,
+)
 
 
 def test_sign_assignment_examples():
@@ -130,7 +136,7 @@ def test_grading_allows_an_adeg_raise_only_when_planar(diagrams):
     d = diagrams["trefoil_right"]
     c = build_complex(d, GENERIC, planar=True)
     d2 = {i: _shift_part(c, i, 2) for i in c.diff}
-    raised = replace(c, planar=False, diff=d2)
+    raised = replace(c, planar=False, blocks=one_block(d2))
     assert any(m.entries for m in raised.diff.values())
     assert verify_grading(raised)[3] == "adeg"
     assert verify_grading(replace(raised, planar=True)) is None
@@ -144,7 +150,7 @@ def test_grading_finds_an_entry_of_the_wrong_qdeg(diagrams):
     r, col = sorted(entries)[len(entries) // 2]
     entries[(r, col)] = entries[(r, col)] * A0
     wrong = SparseMatrix.wrap(GENERIC, m.nrows, m.ncols, entries)
-    bad = replace(c, diff={**c.diff, i: wrong})
+    bad = replace(c, blocks=one_block({**c.diff, i: wrong}))
     assert verify_grading(bad) == (i, r, col, "qdeg")
 
 
@@ -301,23 +307,37 @@ def test_dump_is_deterministic(diagrams):
 
 
 def test_edge_blocks_are_disjoint(diagrams):
-    """assemble places edge entries without summing: every entry of
-    every edge map lands in the differential, none on another, negated
-    exactly on the edges of sign exponent 1."""
+    """Each cube edge is one block of its degree, at the offsets of its
+    two vertices, inside their rectangle, and negated exactly on the
+    edges of sign exponent 1.  So every (row, col) of a degree comes from
+    exactly one block, and the on-demand diff holds the blocks' entries,
+    sign included, and nothing else."""
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
         for planar in (False, True):
             cube = build_cube(diagrams[name], GENERIC, planar)
             c = assemble(cube)
-            n_minus = c.n_minus
-            placed = sum(len(m.entries) for m in c.diff.values())
-            assert placed == sum(len(e.map.entries) for e in cube.edges)
+            assert "diff" not in vars(c)
+            edges = {}
             for e in cube.edges:
-                i = sum(e.u) - n_minus
-                cof, rof = c.offset(i, e.u), c.offset(i + 1, e.v)
-                got = c.diff[i].entries
-                for (r, col), v in e.map.entries.items():
-                    want = -v if e.sign_exponent == 1 else v
-                    assert got[(rof + r, cof + col)] == want, (name, e.u, e.v)
+                edges.setdefault(sum(e.u) - c.n_minus, []).append(e)
+            assert sorted(c.blocks) == sorted(edges)
+            for i, blocks in c.blocks.items():
+                assert len(blocks) == len(edges[i])
+                placed = {}
+                for (rof, cof, items), e in zip(blocks, edges[i]):
+                    assert (rof, cof) == (c.offset(i + 1, e.v), c.offset(i, e.u))
+                    want = {
+                        k: -v if e.sign_exponent == 1 else v
+                        for k, v in e.map.entries.items()
+                    }
+                    assert dict(items) == want, (name, e.u, e.v)
+                    for (r, col), v in items:
+                        assert r < cube.spaces[e.v].rank and col < cube.spaces[e.u].rank
+                        assert (rof + r, cof + col) not in placed, (name, e.u, e.v)
+                        placed[(rof + r, cof + col)] = v
+                m = c.diff[i]
+                assert (m.nrows, m.ncols) == (c.rank(i + 1), c.rank(i))
+                assert m.entries == placed, (name, planar, i)
 
 
 def _placement_shape(cube, e):

@@ -10,6 +10,7 @@ from annkh import diagram
 from annkh.corpus import braid_closure
 from annkh.diagram import (
     AnnularDiagram,
+    ResolvedDiagram,
     _dist2,
     _on_segment,
     _orient,
@@ -30,10 +31,11 @@ from annkh.errors import (
     RAY_TANGENCY,
     SELF_INTERSECTION,
     EmbeddingViolationError,
+    InvalidDiagramError,
     Violation,
 )
 
-from conftest import pd_circle_count
+from conftest import outcome, pd_circle_count, reference_resolve
 
 
 def all_smoothings(n):
@@ -577,8 +579,43 @@ def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
                 assert c.stations == tuple(ray_stations(c.points)), (name, rd.smoothing)
             lows = [min(c.points) for c in rd.circles if not c.essential]
             assert lows == sorted(lows), (name, rd.smoothing)
-        chords_on_the_ray += sum(1 for st in d._chords.values() if st)
+        chords_on_the_ray += sum(1 for st, _, _ in d._chords.values() if st)
     assert chords_on_the_ray > 0
+
+
+@pytest.fixture(scope="module")
+def traced_cases(diagrams):
+    """The corpus and 20 seeded 2- to 4-strand braid closures, each also
+    turned so that the chords of crossing 0 cross the reference ray."""
+    cases = {**diagrams, **random_braids(53, 20, 6)}
+    for name, d in list(cases.items()):
+        if d.crossings and (turned := crossing_on_the_ray(d)).is_valid():
+            cases[f"{name} on the ray"] = turned
+    return cases
+
+
+def test_resolve_matches_the_whole_circle_tracer(traced_cases):
+    """Per-arc sums give the circles that rescanning the traced circles
+    gives: the same points, stations, windings, edge ids, essential
+    indices and order, for every smoothing with and without each
+    orientation, and the same error where the smoothing and the
+    orientation disagree."""
+    mismatches = resolved = winding_chords = 0
+    for name, d in traced_cases.items():
+        d = rebuilt(d)  # a fresh resolve cache and chord memo
+        for u in all_smoothings(d.n_crossings):
+            assert d.resolve(u) == reference_resolve(d, u), (name, u)
+            for o in all_orientations(d):
+                got = outcome(d.resolve, u, o)
+                assert got == outcome(reference_resolve, d, u, o), (name, u, o)
+                if isinstance(got, ResolvedDiagram):
+                    resolved += 1
+                else:
+                    assert got[0] is InvalidDiagramError, (name, u, o)
+                    mismatches += 1
+        winding_chords += sum(1 for _, w, _ in d._chords.values() if w)
+    assert mismatches > 100 and resolved > 100, (mismatches, resolved)
+    assert winding_chords > 20, winding_chords
 
 
 def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
@@ -700,7 +737,7 @@ def test_loading_builds_no_fractions_beyond_the_coordinates(monkeypatch):
     d = cli.load(path)
     coordinates = sum(2 * len(pts) for pts in d.edges.values())
     # the rest are the few ray-station radii of the truncated edges
-    stations = sum(len(st) for _, st, _ in d._arcs.values()) // 2
+    stations = sum(len(arc[1]) for arc in d._arcs.values()) // 2
     assert len(made) == coordinates + stations
     made.clear()
     for o in all_orientations(d):

@@ -26,6 +26,7 @@ from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 from conftest import (
     dense_snf_oracle,
     from_rows,
+    one_block,
     per_slice_homology_oracle,
     slice_positions,
 )
@@ -320,7 +321,7 @@ def _euclidean_step_complex(ring):
     return ChainComplexData(
         ring, False, 0, 0, [0, 1, 2],
         bigrade={0: g, 1: g * 2, 2: g},
-        diff={0: mat(ring, [[2], [3]]), 1: mat(ring, [[3, -2]])},
+        blocks=one_block({0: mat(ring, [[2], [3]]), 1: mat(ring, [[3, -2]])}),
     )
 
 
@@ -336,13 +337,22 @@ def test_homology_matches_per_slice_oracle(oracle_diagrams, name):
         assert homology(c).rank_table() == expect, label
 
 
+def test_homology_reads_the_blocks_and_leaves_diff_unassembled(diagrams):
+    for name in ("trefoil_right", "hopf_essential", "braid3_r3_a"):
+        c = build_complex(diagrams[name], INT)
+        h = homology(c)
+        assert "diff" not in vars(c), name
+        assert h.rank_table() == per_slice_homology_oracle(c).rank_table()
+        assert "diff" in vars(c), name
+
+
 def test_unit_invariant_of_a_unit_free_slice_is_not_torsion():
     # no entry is a unit, yet the Smith form is diag(1, 8)
     grades = [(0, 0), (0, 0)]
     c = ChainComplexData(
         INT, False, 0, 0, [0, 1],
         bigrade={0: grades, 1: grades},
-        diff={0: mat(INT, [[2, 3], [0, 4]])},
+        blocks=one_block({0: mat(INT, [[2, 3], [0, 4]])}),
     )
     assert homology(c).entries == {(1, 0, 0): (0, (8,))}
 

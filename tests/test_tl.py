@@ -337,6 +337,15 @@ def test_spin_composes_nothing_once_its_pieces_are_built(monkeypatch):
     assert [tl.spin_tangle(t, EV) for t in tangles] == before
 
 
+def test_spins_of_one_shape_share_their_spaces():
+    a, b = tl.enumerate_reduced(2, 4)[:2]
+    for ring in (GENERIC, EV):
+        f, g = tl.spin_tangle(a, ring), tl.spin_tangle(b, ring)
+        assert f.domain is g.domain and f.codomain is g.codomain
+        assert f.domain is tqft.essential_space(2, ring)
+        assert f.codomain is tqft.essential_space(4, ring)
+
+
 @pytest.mark.parametrize("q", [(1, 3), (0, 1), (-2, 5), (1, 2), (7, -3)])
 def test_kernel_rank_is_the_central_binomial(q):
     # the spun tangles span a space of dimension C(n + m, (n + m) / 2)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,8 @@ from conftest import (
     check_bidegree,
     embed_oracle,
     first_noncommuting_square,
+    outcome,
+    reference_classify_saddle,
     truncate_adeg,
     word_bits,
 )
@@ -456,6 +459,47 @@ def test_all_saddle_kinds_appear(diagrams):
         tqft.TYPE_III,
         tqft.TYPE_IV,
     }
+
+
+CLASSIFY_ERRORS = ("not an edge", "involves", "untouched", "impossible")
+
+
+def test_classify_saddle_matches_the_old_classifier(diagrams):
+    """Every cube edge of the corpus and of 20 seeded 2- to 4-strand
+    braid closures gets the descriptor of the classifier that scans every
+    circle, and so does every non-edge the same error: an edge taken
+    backwards, two steps at once, and an edge whose target resolution
+    belongs to another diagram with as many crossings."""
+    rng = random.Random(59)
+    cases = list(diagrams.values())
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 6))]
+        cases.append(corpus.braid_closure(word, n))
+    by_size = {}
+    for d in cases:
+        by_size.setdefault(d.n_crossings, []).append(d)
+    edges, errors = 0, Counter()
+    for d in cases:
+        others = [e for e in by_size[d.n_crossings] if e is not d]
+        for u in product((0, 1), repeat=d.n_crossings):
+            for i, v in cube_edge_pairs(d, u):
+                args = (d, d.resolve(u), d.resolve(v), i)
+                got = tqft.classify_saddle(*args)
+                assert got == reference_classify_saddle(*args), (u, i)
+                edges += 1
+                wrong = [(d, d.resolve(v), d.resolve(u), i)]
+                wrong += [(d, d.resolve(u), d.resolve(w), i)
+                          for _, w in cube_edge_pairs(d, v)]
+                wrong += [(d, d.resolve(u), e.resolve(v), i) for e in others]
+                for args in wrong:
+                    got = outcome(tqft.classify_saddle, *args)
+                    assert got == outcome(reference_classify_saddle, *args), (u, i)
+                    if not isinstance(got, tqft.SaddleDescriptor):
+                        errors.update(w for w in CLASSIFY_ERRORS if w in got[1])
+    assert edges > 1000, edges
+    assert set(errors) == set(CLASSIFY_ERRORS), errors
 
 
 def test_splitting_lemma_on_corpus(diagrams):
