@@ -21,18 +21,20 @@ a sweep over segment bounding boxes sends only the pairs whose boxes
 meet to the exact intersection test.  Validation then truncates each
 edge at its crossing disks, at cut points p + 2^-j (n - p), and scales
 once more by 2^J, J the largest j, so that the cuts are int points too:
-the working scale ``AnnularDiagram.scale``.  Per truncated edge it
-records the points, the ray stations and the least point.  ``resolve``
-traces the circles of a smoothing through the PD slots and concatenates
-that per-arc data, with the stations of the chords across the crossing
-disks computed once, on first use.  A station's radius
-cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
+the working scale ``AnnularDiagram.scale``.  With the truncated edges it
+builds the chords across the crossing disks, and keeps for each arc and
+chord its winding around the puncture and least ray radius.  ``resolve``
+has one mode and keeps nothing: it walks each circle from its least
+edge id along that edge's stored direction, adding up those sums, and
+``oriented_resolution`` reverses the circles the orientation runs
+against.  A station's radius cross(a, b) / (b_y - a_y) is the one
+Fraction left; circles have few.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import product
@@ -304,9 +306,8 @@ def _polyline_stations(points):
 
 
 def _sums(stations):
-    """Stations with their winding and least radius (None if none)."""
-    radius = min((x for x, _ in stations), default=None)
-    return stations, sum(s for _, s in stations), radius
+    """The winding and least radius (None if none) of ray stations."""
+    return sum(s for _, s in stations), min((x for x, _ in stations), default=None)
 
 
 def ray_stations(points):
@@ -327,21 +328,15 @@ class Circle:
 
     ``points`` is a closed polyline, first point not repeated, of int
     points in the diagram's working coordinates: the diagram's own
-    coordinates times ``AnnularDiagram.scale``.  ``stations`` lists the
-    crossings of the reference ray in traversal order as (radius, sign),
-    the radius a Fraction in the same coordinates.
+    coordinates times ``AnnularDiagram.scale``.  ``winding`` is the
+    signed count of its crossings of the reference ray, +1 upward.
     """
 
     points: tuple
     edge_ids: frozenset
-    stations: tuple
     winding: int
     essential: bool
     essential_index: object = None  # 1-based, innermost first; None if trivial
-
-    @property
-    def min_station(self):
-        return min((x for x, _ in self.stations), default=None)
 
 
 @dataclass(frozen=True)
@@ -349,12 +344,12 @@ class ResolvedDiagram:
     """A smoothing with classified, canonically ordered circles.
 
     Circles are listed trivial-first (sorted by smallest vertex), then
-    essential circles ordered innermost to outermost.
+    essential circles ordered innermost to outermost by their least
+    radius on the reference ray.
     """
 
     smoothing: tuple
     circles: tuple
-    oriented: bool = False
 
     @property
     def n_essential(self):
@@ -422,10 +417,9 @@ class AnnularDiagram:
         self._cross_pts = None
         self._cuts = None
         self._arcs = None
-        self._chords = {}
+        self._chords = None
         self._end_lookup = None
         self._crossing_edges = None
-        self._resolve_cache = {}
 
     @property
     def scale(self):
@@ -822,136 +816,94 @@ class AnnularDiagram:
         return top
 
     def _prepare_arcs(self, top):
-        """Per truncated edge and direction: its points at the working
-        scale, its ray stations in traversal order, its least point, and
-        the sums ``resolve`` adds up: winding and least station radius."""
+        """The walk tables of ``resolve``, at the working scale.  Per
+        truncated edge and direction: its points, winding and least ray
+        radius, its least point, and the cut (k, q) it ends at, None for
+        a free loop.  Per crossing k, end q and smoothing bit: the
+        winding and least ray radius of the chord from cut (k, q) to the
+        cut the bit pairs it with, and the edge and direction the walk
+        enters there."""
         self._scale = self._lcm << top
         arcs = {}
         for eid, pts in self._int_edges.items():
             run = [(x << top, y << top) for x, y in pts]
             if self._edge_is_closed(eid):
-                loop = tuple(run[:-1])
-                for fwd, r in ((True, loop), (False, loop[::-1])):
-                    arcs[(eid, fwd)] = (r, *_sums(tuple(ray_stations(r))), min(r))
-                continue
-            tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
-            run[0], run[-1] = self._cuts[tail], self._cuts[head]
-            run = tuple(run)
-            st, w, radius = _sums(_polyline_stations(run))
+                run, tail, head = tuple(run[:-1]), None, None
+                w, radius = _sums(ray_stations(run))
+            else:
+                tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
+                run[0], run[-1] = self._cuts[tail], self._cuts[head]
+                run = tuple(run)
+                w, radius = _sums(_polyline_stations(run))
             low = min(run)
-            arcs[(eid, True)] = (run, st, w, radius, low)
-            back = tuple((x, -sign) for x, sign in reversed(st))
-            arcs[(eid, False)] = (run[::-1], back, -w, radius, low)
-        self._arcs = arcs
-
-    def _chord(self, k, q, partner):
-        """Stations, winding and least radius of the chord from cut (k, q)
-        to cut (k, partner)."""
-        key = (k, q, partner)
-        sums = self._chords.get(key)
-        if sums is None:
-            ends = (self._cuts[(k, q)], self._cuts[(k, partner)])
-            sums = self._chords[key] = _sums(_polyline_stations(ends))
-        return sums
+            arcs[(eid, True)] = (run, w, radius, low, head)
+            arcs[(eid, False)] = (run[::-1], -w, radius, low, tail)
+        chords = {}
+        for (k, q), cut in self._cuts.items():
+            for bit, pairing in _PAIRING.items():
+                p = pairing[q]
+                nxt = self._ends[k][p]
+                w, radius = _sums(_polyline_stations((cut, self._cuts[(k, p)])))
+                chords[(k, q, bit)] = (w, radius, (nxt.edge, nxt.end == 0))
+        self._arcs, self._chords = arcs, chords
 
     # -- resolution ----------------------------------------------------------
 
-    def resolve(self, u, oriented=None):
+    def resolve(self, u):
         """Smooth every crossing and trace the resulting circles.
 
-        With ``oriented`` set to an orientation choice (one reversal flag
-        per component, on top of the diagram's stored orientation), the
-        circles are traced along their induced directions; tracing fails
-        if the smoothing is inconsistent with the orientation.
+        Each circle is walked from its least edge id along that edge's
+        stored direction, arc by arc and chord by chord, adding up their
+        windings and least ray radii.
         """
         u = tuple(int(x) for x in u)
         if len(u) != len(self.crossings) or any(x not in (0, 1) for x in u):
             raise ValueError(f"bad smoothing {u}")
-        key = (u, tuple(oriented) if oriented is not None else None)
-        if key in self._resolve_cache:
-            return self._resolve_cache[key]
         self.ensure_valid()
-        if oriented is not None:
-            eff_reversed = [
-                bool(self.orientations[i]) ^ bool(oriented[i])
-                for i in range(len(self.components))
-            ]
-        else:
-            eff_reversed = None
-
-        arcs, ends = self._arcs, self._ends
+        arcs, chords = self._arcs, self._chords
         visited = set()
-        # (points, stations, edge ids, least point, winding, station radii)
-        raw_circles = []
+        trivial, essential = [], []
         for eid in sorted(self.edges):
             if eid in visited:
                 continue
-            forward = True
-            if eff_reversed is not None:
-                forward = not eff_reversed[self.comp_of_edge(eid)]
-            if self._edge_is_closed(eid):
-                pts, st, w, radius, low = arcs[(eid, forward)]
-                ids, radii = [eid], [radius]
-            else:
-                cur_edge, cur_fwd = eid, forward
-                pts, st, ids, lows, radii = [], [], [], [], []
-                w = 0
-                while True:
-                    ids.append(cur_edge)
-                    run, run_st, run_w, run_radius, low = arcs[(cur_edge, cur_fwd)]
-                    k, q = self._end_lookup[(cur_edge, 1 if cur_fwd else 0)]
-                    partner = _PAIRING[u[k]][q]
-                    chord = self._chord(k, q, partner)
-                    pts += run
-                    st += run_st
-                    st += chord[0]
-                    w += run_w + chord[1]
-                    lows.append(low)
-                    radii += (run_radius, chord[2])
-                    nxt = ends[k][partner]
-                    nxt_fwd = nxt.end == 0
-                    if eff_reversed is not None:
-                        if nxt_fwd == eff_reversed[self.comp_of_edge(nxt.edge)]:
-                            why = "smoothing inconsistent with orientation"
-                            raise InvalidDiagramError(
-                                [Violation(ENDPOINT_MISMATCH, f"crossing {k}", why)]
-                            )
-                    if nxt.edge == eid and nxt_fwd == forward:
-                        break
-                    cur_edge, cur_fwd = nxt.edge, nxt_fwd
-                pts, st, low = tuple(pts), tuple(st), min(lows)
+            start = at = (eid, True)
+            pts, ids, lows, radii, w = [], [], [], [], 0
+            while True:
+                run, run_w, radius, low, cut = arcs[at]
+                pts += run
+                ids.append(at[0])
+                lows.append(low)
+                radii.append(radius)
+                w += run_w
+                if cut is None:
+                    break
+                k, q = cut
+                chord_w, radius, at = chords[(k, q, u[k])]
+                w += chord_w
+                radii.append(radius)
+                if at == start:
+                    break
             visited.update(ids)
-            raw_circles.append((pts, st, ids, low, w, radii))
-
-        trivial, essential = [], []
-        for pts, st, ids, low, w, radii in raw_circles:
             if abs(w) > 1:
                 raise EmbeddingViolationError(
                     f"circle through {sorted(ids)} winds {w} times"
                 )
-            ids = frozenset(ids)
+            circle = (tuple(pts), frozenset(ids), w)
             if w:
-                radius = min(x for x in radii if x is not None)
-                essential.append((radius, pts, ids, st, w))
+                essential.append((min(x for x in radii if x is not None), circle))
             else:
-                trivial.append((low, pts, ids, st))
+                trivial.append((min(lows), circle))
         trivial.sort(key=lambda t: t[0])
         essential.sort(key=lambda e: e[0])
         radii = [e[0] for e in essential]
         if radii != sorted(set(radii)):
             raise InvariantError(f"essential circles share a radius: {radii}")
-        circles = [Circle(pts, ids, st, 0, False) for _, pts, ids, st in trivial]
+        circles = [Circle(pts, ids, 0, False) for _, (pts, ids, _) in trivial]
         circles += [
-            Circle(pts, ids, st, w, True, n + 1)
-            for n, (_, pts, ids, st, w) in enumerate(essential)
+            Circle(pts, ids, w, True, n + 1)
+            for n, (_, (pts, ids, w)) in enumerate(essential)
         ]
-        rd = ResolvedDiagram(
-            smoothing=u,
-            circles=tuple(circles),
-            oriented=oriented is not None,
-        )
-        self._resolve_cache[key] = rd
-        return rd
+        return ResolvedDiagram(u, tuple(circles))
 
     # -- signs and orientations ----------------------------------------------
 
@@ -961,16 +913,18 @@ class AnnularDiagram:
         self.ensure_valid()
         return 1 if self._ends[k][1].end == 0 else -1
 
+    def _against(self, choice):
+        """The components that the orientation choice (one reversal flag
+        per component, or None) runs against their edges' direction."""
+        choice = choice or (False,) * len(self.components)
+        return {i for i, o in enumerate(self.orientations) if o != bool(choice[i])}
+
     def crossing_sign(self, k, choice=None):
         self.ensure_valid()
-        if choice is None:
-            choice = (False,) * len(self.components)
-        under = self.comp_of_edge(self._ends[k][0].edge)
-        over = self.comp_of_edge(self._ends[k][1].edge)
-        rev_u = bool(self.orientations[under]) ^ bool(choice[under])
-        rev_o = bool(self.orientations[over]) ^ bool(choice[over])
+        against = self._against(choice)
+        under, over = (self.comp_of_edge(e.edge) in against for e in self._ends[k][:2])
         base = self.base_crossing_sign(k)
-        return -base if rev_u != rev_o else base
+        return -base if under != over else base
 
     def signs(self, choice=None):
         return [self.crossing_sign(k, choice) for k in range(self.n_crossings)]
@@ -980,15 +934,22 @@ class AnnularDiagram:
         return sum(1 for s in ss if s > 0), sum(1 for s in ss if s < 0)
 
     def oriented_resolution(self, choice=None):
-        """The smoothing compatible with the orientation, with circles
-        traced along their induced directions."""
-        if choice is None:
-            choice = (False,) * len(self.components)
+        """The smoothing compatible with the orientation and its
+        resolution, each circle running along the orientation: a circle
+        whose least edge the orientation runs against is a reversed copy,
+        its points reversed and its winding negated."""
         u = tuple(
             0 if self.crossing_sign(k, choice) > 0 else 1
             for k in range(self.n_crossings)
         )
-        return u, self.resolve(u, oriented=choice)
+        against = self._against(choice)
+
+        def along(c):
+            if self.comp_of_edge(min(c.edge_ids)) not in against:
+                return c
+            return replace(c, points=c.points[::-1], winding=-c.winding)
+
+        return u, ResolvedDiagram(u, tuple(map(along, self.resolve(u).circles)))
 
 
 def all_orientations(diagram):

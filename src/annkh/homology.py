@@ -238,6 +238,11 @@ def canonical_generator(d, choice):
     word's in that space, so the winding check of
     :func:`verify_canonical` checks that table too.
     """
+    return _canonical(d, choice)[0]
+
+
+def _canonical(d, choice):
+    """An orientation's canonical generator and oriented resolution."""
     u, rd = d.oriented_resolution(choice)
     space = tqft.state_space(rd, _LEE_RING)
     letters = []
@@ -256,7 +261,7 @@ def canonical_generator(d, choice):
         word=word,
         adeg=space.bidegrees[word][1],
         degree=sum(u) - n_minus,
-    )
+    ), rd
 
 
 def generator_vector_index(c, gen):
@@ -281,8 +286,7 @@ def verify_canonical(d, choice, c=None):
     (-1)^m times the winding number of the oriented link."""
     if c is None:
         c = lee_complex(d)
-    gen = canonical_generator(d, choice)
-    _, rd = d.oriented_resolution(choice)
+    gen, rd = _canonical(d, choice)
     m = rd.n_essential
     w = sum(circ.winding for circ in rd.circles if circ.essential)
     expected = w if m % 2 == 0 else -w

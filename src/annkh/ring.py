@@ -323,14 +323,22 @@ class HPoly:
 # Coefficient rings
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on these bases is exact below this bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n < PRIME_TEST_BOUND is prime, by Miller-Rabin."""
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
+    odd = (n - 1) >> twos
+    for a in _BASES:
+        x = pow(a, odd, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << j, n) for j in range(twos)):
             return False
-        d += 1
     return True
 
 
@@ -502,6 +510,8 @@ class PrimeField(CoefficientRing):
     is_euclidean = True
 
     def __init__(self, p):
+        if p >= PRIME_TEST_BOUND:
+            raise ValueError(f"{p} >= {PRIME_TEST_BOUND}, the bound of the prime test")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

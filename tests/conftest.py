@@ -411,11 +411,14 @@ def outcome(fn, *args):
 
 
 def reference_resolve(d, u, oriented=None):
-    """The whole-circle tracer: concatenate each circle's arcs and chord
-    stations, then rescan them for the winding and the least radius, and
-    number the essential circles by ``replace``.  Chord stations are
-    found afresh from the cuts, not read from the diagram's memo.  The
-    oracle for ``AnnularDiagram.resolve``, which adds per-arc sums."""
+    """The whole-circle tracer: concatenate each circle's arc points
+    through the PD slots, then rescan the closed circle's ray stations
+    for the winding and the least radius, and number the essential
+    circles by ``replace``.  With ``oriented`` set to an orientation
+    choice, each circle is traced along its induced direction, and a
+    smoothing the orientation disagrees with raises.  The oracle for
+    ``AnnularDiagram.resolve``, which adds up per-arc and per-chord sums,
+    and for ``oriented_resolution``."""
     u = tuple(u)
     d.ensure_valid()
     if oriented is not None:
@@ -426,7 +429,7 @@ def reference_resolve(d, u, oriented=None):
     else:
         eff_reversed = None
     visited = set()
-    raw_circles = []  # (points, stations, edge ids, least point)
+    raw_circles = []  # (points, edge ids)
     for eid in sorted(d.edges):
         if eid in visited:
             continue
@@ -435,24 +438,18 @@ def reference_resolve(d, u, oriented=None):
             forward = not eff_reversed[d.comp_of_edge(eid)]
         if d._edge_is_closed(eid):
             visited.add(eid)
-            arc = d._arcs[(eid, forward)]
-            raw_circles.append((arc[0], arc[1], frozenset([eid]), arc[-1]))
+            raw_circles.append((d._arcs[(eid, forward)][0], frozenset([eid])))
             continue
         start = (eid, forward)
         cur_edge, cur_fwd = eid, forward
-        pts, st, lows = [], [], []
+        pts = []
         ids = set()
         while True:
             visited.add(cur_edge)
             ids.add(cur_edge)
-            arc = d._arcs[(cur_edge, cur_fwd)]
+            pts.extend(d._arcs[(cur_edge, cur_fwd)][0])
             k, q = d._end_lookup[(cur_edge, 1 if cur_fwd else 0)]
-            partner = diagram._PAIRING[u[k]][q]
-            pts.extend(arc[0])
-            st.extend(arc[1])
-            st.extend(diagram._polyline_stations((d._cuts[(k, q)], d._cuts[(k, partner)])))
-            lows.append(arc[-1])
-            nxt = d._ends[k][partner]
+            nxt = d._ends[k][diagram._PAIRING[u[k]][q]]
             nxt_fwd = nxt.end == 0
             if eff_reversed is not None:
                 want_fwd = not eff_reversed[d.comp_of_edge(nxt.edge)]
@@ -469,30 +466,25 @@ def reference_resolve(d, u, oriented=None):
             if (nxt.edge, nxt_fwd) == start:
                 break
             cur_edge, cur_fwd = nxt.edge, nxt_fwd
-        raw_circles.append((tuple(pts), tuple(st), frozenset(ids), min(lows)))
+        raw_circles.append((tuple(pts), frozenset(ids)))
     trivial, essential = [], []
-    for pts, st, ids, low in raw_circles:
-        w = sum(s for _, s in st)
+    for pts, ids in raw_circles:
+        stations = diagram.ray_stations(pts)
+        w = sum(s for _, s in stations)
         if abs(w) > 1:
             raise EmbeddingViolationError(f"circle through {sorted(ids)} winds {w} times")
-        c = diagram.Circle(
-            points=pts, edge_ids=ids, stations=st, winding=w, essential=w != 0
-        )
+        c = diagram.Circle(points=pts, edge_ids=ids, winding=w, essential=w != 0)
         if c.essential:
-            essential.append(c)
+            essential.append((min(x for x, _ in stations), c))
         else:
-            trivial.append((low, c))
+            trivial.append((min(pts), c))
     trivial = [c for _, c in sorted(trivial, key=lambda lc: lc[0])]
-    essential.sort(key=lambda c: c.min_station)
-    radii = [c.min_station for c in essential]
+    essential.sort(key=lambda rc: rc[0])
+    radii = [r for r, _ in essential]
     if radii != sorted(set(radii)):
         raise InvariantError(f"essential circles share a radius: {radii}")
-    essential = [replace(c, essential_index=i + 1) for i, c in enumerate(essential)]
-    return diagram.ResolvedDiagram(
-        smoothing=u,
-        circles=tuple(trivial) + tuple(essential),
-        oriented=oriented is not None,
-    )
+    essential = [replace(c, essential_index=i + 1) for i, (_, c) in enumerate(essential)]
+    return diagram.ResolvedDiagram(smoothing=u, circles=tuple(trivial) + tuple(essential))
 
 
 def reference_classify_saddle(d, rd_from, rd_to, crossing):

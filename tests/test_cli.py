@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from annkh.cli import main, parse_ring
 from annkh import complexes, tqft
 from annkh.corpus import write_corpus
 from annkh.diagram import dumps_diagram
-from annkh.ring import QH, alpha_eval
+from annkh.ring import PRIME_TEST_BOUND, QH, alpha_eval
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,22 @@ def test_ring_parsing():
     assert (r.q0, r.q1) == (alpha_eval("1/2", 3).q0, alpha_eval("1/2", 3).q1)
     # the localized theory defaults to the simplest distinct values
     assert parse_ring("alpha").alpha_images() == (0, 1)
+
+
+def test_a_large_prime_field_parses_at_once():
+    start = time.perf_counter()
+    assert parse_ring("gf1000000000000000003").p == 10**18 + 3
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_prime_field_beyond_the_prime_test_bound(capsys, corpus_dir):
+    ring = f"gf{PRIME_TEST_BOUND + 2}"
+    code, out, err = run(
+        capsys, "homology", corpus_dir / "trefoil_right.json", "--ring", ring
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad prime field {ring!r}")
+    assert str(PRIME_TEST_BOUND) in err
 
 
 @pytest.mark.parametrize("position", [0, 1])

@@ -548,15 +548,24 @@ def test_canonical_trivial_circle(diagrams):
     assert gen.letters == ("b",) and gen.word == 1 and gen.adeg == 0
 
 
-def test_canonical_cycles_and_adeg_corpus(diagrams):
+def test_canonical_cycles_and_adeg_corpus(diagrams, monkeypatch):
+    from annkh.diagram import AnnularDiagram
     from annkh.homology import lee_complex
 
+    traced = []
+    resolve = AnnularDiagram.resolve
+    monkeypatch.setattr(
+        AnnularDiagram, "resolve", lambda d, u: traced.append(u) or resolve(d, u)
+    )
     for name, d in diagrams.items():
         c = lee_complex(d)
         for o in all_orientations(d):
+            traced.clear()
             rep = verify_canonical(d, o, c)
             assert rep.is_cycle, (name, o)
             assert rep.adeg == rep.expected_adeg, (name, o)
+            # each report traces its oriented resolution once
+            assert len(traced) == 1, (name, o)
 
 
 def test_canonical_span_corpus(diagrams):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from annkh.ring import (
     RAT,
     BivariatePoly,
     HPoly,
+    PRIME_TEST_BOUND,
     PrimeField,
+    _is_prime,
     alpha_eval,
 )
 
@@ -155,6 +158,30 @@ def test_is_unit():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         GF(4)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751])
+def test_prime_field_refuses_pseudoprimes(n):
+    # a Carmichael number, and strong pseudoprimes to the bases 2, 3, 5, 7
+    with pytest.raises(ValueError, match="not prime"):
+        GF(n)
+
+
+def test_prime_field_refuses_moduli_at_the_prime_test_bound():
+    assert GF(10**24 + 7).p == 10**24 + 7  # the least prime above 10^24
+    for p in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+        with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+            GF(p)
 
 
 def test_alpha_eval_distinct_flag():
