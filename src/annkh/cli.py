@@ -193,8 +193,10 @@ def cmd_canonical(args):
     c = homology.lee_complex(d)
     ok = True
     rows = []
+    gens = []
     for o in all_orientations(d):
         rep = homology.verify_canonical(d, o, c)
+        gens.append(rep.generator)
         rows.append(
             (
                 "".join("-" if f else "+" for f in o),
@@ -205,7 +207,7 @@ def cmd_canonical(args):
             )
         )
         ok = ok and rep.ok
-    span = homology.canonical_span_rank(d, c)
+    span = homology.canonical_span_rank(c, gens)
     expect = 2 ** d.n_components
     print(
         emit_rows(

@@ -18,17 +18,18 @@ after parsing runs on ints.  Every coordinate is scaled by the LCM of
 the denominators; a positive scale keeps the sign of every orientation
 test and comparison, so validation's predicates are exact on ints, and
 a sweep over segment bounding boxes sends only the pairs whose boxes
-meet to the exact intersection test.  Validation then truncates each
-edge at its crossing disks, at cut points p + 2^-j (n - p), and scales
-once more by 2^J, J the largest j, so that the cuts are int points too:
-the working scale ``AnnularDiagram.scale``.  With the truncated edges it
-builds the chords across the crossing disks, and keeps for each arc and
-chord its winding around the puncture and least ray radius.  ``resolve``
-has one mode and keeps nothing: it walks each circle from its least
-edge id along that edge's stored direction, adding up those sums, and
-``oriented_resolution`` reverses the circles the orientation runs
-against.  A station's radius cross(a, b) / (b_y - a_y) is the one
-Fraction left; circles have few.
+meet to the exact intersection test.  A resolved circle runs along its
+edges through the crossing points, which validation keeps off the
+reference ray and the puncture; it differs from the smoothed circle only
+in arbitrarily small disks around them, so its winding, ray radii and
+signed area sign, and the winding around it of any point off the
+crossings, are the smoothed circle's.  Validation keeps each edge's
+winding around the puncture and least ray radius at the working scale
+``AnnularDiagram.scale``.  ``resolve`` has one mode and keeps nothing:
+it walks each circle from its least edge id along that edge's stored
+direction, adding up those sums, and ``oriented_resolution`` reverses
+the circles the orientation runs against.  A station's radius
+cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _boolean(x):
     return x
 
 
+# A string coordinate's exponent is refused beyond this: parsing 1e10000000
+# takes seconds, and Python will not print an int of over 4,300 digits.
+MAX_EXPONENT = 4000
+
+
 def _pt(eid, xy):
     try:
         if not isinstance(xy, (list, tuple)):
@@ -105,6 +111,10 @@ def _pt(eid, xy):
         x, y = xy
         if isinstance(x, bool) or isinstance(y, bool):
             raise TypeError("a coordinate is a number or a string, not a boolean")
+        for c in (x, y):
+            exponent = c.lower().partition("e")[2] if isinstance(c, str) else ""
+            if abs(int(exponent or 0)) > MAX_EXPONENT:
+                raise ValueError(f"an exponent beyond {MAX_EXPONENT}")
         return (Fraction(x), Fraction(y))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
@@ -137,25 +147,6 @@ def _cross(u, v):
 
 def _orient(a, b, c):
     return _cross(_sub(b, a), _sub(c, a))
-
-
-def _dist2(a, b):
-    dx, dy = a[0] - b[0], a[1] - b[1]
-    return dx * dx + dy * dy
-
-
-def _point_seg_dist2(p, a, b):
-    """The squared distance from p to the segment ab, as a pair
-    (num, den) of ints with den > 0."""
-    ab, ap = _sub(b, a), _sub(p, a)
-    dot = ap[0] * ab[0] + ap[1] * ab[1]
-    if dot <= 0:
-        return _dist2(p, a), 1
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if dot >= denom:
-        return _dist2(p, b), 1
-    # the foot of the perpendicular lies inside the segment
-    return _cross(ab, ap) ** 2, denom
 
 
 def _on_segment(a, b, p):
@@ -207,15 +198,6 @@ def _box(a, b):
     return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
 
 
-def _box_dist2(p, box):
-    """Squared distance from p to a box: a lower bound for every point
-    of the segment the box holds."""
-    x0, x1, y0, y1 = box
-    dx = max(x0 - p[0], p[0] - x1, 0)
-    dy = max(y0 - p[1], p[1] - y1, 0)
-    return dx * dx + dy * dy
-
-
 def _box_partners(boxes):
     """For each box a, the sorted indices b > a of the boxes it meets
     (closed boxes), found by a sweep in order of smallest x."""
@@ -260,7 +242,7 @@ def signed_area_twice(points):
 
 
 def is_counterclockwise(circle):
-    """Orientation of an embedded circle as traced.  For essential
+    """Orientation of a resolved circle as traced.  For essential
     circles this agrees with a winding number of +1."""
     return signed_area_twice(circle.points) > 0
 
@@ -328,7 +310,10 @@ class Circle:
 
     ``points`` is a closed polyline, first point not repeated, of int
     points in the diagram's working coordinates: the diagram's own
-    coordinates times ``AnnularDiagram.scale``.  ``winding`` is the
+    coordinates times ``AnnularDiagram.scale``.  It runs along its edges
+    through the crossing points, so it may pass one crossing point twice
+    and share it with another circle; off the crossing points it is
+    embedded and disjoint from the other circles.  ``winding`` is the
     signed count of its crossings of the reference ray, +1 upward.
     """
 
@@ -343,9 +328,9 @@ class Circle:
 class ResolvedDiagram:
     """A smoothing with classified, canonically ordered circles.
 
-    Circles are listed trivial-first (sorted by smallest vertex), then
-    essential circles ordered innermost to outermost by their least
-    radius on the reference ray.
+    Circles are listed trivial-first (sorted by smallest vertex, a
+    crossing point included), then essential circles ordered innermost
+    to outermost by their least radius on the reference ray.
     """
 
     smoothing: tuple
@@ -367,8 +352,13 @@ class ResolvedDiagram:
 
 
 def nesting_depth(rd, index):
-    """Number of circles separating the given circle from infinity."""
-    probe = rd.circles[index].points[0]
+    """Number of circles separating the given circle from infinity.
+
+    The probe is the midpoint of the circle's first segment, an int
+    point at the working scale.  It lies on no other circle, which a
+    circle's first point, possibly a crossing point, need not."""
+    a, b = rd.circles[index].points[:2]
+    probe = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
     depth = 0
     for j, other in enumerate(rd.circles):
         if j == index:
@@ -386,8 +376,7 @@ def nesting_depth(rd, index):
 class _End:
     edge: str
     end: int  # 0 = tail (polyline start), 1 = head (polyline end)
-    neighbor: tuple
-    direction: tuple  # neighbor - crossing point
+    direction: tuple  # the edge's next point - crossing point
 
 
 _PAIRING = {
@@ -415,16 +404,16 @@ class AnnularDiagram:
         self._violations = None
         self._ends = None
         self._cross_pts = None
-        self._cuts = None
         self._arcs = None
-        self._chords = None
-        self._end_lookup = None
+        self._exits = None
         self._crossing_edges = None
 
     @property
     def scale(self):
         """The working scale: circles of ``resolve`` have int points, the
-        diagram's coordinates times this positive int."""
+        diagram's coordinates times this positive int, twice the LCM of
+        the denominators so that every segment's midpoint is an int
+        point too."""
         self.ensure_valid()
         return self._scale
 
@@ -473,7 +462,7 @@ class AnnularDiagram:
         ]
         out.extend(self._validate_geometry(segs))
         if not out:
-            self._prepare_arcs(self._prepare_cuts(segs))
+            self._prepare_arcs()
         return out
 
     def _validate_structure(self):
@@ -554,9 +543,9 @@ class AnnularDiagram:
             return []
         cands = []
         if role in ("tail", "any") and pts[0] == point:
-            cands.append(_End(eid, 0, pts[1], _sub(pts[1], point)))
+            cands.append(_End(eid, 0, _sub(pts[1], point)))
         if role in ("head", "any") and pts[-1] == point:
-            cands.append(_End(eid, 1, pts[-2], _sub(pts[-2], point)))
+            cands.append(_End(eid, 1, _sub(pts[-2], point)))
         return cands
 
     def _match_crossing(self, k):
@@ -642,10 +631,6 @@ class AnnularDiagram:
         if not out:
             self._ends = ends
             self._cross_pts = pts
-            self._end_lookup = {}
-            for k, combo in enumerate(ends):
-                for q, e in enumerate(combo):
-                    self._end_lookup[(e.edge, e.end)] = (k, q)
         return out
 
     def _validate_components(self):
@@ -756,96 +741,34 @@ class AnnularDiagram:
                     )
         return out
 
-    # -- crossing disks and truncation --------------------------------------
-
-    def _prepare_cuts(self, segs):
-        """Cut each end of a crossing p, toward its neighbor n, at
-        p + 2^-j (n - p) for the least j >= 1 that puts the cut inside
-        the disk whose radius is half the crossing's distance to the
-        nearest other feature (segment or crossing).  Each j is decided
-        by an int comparison on the LCM-scaled points.
-
-        Returns J, the largest j.  The cuts are stored as int points at
-        the working scale, the LCM times 2^J."""
-        boxes = [_box(a, b) for _, _, a, b in segs]
-        cross = self._cross_pts
-        steps = {}
-        for k, combo in enumerate(self._ends):
-            c = cross[k]
-            adjacent = set()
-            for e in combo:
-                pts = self.edges[e.edge]
-                adjacent.add((e.edge, 0 if e.end == 0 else len(pts) - 2))
-            # the squared distance to the nearest other feature, num / den
-            num = min(
-                (_dist2(c, c2) for k2, c2 in enumerate(cross) if k2 != k),
-                default=None,
-            )
-            den = 1
-            # nearest boxes first; a box's distance bounds its segment's
-            near = sorted((_box_dist2(c, box), i) for i, box in enumerate(boxes))
-            for bound, i in near:
-                if num is not None and bound * den >= num:
-                    break
-                eid, idx, a, b = segs[i]
-                if (eid, idx) in adjacent:
-                    continue
-                n2, d2 = _point_seg_dist2(c, a, b)
-                if num is None or n2 * den < num * d2:
-                    num, den = n2, d2
-            if num is None:
-                # an isolated crossing: any disk works, so take radius 1
-                num, den = 4 * self._lcm * self._lcm, 1
-            for q, e in enumerate(combo):
-                # the cut at t = 2^-j lies in the disk once
-                # t^2 |n - p|^2 < (num / den) / 4
-                far = 4 * _dist2(c, e.neighbor) * den
-                j = 1
-                while far >= num << (2 * j):
-                    j += 1
-                steps[(k, q)] = j
-        top = max(steps.values(), default=0)
-        cuts = {}
-        for (k, q), j in steps.items():
-            p, n = cross[k], self._ends[k][q].neighbor
-            cuts[(k, q)] = (
-                (p[0] << top) + ((n[0] - p[0]) << (top - j)),
-                (p[1] << top) + ((n[1] - p[1]) << (top - j)),
-            )
-        self._cuts = cuts
-        return top
-
-    def _prepare_arcs(self, top):
+    def _prepare_arcs(self):
         """The walk tables of ``resolve``, at the working scale.  Per
-        truncated edge and direction: its points, winding and least ray
-        radius, its least point, and the cut (k, q) it ends at, None for
-        a free loop.  Per crossing k, end q and smoothing bit: the
-        winding and least ray radius of the chord from cut (k, q) to the
-        cut the bit pairs it with, and the edge and direction the walk
-        enters there."""
-        self._scale = self._lcm << top
+        edge and direction: its points up to, not including, the crossing
+        it runs into, where the next arc starts; the whole edge's winding
+        and least ray radius; its least point; and the end (k, q) it runs
+        into, None for a free loop.  Per crossing k, end q and smoothing
+        bit: the edge and direction the walk leaves by."""
+        self._scale = 2 * self._lcm
+        # the end (k, q) of each edge's tail and head; free loops have none
+        ends = {
+            (e.edge, e.end): (k, q)
+            for k, combo in enumerate(self._ends)
+            for q, e in enumerate(combo)
+        }
         arcs = {}
         for eid, pts in self._int_edges.items():
-            run = [(x << top, y << top) for x, y in pts]
-            if self._edge_is_closed(eid):
-                run, tail, head = tuple(run[:-1]), None, None
-                w, radius = _sums(ray_stations(run))
-            else:
-                tail, head = self._end_lookup[(eid, 0)], self._end_lookup[(eid, 1)]
-                run[0], run[-1] = self._cuts[tail], self._cuts[head]
-                run = tuple(run)
-                w, radius = _sums(_polyline_stations(run))
-            low = min(run)
-            arcs[(eid, True)] = (run, w, radius, low, head)
-            arcs[(eid, False)] = (run[::-1], -w, radius, low, tail)
-        chords = {}
-        for (k, q), cut in self._cuts.items():
-            for bit, pairing in _PAIRING.items():
-                p = pairing[q]
-                nxt = self._ends[k][p]
-                w, radius = _sums(_polyline_stations((cut, self._cuts[(k, p)])))
-                chords[(k, q, bit)] = (w, radius, (nxt.edge, nxt.end == 0))
-        self._arcs, self._chords = arcs, chords
+            pts = [(2 * x, 2 * y) for x, y in pts]
+            w, radius = _sums(_polyline_stations(pts))
+            low = min(pts)
+            arcs[(eid, True)] = (tuple(pts[:-1]), w, radius, low, ends.get((eid, 1)))
+            arcs[(eid, False)] = (tuple(pts[:0:-1]), -w, radius, low, ends.get((eid, 0)))
+        self._arcs = arcs
+        self._exits = {
+            (k, q, bit): (combo[p].edge, combo[p].end == 0)
+            for k, combo in enumerate(self._ends)
+            for bit, pairing in _PAIRING.items()
+            for q, p in pairing.items()
+        }
 
     # -- resolution ----------------------------------------------------------
 
@@ -853,14 +776,14 @@ class AnnularDiagram:
         """Smooth every crossing and trace the resulting circles.
 
         Each circle is walked from its least edge id along that edge's
-        stored direction, arc by arc and chord by chord, adding up their
-        windings and least ray radii.
+        stored direction, edge by edge through the crossing points, adding
+        up the edges' windings and least ray radii.
         """
         u = tuple(int(x) for x in u)
         if len(u) != len(self.crossings) or any(x not in (0, 1) for x in u):
             raise ValueError(f"bad smoothing {u}")
         self.ensure_valid()
-        arcs, chords = self._arcs, self._chords
+        arcs, exits = self._arcs, self._exits
         visited = set()
         trivial, essential = [], []
         for eid in sorted(self.edges):
@@ -869,18 +792,16 @@ class AnnularDiagram:
             start = at = (eid, True)
             pts, ids, lows, radii, w = [], [], [], [], 0
             while True:
-                run, run_w, radius, low, cut = arcs[at]
+                run, run_w, radius, low, end = arcs[at]
                 pts += run
                 ids.append(at[0])
                 lows.append(low)
                 radii.append(radius)
                 w += run_w
-                if cut is None:
+                if end is None:
                     break
-                k, q = cut
-                chord_w, radius, at = chords[(k, q, u[k])]
-                w += chord_w
-                radii.append(radius)
+                k, q = end
+                at = exits[(k, q, u[k])]
                 if at == start:
                     break
             visited.update(ids)

@@ -271,7 +271,7 @@ def generator_vector_index(c, gen):
 
 @dataclass
 class CanonicalReport:
-    orientation: tuple
+    generator: CanonicalGenerator
     adeg: int
     expected_adeg: int
     is_cycle: bool
@@ -296,23 +296,18 @@ def verify_canonical(d, choice, c=None):
     if i in c.diff:
         is_cycle = all(cc != col for (_, cc) in c.diff[i].entries)
     return CanonicalReport(
-        orientation=tuple(choice),
+        generator=gen,
         adeg=gen.adeg,
         expected_adeg=expected,
         is_cycle=is_cycle,
     )
 
 
-def canonical_span_rank(d, c=None):
-    """Rank spanned by all canonical generator classes in the localized
-    homology: the rank the generators add to the boundaries, each rank
-    counted by unit cancellation (over a field every entry is a unit).
-    ``c`` is the diagram's Lee complex when the caller has built it."""
-    from .diagram import all_orientations
-
-    if c is None:
-        c = lee_complex(d)
-    gens = [canonical_generator(d, o) for o in all_orientations(d)]
+def canonical_span_rank(c, gens):
+    """Rank spanned by the classes of the canonical generators ``gens``
+    in the homology of the Lee complex ``c``: the rank the generators add
+    to the boundaries, each rank counted by unit cancellation (over a
+    field every entry is a unit)."""
     by_degree = {}
     for g in gens:
         by_degree.setdefault(g.degree, []).append(g)

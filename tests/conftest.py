@@ -1,4 +1,6 @@
-from dataclasses import replace
+import math
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -6,14 +8,11 @@ import pytest
 from annkh import corpus, diagram, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.errors import (
-    ENDPOINT_MISMATCH,
     AnnkhError,
     EmbeddingViolationError,
-    InvalidDiagramError,
     InvariantError,
     NotACubeEdgeError,
     UnsupportedRingError,
-    Violation,
 )
 from annkh.homology import BigradedHomology, SNFResult
 from annkh.linalg import SparseMatrix
@@ -410,81 +409,195 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
-def reference_resolve(d, u, oriented=None):
-    """The whole-circle tracer: concatenate each circle's arc points
-    through the PD slots, then rescan the closed circle's ray stations
-    for the winding and the least radius, and number the essential
-    circles by ``replace``.  With ``oriented`` set to an orientation
-    choice, each circle is traced along its induced direction, and a
-    smoothing the orientation disagrees with raises.  The oracle for
-    ``AnnularDiagram.resolve``, which adds up per-arc and per-chord sums,
-    and for ``oriented_resolution``."""
+def fraction_crossings(d):
+    """The crossing points in the diagram's own Fraction coordinates: the
+    head of each crossing's incoming under-strand."""
+    return [d.edges[rec[0]][-1] for rec in d.crossings]
+
+
+def dist2(a, b):
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def reference_point_seg_dist2(p, a, b):
+    ab = (b[0] - a[0], b[1] - a[1])
+    t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / (ab[0] ** 2 + ab[1] ** 2)
+    t = min(max(t, Fraction(0)), Fraction(1))
+    return dist2(p, (a[0] + t * ab[0], a[1] + t * ab[1]))
+
+
+@lru_cache(maxsize=8)
+def reference_truncation(d):
+    """Each open edge cut back to its crossing disks, worked out in the
+    diagram's own Fraction coordinates.  A crossing's disk has half its
+    distance to the nearest other feature, found by trying them all: a
+    segment not ending at it, another crossing, or the puncture.  Each
+    end is cut at p + 2^-j (n - p), n the next point along its edge, for
+    the least j >= 1 that lands inside the disk."""
+    segs = [
+        (eid, i, pts[i], pts[i + 1])
+        for eid, pts in d.edges.items()
+        for i in range(len(pts) - 1)
+    ]
+    trunc = {eid: list(pts) for eid, pts in d.edges.items()}
+    crossings = fraction_crossings(d)
+    for k, combo in enumerate(d._ends):
+        p = crossings[k]
+        adjacent = {
+            (e.edge, 0 if e.end == 0 else len(d.edges[e.edge]) - 2) for e in combo
+        }
+        dists = [reference_point_seg_dist2(p, a, b) for eid, i, a, b in segs
+                 if (eid, i) not in adjacent]
+        dists += [dist2(p, p2) for k2, p2 in enumerate(crossings) if k2 != k]
+        dists.append(dist2(p, (0, 0)))
+        rho2 = min(dists) / 4
+        for e in combo:
+            pts = d.edges[e.edge]
+            n = pts[1] if e.end == 0 else pts[-2]
+            t = Fraction(1, 2)
+            while t * t * dist2(p, n) >= rho2:
+                t /= 2
+            cut = (p[0] + t * (n[0] - p[0]), p[1] + t * (n[1] - p[1]))
+            trunc[e.edge][0 if e.end == 0 else -1] = cut
+    # times the LCM of the denominators: a positive scale keeps the sign
+    # of every predicate, and int points keep the oracle quick
+    scale = math.lcm(*(c.denominator for pts in trunc.values() for p in pts for c in p))
+    return {
+        eid: [(int(x * scale), int(y * scale)) for x, y in pts]
+        for eid, pts in trunc.items()
+    }
+
+
+def reference_ray_stations(points):
+    """Signed crossings of the positive x-axis by a closed polyline, in
+    Fractions, by solving for each segment's crossing point."""
+    out = []
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        if a[1] <= 0 < b[1]:
+            sign = 1
+        elif b[1] <= 0 < a[1]:
+            sign = -1
+        else:
+            continue
+        x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
+        if x > 0:
+            out.append((x, sign))
+    return out
+
+
+def reference_signed_area_twice(points):
+    total = Fraction(0)
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        total += a[0] * b[1] - a[1] * b[0]
+    return total
+
+
+def reference_point_winding(points, p):
+    wn = 0
+    n = len(points)
+    for i in range(n):
+        a = points[i]
+        b = points[(i + 1) % n]
+        left = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if a[1] <= p[1]:
+            if b[1] > p[1] and left > 0:
+                wn += 1
+        else:
+            if b[1] <= p[1] and left < 0:
+                wn -= 1
+    return wn
+
+
+# the ends (0-3 in PD order) each smoothing joins: 1-2, 3-4 or 1-4, 2-3
+SMOOTHING_PARTNER = {0: (1, 0, 3, 2), 1: (3, 2, 1, 0)}
+
+
+def reference_resolve(d, u, choice=None):
+    """The disk model: the circles of the smoothing u traced through the
+    PD slots on the edges of :func:`reference_truncation`, each closed by
+    the chords across the crossing disks.  With ``choice``
+    an orientation choice, each circle is traced along the orientation
+    of its least edge.  The oracle for ``AnnularDiagram.resolve`` and
+    ``oriented_resolution``, which trace the circles through the crossing
+    points instead and read no disk: see :func:`circle_facts`.
+
+    Returns, per circle in the order ``resolve`` lists them, its edge
+    ids, winding, essential index (None if trivial), nesting depth and
+    whether it runs counterclockwise.  Trivial circles come first, by the
+    least point of their edges and then their least edge id; essential
+    circles follow by their least ray radius."""
     u = tuple(u)
     d.ensure_valid()
-    if oriented is not None:
-        eff_reversed = [
-            bool(d.orientations[i]) ^ bool(oriented[i])
-            for i in range(len(d.components))
-        ]
-    else:
-        eff_reversed = None
+    trunc = reference_truncation(d)
+    slot = {
+        (e.edge, e.end): (k, q) for k, combo in enumerate(d._ends)
+        for q, e in enumerate(combo)
+    }
     visited = set()
-    raw_circles = []  # (points, edge ids)
+    traced = []  # (points, edge ids)
     for eid in sorted(d.edges):
         if eid in visited:
             continue
         forward = True
-        if eff_reversed is not None:
-            forward = not eff_reversed[d.comp_of_edge(eid)]
-        if d._edge_is_closed(eid):
+        if choice is not None:
+            comp = d.comp_of_edge(eid)
+            forward = bool(d.orientations[comp]) == bool(choice[comp])
+        if (eid, 0) not in slot:  # a free loop
+            pts = trunc[eid][:-1]
             visited.add(eid)
-            raw_circles.append((d._arcs[(eid, forward)][0], frozenset([eid])))
+            traced.append((tuple(pts if forward else pts[::-1]), frozenset([eid])))
             continue
-        start = (eid, forward)
-        cur_edge, cur_fwd = eid, forward
-        pts = []
-        ids = set()
+        pts, ids, at = [], set(), (eid, forward)
         while True:
-            visited.add(cur_edge)
-            ids.add(cur_edge)
-            pts.extend(d._arcs[(cur_edge, cur_fwd)][0])
-            k, q = d._end_lookup[(cur_edge, 1 if cur_fwd else 0)]
-            nxt = d._ends[k][diagram._PAIRING[u[k]][q]]
-            nxt_fwd = nxt.end == 0
-            if eff_reversed is not None:
-                want_fwd = not eff_reversed[d.comp_of_edge(nxt.edge)]
-                if nxt_fwd != want_fwd:
-                    raise InvalidDiagramError(
-                        [
-                            Violation(
-                                ENDPOINT_MISMATCH,
-                                f"crossing {k}",
-                                "smoothing inconsistent with orientation",
-                            )
-                        ]
-                    )
-            if (nxt.edge, nxt_fwd) == start:
+            edge, fwd = at
+            ids.add(edge)
+            pts += trunc[edge] if fwd else trunc[edge][::-1]
+            k, q = slot[(edge, 1 if fwd else 0)]
+            nxt = d._ends[k][SMOOTHING_PARTNER[u[k]][q]]
+            at = (nxt.edge, nxt.end == 0)
+            if at == (eid, forward):
                 break
-            cur_edge, cur_fwd = nxt.edge, nxt_fwd
-        raw_circles.append((tuple(pts), frozenset(ids)))
-    trivial, essential = [], []
-    for pts, ids in raw_circles:
-        stations = diagram.ray_stations(pts)
+        visited |= ids
+        traced.append((tuple(pts), frozenset(ids)))
+    keyed = []
+    for j, (pts, ids) in enumerate(traced):
+        stations = reference_ray_stations(pts)
         w = sum(s for _, s in stations)
         if abs(w) > 1:
             raise EmbeddingViolationError(f"circle through {sorted(ids)} winds {w} times")
-        c = diagram.Circle(points=pts, edge_ids=ids, winding=w, essential=w != 0)
-        if c.essential:
-            essential.append((min(x for x, _ in stations), c))
+        probe = pts[0]  # a cut or a free loop's point: on no other circle
+        depth = sum(
+            1 for i, (other, _) in enumerate(traced)
+            if i != j and reference_point_winding(other, probe) != 0
+        )
+        ccw = reference_signed_area_twice(pts) > 0
+        if w:
+            key = (1, min(x for x, _ in stations))
         else:
-            trivial.append((min(pts), c))
-    trivial = [c for _, c in sorted(trivial, key=lambda lc: lc[0])]
-    essential.sort(key=lambda rc: rc[0])
-    radii = [r for r, _ in essential]
+            key = (0, min(p for e in ids for p in d.edges[e]), min(ids))
+        keyed.append((key, ids, w, depth, ccw))
+    keyed.sort(key=lambda row: row[0])
+    radii = [key[1] for key, *_ in keyed if key[0]]
     if radii != sorted(set(radii)):
         raise InvariantError(f"essential circles share a radius: {radii}")
-    essential = [replace(c, essential_index=i + 1) for i, (_, c) in enumerate(essential)]
-    return diagram.ResolvedDiagram(smoothing=u, circles=tuple(trivial) + tuple(essential))
+    trivial = len(keyed) - len(radii)
+    return [
+        (ids, w, j - trivial + 1 if key[0] else None, depth, ccw)
+        for j, (key, ids, w, depth, ccw) in enumerate(keyed)
+    ]
+
+
+def circle_facts(rd):
+    """What :func:`reference_resolve` returns, read off a resolution."""
+    return [
+        (c.edge_ids, c.winding, c.essential_index, diagram.nesting_depth(rd, j),
+         diagram.is_counterclockwise(c))
+        for j, c in enumerate(rd.circles)
+    ]
 
 
 def reference_classify_saddle(d, rd_from, rd_to, crossing):

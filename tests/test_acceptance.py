@@ -110,12 +110,12 @@ def test_criterion_04_localized_rank(diagrams):
 def test_criterion_05_canonical_generators(diagrams):
     for name, d in diagrams.items():
         c = lee_complex(d)
-        for o in all_orientations(d):
-            rep = verify_canonical(d, o, c)
-            assert rep.is_cycle, (name, o)
-            assert rep.adeg == rep.expected_adeg, (name, o)
-    for name in ("hopf_null", "hopf_essential"):
-        assert canonical_span_rank(diagrams[name]) == 4, name
+        reports = [verify_canonical(d, o, c) for o in all_orientations(d)]
+        for rep in reports:
+            assert rep.is_cycle, (name, rep.generator.orientation)
+            assert rep.adeg == rep.expected_adeg, (name, rep.generator.orientation)
+        if name in ("hopf_null", "hopf_essential"):
+            assert canonical_span_rank(c, [r.generator for r in reports]) == 4, name
     report(5, "every canonical generator is a cycle with the predicted "
               "annular degree; the four Hopf classes span rank 4")
 

@@ -1,13 +1,14 @@
 import json
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from annkh.cli import main, parse_ring
 from annkh import complexes, tqft
 from annkh.corpus import write_corpus
-from annkh.diagram import dumps_diagram
+from annkh.diagram import AnnularDiagram, dumps_diagram
 from annkh.ring import PRIME_TEST_BOUND, QH, alpha_eval
 
 
@@ -166,6 +167,40 @@ def test_invariance_r3(capsys, corpus_dir):
     assert code == 0 and out.strip() == "EQUAL"
 
 
+@pytest.fixture(scope="module")
+def kink_by_the_puncture(corpus_dir, tmp_path_factory):
+    """The Reidemeister I kink moved right by 29/10: its crossing then
+    sits at (-1/10, 0), just left of the puncture."""
+    data = json.loads((corpus_dir / "essential_unknot_r1.json").read_text())
+    data["edges"] = {
+        eid: [[str(Fraction(x) + Fraction(29, 10)), y] for x, y in pts]
+        for eid, pts in data["edges"].items()
+    }
+    path = tmp_path_factory.mktemp("kink") / "kink_by_the_puncture.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("ring", ["int", "gf2", "alpha:1,3"])
+def test_a_kink_by_the_puncture_is_an_essential_unknot(
+    capsys, corpus_dir, kink_by_the_puncture, ring
+):
+    unknot = corpus_dir / "essential_unknot_ccw.json"
+    code, out, err = run(capsys, "homology", kink_by_the_puncture, "--ring", ring)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "homology", unknot, "--ring", ring)[1]
+    if ring != "alpha:1,3":
+        code, out, _ = run(
+            capsys, "invariance", unknot, kink_by_the_puncture, "--ring", ring
+        )
+        assert (code, out) == (0, "EQUAL\n")
+
+
+def test_a_kink_by_the_puncture_verifies(capsys, kink_by_the_puncture):
+    code, out, _ = run(capsys, "verify", kink_by_the_puncture, "--ring", "generic")
+    assert code == 0 and "FAIL" not in out, out
+
+
 def test_invariance_detects_difference(capsys, corpus_dir):
     code, out, _ = run(
         capsys,
@@ -180,6 +215,21 @@ def test_invariance_detects_difference(capsys, corpus_dir):
 def test_lee_rank_verb(capsys, corpus_dir):
     code, out, _ = run(capsys, "lee-rank", corpus_dir / "hopf_null.json")
     assert code == 0 and out.strip() == "4 PASS"
+
+
+def test_canonical_traces_each_orientation_once(capsys, corpus_dir, monkeypatch):
+    # the cube resolves each smoothing once, each orientation's report
+    # its oriented smoothing once, and the span reuses their generators
+    calls = []
+    resolve = AnnularDiagram.resolve
+    monkeypatch.setattr(
+        AnnularDiagram, "resolve", lambda d, u: calls.append(u) or resolve(d, u)
+    )
+    for name, crossings, orientations in (("hopf_null", 2, 4), ("braid3_r3_a", 3, 4)):
+        calls.clear()
+        code, _, _ = run(capsys, "canonical", corpus_dir / f"{name}.json")
+        assert code == 0
+        assert len(calls) == 2**crossings + orientations, name
 
 
 def test_canonical_verb(capsys, corpus_dir):
@@ -275,6 +325,37 @@ def test_malformed_coordinates_are_input_errors(
     code, out, err = run(capsys, "homology", bad)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: {named}"), err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        # parses, but only after seconds
+        ["1e10000000", "1"],
+        # on the reference ray: a violation naming a point of 10^6 digits
+        ["1e1000000", "0"],
+        ["1", "-1e4001"],
+    ],
+)
+def test_huge_exponents_are_refused_at_once(capsys, corpus_dir, tmp_path, point):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data["edges"]["e0"][1] = point
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", bad)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: edge e0: bad point"), err
+    assert "an exponent beyond 4000" in err
+
+
+def test_an_exponent_of_4000_is_a_coordinate(capsys, corpus_dir, tmp_path):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data["edges"]["e0"][1] = ["1e-4000", "7"]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "lee-rank", path)[:2] == (0, "2 PASS\n")
 
 
 @pytest.mark.parametrize(

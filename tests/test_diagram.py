@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -11,7 +10,6 @@ from annkh import diagram
 from annkh.corpus import braid_closure
 from annkh.diagram import (
     AnnularDiagram,
-    _dist2,
     _on_segment,
     _orient,
     all_orientations,
@@ -33,8 +31,17 @@ from annkh.errors import (
     EmbeddingViolationError,
     Violation,
 )
+from annkh.homology import lee_rank
 
-from conftest import pd_circle_count, reference_resolve
+from conftest import (
+    circle_facts,
+    fraction_crossings,
+    pd_circle_count,
+    reference_point_winding,
+    reference_ray_stations,
+    reference_resolve,
+    reference_signed_area_twice,
+)
 
 
 def all_smoothings(n):
@@ -134,7 +141,13 @@ def test_no_trivial_circle_contains_essential(diagrams):
                     continue
                 for i, other in enumerate(rd.circles):
                     if i != j and other.essential:
-                        assert point_winding(c.points, other.points[0]) == 0
+                        assert point_winding(c.points, midpoint(other)) == 0
+
+
+def midpoint(circle):
+    """The midpoint of a circle's first segment: on no other circle."""
+    (ax, ay), (bx, by) = circle.points[:2]
+    return ((ax + bx) // 2, (ay + by) // 2)
 
 
 def test_essential_ordering_strict(diagrams):
@@ -269,38 +282,36 @@ def test_braid_closure_rejects_bad_letters():
         braid_closure([2], 2)
 
 
-def test_resolved_circles_are_embedded_and_disjoint(diagrams):
-    # the reconnection chords inside crossing disks must not create any
-    # new intersections, so the traced circles are simple and disjoint
+def test_circles_meet_only_at_crossing_points(diagrams):
+    # each circle runs along its edges through the crossing points; two
+    # of its segments, or two circles, meet only there or where
+    # consecutive segments share an end
     from annkh.diagram import _seg_intersection
 
     for name, d in diagrams.items():
+        crossings = {(x * d.scale, y * d.scale) for x, y in fraction_crossings(d)}
+        through = 0
         for u in all_smoothings(d.n_crossings):
             segs = []
             for ci, c in enumerate(d.resolve(u).circles):
                 pts = c.points
                 n = len(pts)
+                through += len(set(pts) & crossings)
                 for i in range(n):
-                    segs.append((ci, i, pts[i], pts[(i + 1) % n]))
+                    segs.append((ci, i, n, pts[i], pts[(i + 1) % n]))
             for x in range(len(segs)):
-                ci, i, a1, b1 = segs[x]
+                ci, i, n, a1, b1 = segs[x]
                 for y in range(x + 1, len(segs)):
-                    cj, j, a2, b2 = segs[y]
+                    cj, j, _, a2, b2 = segs[y]
                     hit = _seg_intersection(a1, b1, a2, b2)
                     if hit is None:
                         continue
                     kind, pt = hit
-                    ncirc = sum(
-                        1 for s in segs if s[0] == ci
-                    )
-                    adjacent = (
-                        ci == cj
-                        and (abs(i - j) == 1 or {i, j} == {0, ncirc - 1})
-                    )
-                    assert kind == "point" and adjacent and pt in {
-                        a1,
-                        b1,
-                    } & {a2, b2}, (name, u, ci, cj, i, j, pt)
+                    adjacent = ci == cj and (abs(i - j) == 1 or {i, j} == {0, n - 1})
+                    shared = {a1, b1} & {a2, b2}
+                    assert kind == "point" and pt in shared, (name, u, ci, cj, i, j)
+                    assert adjacent or pt in crossings, (name, u, ci, cj, i, j, pt)
+        assert through or not d.crossings, name
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +351,6 @@ def reference_seg_intersection(p1, p2, p3, p4):
     if o4 == 0 and _on_segment(p3, p4, p2):
         return ("point", p2)
     return None
-
-
-def fraction_crossings(d):
-    """The crossing points in the diagram's own Fraction coordinates: the
-    head of each crossing's incoming under-strand."""
-    return [d.edges[rec[0]][-1] for rec in d.crossings]
-
-
-def fraction_neighbor(d, e):
-    """The point next to an end's crossing along its edge, in Fractions."""
-    pts = d.edges[e.edge]
-    return pts[1] if e.end == 0 else pts[-2]
 
 
 def all_pairs_validate(d):
@@ -476,8 +475,7 @@ def mutants(d, rng):
 
 def crossing_on_the_ray(d):
     """d rotated about the puncture so that crossing 0 sits just above
-    the reference ray, whose chords across that crossing's disk then
-    cross the ray."""
+    the reference ray, which then crosses that crossing's disk."""
     x, y = (float(c) for c in d.edges[d.crossings[0][0]][-1])
     half = (1e-3 - math.atan2(y, x)) / 2
     return nudged(d, Fraction(math.tan(half)).limit_denominator(1000))
@@ -494,42 +492,6 @@ def oracle_cases():
         if cases[name].crossings and " " not in name:
             cases[f"{name} on the ray"] = crossing_on_the_ray(cases[name])
     return cases
-
-
-def reference_point_seg_dist2(p, a, b):
-    ab = (b[0] - a[0], b[1] - a[1])
-    t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / (ab[0] ** 2 + ab[1] ** 2)
-    t = min(max(t, Fraction(0)), Fraction(1))
-    return _dist2(p, (a[0] + t * ab[0], a[1] + t * ab[1]))
-
-
-def reference_truncation(d):
-    """Each open edge cut back to its crossing disks, with the nearest
-    feature found by trying every segment and crossing, in Fractions."""
-    segs = [
-        (eid, i, pts[i], pts[i + 1])
-        for eid, pts in d.edges.items()
-        for i in range(len(pts) - 1)
-    ]
-    trunc = {eid: list(pts) for eid, pts in d.edges.items()}
-    crossings = fraction_crossings(d)
-    for k, combo in enumerate(d._ends):
-        p = crossings[k]
-        adjacent = {
-            (e.edge, 0 if e.end == 0 else len(d.edges[e.edge]) - 2) for e in combo
-        }
-        dists = [reference_point_seg_dist2(p, a, b) for eid, i, a, b in segs
-                 if (eid, i) not in adjacent]
-        dists += [_dist2(p, p2) for k2, p2 in enumerate(crossings) if k2 != k]
-        rho2 = min(dists, default=Fraction(4)) / 4
-        for e in combo:
-            n = fraction_neighbor(d, e)
-            t = Fraction(1, 2)
-            while t * t * _dist2(p, n) >= rho2:
-                t /= 2
-            cut = (p[0] + t * (n[0] - p[0]), p[1] + t * (n[1] - p[1]))
-            trunc[e.edge][0 if e.end == 0 else -1] = cut
-    return trunc
 
 
 def test_box_sweep_matches_the_all_pairs_validator(oracle_cases):
@@ -553,19 +515,27 @@ def test_box_sweep_matches_the_all_pairs_validator(oracle_cases):
     } <= seen
 
 
-def test_pruned_nearest_feature_gives_the_same_cuts(oracle_cases):
-    for name, d in oracle_cases.items():
+def assert_matches_the_disk_model(cases):
+    """Every valid case's circles, for every smoothing and orientation,
+    against :func:`reference_resolve`: edge ids, winding, essential
+    index, nesting depth and direction of each circle, in order.  Returns
+    how many circles an orientation reverses."""
+    reversed_circles = 0
+    for name, d in cases.items():
         if not d.is_valid():
             continue
-        scale = d.scale
-        for eid, pts in reference_truncation(d).items():
-            if not d._edge_is_closed(eid):
-                want = tuple((x * scale, y * scale) for x, y in pts)
-                assert d._arcs[(eid, True)][0] == want, (name, eid)
+        for u in all_smoothings(d.n_crossings):
+            assert circle_facts(d.resolve(u)) == reference_resolve(d, u), (name, u)
+        for o in all_orientations(d):
+            u, rd = d.oriented_resolution(o)
+            assert circle_facts(rd) == reference_resolve(d, u, o), (name, o)
+            plain = d.resolve(u).circles
+            reversed_circles += sum(a.winding != b.winding for a, b in zip(rd.circles, plain))
+    return reversed_circles
 
 
 def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
-    chords_on_the_ray = 0
+    twice_through_a_crossing = 0
     for name, d in oracle_cases.items():
         if not d.is_valid():
             assert not name.endswith("on the ray"), name
@@ -579,17 +549,18 @@ def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
                 assert c.winding == sum(s for _, s in stations), (name, rd.smoothing)
                 if c.essential:
                     radii.append(min(x for x, _ in stations))
+                twice_through_a_crossing += len(c.points) - len(set(c.points))
             assert radii == sorted(set(radii)), (name, rd.smoothing)
             lows = [min(c.points) for c in rd.circles if not c.essential]
             assert lows == sorted(lows), (name, rd.smoothing)
-        chords_on_the_ray += sum(1 for _, r, _ in d._chords.values() if r is not None)
-    assert chords_on_the_ray > 0
+    assert twice_through_a_crossing > 0
+    assert_matches_the_disk_model(oracle_cases)
 
 
 @pytest.fixture(scope="module")
 def traced_cases(diagrams):
     """The corpus and 20 seeded 2- to 4-strand braid closures, each also
-    turned so that the chords of crossing 0 cross the reference ray."""
+    turned so that the reference ray passes just below crossing 0."""
     cases = {**diagrams, **random_braids(53, 20, 6)}
     for name, d in list(cases.items()):
         if d.crossings and (turned := crossing_on_the_ray(d)).is_valid():
@@ -597,35 +568,53 @@ def traced_cases(diagrams):
     return cases
 
 
-def from_least_point(points):
-    """A closed polyline's points from its least one on, so that two
-    traversals that start at different points compare equal."""
-    i = points.index(min(points))
-    return points[i:] + points[:i]
+def test_resolve_matches_the_disk_model(traced_cases):
+    """Tracing through the crossing points gives the circles of the
+    smoothed diagram, for every smoothing and orientation."""
+    assert assert_matches_the_disk_model(traced_cases) > 20
 
 
-def test_resolve_matches_the_whole_circle_tracer(traced_cases):
-    """Per-arc and per-chord sums give the circles that rescanning the
-    traced circles gives: the same points, windings, edge ids, essential
-    indices and order, for every smoothing.  Each oriented resolution
-    equals the oriented trace of its smoothing, each circle's points
-    taken as a cyclic sequence."""
-    reversed_circles = winding_chords = 0
-    for name, d in traced_cases.items():
-        for u in all_smoothings(d.n_crossings):
-            assert d.resolve(u) == reference_resolve(d, u), (name, u)
-        for o in all_orientations(d):
-            u, rd = d.oriented_resolution(o)
-            want = reference_resolve(d, u, o)
-            assert rd.smoothing == want.smoothing == u, (name, o)
-            assert [replace(c, points=from_least_point(c.points)) for c in rd.circles] == [
-                replace(c, points=from_least_point(c.points)) for c in want.circles
-            ], (name, o)
-            plain = d.resolve(u).circles
-            reversed_circles += sum(a.winding != b.winding for a, b in zip(rd.circles, plain))
-        winding_chords += sum(1 for w, _, _ in d._chords.values() if w)
-    assert reversed_circles > 20, reversed_circles
-    assert winding_chords > 20, winding_chords
+def wedge_direction(a, b, mix):
+    """A direction strictly inside the counterclockwise wedge from the
+    direction a to the direction b, for a Fraction mix strictly between
+    0 and 1."""
+    if a[0] * b[1] - a[1] * b[0] <= 0:
+        # a wedge of at least a half turn holds a's quarter turn
+        b = (-a[1], a[0])
+    na, nb = abs(a[0]) + abs(a[1]), abs(b[0]) + abs(b[1])
+    return tuple(mix * x / na + (1 - mix) * y / nb for x, y in zip(a, b))
+
+
+@pytest.fixture(scope="module")
+def puncture_sweep(diagrams):
+    """The corpus and 25 seeded braid closures, each moved so that the
+    puncture sits near one crossing, inside one of its four wedges, for
+    every crossing and wedge; the valid ones."""
+    rng = random.Random(71)
+    cases = {}
+    for name, d in {**diagrams, **random_braids(71, 25, 4)}.items():
+        d.ensure_valid()
+        for k, p in enumerate(fraction_crossings(d)):
+            dirs = [e.direction for e in d._ends[k]]
+            for q in range(4):
+                mix = Fraction(rng.randint(1, 15), 16)
+                w = wedge_direction(dirs[q], dirs[(q + 1) % 4], mix)
+                t = Fraction(rng.randint(1, 8), 64)
+                c = (p[0] + t * w[0], p[1] + t * w[1])
+                moved = rebuilt(d, lambda eid, i, pt: (pt[0] - c[0], pt[1] - c[1]))
+                if moved.is_valid():
+                    cases[f"{name} crossing {k} wedge {q}"] = moved
+    return cases
+
+
+def test_a_puncture_near_a_crossing_keeps_the_lee_rank(puncture_sweep):
+    assert len(puncture_sweep) > 200
+    for name, d in puncture_sweep.items():
+        assert lee_rank(d) == 2 ** d.n_components, name
+
+
+def test_a_puncture_near_a_crossing_matches_the_disk_model(puncture_sweep):
+    assert_matches_the_disk_model(puncture_sweep)
 
 
 def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
@@ -648,55 +637,14 @@ def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
 # were before the geometry after parsing moved to ints
 
 
-def reference_signed_area_twice(points):
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        total += a[0] * b[1] - a[1] * b[0]
-    return total
-
-
-def reference_point_winding(points, p):
-    wn = 0
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        left = _orient(a, b, p)
-        if a[1] <= p[1]:
-            if b[1] > p[1] and left > 0:
-                wn += 1
-        else:
-            if b[1] <= p[1] and left < 0:
-                wn -= 1
-    return wn
-
-
 def reference_nesting_depth(polylines, index):
-    probe = polylines[index][0]
+    (ax, ay), (bx, by) = polylines[index][:2]
+    probe = ((ax + bx) / 2, (ay + by) / 2)
     return sum(
         1
         for j, other in enumerate(polylines)
         if j != index and reference_point_winding(other, probe) != 0
     )
-
-
-def reference_ray_stations(points):
-    out = []
-    n = len(points)
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        if a[1] <= 0 < b[1]:
-            sign = 1
-        elif b[1] <= 0 < a[1]:
-            sign = -1
-        else:
-            continue
-        x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
-        if x > 0:
-            out.append((x, sign))
-    return out
 
 
 def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
@@ -749,13 +697,8 @@ def test_loading_builds_no_fractions_beyond_the_coordinates(monkeypatch):
     d = cli.load(path)
     coordinates = sum(2 * len(pts) for pts in d.edges.values())
     built = len(made)
-    # the rest are the few ray-station radii of the truncated edges, one
-    # per station of each edge, and of the chords across the crossing disks
-    arcs = [arc[0] + arc[0][:1] if arc[4] is None else arc[0]
-            for (_, fwd), arc in d._arcs.items() if fwd]
-    chords = [(d._cuts[(k, q)], d._cuts[(k, diagram._PAIRING[bit][q])])
-              for k, q, bit in d._chords]
-    stations = sum(len(diagram._polyline_stations(p)) for p in arcs + chords)
+    # the rest are the few ray-station radii of the edges, one per station
+    stations = sum(len(diagram._polyline_stations(p)) for p in d._int_edges.values())
     assert stations > 0
     assert built == coordinates + stations
     made.clear()

@@ -14,6 +14,7 @@ from annkh.homology import (
     canonical_generator,
     canonical_span_rank,
     homology,
+    lee_complex,
     lee_rank,
     poincare_table,
     smith_normal_form,
@@ -550,7 +551,6 @@ def test_canonical_trivial_circle(diagrams):
 
 def test_canonical_cycles_and_adeg_corpus(diagrams, monkeypatch):
     from annkh.diagram import AnnularDiagram
-    from annkh.homology import lee_complex
 
     traced = []
     resolve = AnnularDiagram.resolve
@@ -570,7 +570,9 @@ def test_canonical_cycles_and_adeg_corpus(diagrams, monkeypatch):
 
 def test_canonical_span_corpus(diagrams):
     for name in ("hopf_null", "hopf_essential", "trefoil_right", "braid3_r3_a"):
-        assert canonical_span_rank(diagrams[name]) == 2 ** COMPONENTS[name]
+        d = diagrams[name]
+        gens = [canonical_generator(d, o) for o in all_orientations(d)]
+        assert canonical_span_rank(lee_complex(d), gens) == 2 ** COMPONENTS[name]
 
 
 def test_trefoil_canonical_adeg_values(diagrams):
