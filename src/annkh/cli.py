@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import complexes, homology, tl, tqft
 from .diagram import all_orientations, load_diagram, nudged
-from .errors import AnnkhError
+from .errors import AnnkhError, InvariantError
 from .ring import GENERIC, GF, INT, QH, RAT, AlphaEval, alpha_eval
 
 
-class InputError(Exception):
-    pass
+class InputError(AnnkhError):
+    """A bad argument or input file; the CLI exits 2."""
 
 
 def parse_ring(text):
@@ -120,20 +120,30 @@ def cmd_homology(args):
 def _verify_generic(d):
     """The five generic checks, on one planar cube and its complex,
     whose differential is d_beta = d0 + d2; d0 alone is the annular
-    differential.  ``functoriality`` compares each edge's d0 with the
-    map placed from the annular local table."""
+    differential.  Each edge map's entries are read once, by the
+    annular-degree shift between their codomain and domain words: shift
+    0 is d0, which ``functoriality`` compares with the map placed from
+    the annular local table, and shift +2 is d2.  Any other shift raises
+    ``InvariantError``, so ``splitting`` passes whenever the checks run."""
     cube = complexes.build_cube(d, GENERIC, planar=True)
     annular = {u: tqft.state_space(rd, GENERIC) for u, rd in cube.resolutions.items()}
-    # annular_parts raises unless every map splits into adeg 0 and +2
-    # parts, so `splitting` passes whenever the checks run
     fun_ok = True
     placements = {}
     for e in cube.edges:
-        d0 = tqft.annular_parts(e.map)[0]
+        cod, dom = e.map.codomain.bidegrees, e.map.domain.bidegrees
+        d0, bad = {}, set()
+        for (row, col), v in e.map.entries.items():
+            shift = cod[row][1] - dom[col][1]
+            if shift == 0:
+                d0[(row, col)] = v
+            elif shift != 2:
+                bad.add(shift)
+        if bad:
+            raise InvariantError(f"saddle map shifts adeg by {sorted(bad)}")
         placed = tqft.annular_saddle_map(
             e.descriptor, annular[e.u], annular[e.v], placements
         )
-        fun_ok = fun_ok and d0.entries == placed.entries
+        fun_ok = fun_ok and d0 == placed.entries
     c = complexes.assemble(cube)
     rep = complexes.verify_beta(c)
     return [
@@ -329,9 +339,6 @@ def main(argv=None):
     args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except AnnkhError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,21 +14,22 @@ radius of their innermost ray crossing.
 
 Coordinates are parsed once into Fractions, which are kept only to name
 points in violations and to write the diagram back out.  All geometry
-after parsing runs on ints.  Every coordinate is scaled by the LCM of
-the denominators; a positive scale keeps the sign of every orientation
-test and comparison, so validation's predicates are exact on ints, and
-a sweep over segment bounding boxes sends only the pairs whose boxes
-meet to the exact intersection test.  A resolved circle runs along its
-edges through the crossing points, which validation keeps off the
-reference ray and the puncture; it differs from the smoothed circle only
-in arbitrarily small disks around them, so its winding, ray radii and
-signed area sign, and the winding around it of any point off the
-crossings, are the smoothed circle's.  Validation keeps each edge's
-winding around the puncture and least ray radius at the working scale
-``AnnularDiagram.scale``.  ``resolve`` has one mode and keeps nothing:
-it walks each circle from its least edge id along that edge's stored
-direction, adding up those sums, and ``oriented_resolution`` reverses
-the circles the orientation runs against.  A station's radius
+after parsing runs on ints, at one working scale
+``AnnularDiagram.scale``: every coordinate times twice the LCM of the
+denominators, so that every segment's midpoint is an int point too.  A
+positive scale keeps the sign of every orientation test and comparison,
+so validation's predicates are exact on ints, and a sweep over segment
+bounding boxes sends only the pairs whose boxes meet to the exact
+intersection test.  A resolved circle runs along its edges through the
+crossing points, which validation keeps off the reference ray and the
+puncture; it differs from the smoothed circle only in arbitrarily small
+disks around them, so its winding, ray radii and signed area sign, and
+the winding around it of any point off the crossings, are the smoothed
+circle's.  Validation keeps each edge's winding around the puncture and
+least ray radius.  ``resolve`` has one mode and keeps nothing: it walks
+each circle from its least edge id along that edge's stored direction,
+adding up those sums, and ``oriented_resolution`` reverses the circles
+the orientation runs against.  A station's radius
 cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
 """
 
@@ -100,8 +101,11 @@ def _boolean(x):
 
 
 # A string coordinate's exponent is refused beyond this: parsing 1e10000000
-# takes seconds, and Python will not print an int of over 4,300 digits.
+# takes seconds, and Python will not print an int of over 4,300 digits.  A
+# coordinate's numerator and denominator stay below 10**(MAX_EXPONENT + 1),
+# so a long mantissa is refused too.
 MAX_EXPONENT = 4000
+_MAX_COORDINATE = 10 ** (MAX_EXPONENT + 1)
 
 
 def _pt(eid, xy):
@@ -115,14 +119,19 @@ def _pt(eid, xy):
             exponent = c.lower().partition("e")[2] if isinstance(c, str) else ""
             if abs(int(exponent or 0)) > MAX_EXPONENT:
                 raise ValueError(f"an exponent beyond {MAX_EXPONENT}")
-        return (Fraction(x), Fraction(y))
+        point = (Fraction(x), Fraction(y))
+        for c in point:
+            if abs(c.numerator) >= _MAX_COORDINATE or c.denominator >= _MAX_COORDINATE:
+                raise ValueError(f"a coordinate of over {MAX_EXPONENT + 1} digits")
+        return point
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
 
 
 def _scaled(edges):
-    """The LCM S of all denominators, and every point times S as ints."""
-    scale = lcm(*(c.denominator for pts in edges.values() for p in pts for c in p))
+    """The working scale S, twice the LCM of all denominators, and every
+    point times S as ints."""
+    scale = 2 * lcm(*(c.denominator for pts in edges.values() for p in pts for c in p))
     return scale, {
         eid: [
             (x.numerator * (scale // x.denominator),
@@ -393,10 +402,10 @@ class AnnularDiagram:
             "crossings", crossings, lambda rec: tuple(map(_string, _array(rec)))
         )
         # the parsed Fractions name points in violations and serialize;
-        # all geometry runs on the int copy, times the LCM of denominators
+        # all geometry runs on the int copy: circles of ``resolve`` have
+        # int points, the diagram's coordinates times ``scale``
         self.edges = _parse_edges(edges)
-        self._lcm, self._int_edges = _scaled(self.edges)
-        self._scale = None
+        self.scale, self._int_edges = _scaled(self.edges)
         self.components = _listed(
             "components", components, lambda comp: tuple(map(_string, _array(comp)))
         )
@@ -407,15 +416,6 @@ class AnnularDiagram:
         self._arcs = None
         self._exits = None
         self._crossing_edges = None
-
-    @property
-    def scale(self):
-        """The working scale: circles of ``resolve`` have int points, the
-        diagram's coordinates times this positive int, twice the LCM of
-        the denominators so that every segment's midpoint is an int
-        point too."""
-        self.ensure_valid()
-        return self._scale
 
     @property
     def n_crossings(self):
@@ -667,7 +667,7 @@ class AnnularDiagram:
 
     def _validate_geometry(self, segs):
         """Ray tangencies, the puncture on a segment, and segments that
-        meet away from their shared ends, on the LCM-scaled segments."""
+        meet away from their shared ends, on the scaled segments."""
         out = []
         origin = (0, 0)
         cross = self._cross_pts
@@ -731,7 +731,7 @@ class AnnularDiagram:
                         shared = {a1, b1} & {a2, b2}
                         ok = pt in shared
                 if not ok:
-                    at = (Fraction(pt[0], self._lcm), Fraction(pt[1], self._lcm))
+                    at = (Fraction(pt[0], self.scale), Fraction(pt[1], self.scale))
                     out.append(
                         Violation(
                             SELF_INTERSECTION,
@@ -748,7 +748,6 @@ class AnnularDiagram:
         and least ray radius; its least point; and the end (k, q) it runs
         into, None for a free loop.  Per crossing k, end q and smoothing
         bit: the edge and direction the walk leaves by."""
-        self._scale = 2 * self._lcm
         # the end (k, q) of each edge's tail and head; free loops have none
         ends = {
             (e.edge, e.end): (k, q)
@@ -757,7 +756,6 @@ class AnnularDiagram:
         }
         arcs = {}
         for eid, pts in self._int_edges.items():
-            pts = [(2 * x, 2 * y) for x, y in pts]
             w, radius = _sums(_polyline_stations(pts))
             low = min(pts)
             arcs[(eid, True)] = (tuple(pts[:-1]), w, radius, low, ends.get((eid, 1)))

@@ -70,10 +70,6 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def zeros(cls, ring, nrows, ncols):
-        return cls(ring, nrows, ncols)
-
-    @classmethod
     def identity(cls, ring, n):
         one = ring.one()
         return cls.wrap(ring, n, n, {(i, i): one for i in range(n)})

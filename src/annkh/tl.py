@@ -298,7 +298,7 @@ def spin_tangle(t, ring):
         )
         factors.append((table, cols, rows))
     entries = tqft._placement(ring, factors, t.n, t.m, ())
-    return tqft.LinearMap.wrap(dom, cod, entries, (2 * sum(t.dots), 0))
+    return tqft.LinearMap.wrap(dom, cod, entries)
 
 
 def spin_evaluate(f, ring):

@@ -12,8 +12,6 @@ holds every word's (qdeg, adeg), summed from the convention table
 that is the one choice: the ring picks the slot bases
 (:func:`make_space`) and the grading, so the annular theory over each
 ring is the annular-degree-preserving part of the planar one.
-:func:`annular_parts` splits a planar map into that part and the part
-raising annular degree by 2.
 
 Every elementary cobordism (merge, split, dot, birth, death) is a
 connected genus-0 cobordism, so one builder reads its local table off
@@ -40,8 +38,9 @@ pairs are not.  A cube of T(2,7) has 448 edges of 27 shapes, so
 lives for that call, and edges of one shape share one entry dict.  A
 single map is placed from an empty memo, by the same code.
 
-A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces;
-its sums and products are the matrix ones.
+A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces,
+and nothing else: its sums and products are the matrix ones, and the
+bidegree an entry shifts by is read off the two spaces' ``bidegrees``.
 """
 
 from __future__ import annotations
@@ -155,18 +154,19 @@ def essential_space(n, ring):
 @dataclass
 class LinearMap:
     """A :class:`~annkh.linalg.SparseMatrix` between state spaces: rows
-    are indexed by codomain words and columns by domain words."""
+    are indexed by codomain words and columns by domain words.  A map
+    is its entries; its grading is read off the two spaces'
+    ``bidegrees``, one (qdeg, adeg) shift per entry."""
 
     domain: StateSpace
     codomain: StateSpace
     matrix: SparseMatrix
-    declared_bidegree: tuple = (None, None)
 
     @classmethod
-    def wrap(cls, domain, codomain, entries, declared_bidegree=(None, None)):
+    def wrap(cls, domain, codomain, entries):
         """A map holding ``entries`` as given (see ``SparseMatrix.wrap``)."""
         m = SparseMatrix.wrap(domain.ring, codomain.rank, domain.rank, entries)
-        return cls(domain, codomain, m, declared_bidegree)
+        return cls(domain, codomain, m)
 
     @property
     def entries(self):
@@ -175,42 +175,16 @@ class LinearMap:
     def is_zero(self):
         return self.matrix.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.entries == other.entries
-        )
-
-    def adeg_split(self):
-        """Split entries by annular-degree shift; returns {shift: map}."""
-        cod, dom = self.codomain.bidegrees, self.domain.bidegrees
-        parts = {}
-        for (row, col), v in self.entries.items():
-            parts.setdefault(cod[row][1] - dom[col][1], {})[(row, col)] = v
-        q = self.declared_bidegree[0]
-        return {
-            da: LinearMap.wrap(self.domain, self.codomain, ent, (q, da))
-            for da, ent in parts.items()
-        }
-
 
 def identity_map(space):
-    m = SparseMatrix.identity(space.ring, space.rank)
-    return LinearMap(space, space, m, (0, 0))
+    return LinearMap(space, space, SparseMatrix.identity(space.ring, space.rank))
 
 
 def compose(f, g):
     """f after g (matrix product f.g)."""
     if g.codomain != f.domain:
         raise ShapeMismatchError("compose: inner spaces disagree")
-    dq1, da1 = f.declared_bidegree
-    dq2, da2 = g.declared_bidegree
-    dq = dq1 + dq2 if (dq1 is not None and dq2 is not None) else None
-    da = da1 + da2 if (da1 is not None and da2 is not None) else None
-    return LinearMap(g.domain, f.codomain, f.matrix @ g.matrix, (dq, da))
+    return LinearMap(g.domain, f.codomain, f.matrix @ g.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +197,6 @@ class SaddleDescriptor:
     circles correspond across the saddle."""
 
     kind: str
-    crossing: int
-    rd_from: object
-    rd_to: object
     dom_involved: tuple  # slot indices, ordered (essential first, inner first)
     cod_involved: tuple
     uninvolved: tuple  # (domain slot, codomain slot) pairs
@@ -277,9 +248,7 @@ def classify_saddle(d, rd_from, rd_to, crossing):
         raise NotACubeEdgeError(f"impossible {shape} pattern")
     dom = tuple(dess + [i for i in dom_inv if i not in dess])
     cod = tuple(cess + [i for i in cod_inv if i not in cess])
-    return SaddleDescriptor(
-        kind, crossing, rd_from, rd_to, dom, cod, tuple(pairs)
-    )
+    return SaddleDescriptor(kind, dom, cod, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +386,7 @@ def _placement(ring, factors, k_dom, k_cod, pairs):
     return entries
 
 
-def _embed(
-    dom_space, cod_space, dom_inv, cod_inv, pairs, bidegree, dots=0, memo=None
-):
+def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, dots=0, memo=None):
     """The memoized local table of the involved slots' conventions,
     placed on them, identity on the others.
 
@@ -448,40 +415,17 @@ def _embed(
         factors = [(local_table(*key), dom_inv, cod_inv)]
         entries = _placement(dom_space.ring, factors, k_dom, k_cod, pairs)
         memo[shape] = entries
-    return LinearMap.wrap(dom_space, cod_space, entries, bidegree)
-
-
-def _saddle(dom_space, cod_space, dom_inv, cod_inv, pairs, memo=None):
-    """A merge (two involved domain slots) or split (one) between
-    explicit spaces, in their theory, from the memoized local table."""
-    bidegree = (1, None if dom_space.planar else 0)
-    return _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, bidegree, memo=memo)
+    return LinearMap.wrap(dom_space, cod_space, entries)
 
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):
     """Multiplication of two slots into one, between explicit spaces."""
-    return _saddle(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
+    return _embed(dom_space, cod_space, tuple(dom_pair), (cod_slot,), uninvolved)
 
 
 def split_map(dom_space, cod_space, dom_slot, cod_pair, uninvolved):
     """Comultiplication of one slot into two, between explicit spaces."""
-    return _saddle(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
-
-
-def annular_parts(full):
-    """The annular-degree 0 and +2 parts of a planar map.
-
-    By the splitting lemma no other shift occurs; one that does raises
-    ``InvariantError``.
-    """
-    parts = full.adeg_split()
-    bad = sorted(set(parts) - {0, 2})
-    if bad:
-        raise InvariantError(f"saddle map shifts adeg by {bad}")
-    q = full.declared_bidegree[0]
-    for da in (0, 2):
-        parts.setdefault(da, LinearMap.wrap(full.domain, full.codomain, {}, (q, da)))
-    return parts[0], parts[2]
+    return _embed(dom_space, cod_space, (dom_slot,), tuple(cod_pair), uninvolved)
 
 
 def annular_saddle_map(sd, dom_space, cod_space, memo=None):
@@ -490,8 +434,9 @@ def annular_saddle_map(sd, dom_space, cod_space, memo=None):
     spaces, its adeg-preserving part between annular ones.  Maps built
     with one ``memo`` share the placement of each shape (see
     :func:`_embed`)."""
-    return _saddle(
-        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved, memo
+    return _embed(
+        dom_space, cod_space, sd.dom_involved, sd.cod_involved, sd.uninvolved,
+        memo=memo,
     )
 
 
@@ -500,8 +445,7 @@ def dotted_identity_map(space, slot, dots):
     if dots < 1:
         raise ValueError("dots must be positive")
     pairs = tuple((j, j) for j in range(len(space.slots)) if j != slot)
-    bidegree = (2 * dots, None if space.planar else 0)
-    return _embed(space, space, (slot,), (slot,), pairs, bidegree, dots)
+    return _embed(space, space, (slot,), (slot,), pairs, dots)
 
 
 def birth_map(space, position):
@@ -511,7 +455,7 @@ def birth_map(space, position):
     new_slots = slots[:position] + (new,) + slots[position:]
     cod = StateSpace(space.ring, space.planar, new_slots)
     pairs = tuple((j, j + (j >= position)) for j in range(len(slots)))
-    return _embed(space, cod, (), (position,), pairs, (-1, 0))
+    return _embed(space, cod, (), (position,), pairs)
 
 
 def death_map(space, slot):
@@ -521,4 +465,4 @@ def death_map(space, slot):
     new_slots = space.slots[:slot] + space.slots[slot + 1 :]
     cod = StateSpace(space.ring, space.planar, new_slots)
     pairs = tuple((j, j - (j > slot)) for j in range(len(space.slots)) if j != slot)
-    return _embed(space, cod, (slot,), (), pairs, (-1, 0))
+    return _embed(space, cod, (slot,), (), pairs)

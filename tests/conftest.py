@@ -68,7 +68,7 @@ def as_table(m):
     return out
 
 
-def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree):
+def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table):
     """The placement of a local table on bit tuples, slot by slot: the
     oracle for ``tqft._embed``, which works on the word ints."""
     for ds, cs in pairs:
@@ -85,7 +85,7 @@ def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table, bidegree)
             for ds, cs in pairs:
                 bits[cs] = word[ds]
             entries[(bits_word(bits), col)] = v
-    return tqft.LinearMap.wrap(dom_space, cod_space, entries, bidegree)
+    return tqft.LinearMap.wrap(dom_space, cod_space, entries)
 
 
 def reduce_tangle_oracle(t):
@@ -277,6 +277,12 @@ def specialize_complex(c, target):
     )
 
 
+def adeg_shifts(m):
+    """The set of annular-degree shifts of a map's entries."""
+    cod, dom = m.codomain.bidegrees, m.domain.bidegrees
+    return {cod[row][1] - dom[col][1] for row, col in m.entries}
+
+
 def truncate_adeg(m, keep=0):
     """The part of a map shifting annular degree by exactly ``keep``."""
     cod, dom = m.codomain.bidegrees, m.domain.bidegrees
@@ -285,8 +291,7 @@ def truncate_adeg(m, keep=0):
         for (row, col), v in m.entries.items()
         if cod[row][1] - dom[col][1] == keep
     }
-    bidegree = (m.declared_bidegree[0], keep)
-    return tqft.LinearMap.wrap(m.domain, m.codomain, kept, bidegree)
+    return tqft.LinearMap.wrap(m.domain, m.codomain, kept)
 
 
 def qdeg_shift_of_entry(m, row, col):
@@ -652,7 +657,7 @@ def reference_classify_saddle(d, rd_from, rd_to, crossing):
         else:
             raise NotACubeEdgeError("impossible split pattern")
     dom, cod = tuple(dess + dtriv), tuple(cess + ctriv)
-    return tqft.SaddleDescriptor(kind, crossing, rd_from, rd_to, dom, cod, tuple(pairs))
+    return tqft.SaddleDescriptor(kind, dom, cod, tuple(pairs))
 
 
 def spin_tangle_oracle(t, ring):

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from annkh.cli import main, parse_ring
+from annkh.cli import InputError, main, parse_ring
 from annkh import complexes, tqft
 from annkh.corpus import write_corpus
 from annkh.diagram import AnnularDiagram, dumps_diagram
+from annkh.errors import AnnkhError
 from annkh.ring import PRIME_TEST_BOUND, QH, alpha_eval
+
+from conftest import truncate_adeg
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,13 @@ def test_ring_parsing():
     assert (r.q0, r.q1) == (alpha_eval("1/2", 3).q0, alpha_eval("1/2", 3).q1)
     # the localized theory defaults to the simplest distinct values
     assert parse_ring("alpha").alpha_images() == (0, 1)
+
+
+def test_an_input_error_is_an_annkh_error():
+    # so the CLI turns both into exit 2 with one handler
+    assert issubclass(InputError, AnnkhError)
+    with pytest.raises(AnnkhError, match="unknown ring 'z'"):
+        parse_ring("z")
 
 
 def test_a_large_prime_field_parses_at_once():
@@ -359,6 +369,42 @@ def test_an_exponent_of_4000_is_a_coordinate(capsys, corpus_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "point",
+    [
+        # 8,000 digits on the reference ray: the violation naming it
+        # could not be printed
+        ["9" * 4000 + "e4000", "0"],
+        ["1" + "0" * 4001, "7"],
+        # a denominator of 10**4001
+        ["1", "0." + "0" * 4000 + "1"],
+    ],
+    ids=["on_the_ray", "numerator", "denominator"],
+)
+def test_long_mantissas_are_refused(capsys, corpus_dir, tmp_path, point):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data["edges"]["e0"][1] = point
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: edge e0: bad point"), err
+    assert "a coordinate of over 4001 digits" in err
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["1e4000", "9" * 4001, "9" * 4001 + "e-4000"],
+    ids=["1e4000", "nines", "nines_e-4000"],
+)
+def test_the_largest_coordinates_parse(capsys, corpus_dir, tmp_path, x):
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data["edges"]["e0"][1] = [x, "7"]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "lee-rank", path)[:2] == (0, "2 PASS\n")
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("crossings", "null"),
@@ -513,7 +559,7 @@ def test_verify_generic_fails_beta_alone_on_a_doubled_d2(
     original = complexes.build_cube
 
     def plus_d2(m):
-        return replace(m, matrix=m.matrix + tqft.annular_parts(m)[1].matrix)
+        return replace(m, matrix=m.matrix + truncate_adeg(m, 2).matrix)
 
     def doubled(*args, **kwargs):
         cube = original(*args, **kwargs)
@@ -551,16 +597,16 @@ def test_verify_generic_fails_functoriality_on_a_mutated_annular_table(
 
 def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatch):
     # one more essential codomain circle makes every adeg shift odd
-    original = tqft._saddle
+    original = tqft.annular_saddle_map
 
     def shifted(*args, **kwargs):
         m = original(*args, **kwargs)
         cod = m.codomain
         slots = cod.slots + (tqft.Slot(True, "V", 1),)
         extra = tqft.StateSpace(cod.ring, cod.planar, slots)
-        return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries), m.declared_bidegree)
+        return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries))
 
-    monkeypatch.setattr(tqft, "_saddle", shifted)
+    monkeypatch.setattr(tqft, "annular_saddle_map", shifted)
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )

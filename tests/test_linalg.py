@@ -138,7 +138,7 @@ def test_shape_mismatch_still_raises():
     with pytest.raises(ShapeMismatchError):
         a @ b
     with pytest.raises(ShapeMismatchError):
-        SparseMatrix.zeros(GENERIC, 0, 1) @ SparseMatrix.zeros(GENERIC, 0, 1)
+        SparseMatrix(GENERIC, 0, 1) @ SparseMatrix(GENERIC, 0, 1)
 
 
 SPECIALIZATIONS = {

@@ -13,6 +13,7 @@ from annkh import frobenius as fb
 from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
 from conftest import (
+    adeg_shifts,
     as_table,
     bits_word,
     check_bidegree,
@@ -137,17 +138,17 @@ def test_builders_truncate_between_annular_spaces():
     one, one_g = both([(False, None)])
     cases = [
         (tqft.merge_map(two, one, (0, 1), 0, []),
-         tqft.merge_map(two_g, one_g, (0, 1), 0, [])),
+         tqft.merge_map(two_g, one_g, (0, 1), 0, []), 1),
         (tqft.split_map(one, two, 0, (0, 1), []),
-         tqft.split_map(one_g, two_g, 0, (0, 1), [])),
+         tqft.split_map(one_g, two_g, 0, (0, 1), []), 1),
         (tqft.dotted_identity_map(two, 0, 1),
-         tqft.dotted_identity_map(two_g, 0, 1)),
+         tqft.dotted_identity_map(two_g, 0, 1), 2),
     ]
-    for ann, planar in cases:
-        assert set(planar.adeg_split()) == {0, 2}
+    for ann, planar, q in cases:
+        assert adeg_shifts(planar) == {0, 2}
         assert ann.entries == truncate_adeg(planar, 0).entries
-        assert ann.declared_bidegree[1] == 0
-        assert planar.declared_bidegree[1] is None
+        assert check_bidegree(ann, q, 0)
+        assert check_bidegree(planar, q, None)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +506,7 @@ def test_classify_saddle_matches_the_old_classifier(diagrams):
 def test_splitting_lemma_on_corpus(diagrams):
     for name, cube in _generic_cubes(diagrams):
         for e in cube.edges:
-            shifts = set(e.map.adeg_split())
-            assert shifts <= {0, 2}, (name, e.u, e.v)
+            assert adeg_shifts(e.map) <= {0, 2}, (name, e.u, e.v)
 
 
 def test_truncation_commutes_with_composition(diagrams):
@@ -525,7 +525,7 @@ def test_the_square_oracle_cannot_see_an_annular_table_mutation(
         assert first_noncommuting_square(cube) is None, name
         annular = build_cube(cube.diagram, GENERIC)
         for e, ea in zip(cube.edges, annular.edges):
-            changed += tqft.annular_parts(e.map)[0].entries != ea.map.entries
+            changed += truncate_adeg(e.map, 0).entries != ea.map.entries
     assert changed > 0
 
 
@@ -583,10 +583,10 @@ def test_double_merge_associativity(diagrams):
     assert lhs.entries == rhs.entries
 
 
-def test_annular_parts_reassemble_the_planar_map(diagrams):
+def test_adeg_truncations_reassemble_the_planar_map(diagrams):
     d = diagrams["trefoil_right"]
     for e in build_cube(d, GENERIC, planar=True).edges:
-        d0, d2 = tqft.annular_parts(e.map)
+        d0, d2 = truncate_adeg(e.map, 0), truncate_adeg(e.map, 2)
         assert (d0.matrix + d2.matrix).entries == e.map.entries
 
 
@@ -595,7 +595,7 @@ def test_annular_saddle_map_rejects_an_odd_adeg_shift():
     # -1 and +1; the table guard raises once, before any placement
     dom = space(INT, ANNULAR, [(True, 1)])
     cod = space(INT, ANNULAR, [(False, None), (False, None)])
-    sd = tqft.SaddleDescriptor(tqft.TYPE_III, 0, None, None, (0,), (0, 1), ())
+    sd = tqft.SaddleDescriptor(tqft.TYPE_III, (0,), (0, 1), ())
     with pytest.raises(AnnkhError, match=r"shifts adeg by \[-1, 1\]"):
         tqft.annular_saddle_map(sd, dom, cod)
     for planar in (PLANAR, ANNULAR):
@@ -622,12 +622,14 @@ def _planar_twin(sp):
     return tqft.StateSpace(sp.ring, PLANAR, sp.slots)
 
 
-def _same_map(ann, planar):
-    # entries and their order, so the placement order is pinned too
-    d0 = tqft.annular_parts(planar)[0]
+def _same_map(ann, planar, q):
+    # entries and their order, so the placement order is pinned too;
+    # every entry of both maps shifts qdeg by q
+    d0 = truncate_adeg(planar, 0)
     return (
         list(ann.entries.items()) == list(d0.entries.items())
-        and ann.declared_bidegree == d0.declared_bidegree
+        and check_bidegree(ann, q, 0)
+        and check_bidegree(planar, q, None)
     )
 
 
@@ -638,7 +640,7 @@ def test_annular_cube_edges_are_annular_parts_of_the_planar_maps(diagrams, ring)
         twins = {u: _planar_twin(sp) for u, sp in cube.spaces.items()}
         for e in cube.edges:
             planar = tqft.annular_saddle_map(e.descriptor, twins[e.u], twins[e.v])
-            assert _same_map(e.map, planar), (name, e.u, e.v)
+            assert _same_map(e.map, planar, 1), (name, e.u, e.v)
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=repr)
@@ -660,12 +662,12 @@ def test_annular_builders_are_annular_parts_of_the_planar_ones(ring):
     for build, dom, cod, *args in cases:
         ann = build(dom, cod, *args)
         planar = build(_planar_twin(dom), _planar_twin(cod), *args)
-        assert _same_map(ann, planar), (build.__name__, args)
+        assert _same_map(ann, planar, 1), (build.__name__, args)
     for slot in range(3):
         for dots in (1, 2):
             ann = tqft.dotted_identity_map(ess_triv, slot, dots)
             planar = tqft.dotted_identity_map(_planar_twin(ess_triv), slot, dots)
-            assert _same_map(ann, planar), (slot, dots)
+            assert _same_map(ann, planar, 2 * dots), (slot, dots)
 
 
 EMBED_CASES = [
@@ -707,8 +709,7 @@ def test_embed_places_what_the_bit_tuple_oracle_places(diagrams, ring, planar):
                 planar,
             )
             want = embed_oracle(
-                dom, cod, sd.dom_involved, sd.cod_involved, sd.uninvolved,
-                table, e.map.declared_bidegree,
+                dom, cod, sd.dom_involved, sd.cod_involved, sd.uninvolved, table
             )
             # entries and their order
             assert list(e.map.entries.items()) == list(want.entries.items()), (
