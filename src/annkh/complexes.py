@@ -16,8 +16,10 @@ product by their annular-degree shifts 0, 2 and 4.
 The complex is its cube: each edge map is one block of its degree, at
 its vertices' offsets, and nothing is re-keyed.  ``homology`` adds the
 offsets as it reads; ``ChainComplexData.diff`` assembles the blocks
-only for the checks.  Edge maps of one placement shape share one entry
-dict (see ``tqft``), so :func:`assemble` negates each shared dict once.
+only for the d^2 products.  Edge maps of one placement shape share one
+entry dict (see ``tqft``), so :func:`assemble` makes one items list per
+shared dict and sign, and :func:`verify_grading` takes the polynomial
+degrees of each list once.
 """
 
 from __future__ import annotations
@@ -61,16 +63,17 @@ class Cube:
 
 def build_cube(d, ring, planar=False):
     """Resolve all smoothings and build every classified edge map
-    between the cube's own vertex spaces.  Edges of one placement shape
-    share one entry dict, placed once per cube (``tqft._embed``)."""
+    between the cube's own vertex spaces, each space and map built once
+    per cube and shared (``tqft.state_space``, ``tqft._embed``)."""
     d.ensure_valid()
     n = d.n_crossings
     resolutions = {}
     spaces = {}
+    shared = {}
     for u in product((0, 1), repeat=n):
         rd = d.resolve(u)
         resolutions[u] = rd
-        spaces[u] = tqft.state_space(rd, ring, planar)
+        spaces[u] = tqft.state_space(rd, ring, planar, memo=shared)
     edges = []
     placements = {}
     for u in resolutions:
@@ -156,16 +159,15 @@ def assemble(cube):
             grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
         bigrade[i] = grade
 
-    negated = {}  # id of a shared entry dict -> its negated items
+    signed = {}  # (id of a shared entry dict, sign) -> its signed items
     blocks = {}
     for edge in cube.edges:
         i = sum(edge.u) - n_minus
-        items = edge.map.entries.items()
-        if edge.sign_exponent == 1:
-            shared = id(edge.map.entries)
-            if shared not in negated:
-                negated[shared] = [(k, ring.neg(v)) for k, v in items]
-            items = negated[shared]
+        key = (id(edge.map.entries), edge.sign_exponent)
+        if key not in signed:
+            items = edge.map.entries.items()
+            signed[key] = [(k, ring.neg(v)) for k, v in items] if key[1] else items
+        items = signed[key]
         # rows of v, columns of u
         rof, cof = offsets[(i + 1, edge.v)], offsets[(i, edge.u)]
         blocks.setdefault(i, []).append((rof, cof, items))
@@ -236,19 +238,23 @@ def verify_grading(c):
     Annular differentials must preserve adeg exactly; the untruncated
     planar one may also raise it by 2.  Quantum degrees of entries are
     accounted through their polynomial degree; over ungraded rings only
-    the annular degree is checked.
+    the annular degree is checked.  Entries are read off the blocks, in
+    the order of ``diff`` and at their offsets.
     """
     adeg_shifts = (0, 2) if c.planar else (0,)
+    qdegs = {}  # id of a block's items -> the qdeg of each value
     for i in c.degrees[:-1]:
-        src = c.bigrade[i]
-        dst = c.bigrade[i + 1]
-        for (r, col), v in c.diff[i].entries.items():
-            qs, as_ = src[col]
-            qt, at = dst[r]
-            if at - as_ not in adeg_shifts:
-                return (i, r, col, "adeg")
-            if c.qdeg_graded:
-                sq = c.ring.scalar_qdeg(v)
-                if sq is None or qt + sq != qs:
+        src, dst = c.bigrade[i], c.bigrade[i + 1]
+        for rof, cof, items in c.blocks.get(i, ()):
+            if c.qdeg_graded and id(items) not in qdegs:
+                qdegs[id(items)] = [c.ring.scalar_qdeg(v) for _, v in items]
+            sqs = qdegs.get(id(items))
+            for n, ((r, col), _) in enumerate(items):
+                r, col = rof + r, cof + col
+                qs, as_ = src[col]
+                qt, at = dst[r]
+                if at - as_ not in adeg_shifts:
+                    return (i, r, col, "adeg")
+                if sqs is not None and (sqs[n] is None or qt + sqs[n] != qs):
                     return (i, r, col, "qdeg")
     return None

@@ -108,6 +108,15 @@ MAX_EXPONENT = 4000
 _MAX_COORDINATE = 10 ** (MAX_EXPONENT + 1)
 
 
+def _meet_text(at):
+    """Where two segments meet: within the cap, a point of more digits
+    than Python prints."""
+    try:
+        return f"meet at {at}"
+    except ValueError:
+        return "meet at a point whose coordinates are too long to print"
+
+
 def _pt(eid, xy):
     try:
         if not isinstance(xy, (list, tuple)):
@@ -734,9 +743,7 @@ class AnnularDiagram:
                     at = (Fraction(pt[0], self.scale), Fraction(pt[1], self.scale))
                     out.append(
                         Violation(
-                            SELF_INTERSECTION,
-                            f"edges {e1}/{e2}",
-                            f"meet at {at}",
+                            SELF_INTERSECTION, f"edges {e1}/{e2}", _meet_text(at)
                         )
                     )
         return out

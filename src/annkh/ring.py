@@ -646,34 +646,50 @@ class GenericAlpha(CoefficientRing):
         return a.qdeg()
 
     def matmul(self, left, right):
-        """The product on raw terms: the right operand's rows are indexed
-        once as ``(col, i, j, coeff)`` terms, every term product is summed
-        into one dict of ints keyed ``(row, col, i, j)``, and each entry's
-        polynomial is built once at the end from its nonzero sums, so
-        terms that cancel leave no term and entries that cancel no entry."""
+        """The product on raw terms: term a0^i a1^j of entry (row, col)
+        is summed at the int ``(row*ncols + col)*M + i*E + j``, where one
+        scan of both operands gives ``E`` above every product a1-exponent,
+        ``M`` above every ``i*E + j`` and ``ncols`` above every column, so
+        a left term's part plus a right term's part is their product's
+        key.  Keys are decoded once at the end: terms that cancel leave no
+        term and entries that cancel no entry."""
+        (i1, j1), (i2, j2) = _top_exponents(left), _top_exponents(right)
+        ncols = max(map(operator.itemgetter(1), right), default=-1) + 1
+        E = j1 + j2 + 1
+        M = (i1 + i2 + 1) * E
         by_row = {}
         for (k, c), v in right.items():
             row = by_row.setdefault(k, [])
             for (i, j), cf in v.terms.items():
-                row.append((c, i, j, cf))
+                row.append((c * M + i * E + j, cf))
         acc = {}
         get = acc.get
         for (r, k), u in left.items():
             row = by_row.get(k)
             if row is None:
                 continue
-            for (i1, j1), c1 in u.terms.items():
-                for c, i2, j2, c2 in row:
-                    key = (r, c, i1 + i2, j1 + j2)
+            base = r * ncols * M
+            for (i, j), c1 in u.terms.items():
+                part = base + i * E + j
+                for rest, c2 in row:
+                    key = part + rest
                     acc[key] = get(key, 0) + c1 * c2
         out = {}
-        for (r, c, i, j), s in acc.items():
+        for key, s in acc.items():
             if s:
-                p = out.get((r, c))
+                rc, ij = divmod(key, M)
+                rc, ij = divmod(rc, ncols), divmod(ij, E)
+                p = out.get(rc)
                 if p is None:
-                    p = out[(r, c)] = BivariatePoly()
-                p.terms[(i, j)] = s
+                    p = out[rc] = BivariatePoly()
+                p.terms[ij] = s
         return out
+
+
+def _top_exponents(entries):
+    """The largest a0- and a1-exponent among the terms of the values."""
+    pairs = set().union(*map(operator.attrgetter("terms"), entries.values()))
+    return tuple(map(max, zip(*pairs))) if pairs else (0, 0)
 
 
 INT = IntRing()

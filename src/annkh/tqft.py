@@ -33,9 +33,10 @@ slots, with the identity on the uninvolved pairs: a cube edge places
 one table, and a spun tangle (:func:`annkh.tl.spin_tangle`) one per
 strand.  A placed map depends only on its shape: the table's key, the
 slot counts of the two spaces and which slots are involved and which
-pairs are not.  A cube of T(2,7) has 448 edges of 27 shapes, so
-``complexes.build_cube`` hands every edge one placement memo that
-lives for that call, and edges of one shape share one entry dict.  A
+pairs are not.  A cube of T(2,7) has 128 vertices of 8 slot tuples and
+448 edges of 27 shapes, so ``complexes.build_cube`` keeps memos for
+that call: vertices of equal slots share one space, edges of equal
+spaces and slots one map, and edges of one shape one entry dict.  A
 single map is placed from an empty memo, by the same code.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces,
@@ -120,11 +121,14 @@ class StateSpace:
         return tuple(out)
 
 
-def state_space(rd, ring, planar=False):
-    """State space of a resolved diagram: slots parallel rd.circles."""
-    return make_space(
-        ring, [(c.essential, c.essential_index) for c in rd.circles], planar
-    )
+def state_space(rd, ring, planar=False, memo=None):
+    """State space of a resolved diagram: slots parallel rd.circles.
+    Calls over one ring and theory with one ``memo`` share equal spaces."""
+    flags = tuple((c.essential, c.essential_index) for c in rd.circles)
+    memo = {} if memo is None else memo
+    if flags not in memo:
+        memo[flags] = make_space(ring, flags, planar)
+    return memo[flags]
 
 
 def make_space(ring, flags, planar=False):
@@ -391,12 +395,18 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, dots=0, memo=None):
     placed on them, identity on the others.
 
     An uninvolved pair must agree in essentiality, or the table's
-    truncation would not be the placed map's; that is checked on every
-    call, memo hit or miss.  ``memo`` maps placement shapes to placed
-    entries, so maps built with one memo share one entry dict per
-    shape, which nothing mutates.
+    truncation would not be the placed map's; the arguments decide that,
+    so it is checked on every memo miss.  ``memo`` maps arguments to
+    maps, the spaces by identity (the map keeps them alive), and
+    placement shapes to placed entries, so maps built with one memo
+    share one entry dict per shape, which nothing mutates.
     """
     pairs = tuple(pairs)
+    memo = {} if memo is None else memo
+    args = (id(dom_space), id(cod_space), dom_inv, cod_inv, pairs, dots)
+    m = memo.get(args)
+    if m is not None:
+        return m
     for ds, cs in pairs:
         if dom_space.slots[ds].essential != cod_space.slots[cs].essential:
             raise InvariantError(f"uninvolved slots {ds} -> {cs} differ in kind")
@@ -409,13 +419,13 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, dots=0, memo=None):
     )
     k_dom, k_cod = len(dom_space.slots), len(cod_space.slots)
     shape = (key, k_dom, k_cod, dom_inv, cod_inv, pairs)
-    memo = {} if memo is None else memo
     entries = memo.get(shape)
     if entries is None:
         factors = [(local_table(*key), dom_inv, cod_inv)]
         entries = _placement(dom_space.ring, factors, k_dom, k_cod, pairs)
         memo[shape] = entries
-    return LinearMap.wrap(dom_space, cod_space, entries)
+    m = memo[args] = LinearMap.wrap(dom_space, cod_space, entries)
+    return m
 
 
 def merge_map(dom_space, cod_space, dom_pair, cod_slot, uninvolved):

@@ -250,6 +250,25 @@ def per_slice_homology_oracle(c):
     return BigradedHomology(ring, entries)
 
 
+def verify_grading_oracle(c):
+    """Every entry of the assembled ``diff`` against ``bigrade``, one
+    ``scalar_qdeg`` per entry: the oracle for the block-wise
+    ``complexes.verify_grading``."""
+    adeg_shifts = (0, 2) if c.planar else (0,)
+    for i in c.degrees[:-1]:
+        src, dst = c.bigrade[i], c.bigrade[i + 1]
+        for (r, col), v in c.diff[i].entries.items():
+            qs, as_ = src[col]
+            qt, at = dst[r]
+            if at - as_ not in adeg_shifts:
+                return (i, r, col, "adeg")
+            if c.qdeg_graded:
+                sq = c.ring.scalar_qdeg(v)
+                if sq is None or qt + sq != qs:
+                    return (i, r, col, "qdeg")
+    return None
+
+
 def one_block(diff):
     """Blocks of a hand-built differential {i: SparseMatrix}: each
     degree one block at (0, 0)."""

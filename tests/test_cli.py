@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from annkh.cli import InputError, main, parse_ring
 from annkh import complexes, tqft
-from annkh.corpus import write_corpus
+from annkh.corpus import braid_closure, write_corpus
 from annkh.diagram import AnnularDiagram, dumps_diagram
 from annkh.errors import AnnkhError
 from annkh.ring import PRIME_TEST_BOUND, QH, alpha_eval
@@ -392,6 +393,35 @@ def test_long_mantissas_are_refused(capsys, corpus_dir, tmp_path, point):
 
 
 @pytest.mark.parametrize(
+    "scale, detail",
+    [
+        (1, "meet at (Fraction(0, 1), Fraction(6, 1))"),
+        (10**4000, "meet at a point whose coordinates are too long to print"),
+    ],
+    ids=["small", "huge"],
+)
+def test_a_bow_tie_is_refused_however_long_its_meeting_point(
+    capsys, corpus_dir, tmp_path, scale, detail
+):
+    # the middle segments cross away from any crossing point; at the
+    # huge scale every coordinate is within the cap, but their meeting
+    # point has over 4,300 digits, more than Python prints
+    rng = random.Random(60)
+    offset = 10**3998 if scale > 1 else 1
+    corners = [
+        [str(c * scale + rng.randrange(offset)) for c in xy]
+        for xy in ((1, 5), (-1, 7), (-1, 5), (1, 7))
+    ]
+    data = json.loads((corpus_dir / "trivial_unknot.json").read_text())
+    data["edges"]["e0"] = corners + [corners[0]]
+    bad = tmp_path / "bow_tie.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: SELF_INTERSECTION at edges e0/e0: {detail}\n"
+
+
+@pytest.mark.parametrize(
     "x",
     ["1e4000", "9" * 4001, "9" * 4001 + "e-4000"],
     ids=["1e4000", "nines", "nines_e-4000"],
@@ -588,6 +618,21 @@ def test_verify_generic_fails_functoriality_on_a_mutated_annular_table(
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )
+    assert (code, err) == (1, "")
+    assert out == (
+        "d_squared PASS\ngrading PASS\nsplitting PASS\n"
+        "functoriality FAIL\nbeta PASS\n"
+    )
+
+
+def test_verify_generic_fails_functoriality_on_t27_with_shared_maps(
+    capsys, tmp_path, mutated_annular_table
+):
+    # T(2,7) has 448 edges of 27 shapes: the check runs once per
+    # distinct map and must still see the mutation
+    path = tmp_path / "t27.json"
+    path.write_text(dumps_diagram(braid_closure([1] * 7, 2)))
+    code, out, err = run(capsys, "verify", path, "--ring", "generic")
     assert (code, err) == (1, "")
     assert out == (
         "d_squared PASS\ngrading PASS\nsplitting PASS\n"

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -27,6 +28,7 @@ from conftest import (
     one_block,
     specialize_complex,
     truncate_adeg,
+    verify_grading_oracle,
     word_bits,
 )
 
@@ -116,9 +118,50 @@ def test_grading_contract_corpus(diagrams):
             (INT, False),
             (QH, False),
             (GENERIC, True),
+            (GF(2), True),
+            (alpha_eval(1, 3), False),
         ):
             c = build_complex(d, ring, planar)
             assert verify_grading(c) is None, (name, ring, planar)
+            assert verify_grading_oracle(c) is None, (name, ring, planar)
+
+
+def _shared_dict_mutated(planar):
+    """T(2,5) over GENERIC with one value of an entry dict shared by
+    several edges multiplied by a0, so every edge of that shape, of
+    either sign, carries an entry of the wrong qdeg."""
+    cube = build_cube(corpus.braid_closure([1] * 5, 2), GENERIC, planar)
+    uses = Counter(id(e.map.entries) for e in cube.edges)
+    entries = next(
+        e.map.entries for e in cube.edges if uses[id(e.map.entries)] > 2
+    )
+    key = sorted(entries)[len(entries) // 2]
+    entries[key] = entries[key] * A0
+    return assemble(cube)
+
+
+def _bigrade_shifted(planar, coordinate):
+    """T(2,5) over GENERIC with one generator's qdeg raised by 2 or its
+    adeg by 1: a row of the middle degree that an entry reaches."""
+    c = build_complex(corpus.braid_closure([1] * 5, 2), GENERIC, planar)
+    i = c.degrees[len(c.degrees) // 2]
+    rof, _, items = c.blocks[i - 1][-1]
+    row = rof + max(r for (r, _), _ in items)
+    q, a = c.bigrade[i][row]
+    c.bigrade[i][row] = (q + 2, a) if coordinate == "qdeg" else (q, a + 1)
+    return c
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["annular", "planar"])
+@pytest.mark.parametrize("mutation", ["shared_value", "qdeg", "adeg"])
+def test_block_grading_finds_what_the_oracle_finds(planar, mutation):
+    if mutation == "shared_value":
+        c = _shared_dict_mutated(planar)
+    else:
+        c = _bigrade_shifted(planar, mutation)
+    got = verify_grading(c)
+    assert got is not None and got[3] == ("adeg" if mutation == "adeg" else "qdeg")
+    assert got == verify_grading_oracle(c)
 
 
 def _shift_part(c, i, shift):
@@ -371,6 +414,24 @@ def test_edges_of_one_shape_share_one_placement(ring, planar):
     pairs = {(_placement_shape(cube, e), id(e.map.entries)) for e in cube.edges}
     assert len(cube.edges) == 448
     assert len(placements) == len(shapes) == len(pairs) == 27
+
+
+@pytest.mark.parametrize(
+    "ring, planar", [(INT, False), (GENERIC, True)], ids=["int", "generic-planar"]
+)
+def test_vertices_and_edges_of_one_shape_share_one_object(ring, planar):
+    cube = build_cube(corpus.braid_closure([1] * 7, 2), ring, planar)
+    spaces, maps = {}, {}
+    for sp in cube.spaces.values():
+        spaces.setdefault(sp.slots, set()).add(id(sp))
+    for e in cube.edges:
+        sd, dom, cod = e.descriptor, cube.spaces[e.u], cube.spaces[e.v]
+        key = (dom.slots, cod.slots, sd.dom_involved, sd.cod_involved, sd.uninvolved)
+        maps.setdefault(key, set()).add(id(e.map))
+        assert e.map.domain is dom and e.map.codomain is cod
+    assert (len(cube.spaces), len(spaces)) == (128, 8)
+    assert (len(cube.edges), len(maps)) == (448, 27)
+    assert all(len(ids) == 1 for ids in [*spaces.values(), *maps.values()])
 
 
 def test_cubes_share_no_placement(diagrams):

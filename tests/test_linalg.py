@@ -132,6 +132,39 @@ def test_kernel_matches_base_loop():
             assert all(v.terms.values()), n
 
 
+def bound_cases():
+    """Operand pairs at the edges of the kernel's packed int keys: the
+    product's top term takes its a0-exponent from the left and its
+    a1-exponent from the right, a column of the right operand lies far
+    beyond every row and column of the left one, or an operand is empty."""
+    a0_3, a1_3, n = A0 * A0 * A0, A1 * A1 * A1, GENERIC.from_int
+    left = SparseMatrix(GENERIC, 2, 2, {(0, 0): a0_3, (1, 0): n(5), (1, 1): a0_3 - 2})
+    right = SparseMatrix(GENERIC, 2, 3, {(0, 2): a1_3 + 1, (1, 0): -a1_3, (1, 2): n(3)})
+    tall = SparseMatrix(GENERIC, 2, 1, {(0, 0): A0, (1, 0): n(-2)})
+    wide = SparseMatrix(GENERIC, 1, 60, {(0, 3): A1, (0, 57): A0 * A1})
+    return {
+        "asymmetric_exponents": (left, right),
+        "far_column": (tall, wide),
+        "empty_left": (SparseMatrix(GENERIC, 2, 2), right),
+        "empty_right": (left, SparseMatrix(GENERIC, 2, 3)),
+        "both_empty": (SparseMatrix(GENERIC, 1, 4), SparseMatrix(GENERIC, 4, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(bound_cases()))
+def test_kernel_matches_base_loop_at_the_key_bounds(name):
+    a, b = bound_cases()[name]
+    out = GENERIC.matmul(a.entries, b.entries)
+    assert out == base_product(a, b)
+    if name == "asymmetric_exponents":
+        # the top term a0^3 a1^3 sits at the largest packed exponent pair
+        assert (3, 3) in out[(0, 2)].terms and (3, 3) in out[(1, 0)].terms
+    elif name == "far_column":
+        assert set(out) == {(0, 3), (0, 57), (1, 3), (1, 57)}
+    else:
+        assert out == {}
+
+
 def test_shape_mismatch_still_raises():
     a = SparseMatrix(GENERIC, 2, 3, {(0, 0): A0})
     b = SparseMatrix(GENERIC, 2, 2, {(0, 0): A1})

@@ -613,6 +613,20 @@ def test_embed_rejects_an_uninvolved_pair_of_two_kinds(planar):
         tqft.merge_map(dom, cod, (0, 1), 0, [(2, 1)])
 
 
+def test_embed_checks_kinds_through_a_memo_of_the_same_shape():
+    # both codomains give the merge the same table and placement shape,
+    # so only the kind check tells them apart, on a memo that holds both
+    dom = space(GENERIC, ANNULAR, [(True, 1), (False, None), (False, None)])
+    ok = space(GENERIC, ANNULAR, [(True, 1), (False, None)])
+    bad = space(GENERIC, ANNULAR, [(True, 1), (True, 2)])
+    memo = {}
+    m = tqft._embed(dom, ok, (0, 1), (0,), [(2, 1)], memo=memo)
+    assert m == tqft.merge_map(dom, ok, (0, 1), 0, [(2, 1)])
+    assert tqft._embed(dom, ok, (0, 1), (0,), ((2, 1),), memo=memo) is m
+    with pytest.raises(AnnkhError, match=r"uninvolved slots 2 -> 1 differ in kind"):
+        tqft._embed(dom, bad, (0, 1), (0,), [(2, 1)], memo=memo)
+
+
 ORACLE_RINGS = [INT, GF(2), RAT, QH, alpha_eval(0, 1), alpha_eval(1, 3), GENERIC]
 
 
