@@ -9,8 +9,6 @@ canonical generators, and the dotted Temperley-Lieb calculus.
 
 from .complexes import (
     build_complex,
-    build_cube,
-    assemble,
     verify_beta,
     verify_d_squared,
     verify_grading,

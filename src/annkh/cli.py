@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import complexes, homology, tl, tqft
-from .diagram import all_orientations, load_diagram, nudged
+from .diagram import MAX_EXPONENT, all_orientations, load_diagram, nudged
 from .errors import AnnkhError, InvariantError
 from .ring import GENERIC, GF, INT, QH, RAT, AlphaEval, alpha_eval
 
@@ -80,14 +80,20 @@ def load(path, nudge=False):
         raise InputError(f"{path}: {e}")
     if d.is_valid():
         return d
+    problems = "; ".join(str(v) for v in d.validate())
     if nudge:
         t = Fraction(1, 8)
         for _ in range(8):
-            rotated = nudged(d, t)
+            try:
+                rotated = nudged(d, t)
+            except ValueError:
+                raise InputError(
+                    f"{path}: {problems}; --nudge cannot rotate it: a rotated "
+                    f"coordinate is over {MAX_EXPONENT + 1} digits"
+                )
             if rotated.is_valid():
                 return rotated
             t /= 2
-    problems = "; ".join(str(v) for v in d.validate())
     raise InputError(f"{path}: {problems}")
 
 
@@ -118,31 +124,39 @@ def cmd_homology(args):
 
 
 def _verify_generic(d):
-    """The five generic checks, on one planar cube and its complex,
-    whose differential is d_beta = d0 + d2; d0 alone is the annular
-    differential.  Each edge map's entries are read once, by the
-    annular-degree shift between their codomain and domain words: shift
-    0 is d0, which ``functoriality`` compares with the map placed from
-    the annular local table, and shift +2 is d2.  Any other shift raises
-    ``InvariantError``, so ``splitting`` passes whenever the checks run.
-    Both run once per distinct planar entries, annular entries and
-    planar spaces, which the cube's edges share."""
-    cube = complexes.build_cube(d, GENERIC, planar=True)
-    rs, shared = cube.resolutions, {}
-    annular = {u: tqft.state_space(rs[u], GENERIC, memo=shared) for u in rs}
-    fun_ok = True
+    """The five generic checks, on the planar complex, whose differential
+    is d_beta = d0 + d2; d0 alone is the annular differential.  The
+    entries of each distinct planar edge map, read off the placement
+    memo of the build, are split once by the annular-degree shift
+    between their codomain and domain words: shift 0 is d0, which
+    ``functoriality`` compares with the map placed from the annular
+    local table on the same slots, and shift +2 is d2.  Any other shift
+    raises ``InvariantError``, so ``splitting`` passes whenever the
+    checks run."""
     placements = {}
-    checked = {}  # ids -> the objects they name, kept alive
-    for e in cube.edges:
-        placed = tqft.annular_saddle_map(
-            e.descriptor, annular[e.u], annular[e.v], placements
+    c = complexes.build_complex(d, GENERIC, planar=True, placements=placements)
+    annular, annular_maps = {}, {}
+
+    def annular_space(space):
+        flags = tuple((s.essential, s.essential_index) for s in space.slots)
+        if flags not in annular:
+            annular[flags] = tqft.make_space(GENERIC, flags)
+        return annular[flags]
+
+    fun_ok = True
+    # the memo maps each placement key to its map, and each placement
+    # shape to the entry dict its maps share
+    for key, m in placements.items():
+        if not isinstance(m, tqft.LinearMap):
+            continue
+        _, _, dom_inv, cod_inv, pairs, _ = key
+        placed = tqft._embed(
+            annular_space(m.domain), annular_space(m.codomain),
+            dom_inv, cod_inv, pairs, memo=annular_maps,
         )
-        seen = (e.map.entries, placed.entries, e.map.domain, e.map.codomain)
-        if checked.setdefault(tuple(map(id, seen)), seen) is not seen:
-            continue  # checked on an earlier edge
-        cod, dom = e.map.codomain.bidegrees, e.map.domain.bidegrees
+        cod, dom = m.codomain.bidegrees, m.domain.bidegrees
         d0, bad = {}, set()
-        for (row, col), v in e.map.entries.items():
+        for (row, col), v in m.entries.items():
             shift = cod[row][1] - dom[col][1]
             if shift == 0:
                 d0[(row, col)] = v
@@ -151,7 +165,6 @@ def _verify_generic(d):
         if bad:
             raise InvariantError(f"saddle map shifts adeg by {sorted(bad)}")
         fun_ok = fun_ok and d0 == placed.entries
-    c = complexes.assemble(cube)
     rep = complexes.verify_beta(c)
     return [
         ("d_squared", rep["d0d0"] is None),

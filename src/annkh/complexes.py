@@ -13,77 +13,28 @@ d0 is the annular differential and d2 raises annular degree by 2, so
 :func:`verify_beta` reads the three parts of d_beta^2 = 0 off one
 product by their annular-degree shifts 0, 2 and 4.
 
-The complex is its cube: each edge map is one block of its degree, at
-its vertices' offsets, and nothing is re-keyed.  ``homology`` adds the
-offsets as it reads; ``ChainComplexData.diff`` assembles the blocks
-only for the d^2 products.  Edge maps of one placement shape share one
-entry dict (see ``tqft``), so :func:`assemble` makes one items list per
-shared dict and sign, and :func:`verify_grading` takes the polynomial
-degrees of each list once.
+The complex is its cube, and the cube is made of ints:
+:func:`build_complex` walks it one degree at a time, resolving each
+vertex once and holding the resolutions of two degrees only, and keeps
+each edge as one row of its degree's blocks, (row offset, col offset,
+signed items), at its vertices' offsets; nothing is re-keyed.
+``homology`` adds the offsets as it reads; ``ChainComplexData.diff``
+assembles the blocks only for the d^2 products.  Edge maps of one
+placement shape share one entry dict (see ``tqft``), so the walk makes
+one items list per shared dict and sign, and :func:`verify_grading`
+takes the polynomial degrees of each list once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import combinations
 
 from . import tqft
 from .diagram import cube_edge_pairs
 from .errors import InvariantError, VariantRingMismatchError
 from .linalg import SparseMatrix
-
-
-def sign_assignment(u, i):
-    """Exponent of the sign on the edge raising coordinate i of u."""
-    if u[i] != 0:
-        raise ValueError("edge must start at a 0-coordinate")
-    return sum(u[:i]) % 2
-
-
-@dataclass(frozen=True)
-class CubeEdge:
-    u: tuple
-    v: tuple
-    coordinate: int
-    sign_exponent: int
-    descriptor: object
-    map: object  # LinearMap
-
-
-@dataclass
-class Cube:
-    diagram: object
-    ring: object
-    planar: bool  # edge maps are the untruncated planar maps
-    resolutions: dict
-    spaces: dict
-    edges: list
-
-
-def build_cube(d, ring, planar=False):
-    """Resolve all smoothings and build every classified edge map
-    between the cube's own vertex spaces, each space and map built once
-    per cube and shared (``tqft.state_space``, ``tqft._embed``)."""
-    d.ensure_valid()
-    n = d.n_crossings
-    resolutions = {}
-    spaces = {}
-    shared = {}
-    for u in product((0, 1), repeat=n):
-        rd = d.resolve(u)
-        resolutions[u] = rd
-        spaces[u] = tqft.state_space(rd, ring, planar, memo=shared)
-    edges = []
-    placements = {}
-    for u in resolutions:
-        for i, v in cube_edge_pairs(d, u):
-            sd = tqft.classify_saddle(d, resolutions[u], resolutions[v], i)
-            m = tqft.annular_saddle_map(sd, spaces[u], spaces[v], placements)
-            edges.append(
-                CubeEdge(u, v, i, sign_assignment(u, i), sd, m)
-            )
-    return Cube(d, ring, planar, resolutions, spaces, edges)
 
 
 @dataclass
@@ -101,12 +52,10 @@ class ChainComplexData:
     # that do not preserve it (see ``qdeg_graded``).
     bigrade: dict
     # i -> [(row offset, col offset, ((row, col), value) items)] of
-    # C^i -> C^{i+1}, one disjoint block per edge, signed
+    # C^i -> C^{i+1}, one disjoint block per edge, signed; edges of one
+    # map and sign share one items object
     blocks: dict
     offsets: dict = field(default_factory=dict)  # (i, u) -> first index of u
-    # Always None: the planar diff is d0 + d2 in one matrix.  Kept only
-    # because perfbench/spans.py::_assemble_probe reads it.
-    diff2 = None
 
     @property
     def qdeg_graded(self):
@@ -139,41 +88,73 @@ class ChainComplexData:
         return diff
 
 
-def assemble(cube):
-    """Groups and signed edge blocks, with the quantum shift applied."""
-    d = cube.diagram
+def _vertices(n, weight):
+    """The smoothings of n crossings with ``weight`` ones, in order."""
+    return sorted(
+        tuple(int(k in ones) for k in range(n)) for ones in combinations(range(n), weight)
+    )
+
+
+def build_complex(d, ring, planar=False, placements=None):
+    """The complex of the cube of resolutions of d, walked one degree at
+    a time, with the quantum shift applied.
+
+    Each vertex is resolved once, and only the resolutions of two
+    adjacent degrees are held; vertices of equal slots share one space
+    (``tqft.state_space``).  Each edge is classified from its two
+    vertices' ``slot_of_edge`` tables at its crossing's four edges
+    (``tqft._saddle``, which ``tqft.classify_saddle`` calls too), its map
+    is placed through the memo ``placements`` of ``tqft._embed``, and the
+    edge is kept as one row of its degree's blocks: (row offset, col
+    offset, signed items), the items built once per map and sign.  A
+    caller that passes ``placements`` can read each distinct map off it.
+    """
+    d.ensure_valid()
+    n = d.n_crossings
     n_plus, n_minus = d.n_plus_minus()
-    ring = cube.ring
-
     degrees = list(range(-n_minus, n_plus + 1))
-    by_weight = {}  # vertices of each weight, in sorted order
-    for u in sorted(cube.resolutions):
-        by_weight.setdefault(sum(u), []).append(u)
-    bigrade = {}
-    offsets = {}
-    for i in degrees:
-        grade = []
-        shift = n_minus - n_plus - i
-        for u in by_weight.get(i + n_minus, ()):
-            offsets[(i, u)] = len(grade)
-            grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
-        bigrade[i] = grade
+    incident = [d.incident_edges(k) for k in range(n)]
+    spaces = {}
+    placements = {} if placements is None else placements
+    signed = {}  # (id of a shared entry dict, sign) -> (the dict, signed items)
+    bigrade, offsets, blocks = {}, {}, {}
 
-    signed = {}  # (id of a shared entry dict, sign) -> its signed items
-    blocks = {}
-    for edge in cube.edges:
-        i = sum(edge.u) - n_minus
-        key = (id(edge.map.entries), edge.sign_exponent)
-        if key not in signed:
-            items = edge.map.entries.items()
-            signed[key] = [(k, ring.neg(v)) for k, v in items] if key[1] else items
-        items = signed[key]
-        # rows of v, columns of u
-        rof, cof = offsets[(i + 1, edge.v)], offsets[(i, edge.u)]
-        blocks.setdefault(i, []).append((rof, cof, items))
+    def resolve_degree(i):
+        """Each vertex of degree i -> (resolution, space, offset).  The
+        vertices of one space share its shifted bidegree tuples."""
+        level, grade, shifted = {}, [], {}
+        shift = n_minus - n_plus - i
+        for u in _vertices(n, i + n_minus):
+            rd = d.resolve(u)
+            space = tqft.state_space(rd, ring, planar, memo=spaces)
+            offsets[(i, u)] = len(grade)
+            level[u] = (rd, space, len(grade))
+            if id(space) not in shifted:
+                shifted[id(space)] = [(q + shift, a) for q, a in space.bidegrees]
+            grade += shifted[id(space)]
+        bigrade[i] = grade
+        return level
+
+    below = resolve_degree(degrees[0])
+    for i in degrees[:-1]:
+        above = resolve_degree(i + 1)
+        rows = blocks[i] = []
+        for u, (rd_u, dom, cof) in below.items():
+            for k, v in cube_edge_pairs(d, u):
+                rd_v, cod, rof = above[v]  # rows of v, columns of u
+                _, dom_inv, cod_inv, pairs = tqft._saddle(rd_u, rd_v, k, incident[k])
+                m = tqft._embed(dom, cod, dom_inv, cod_inv, pairs, memo=placements)
+                key = (id(m.entries), sum(u[:k]) % 2)  # the sign's exponent
+                if key not in signed:
+                    items = m.entries.items()
+                    if key[1]:
+                        items = [(rc, ring.neg(x)) for rc, x in items]
+                    signed[key] = (m.entries, items)
+                rows.append((rof, cof, signed[key][1]))
+        below = above
     return ChainComplexData(
         ring=ring,
-        planar=cube.planar,
+        planar=planar,
         n_plus=n_plus,
         n_minus=n_minus,
         degrees=degrees,
@@ -181,10 +162,6 @@ def assemble(cube):
         blocks=blocks,
         offsets=offsets,
     )
-
-
-def build_complex(d, ring, planar=False):
-    return assemble(build_cube(d, ring, planar))
 
 
 def _first_nonzero(i, entries):

@@ -25,22 +25,28 @@ crossing points, which validation keeps off the reference ray and the
 puncture; it differs from the smoothed circle only in arbitrarily small
 disks around them, so its winding, ray radii and signed area sign, and
 the winding around it of any point off the crossings, are the smoothed
-circle's.  Validation keeps each edge's winding around the puncture and
-least ray radius.  ``resolve`` has one mode and keeps nothing: it walks
-each circle from its least edge id along that edge's stored direction,
-adding up those sums, and ``oriented_resolution`` reverses the circles
-the orientation runs against.  A station's radius
-cross(a, b) / (b_y - a_y) is the one Fraction left; circles have few.
+circle's.  Validation keeps each edge's winding around the puncture,
+and the ranks of its least point and least ray radius among all edges'.
+``resolve`` has one mode and keeps nothing: it walks each circle from
+its least edge id along that edge's stored direction over edge numbers
+only, adding up those sums and noting the slot of each edge's circle,
+and traces no point.  A circle's points are traced when they are read
+(``ResolvedDiagram.points``), which only ``nesting_depth`` and
+``is_counterclockwise`` do, and ``oriented_resolution`` marks the
+circles the orientation runs against to be traced backwards.  A
+station's radius cross(a, b) / (b_y - a_y) is the one Fraction left;
+circles have few.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     ENDPOINT_MISMATCH,
@@ -259,12 +265,6 @@ def signed_area_twice(points):
     return total
 
 
-def is_counterclockwise(circle):
-    """Orientation of a resolved circle as traced.  For essential
-    circles this agrees with a winding number of +1."""
-    return signed_area_twice(circle.points) > 0
-
-
 def point_winding(points, p):
     """Winding number of a closed polyline around p (half-open rule)."""
     wn = 0
@@ -322,24 +322,31 @@ def ray_stations(points):
 # circles and resolved diagrams
 
 
-@dataclass(frozen=True)
-class Circle:
-    """One closed curve of a resolved diagram.
+class Circle(NamedTuple):
+    """One closed curve of a resolved diagram, kept as the edges it runs
+    along and no points.
 
-    ``points`` is a closed polyline, first point not repeated, of int
-    points in the diagram's working coordinates: the diagram's own
-    coordinates times ``AnnularDiagram.scale``.  It runs along its edges
-    through the crossing points, so it may pass one crossing point twice
-    and share it with another circle; off the crossing points it is
-    embedded and disjoint from the other circles.  ``winding`` is the
-    signed count of its crossings of the reference ray, +1 upward.
+    Bit j of ``edges`` is set when the circle runs along the j-th edge
+    id in sorted order (``AnnularDiagram.edge_ids`` names them); its
+    lowest bit is the circle's least edge id, where its trace starts.
+    The circle runs along its edges through the crossing points, so it
+    may pass one crossing point twice and share it with another circle;
+    off the crossing points it is embedded and disjoint from the other
+    circles.  ``winding`` is the signed count of its crossings of the
+    reference ray, +1 upward.  A ``backward`` circle runs against its
+    least edge's stored direction (see ``oriented_resolution``).
     """
 
-    points: tuple
-    edge_ids: frozenset
+    edges: int
     winding: int
     essential: bool
     essential_index: object = None  # 1-based, innermost first; None if trivial
+    backward: bool = False
+
+
+def first_edge(edges):
+    """The number of the least edge id in an ``edges`` mask."""
+    return (edges & -edges).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -348,25 +355,40 @@ class ResolvedDiagram:
 
     Circles are listed trivial-first (sorted by smallest vertex, a
     crossing point included), then essential circles ordered innermost
-    to outermost by their least radius on the reference ray.
+    to outermost by their least radius on the reference ray.  A circle's
+    index in this list is its slot, and ``slot_of_edge`` holds the slot
+    of the circle through each edge, edges numbered as in
+    ``Circle.edges``.
     """
 
     smoothing: tuple
     circles: tuple
+    slot_of_edge: tuple
+    diagram: object = field(repr=False, compare=False)
 
     @property
     def n_essential(self):
         return sum(1 for c in self.circles if c.essential)
 
     @cached_property
-    def circle_of_edge(self):
-        """Edge id -> index of the circle through that edge."""
-        return {e: j for j, c in enumerate(self.circles) for e in c.edge_ids}
+    def points(self):
+        """Each circle's closed polyline, first point not repeated, of
+        int points in the diagram's working coordinates (its own
+        coordinates times ``AnnularDiagram.scale``), traced on first
+        read: from the circle's least edge along that edge's stored
+        direction, reversed for a ``backward`` circle."""
+        trace = self.diagram._trace
+        out = []
+        for c in self.circles:
+            pts = trace(self.smoothing, first_edge(c.edges))
+            out.append(pts[::-1] if c.backward else pts)
+        return tuple(out)
 
-    @cached_property
-    def index_of_circle(self):
-        """A circle's edge ids -> its index."""
-        return {c.edge_ids: j for j, c in enumerate(self.circles)}
+
+def is_counterclockwise(rd, index):
+    """Orientation of a resolved circle as traced.  For essential
+    circles this agrees with a winding number of +1."""
+    return signed_area_twice(rd.points[index]) > 0
 
 
 def nesting_depth(rd, index):
@@ -375,13 +397,14 @@ def nesting_depth(rd, index):
     The probe is the midpoint of the circle's first segment, an int
     point at the working scale.  It lies on no other circle, which a
     circle's first point, possibly a crossing point, need not."""
-    a, b = rd.circles[index].points[:2]
+    points = rd.points
+    a, b = points[index][:2]
     probe = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
     depth = 0
-    for j, other in enumerate(rd.circles):
+    for j, other in enumerate(points):
         if j == index:
             continue
-        if point_winding(other.points, probe) != 0:
+        if point_winding(other, probe) != 0:
             depth += 1
     return depth
 
@@ -423,7 +446,6 @@ class AnnularDiagram:
         self._ends = None
         self._cross_pts = None
         self._arcs = None
-        self._exits = None
         self._crossing_edges = None
 
     @property
@@ -749,87 +771,139 @@ class AnnularDiagram:
         return out
 
     def _prepare_arcs(self):
-        """The walk tables of ``resolve``, at the working scale.  Per
-        edge and direction: its points up to, not including, the crossing
-        it runs into, where the next arc starts; the whole edge's winding
-        and least ray radius; its least point; and the end (k, q) it runs
-        into, None for a free loop.  Per crossing k, end q and smoothing
-        bit: the edge and direction the walk leaves by."""
-        # the end (k, q) of each edge's tail and head; free loops have none
+        """The walk tables of ``resolve``, at the working scale.  Edges
+        are numbered in the order of their sorted ids, and the arc of
+        edge j is 2j + 1 along its stored direction and 2j against it.
+        Per arc: the edge's number and bit, the arc's winding, the ranks
+        of the edge's least point and least ray radius among all edges'
+        (one past the last rank if it meets no ray), and the crossing
+        it runs into (None for a free loop) with the arc the walk leaves
+        by there for each smoothing bit; and its points up to, not
+        including, that crossing, where the next arc starts.  Per
+        crossing: the numbers of its four edges, in PD order."""
+        order = sorted(self.edges)
+        index = {eid: j for j, eid in enumerate(order)}
+        # the (crossing, position) each arc runs into: an edge's arc along
+        # it runs into its head (end 1), the one against it into its tail
         ends = {
-            (e.edge, e.end): (k, q)
+            2 * index[e.edge] + e.end: (k, q)
             for k, combo in enumerate(self._ends)
             for q, e in enumerate(combo)
         }
-        arcs = {}
-        for eid, pts in self._int_edges.items():
-            w, radius = _sums(_polyline_stations(pts))
-            low = min(pts)
-            arcs[(eid, True)] = (tuple(pts[:-1]), w, radius, low, ends.get((eid, 1)))
-            arcs[(eid, False)] = (tuple(pts[:0:-1]), -w, radius, low, ends.get((eid, 0)))
-        self._arcs = arcs
-        self._exits = {
-            (k, q, bit): (combo[p].edge, combo[p].end == 0)
-            for k, combo in enumerate(self._ends)
-            for bit, pairing in _PAIRING.items()
-            for q, p in pairing.items()
-        }
+        sums = [_sums(_polyline_stations(self._int_edges[eid])) for eid in order]
+        lows = [min(self._int_edges[eid]) for eid in order]
+        radii = sorted({r for _, r in sums if r is not None})
+        low_rank = {p: n for n, p in enumerate(sorted(set(lows)))}
+        radius_rank = {r: n for n, r in enumerate(radii)}
+        arcs, runs = [], []
+        for j, eid in enumerate(order):
+            pts = self._int_edges[eid]
+            w, radius = sums[j]
+            ranks = (low_rank[lows[j]], radius_rank.get(radius, len(radii)))
+            for along in (False, True):
+                runs.append(tuple(pts[:-1] if along else pts[:0:-1]))
+                end = ends.get(2 * j + along)
+                if end is None:
+                    arcs.append((j, 1 << j, w if along else -w, *ranks, None, None))
+                    continue
+                k, q = end
+                # the walk leaves by the paired end, along its edge from a tail
+                out = [self._ends[k][_PAIRING[bit][q]] for bit in (0, 1)]
+                leave = tuple(2 * index[x.edge] + (x.end == 0) for x in out)
+                arcs.append((j, 1 << j, w if along else -w, *ranks, k, leave))
+        self._edge_order = order
+        self._arcs, self._runs, self._radii = arcs, runs, radii
+        self._incident = [tuple(index[e] for e in rec) for rec in self.crossings]
+
+    def edge_ids(self, edges):
+        """The edge ids whose bits are set in an ``edges`` mask."""
+        self.ensure_valid()
+        return frozenset(e for j, e in enumerate(self._edge_order) if edges >> j & 1)
+
+    def incident_edges(self, k):
+        """The numbers of crossing k's four edges, in PD order."""
+        self.ensure_valid()
+        return self._incident[k]
 
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, u):
-        """Smooth every crossing and trace the resulting circles.
+        """Smooth every crossing and classify the resulting circles.
 
         Each circle is walked from its least edge id along that edge's
-        stored direction, edge by edge through the crossing points, adding
-        up the edges' windings and least ray radii.
+        stored direction, edge by edge through the crossing points,
+        adding up the edges' windings, bits and least points and ray
+        radii (by their ranks), and noting each edge's circle in
+        ``slot_of_edge``.  No point is traced: ``ResolvedDiagram.points``
+        traces them on first read.
         """
-        u = tuple(int(x) for x in u)
-        if len(u) != len(self.crossings) or any(x not in (0, 1) for x in u):
+        u = tuple(map(int, u))
+        if len(u) != len(self.crossings) or not {*u} <= {0, 1}:
             raise ValueError(f"bad smoothing {u}")
         self.ensure_valid()
-        arcs, exits = self._arcs, self._exits
-        visited = set()
+        arcs = self._arcs
+        far = len(arcs)  # beyond every rank
+        walked = [None] * (far // 2)  # each edge's circle, in walk order
         trivial, essential = [], []
-        for eid in sorted(self.edges):
-            if eid in visited:
+        for j, seen in enumerate(walked):
+            if seen is not None:
                 continue
-            start = at = (eid, True)
-            pts, ids, lows, radii, w = [], [], [], [], 0
+            n = len(trivial) + len(essential)
+            start = at = 2 * j + 1
+            edges, w, low, radius = 0, 0, far, far
             while True:
-                run, run_w, radius, low, end = arcs[at]
-                pts += run
-                ids.append(at[0])
-                lows.append(low)
-                radii.append(radius)
+                e, bit, run_w, run_low, run_radius, k, leave = arcs[at]
+                walked[e] = n
+                edges |= bit
                 w += run_w
-                if end is None:
+                if run_low < low:
+                    low = run_low
+                if run_radius < radius:
+                    radius = run_radius
+                if k is None:
                     break
-                k, q = end
-                at = exits[(k, q, u[k])]
+                at = leave[u[k]]
                 if at == start:
                     break
-            visited.update(ids)
-            if abs(w) > 1:
-                raise EmbeddingViolationError(
-                    f"circle through {sorted(ids)} winds {w} times"
-                )
-            circle = (tuple(pts), frozenset(ids), w)
-            if w:
-                essential.append((min(x for x in radii if x is not None), circle))
+            if w == 0:
+                trivial.append((low, n, edges))
+            elif w in (1, -1):
+                essential.append((radius, n, edges, w))
             else:
-                trivial.append((min(lows), circle))
-        trivial.sort(key=lambda t: t[0])
-        essential.sort(key=lambda e: e[0])
-        radii = [e[0] for e in essential]
-        if radii != sorted(set(radii)):
+                ids = sorted(self.edge_ids(edges))
+                raise EmbeddingViolationError(f"circle through {ids} winds {w} times")
+        trivial.sort()
+        essential.sort()
+        ranks = [e[0] for e in essential]
+        if ranks != sorted(set(ranks)):
+            radii = [self._radii[r] for r in ranks]
             raise InvariantError(f"essential circles share a radius: {radii}")
-        circles = [Circle(pts, ids, 0, False) for _, (pts, ids, _) in trivial]
-        circles += [
-            Circle(pts, ids, w, True, n + 1)
-            for n, (_, (pts, ids, w)) in enumerate(essential)
-        ]
-        return ResolvedDiagram(u, tuple(circles))
+        slot = [0] * (len(trivial) + len(essential))
+        circles = []
+        for _, n, edges in trivial:
+            slot[n] = len(circles)
+            circles.append(Circle(edges, 0, False))
+        for i, (_, n, edges, w) in enumerate(essential):
+            slot[n] = len(circles)
+            circles.append(Circle(edges, w, True, i + 1))
+        slot_of_edge = tuple(map(slot.__getitem__, walked))
+        return ResolvedDiagram(u, tuple(circles), slot_of_edge, self)
+
+    def _trace(self, u, j):
+        """The points of the circle of smoothing u through edge j, walked
+        from edge j along its stored direction."""
+        arcs, runs = self._arcs, self._runs
+        start = at = 2 * j + 1
+        pts = []
+        while True:
+            pts += runs[at]
+            k, leave = arcs[at][5:]
+            if k is None:
+                break
+            at = leave[u[k]]
+            if at == start:
+                break
+        return tuple(pts)
 
     # -- signs and orientations ----------------------------------------------
 
@@ -869,13 +943,15 @@ class AnnularDiagram:
             for k in range(self.n_crossings)
         )
         against = self._against(choice)
+        order = self._edge_order
 
         def along(c):
-            if self.comp_of_edge(min(c.edge_ids)) not in against:
+            if self.comp_of_edge(order[first_edge(c.edges)]) not in against:
                 return c
-            return replace(c, points=c.points[::-1], winding=-c.winding)
+            return c._replace(winding=-c.winding, backward=True)
 
-        return u, ResolvedDiagram(u, tuple(map(along, self.resolve(u).circles)))
+        rd = self.resolve(u)
+        return u, replace(rd, circles=tuple(map(along, rd.circles)))
 
 
 def all_orientations(diagram):

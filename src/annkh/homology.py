@@ -247,8 +247,8 @@ def _canonical(d, choice):
     space = tqft.state_space(rd, _LEE_RING)
     letters = []
     word = 0
-    for idx, (c, slot) in enumerate(zip(rd.circles, space.slots)):
-        ccw = is_counterclockwise(c)
+    for idx, slot in enumerate(space.slots):
+        ccw = is_counterclockwise(rd, idx)
         lab = (nesting_depth(rd, idx) + (1 if ccw else 0)) % 2
         letter = "a" if lab == 0 else "b"
         letters.append(letter)

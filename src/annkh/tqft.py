@@ -34,10 +34,13 @@ one table, and a spun tangle (:func:`annkh.tl.spin_tangle`) one per
 strand.  A placed map depends only on its shape: the table's key, the
 slot counts of the two spaces and which slots are involved and which
 pairs are not.  A cube of T(2,7) has 128 vertices of 8 slot tuples and
-448 edges of 27 shapes, so ``complexes.build_cube`` keeps memos for
+448 edges of 27 shapes, so ``complexes.build_complex`` keeps memos for
 that call: vertices of equal slots share one space, edges of equal
 spaces and slots one map, and edges of one shape one entry dict.  A
-single map is placed from an empty memo, by the same code.
+single map is placed from an empty memo, by the same code.  An edge is
+classified by :func:`_saddle`, the one classifier, from the two
+resolutions' ``slot_of_edge`` tables at the crossing's four edges;
+:func:`classify_saddle` checks its arguments and calls it.
 
 A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces,
 and nothing else: its sums and products are the matrix ones, and the
@@ -219,40 +222,54 @@ _SADDLE_KINDS = {
 
 
 def classify_saddle(d, rd_from, rd_to, crossing):
-    """Identify the elementary saddle between two resolutions that differ
-    exactly at the given crossing."""
+    """Identify the elementary saddle between two resolutions of d that
+    differ exactly at the given crossing."""
+    if rd_from.diagram is not d or rd_to.diagram is not d:
+        raise NotACubeEdgeError("a resolution of another diagram")
     uf, ut = rd_from.smoothing, rd_to.smoothing
     diff = [i for i, (a, b) in enumerate(zip(uf, ut)) if a != b]
     if diff != [crossing] or uf[crossing] != 0:
         raise NotACubeEdgeError(f"{uf} -> {ut} not an edge at {crossing}")
-    incident = d.crossings[crossing]
-    of_from, of_to = rd_from.circle_of_edge, rd_to.circle_of_edge
-    dom_inv = sorted({of_from[e] for e in incident if e in of_from})
-    cod_inv = sorted({of_to[e] for e in incident if e in of_to})
+    incident = d.incident_edges(crossing)
+    return SaddleDescriptor(*_saddle(rd_from, rd_to, crossing, incident))
+
+
+def _saddle(rd_from, rd_to, crossing, incident):
+    """The descriptor's fields, (kind, dom_involved, cod_involved,
+    uninvolved), of the saddle at the crossing whose four edges have the
+    numbers ``incident``, between two resolutions known to differ only
+    there: the involved circles are the slots of those edges in each
+    ``slot_of_edge`` table, and each untouched circle is matched through
+    its least edge and must run along the same edges on both sides."""
+    of_from, of_to = rd_from.slot_of_edge, rd_to.slot_of_edge
+    a, b, c, e = incident
+    dom_inv = sorted({of_from[a], of_from[b], of_from[c], of_from[e]})
+    cod_inv = sorted({of_to[a], of_to[b], of_to[c], of_to[e]})
     if not ((len(dom_inv), len(cod_inv)) in ((2, 1), (1, 2))):
         raise NotACubeEdgeError(
             f"saddle at {crossing} involves {len(dom_inv)} -> {len(cod_inv)} circles"
         )
-    index_to = rd_to.index_of_circle
+    circles_from, circles_to = rd_from.circles, rd_to.circles
     pairs = []
-    for i, c in enumerate(rd_from.circles):
+    for i, circle in enumerate(circles_from):
         if i in dom_inv:
             continue
-        j = index_to.get(c.edge_ids)
-        if j is None or j in cod_inv:
+        edges = circle.edges
+        j = of_to[(edges & -edges).bit_length() - 1]  # through its least edge
+        if circles_to[j].edges != edges:
             raise NotACubeEdgeError("untouched circles do not match")
         pairs.append((i, j))
 
     # circles are in slot order, so essential ones come innermost first
-    dess = [i for i in dom_inv if rd_from.circles[i].essential]
-    cess = [i for i in cod_inv if rd_to.circles[i].essential]
+    dess = [i for i in dom_inv if circles_from[i].essential]
+    cess = [i for i in cod_inv if circles_to[i].essential]
     kind = _SADDLE_KINDS.get((len(dom_inv), len(dess), len(cess)))
     if kind is None:
         shape = "merge" if len(dom_inv) == 2 else "split"
         raise NotACubeEdgeError(f"impossible {shape} pattern")
     dom = tuple(dess + [i for i in dom_inv if i not in dess])
     cod = tuple(cess + [i for i in cod_inv if i not in cess])
-    return SaddleDescriptor(kind, dom, cod, tuple(pairs))
+    return kind, dom, cod, tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 
 from annkh import corpus, diagram, tl, tqft
 from annkh.complexes import ChainComplexData
+from annkh.diagram import cube_edge_pairs
 from annkh.errors import (
     AnnkhError,
     EmbeddingViolationError,
@@ -337,6 +339,108 @@ def check_bidegree(m, expect_q, expect_a):
     return True
 
 
+# ---------------------------------------------------------------------------
+# the reference cube: every resolution and every edge map kept as objects,
+# from the public ``resolve``, ``classify_saddle`` and ``annular_saddle_map``;
+# the oracle for ``complexes.build_complex``, which keeps int rows only
+
+
+def sign_assignment(u, i):
+    """Exponent of the sign on the edge raising coordinate i of u."""
+    if u[i] != 0:
+        raise ValueError("edge must start at a 0-coordinate")
+    return sum(u[:i]) % 2
+
+
+@dataclass(frozen=True)
+class CubeEdge:
+    u: tuple
+    v: tuple
+    coordinate: int
+    sign_exponent: int
+    descriptor: object
+    map: object  # LinearMap
+
+
+@dataclass
+class Cube:
+    diagram: object
+    ring: object
+    planar: bool  # edge maps are the untruncated planar maps
+    resolutions: dict
+    spaces: dict
+    edges: list
+
+
+def build_cube(d, ring, planar=False):
+    """Resolve all smoothings and build every classified edge map
+    between the cube's own vertex spaces, each space and map built once
+    per cube and shared (``tqft.state_space``, ``tqft._embed``)."""
+    d.ensure_valid()
+    resolutions, spaces, shared = {}, {}, {}
+    for u in product((0, 1), repeat=d.n_crossings):
+        rd = d.resolve(u)
+        resolutions[u] = rd
+        spaces[u] = tqft.state_space(rd, ring, planar, memo=shared)
+    edges = []
+    placements = {}
+    for u in resolutions:
+        for i, v in cube_edge_pairs(d, u):
+            sd = tqft.classify_saddle(d, resolutions[u], resolutions[v], i)
+            m = tqft.annular_saddle_map(sd, spaces[u], spaces[v], placements)
+            edges.append(CubeEdge(u, v, i, sign_assignment(u, i), sd, m))
+    return Cube(d, ring, planar, resolutions, spaces, edges)
+
+
+def assemble(cube):
+    """The complex of a reference cube: groups, offsets and one signed
+    block per edge, with the quantum shift applied."""
+    n_plus, n_minus = cube.diagram.n_plus_minus()
+    ring = cube.ring
+    degrees = list(range(-n_minus, n_plus + 1))
+    bigrade, offsets = {}, {}
+    for i in degrees:
+        grade = []
+        shift = n_minus - n_plus - i
+        for u in sorted(u for u in cube.resolutions if sum(u) == i + n_minus):
+            offsets[(i, u)] = len(grade)
+            grade.extend((q + shift, a) for q, a in cube.spaces[u].bidegrees)
+        bigrade[i] = grade
+    blocks = {}
+    for e in cube.edges:
+        i = sum(e.u) - n_minus
+        items = [
+            (k, ring.neg(v) if e.sign_exponent else v) for k, v in e.map.entries.items()
+        ]
+        rof, cof = offsets[(i + 1, e.v)], offsets[(i, e.u)]
+        blocks.setdefault(i, []).append((rof, cof, items))
+    return ChainComplexData(
+        ring=ring,
+        planar=cube.planar,
+        n_plus=n_plus,
+        n_minus=n_minus,
+        degrees=degrees,
+        bigrade=bigrade,
+        blocks=blocks,
+        offsets=offsets,
+    )
+
+
+def placed_entries(c):
+    """Degree -> the set of (row, col, value) entries its blocks place,
+    and how many entries they hold, repeats included."""
+    out = {}
+    for i, rows in c.blocks.items():
+        placed = [(rof + r, cof + col, v) for rof, cof, items in rows for (r, col), v in items]
+        out[i] = (set(placed), len(placed))
+    return out
+
+
+def edge_ids(rd, c):
+    """The edge ids a resolved circle runs along."""
+    return rd.diagram.edge_ids(c.edges)
+
+
 def first_noncommuting_square(cube):
     """The square oracle: truncate_0(B.A) = B_0.A_0 for every pair of
     consecutive edges A, B of a planar cube.  None when it holds, else
@@ -615,11 +719,46 @@ def reference_resolve(d, u, choice=None):
     ]
 
 
+def eager_walk(d, u):
+    """The points of every circle of the smoothing u, traced eagerly
+    from the PD ends and the edges' points: from the circle's least edge
+    id along that edge's stored direction, each edge's points up to, not
+    including, the crossing it runs into.  Keyed by the circle's edge
+    ids.  The oracle for ``ResolvedDiagram.points``, which traces on
+    demand from the walk tables."""
+    u = tuple(u)
+    d.ensure_valid()
+    slot = {
+        (e.edge, e.end): (k, q) for k, combo in enumerate(d._ends)
+        for q, e in enumerate(combo)
+    }
+    visited, out = set(), {}
+    for eid in sorted(d.edges):
+        if eid in visited:
+            continue
+        pts, ids, at = [], set(), (eid, True)
+        while True:
+            edge, fwd = at
+            ids.add(edge)
+            p = d._int_edges[edge]
+            pts += p[:-1] if fwd else p[:0:-1]
+            if (edge, 0) not in slot:  # a free loop
+                break
+            k, q = slot[(edge, 1 if fwd else 0)]
+            nxt = d._ends[k][SMOOTHING_PARTNER[u[k]][q]]
+            at = (nxt.edge, nxt.end == 0)
+            if at == (eid, True):
+                break
+        visited |= ids
+        out[frozenset(ids)] = tuple(pts)
+    return out
+
+
 def circle_facts(rd):
     """What :func:`reference_resolve` returns, read off a resolution."""
     return [
-        (c.edge_ids, c.winding, c.essential_index, diagram.nesting_depth(rd, j),
-         diagram.is_counterclockwise(c))
+        (edge_ids(rd, c), c.winding, c.essential_index, diagram.nesting_depth(rd, j),
+         diagram.is_counterclockwise(rd, j))
         for j, c in enumerate(rd.circles)
     ]
 
@@ -633,18 +772,20 @@ def reference_classify_saddle(d, rd_from, rd_to, crossing):
     if diff != [crossing] or uf[crossing] != 0:
         raise NotACubeEdgeError(f"{uf} -> {ut} not an edge at {crossing}")
     incident = set(d.crossings[crossing])
-    dom_inv = [i for i, c in enumerate(rd_from.circles) if c.edge_ids & incident]
-    cod_inv = [i for i, c in enumerate(rd_to.circles) if c.edge_ids & incident]
+    ids_from = [edge_ids(rd_from, c) for c in rd_from.circles]
+    ids_to = [edge_ids(rd_to, c) for c in rd_to.circles]
+    dom_inv = [i for i, ids in enumerate(ids_from) if ids & incident]
+    cod_inv = [i for i, ids in enumerate(ids_to) if ids & incident]
     if not ((len(dom_inv), len(cod_inv)) in ((2, 1), (1, 2))):
         raise NotACubeEdgeError(
             f"saddle at {crossing} involves {len(dom_inv)} -> {len(cod_inv)} circles"
         )
-    by_key = {c.edge_ids: j for j, c in enumerate(rd_to.circles)}
+    by_key = {ids: j for j, ids in enumerate(ids_to)}
     pairs = []
-    for i, c in enumerate(rd_from.circles):
+    for i, ids in enumerate(ids_from):
         if i in dom_inv:
             continue
-        j = by_key.get(c.edge_ids)
+        j = by_key.get(ids)
         if j is None or j in cod_inv:
             raise NotACubeEdgeError("untouched circles do not match")
         pairs.append((i, j))

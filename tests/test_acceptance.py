@@ -13,7 +13,6 @@ import pytest
 from annkh import tl, tqft
 from annkh.complexes import (
     build_complex,
-    build_cube,
     verify_beta,
     verify_d_squared,
     verify_grading,
@@ -29,7 +28,13 @@ from annkh.homology import (
 )
 from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
-from conftest import adeg_shifts, as_table, first_noncommuting_square, truncate_adeg
+from conftest import (
+    adeg_shifts,
+    as_table,
+    build_cube,
+    first_noncommuting_square,
+    truncate_adeg,
+)
 from test_homology import _oracle_homology_ranks
 
 

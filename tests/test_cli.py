@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from annkh.diagram import AnnularDiagram, dumps_diagram
 from annkh.errors import AnnkhError
 from annkh.ring import PRIME_TEST_BOUND, QH, alpha_eval
 
-from conftest import truncate_adeg
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +498,22 @@ def test_nudge_flag(capsys, tmp_path):
     assert code == 0 and out.strip() == "2 PASS"
 
 
+def test_a_nudge_past_the_coordinate_cap_is_an_input_error(capsys, tmp_path):
+    # every rotation of this square moves a coordinate of 4,001 digits
+    # past the cap, which parsing the rotated diagram refuses
+    square = [["1e4000", "0"], ["2e4000", "1e4000"], ["1e4000", "2e4000"],
+              ["0", "1e4000"], ["1e4000", "0"]]
+    data = {"crossings": [], "edges": {"e0": square}, "components": [["e0"]],
+            "orientations": [False]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", path)
+    assert (code, out) == (2, "") and "RAY_TANGENCY" in err
+    code, out, err = run(capsys, "homology", path, "--nudge")
+    assert (code, out) == (2, "") and "RAY_TANGENCY" in err
+    assert "--nudge cannot rotate it" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "tangle, n, m",
     [
@@ -584,22 +598,25 @@ def test_verify_generic_fails_on_a_corrupted_merge_table(
 def test_verify_generic_fails_beta_alone_on_a_doubled_d2(
     capsys, corpus_dir, monkeypatch
 ):
-    # doubling the adeg +2 part of the maps at crossing 0 leaves d0 and
+    # doubling the adeg +2 part of the edges at crossing 0 leaves d0 and
     # every truncation alone, so only the d_beta identities can see it
-    original = complexes.build_cube
-
-    def plus_d2(m):
-        return replace(m, matrix=m.matrix + truncate_adeg(m, 2).matrix)
+    original = complexes.build_complex
 
     def doubled(*args, **kwargs):
-        cube = original(*args, **kwargs)
-        edges = [
-            replace(e, map=plus_d2(e.map)) if e.coordinate == 0 else e
-            for e in cube.edges
-        ]
-        return replace(cube, edges=edges)
+        c = original(*args, **kwargs)
+        vertex = {(i, off): u for (i, u), off in c.offsets.items()}
+        for i, rows in c.blocks.items():
+            src, dst = c.bigrade[i], c.bigrade[i + 1]
+            for n, (rof, cof, items) in enumerate(rows):
+                if vertex[(i, cof)][0] == vertex[(i + 1, rof)][0]:
+                    continue  # not an edge at crossing 0
+                rows[n] = (rof, cof, [
+                    ((r, col), 2 * v if dst[rof + r][1] - src[cof + col][1] == 2 else v)
+                    for (r, col), v in items
+                ])
+        return c
 
-    monkeypatch.setattr(complexes, "build_cube", doubled)
+    monkeypatch.setattr(complexes, "build_complex", doubled)
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )
@@ -642,16 +659,14 @@ def test_verify_generic_fails_functoriality_on_t27_with_shared_maps(
 
 def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatch):
     # one more essential codomain circle makes every adeg shift odd
-    original = tqft.annular_saddle_map
+    original = tqft.LinearMap.wrap.__func__
 
-    def shifted(*args, **kwargs):
-        m = original(*args, **kwargs)
-        cod = m.codomain
-        slots = cod.slots + (tqft.Slot(True, "V", 1),)
-        extra = tqft.StateSpace(cod.ring, cod.planar, slots)
-        return tqft.LinearMap.wrap(m.domain, extra, dict(m.entries))
+    def shifted(cls, domain, codomain, entries):
+        slots = codomain.slots + (tqft.Slot(True, "V", 1),)
+        extra = tqft.StateSpace(codomain.ring, codomain.planar, slots)
+        return original(cls, domain, extra, entries)
 
-    monkeypatch.setattr(tqft, "annular_saddle_map", shifted)
+    monkeypatch.setattr(tqft.LinearMap, "wrap", classmethod(shifted))
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )

@@ -6,10 +6,7 @@ import pytest
 
 from annkh import corpus, tqft
 from annkh.complexes import (
-    assemble,
     build_complex,
-    build_cube,
-    sign_assignment,
     verify_beta,
     verify_d_squared,
     verify_grading,
@@ -23,14 +20,19 @@ from annkh.linalg import SparseMatrix
 from annkh.ring import A0, GENERIC, GF, INT, QH, alpha_eval
 
 from conftest import (
+    assemble,
     bits_word,
+    build_cube,
     check_bidegree,
     one_block,
+    placed_entries,
+    sign_assignment,
     specialize_complex,
     truncate_adeg,
     verify_grading_oracle,
     word_bits,
 )
+from test_diagram import random_braids
 
 
 def test_sign_assignment_examples():
@@ -129,15 +131,28 @@ def test_grading_contract_corpus(diagrams):
 def _shared_dict_mutated(planar):
     """T(2,5) over GENERIC with one value of an entry dict shared by
     several edges multiplied by a0, so every edge of that shape, of
-    either sign, carries an entry of the wrong qdeg."""
-    cube = build_cube(corpus.braid_closure([1] * 5, 2), GENERIC, planar)
-    uses = Counter(id(e.map.entries) for e in cube.edges)
+    either sign, carries an entry of the wrong qdeg: the dict is taken
+    from the placement memo of one build and mutated, and a second build
+    through that memo places it again."""
+    d = corpus.braid_closure([1] * 5, 2)
+    placements = {}
+    c = build_complex(d, GENERIC, planar, placements)
+    blocks = [dict(items) for rows in c.blocks.values() for _, _, items in rows]
+    uses = Counter()  # (id of an entry dict, sign) -> edges placing it
+    for m in placements.values():
+        if isinstance(m, tqft.LinearMap):
+            negated = {k: -v for k, v in m.entries.items()}
+            uses[id(m.entries), 0] += blocks.count(m.entries)
+            uses[id(m.entries), 1] += blocks.count(negated)
     entries = next(
-        e.map.entries for e in cube.edges if uses[id(e.map.entries)] > 2
+        m.entries for m in placements.values()
+        if isinstance(m, tqft.LinearMap)
+        and uses[id(m.entries), 0] + uses[id(m.entries), 1] > 2
+        and uses[id(m.entries), 0] and uses[id(m.entries), 1]
     )
     key = sorted(entries)[len(entries) // 2]
     entries[key] = entries[key] * A0
-    return assemble(cube)
+    return build_complex(d, GENERIC, planar, placements)
 
 
 def _bigrade_shifted(planar, coordinate):
@@ -359,7 +374,7 @@ def test_edge_blocks_are_disjoint(diagrams):
     for name in ("trefoil_right", "braid3_r3_a", "unlink2_essential"):
         for planar in (False, True):
             cube = build_cube(diagrams[name], GENERIC, planar)
-            c = assemble(cube)
+            c = build_complex(diagrams[name], GENERIC, planar)
             assert "diff" not in vars(c)
             edges = {}
             for e in cube.edges:
@@ -420,18 +435,64 @@ def test_edges_of_one_shape_share_one_placement(ring, planar):
     "ring, planar", [(INT, False), (GENERIC, True)], ids=["int", "generic-planar"]
 )
 def test_vertices_and_edges_of_one_shape_share_one_object(ring, planar):
-    cube = build_cube(corpus.braid_closure([1] * 7, 2), ring, planar)
+    """The 448 rows of T(2,7) place the entries of 27 maps between 8
+    spaces, one object each, read off the placement memo; rows of one
+    map and sign share one items object."""
+    placements = {}
+    c = build_complex(corpus.braid_closure([1] * 7, 2), ring, planar, placements)
     spaces, maps = {}, {}
-    for sp in cube.spaces.values():
-        spaces.setdefault(sp.slots, set()).add(id(sp))
-    for e in cube.edges:
-        sd, dom, cod = e.descriptor, cube.spaces[e.u], cube.spaces[e.v]
-        key = (dom.slots, cod.slots, sd.dom_involved, sd.cod_involved, sd.uninvolved)
-        maps.setdefault(key, set()).add(id(e.map))
-        assert e.map.domain is dom and e.map.codomain is cod
-    assert (len(cube.spaces), len(spaces)) == (128, 8)
-    assert (len(cube.edges), len(maps)) == (448, 27)
+    for key, m in placements.items():
+        if not isinstance(m, tqft.LinearMap):
+            continue
+        for sp in (m.domain, m.codomain):
+            spaces.setdefault(sp.slots, set()).add(id(sp))
+        _, _, dom_inv, cod_inv, pairs, _ = key
+        shape = (m.domain.slots, m.codomain.slots, dom_inv, cod_inv, pairs)
+        maps.setdefault(shape, set()).add(id(m))
+    rows = [row for rows in c.blocks.values() for row in rows]
+    items = {id(it): dict(it) for _, _, it in rows}
+    assert (len(c.offsets), len(spaces)) == (128, 8)
+    assert (len(rows), len(maps)) == (448, 27)
     assert all(len(ids) == 1 for ids in [*spaces.values(), *maps.values()])
+    entries = [m.entries for m in placements.values() if isinstance(m, tqft.LinearMap)]
+    signed = entries + [{k: ring.neg(v) for k, v in e.items()} for e in entries]
+    assert len(items) <= len(signed)
+    assert all(it in signed for it in items.values())
+
+
+@pytest.mark.parametrize(
+    "ring, planar",
+    [(INT, False), (GF(2), False), (alpha_eval(1, 3), False), (GENERIC, True)],
+    ids=["int", "gf2", "alpha-1-3", "generic-planar"],
+)
+def test_build_complex_matches_the_reference_cube(diagrams, ring, planar):
+    """The int rows of the degree-by-degree walk hold what the reference
+    cube of objects holds: the same bigrade and offsets, and in each
+    degree the same placed, signed entries, each placed once; and the
+    walk placed its maps on the slots the reference edges' descriptors
+    name."""
+    cases = {**diagrams, **random_braids(67, 30, 6)}
+    for name, d in cases.items():
+        placements = {}
+        got = build_complex(d, ring, planar, placements)
+        cube = build_cube(d, ring, planar)
+        want = assemble(cube)
+        placed_on = {
+            (m.domain.slots, m.codomain.slots, *key[2:5])
+            for key, m in placements.items()
+            if isinstance(m, tqft.LinearMap)
+        }
+        assert placed_on == {
+            (cube.spaces[e.u].slots, cube.spaces[e.v].slots, e.descriptor.dom_involved,
+             e.descriptor.cod_involved, e.descriptor.uninvolved)
+            for e in cube.edges
+        }, name
+        assert got.degrees == want.degrees, name
+        assert got.bigrade == want.bigrade, name
+        assert got.offsets == want.offsets, name
+        placed = placed_entries(got)
+        assert placed == placed_entries(want), name
+        assert all(len(s) == n for s, n in placed.values()), name
 
 
 def test_cubes_share_no_placement(diagrams):

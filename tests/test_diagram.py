@@ -35,6 +35,8 @@ from annkh.homology import lee_rank
 
 from conftest import (
     circle_facts,
+    eager_walk,
+    edge_ids,
     fraction_crossings,
     pd_circle_count,
     reference_point_winding,
@@ -73,7 +75,7 @@ def test_circle_crossing_ray_is_fine():
     rd = d.resolve(())
     c = rd.circles[0]
     assert not c.essential and c.winding == 0
-    assert len(ray_stations(c.points)) == 2
+    assert len(ray_stations(rd.points[0])) == 2
 
 
 def test_vertex_on_ray_rejected():
@@ -106,12 +108,7 @@ def test_winding_signs():
 def test_embedding_violation_guard():
     from annkh.diagram import Circle
 
-    bad = Circle(
-        points=(),
-        edge_ids=frozenset(),
-        winding=2,
-        essential=True,
-    )
+    bad = Circle(edges=0, winding=2, essential=True)
     with pytest.raises(EmbeddingViolationError):
         winding_number(bad)
 
@@ -141,12 +138,12 @@ def test_no_trivial_circle_contains_essential(diagrams):
                     continue
                 for i, other in enumerate(rd.circles):
                     if i != j and other.essential:
-                        assert point_winding(c.points, midpoint(other)) == 0
+                        assert point_winding(rd.points[j], midpoint(rd.points[i])) == 0
 
 
-def midpoint(circle):
+def midpoint(points):
     """The midpoint of a circle's first segment: on no other circle."""
-    (ax, ay), (bx, by) = circle.points[:2]
+    (ax, ay), (bx, by) = points[:2]
     return ((ax + bx) // 2, (ay + by) // 2)
 
 
@@ -155,7 +152,11 @@ def test_essential_ordering_strict(diagrams):
         for u in all_smoothings(d.n_crossings):
             rd = d.resolve(u)
             ess = [c for c in rd.circles if c.essential]
-            radii = [min(x for x, _ in ray_stations(c.points)) for c in ess]
+            radii = [
+                min(x for x, _ in ray_stations(pts))
+                for c, pts in zip(rd.circles, rd.points)
+                if c.essential
+            ]
             assert radii == sorted(set(radii))
             assert [c.essential_index for c in ess] == list(
                 range(1, len(ess) + 1)
@@ -168,9 +169,9 @@ def test_saddle_preserves_essential_parity(diagrams):
             rd_u = d.resolve(u)
             for _, v in cube_edge_pairs(d, u):
                 rd_v = d.resolve(v)
-                by_key = {c.edge_ids: c for c in rd_v.circles}
+                by_key = {c.edges: c for c in rd_v.circles}
                 for c in rd_u.circles:
-                    other = by_key.get(c.edge_ids)
+                    other = by_key.get(c.edges)
                     if other is None or not c.essential:
                         continue
                     assert other.essential
@@ -246,9 +247,9 @@ def test_positive_crossing_takes_zero_smoothing(diagrams):
 
 def test_counterclockwise_detection():
     ccw = AnnularDiagram([], {"e0": square(0, 5, 1)}, [["e0"]], [False])
-    assert is_counterclockwise(ccw.resolve(()).circles[0])
+    assert is_counterclockwise(ccw.resolve(()), 0)
     cw = AnnularDiagram([], {"e0": square(0, 5, 1)[::-1]}, [["e0"]], [False])
-    assert not is_counterclockwise(cw.resolve(()).circles[0])
+    assert not is_counterclockwise(cw.resolve(()), 0)
 
 
 def test_orientation_choices_enumeration(diagrams):
@@ -293,8 +294,7 @@ def test_circles_meet_only_at_crossing_points(diagrams):
         through = 0
         for u in all_smoothings(d.n_crossings):
             segs = []
-            for ci, c in enumerate(d.resolve(u).circles):
-                pts = c.points
+            for ci, pts in enumerate(d.resolve(u).points):
                 n = len(pts)
                 through += len(set(pts) & crossings)
                 for i in range(n):
@@ -544,14 +544,14 @@ def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
         rds += [d.oriented_resolution(o)[1] for o in all_orientations(d)]
         for rd in rds:
             radii = []
-            for c in rd.circles:
-                stations = ray_stations(c.points)
+            for c, pts in zip(rd.circles, rd.points):
+                stations = ray_stations(pts)
                 assert c.winding == sum(s for _, s in stations), (name, rd.smoothing)
                 if c.essential:
                     radii.append(min(x for x, _ in stations))
-                twice_through_a_crossing += len(c.points) - len(set(c.points))
+                twice_through_a_crossing += len(pts) - len(set(pts))
             assert radii == sorted(set(radii)), (name, rd.smoothing)
-            lows = [min(c.points) for c in rd.circles if not c.essential]
+            lows = [min(p) for c, p in zip(rd.circles, rd.points) if not c.essential]
             assert lows == sorted(lows), (name, rd.smoothing)
     assert twice_through_a_crossing > 0
     assert_matches_the_disk_model(oracle_cases)
@@ -572,6 +572,32 @@ def test_resolve_matches_the_disk_model(traced_cases):
     """Tracing through the crossing points gives the circles of the
     smoothed diagram, for every smoothing and orientation."""
     assert assert_matches_the_disk_model(traced_cases) > 20
+
+
+def test_points_traced_on_demand_match_the_eager_walk(traced_cases):
+    """``ResolvedDiagram.points`` are the points the eager walk traced,
+    in slot order, for every smoothing and orientation; an orientation
+    that runs against a circle's least edge reverses them."""
+    reversed_circles = 0
+    for name, d in traced_cases.items():
+        for u in all_smoothings(d.n_crossings):
+            rd = d.resolve(u)
+            eager = eager_walk(d, u)
+            assert len(eager) == len(rd.circles), (name, u)
+            assert rd.points == tuple(eager[edge_ids(rd, c)] for c in rd.circles)
+        for o in all_orientations(d):
+            u, rd = d.oriented_resolution(o)
+            eager = eager_walk(d, u)
+            want = []
+            for c in rd.circles:
+                ids = edge_ids(rd, c)
+                comp = d.comp_of_edge(min(ids))
+                against = d.orientations[comp] != o[comp]
+                assert c.backward == against, (name, o)
+                want.append(eager[ids][::-1] if against else eager[ids])
+                reversed_circles += against
+            assert rd.points == tuple(want), (name, o)
+    assert reversed_circles > 20
 
 
 def wedge_direction(a, b, mix):
@@ -660,20 +686,20 @@ def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
             where = (name, rd.smoothing)
             # the circles back in the diagram's own coordinates
             plain = [
-                tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in c.points)
-                for c in rd.circles
+                tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
+                for pts in rd.points
             ]
             innermost = []
             for idx, c in enumerate(rd.circles):
-                assert all(type(v) is int for p in c.points for v in p), where
-                got = ray_stations(c.points)
+                assert all(type(v) is int for p in rd.points[idx] for v in p), where
+                got = ray_stations(rd.points[idx])
                 assert all(type(x) in (int, Fraction) for x, _ in got), where
                 stations = reference_ray_stations(plain[idx])
                 assert [(x / scale, s) for x, s in got] == stations, where
                 assert c.winding == sum(s for _, s in stations), where
                 assert nesting_depth(rd, idx) == reference_nesting_depth(plain, idx)
                 ccw = reference_signed_area_twice(plain[idx]) > 0
-                assert is_counterclockwise(c) == ccw, where
+                assert is_counterclockwise(rd, idx) == ccw, where
                 if c.essential:
                     innermost.append(min(x for x, _ in stations))
             # essential circles come innermost first, at distinct radii

@@ -607,13 +607,15 @@ def test_reidemeister_invariance(diagrams, move, ring):
 
 def _oracle_classify(d, rd_u, rd_v, crossing):
     incident = set(d.crossings[crossing])
-    dom = [i for i, c in enumerate(rd_u.circles) if c.edge_ids & incident]
-    cod = [j for j, c in enumerate(rd_v.circles) if c.edge_ids & incident]
+    ids_u = [d.edge_ids(c.edges) for c in rd_u.circles]
+    ids_v = [d.edge_ids(c.edges) for c in rd_v.circles]
+    dom = [i for i, ids in enumerate(ids_u) if ids & incident]
+    cod = [j for j, ids in enumerate(ids_v) if ids & incident]
     match = {}
-    keys = {c.edge_ids: j for j, c in enumerate(rd_v.circles)}
-    for i, c in enumerate(rd_u.circles):
+    keys = {ids: j for j, ids in enumerate(ids_v)}
+    for i, ids in enumerate(ids_u):
         if i not in dom:
-            match[i] = keys[c.edge_ids]
+            match[i] = keys[ids]
     return dom, cod, match
 
 

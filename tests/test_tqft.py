@@ -1,14 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from annkh import corpus, tqft
-from annkh.complexes import build_cube
 from annkh.diagram import cube_edge_pairs
-from annkh.errors import AnnkhError, VariantRingMismatchError
+from annkh.errors import AnnkhError, NotACubeEdgeError, VariantRingMismatchError
 from annkh import frobenius as fb
 from annkh.ring import A0, A1, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval
 
@@ -16,6 +16,7 @@ from conftest import (
     adeg_shifts,
     as_table,
     bits_word,
+    build_cube,
     check_bidegree,
     embed_oracle,
     first_noncommuting_square,
@@ -469,8 +470,10 @@ def test_classify_saddle_matches_the_old_classifier(diagrams):
     """Every cube edge of the corpus and of 20 seeded 2- to 4-strand
     braid closures gets the descriptor of the classifier that scans every
     circle, and so does every non-edge the same error: an edge taken
-    backwards, two steps at once, and an edge whose target resolution
-    belongs to another diagram with as many crossings."""
+    backwards, two steps at once, and an edge whose target carries the
+    circles of another smoothing of as many ones.  A target resolution
+    of another diagram with as many crossings is refused: edges are
+    numbered per diagram."""
     rng = random.Random(59)
     cases = list(diagrams.values())
     for _ in range(20):
@@ -493,7 +496,14 @@ def test_classify_saddle_matches_the_old_classifier(diagrams):
                 wrong = [(d, d.resolve(v), d.resolve(u), i)]
                 wrong += [(d, d.resolve(u), d.resolve(w), i)
                           for _, w in cube_edge_pairs(d, v)]
-                wrong += [(d, d.resolve(u), e.resolve(v), i) for e in others]
+                wrong += [
+                    (d, d.resolve(u), replace(d.resolve(w), smoothing=v), i)
+                    for w in product((0, 1), repeat=d.n_crossings)
+                    if sum(w) == sum(v) and w != v
+                ]
+                for e in others:
+                    with pytest.raises(NotACubeEdgeError, match="another diagram"):
+                        tqft.classify_saddle(d, d.resolve(u), e.resolve(v), i)
                 for args in wrong:
                     got = outcome(tqft.classify_saddle, *args)
                     assert got == outcome(reference_classify_saddle, *args), (u, i)
