@@ -18,11 +18,13 @@ The complex is its cube, and the cube is made of ints:
 vertex once and holding the resolutions of two degrees only, and keeps
 each edge as one row of its degree's blocks, (row offset, col offset,
 signed items), at its vertices' offsets; nothing is re-keyed.
-``homology`` adds the offsets as it reads; ``ChainComplexData.diff``
-assembles the blocks only for the d^2 products.  Edge maps of one
-placement shape share one entry dict (see ``tqft``), so the walk makes
-one items list per shared dict and sign, and :func:`verify_grading`
-takes the polynomial degrees of each list once.
+``homology`` and the checks add the offsets as they read;
+``ChainComplexData.diff`` assembles the blocks only for the canonical
+generators of ``homology``.  Edge maps of one placement shape share one
+entry dict (see ``tqft``), so the walk makes one items list per shared
+dict and sign, :func:`verify_grading` takes the polynomial degrees of
+each list once, and the d^2 checks multiply each distinct face of the
+cube once, all faces of a degree in one ``ring.matmul``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class ChainComplexData:
 
     @cached_property
     def diff(self):
-        """i -> SparseMatrix C^i -> C^{i+1}, from the blocks on first read."""
+        """i -> SparseMatrix C^i -> C^{i+1}, from the blocks on first read;
+        only ``homology``'s canonical generators read it."""
         diff = {}
         for i in self.degrees[:-1]:
             m = {}
@@ -170,13 +173,94 @@ def _first_nonzero(i, entries):
     return (i, r, col, v)
 
 
+def _square(c, i):
+    """The nonzero entries of d_{i+1} d_i, {(row, col): value}, read off
+    the blocks.
+
+    A block of d_i meets the blocks of d_{i+1} whose column offset is its
+    row offset, and the paths are grouped by target (row offset, col
+    offset): a face (u, w) of the cube.  A face is keyed by the ids of
+    its paths' shared signed items, so faces of one key have one sum.
+    Each distinct face is stacked once into one product for the degree,
+    each path on inner indices of its own and each face on rows and
+    columns of its own, so the paths of a face cancel inside
+    ``ring.matmul``; each nonzero face sum is added back at the offsets
+    of every face of its key.  This is the assembled product when
+    the blocks tile C^{i+1}: a block whose inner indices reach the next
+    block start, or whose indices reach past its degree's rank, raises
+    ``InvariantError``."""
+    ring = c.ring
+    into, out_of = c.blocks.get(i, ()), c.blocks.get(i + 1, ())
+    reach = {}  # id of items -> (rows, cols) its entries reach
+
+    def ends(items):
+        if id(items) not in reach:
+            reach[id(items)] = (
+                max((r for (r, _), _ in items), default=-1) + 1,
+                max((k for (_, k), _ in items), default=-1) + 1,
+            )
+        return reach[id(items)]
+
+    inner = [(rof, ends(items)[0]) for rof, _, items in into]
+    inner += [(cof, ends(items)[1]) for _, cof, items in out_of]
+    starts = sorted({s for s, _ in inner})
+    following = dict(zip(starts, starts[1:] + [c.rank(i + 1)]))
+    for s, n in inner:
+        if s + n > following[s]:
+            raise InvariantError(
+                f"a block of degree {i + 1} at {s} reaches {following[s]}"
+            )
+    outer = [(cof + ends(items)[1], i) for _, cof, items in into]
+    outer += [(rof + ends(items)[0], i + 2) for rof, _, items in out_of]
+    for end, j in outer:
+        if end > c.rank(j):
+            raise InvariantError(f"a block of degree {j} reaches {end}, past its rank")
+    later = {}
+    for rof, cof, items in out_of:
+        later.setdefault(cof, []).append((rof, items))
+    targets = {}  # (row offset, col offset) -> [(d_{i+1} items, d_i items)]
+    for rof, cof, first in into:
+        for top, second in later.get(rof, ()):
+            targets.setdefault((top, cof), []).append((second, first))
+    faces = {}  # sorted path ids -> (paths, targets)
+    for target, paths in targets.items():
+        key = tuple(sorted((id(a), id(b)) for a, b in paths))
+        faces.setdefault(key, (paths, []))[1].append(target)
+    left, right, face_of_row = {}, {}, []
+    rows = cols = k0 = 0
+    for paths, at in faces.values():
+        height = width = 0
+        for second, first in paths:
+            for (r, k), v in second:
+                left[(rows + r, k0 + k)] = v
+            for (k, col), v in first:
+                right[(k0 + k, cols + col)] = v
+            height = max(height, ends(second)[0])
+            width = max(width, ends(first)[1])
+            k0 += max(ends(second)[1], ends(first)[0])
+        face_of_row += [(rows, cols, at)] * height
+        rows += height
+        cols += width
+    out, zero = {}, ring.zero()
+    for (r, col), v in ring.matmul(left, right).items():
+        r0, c0, at = face_of_row[r]
+        for top, cof in at:
+            key = (top + r - r0, cof + col - c0)
+            s = ring.add(out.get(key, zero), v)
+            if ring.is_zero(s):
+                del out[key]
+            else:
+                out[key] = s
+    return out
+
+
 def verify_d_squared(c):
     """None when every consecutive product vanishes, else the first
     nonzero entry as (degree, row, col, value)."""
     for i in c.degrees[:-2]:
-        prod = c.diff[i + 1] @ c.diff[i]
-        if not prod.is_zero():
-            return _first_nonzero(i, prod.entries)
+        sq = _square(c, i)
+        if sq:
+            return _first_nonzero(i, sq)
     return None
 
 
@@ -198,7 +282,7 @@ def verify_beta(c):
     for i in c.degrees[:-2]:
         src, dst = c.bigrade[i], c.bigrade[i + 2]
         parts = {}
-        for (r, col), v in (c.diff[i + 1] @ c.diff[i]).entries.items():
+        for (r, col), v in _square(c, i).items():
             shift = dst[r][1] - src[col][1]
             if shift not in _BETA_PARTS:
                 raise InvariantError(f"d_beta^2 shifts adeg by {shift}")

@@ -128,7 +128,9 @@ def homology(c):
     if not ring.is_euclidean:
         raise UnsupportedRingError(f"homology over {ring.kind}")
     qg, ag = c.qdeg_graded, c.adeg_graded
-    keys = {  # slice key per position; an ungraded direction is None
+    # slice key per position, an ungraded direction None: over a ring
+    # that keeps both, bigrade itself, whose tuples vertices share
+    keys = c.bigrade if qg and ag else {
         i: [(q if qg else None, a if ag else None) for q, a in c.bigrade[i]]
         for i in c.degrees
     }

@@ -252,6 +252,12 @@ def per_slice_homology_oracle(c):
     return BigradedHomology(ring, entries)
 
 
+def assembled_square(c, i):
+    """The entries of d_{i+1} d_i on the assembled ``diff``: the oracle
+    for ``complexes._square``, which reads the product off the blocks."""
+    return (c.diff[i + 1] @ c.diff[i]).entries
+
+
 def verify_grading_oracle(c):
     """Every entry of the assembled ``diff`` against ``bigrade``, one
     ``scalar_qdeg`` per entry: the oracle for the block-wise

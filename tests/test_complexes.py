@@ -1,11 +1,13 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from annkh import corpus, tqft
+from annkh import complexes, corpus, tqft
 from annkh.complexes import (
+    _square,
     build_complex,
     verify_beta,
     verify_d_squared,
@@ -21,6 +23,7 @@ from annkh.ring import A0, GENERIC, GF, INT, QH, alpha_eval
 
 from conftest import (
     assemble,
+    assembled_square,
     bits_word,
     build_cube,
     check_bidegree,
@@ -103,14 +106,11 @@ def test_d_squared_generic_corpus(diagrams):
 
 
 def test_corrupted_sign_is_caught(diagrams):
-    d = diagrams["trefoil_right"]
-    c = build_complex(d, INT)
-    m = c.diff[0]
-    bad = dict(m.entries)
-    some = sorted(bad)[0]
-    bad[some] = -bad[some]
-    c.diff[0] = SparseMatrix(m.ring, m.nrows, m.ncols, bad)
-    assert verify_d_squared(c) is not None
+    c = build_complex(diagrams["trefoil_right"], INT)
+    rof, cof, items = c.blocks[0][0]
+    (rc, v), *rest = sorted(items)
+    bad = _with_row(c, 0, 0, (rof, cof, [(rc, -v), *rest]))
+    assert verify_d_squared(bad) is not None
 
 
 def test_grading_contract_corpus(diagrams):
@@ -354,6 +354,128 @@ def test_verify_beta_rejects_a_shift_outside_0_2_4(diagrams, corrupted_merge):
     odd[top] = [(q, a + 1) for q, a in c.bigrade[top]]
     with pytest.raises(InvariantError, match="shifts adeg by"):
         verify_beta(replace(c, bigrade=odd))
+
+
+def _with_row(c, i, n, row):
+    """c with row n of the blocks of degree i replaced by ``row``."""
+    rows = list(c.blocks[i])
+    rows[n] = row
+    return replace(c, blocks={**c.blocks, i: rows})
+
+
+def _three_braids(seed, count):
+    """Seeded closed 3-braids of one to six crossings."""
+    rng = random.Random(seed)
+    out = {}
+    for _ in range(count):
+        word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(1, 6))]
+        out[f"braid 3 {word}"] = corpus.braid_closure(word, 3)
+    return out
+
+
+def _reports(c):
+    """What verify_d_squared and, on a planar complex, verify_beta say."""
+    return verify_d_squared(c), verify_beta(c) if c.planar else None
+
+
+def _oracle_reports(c):
+    """_reports with the product taken on the assembled differential."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_square", assembled_square)
+        return _reports(c)
+
+
+SQUARE_CASES = pytest.mark.parametrize(
+    "ring, planar",
+    [
+        (GENERIC, False),
+        (GENERIC, True),
+        (INT, False),
+        (GF(2), True),
+        (alpha_eval(1, 3), False),
+    ],
+    ids=["generic", "generic-planar", "int", "gf2-planar", "alpha-1-3"],
+)
+
+
+def _assert_squares_match_the_oracle(diagrams, ring, planar):
+    """Every degree's product and both reports, corpus and 3-braids;
+    the reports that are not None, by name."""
+    failed = set()
+    for name, d in {**diagrams, **_three_braids(71, 20)}.items():
+        c = build_complex(d, ring, planar)
+        for i in c.degrees[:-2]:
+            assert _square(c, i) == assembled_square(c, i), (name, i)
+        got = _reports(c)
+        assert got == _oracle_reports(c), name
+        if got[0] is not None:
+            failed.add("d_squared")
+        failed |= {k for k, v in (got[1] or {}).items() if v is not None}
+    return failed
+
+
+@SQUARE_CASES
+def test_squares_read_off_the_blocks_are_the_assembled_products(diagrams, ring, planar):
+    assert not _assert_squares_match_the_oracle(diagrams, ring, planar)
+
+
+@SQUARE_CASES
+def test_squares_match_the_oracle_on_a_corrupted_merge(
+    diagrams, corrupted_merge, ring, planar
+):
+    assert "d_squared" in _assert_squares_match_the_oracle(diagrams, ring, planar)
+
+
+GATE_CASES = {
+    "T(2,5)": corpus.braid_closure([1] * 5, 2),
+    "braid 3 mixed": corpus.braid_closure([1, -2, 1, 2, -1], 3),
+}
+
+
+@pytest.mark.parametrize(
+    "ring, planar",
+    [(GENERIC, False), (GENERIC, True), (INT, True), (alpha_eval(1, 3), False)],
+    ids=["generic", "generic-planar", "int-planar", "alpha-1-3"],
+)
+def test_a_sign_flipped_on_one_block_row_is_reported(ring, planar):
+    """Negating one edge makes each of its faces commute, so d^2 reads
+    twice a path there, wherever the edge sits in its degree; the flipped
+    row is a new items object, so its faces get keys of their own."""
+    for name, d in GATE_CASES.items():
+        c = build_complex(d, ring, planar)
+        for i in c.degrees[:-1]:
+            for n in sorted({0, len(c.blocks[i]) // 2, len(c.blocks[i]) - 1}):
+                rof, cof, items = c.blocks[i][n]
+                flipped = [(rc, ring.neg(v)) for rc, v in items]
+                bad = _with_row(c, i, n, (rof, cof, flipped))
+                got = _reports(bad)
+                assert got[0] is not None, (name, i, n)
+                assert got == _oracle_reports(bad), (name, i, n)
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["annular", "planar"])
+def test_a_block_row_moved_by_one_is_reported(planar):
+    """A row offset off by one either straddles a vertex of C^{i+1},
+    which the tiling check refuses, or leaves its faces unmatched."""
+    for name, d in GATE_CASES.items():
+        c = build_complex(d, GENERIC, planar)
+        for i in c.degrees[:-1]:
+            for n in sorted({0, len(c.blocks[i]) // 2, len(c.blocks[i]) - 1}):
+                rof, cof, items = c.blocks[i][n]
+                bad = _with_row(c, i, n, (rof + 1, cof, items))
+                try:
+                    got = _reports(bad)
+                except InvariantError:
+                    continue
+                assert got[0] is not None, (name, i, n)
+
+
+def test_a_block_straddling_a_vertex_raises(diagrams):
+    c = build_complex(diagrams["trefoil_right"], GENERIC)
+    rof, cof, items = c.blocks[0][0]
+    bad = _with_row(c, 0, 0, (rof + 1, cof, items))
+    with pytest.raises(InvariantError, match="a block of degree 1 at 5 reaches 6"):
+        verify_d_squared(bad)
 
 
 def test_dump_is_deterministic(diagrams):
