@@ -1,24 +1,25 @@
 """Exact coefficient arithmetic.
 
-The ground ring is the integer polynomial ring in two deformation
-parameters a0, a1 (class :class:`BivariatePoly`).  Homology is computed
-after specializing to one of several coefficient rings:
+The ground ring is the polynomial ring in two deformation parameters
+a0, a1 (class :class:`BivariatePoly`, with int or Fraction
+coefficients, so Z[a0, a1] or Q[a0, a1]).  Homology is computed after
+specializing to one of several coefficient rings:
 
 * ``INT``     -- integers, a0 = a1 = 0
 * ``RAT``     -- rationals, a0 = a1 = 0
 * ``GF(p)``   -- the prime field, a0 = a1 = 0
-* ``QH``      -- Q[h], a0 = 0 and a1 = h
+* ``QH``      -- Q[h], a0 = 0 and a1 = h: the a1-only part of Q[a0, a1]
 * ``alpha_eval(q0, q1)`` -- rationals with a0, a1 evaluated at q0, q1
 * ``GENERIC`` -- no specialization (matrix arithmetic only; no Smith
   normal form since the bivariate ring is not Euclidean)
 
-Ring elements are plain values: ints, Fractions, :class:`HPoly` or
-:class:`BivariatePoly`.  The ring object does the arithmetic on them
-(``add``, ``sub``, ``mul``, ``divmod``, ...); its defaults are the
-Python operators, and a ring overrides only what differs, as the prime
-fields reduce modulo p.  All arithmetic is exact: arbitrary-precision
-integers, reduced fractions, canonical residues.  No floating point
-anywhere.
+Ring elements are plain values: ints, Fractions or
+:class:`BivariatePoly` (a Q[h] value is a polynomial in a1 alone).  The
+ring object does the arithmetic on them (``add``, ``sub``, ``mul``,
+``divmod``, ...); its defaults are the Python operators, and a ring
+overrides only what differs, as the prime fields reduce modulo p.  All
+arithmetic is exact: arbitrary-precision integers, reduced fractions,
+canonical residues.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -34,28 +35,25 @@ from .errors import UnsupportedRingError
 
 
 class BivariatePoly:
-    """Sparse integer polynomial in a0, a1, keyed by exponent pairs.
+    """Sparse polynomial in a0, a1 with int or Fraction coefficients,
+    keyed by exponent pairs.  A number is a constant polynomial: it
+    equals and hashes as one, and mixes with one in sums and products.
 
     Instances are immutable by convention; no stored coefficient is zero.
 
     >>> p = A0 + A1
     >>> print(p * (A0 - A1))
-    a0^2 - a1^2
+    -a1^2 + a0^2
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = int(c)
-                if c:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def from_int(cls, n):
+        """The constant polynomial n, an int or a Fraction."""
         return cls({(0, 0): n})
 
     def is_zero(self):
@@ -65,21 +63,23 @@ class BivariatePoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = BivariatePoly.from_int(other)
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, BivariatePoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == BivariatePoly.from_int(other).terms
+        return NotImplemented
 
     def __hash__(self):
-        # a constant equals its int, so it hashes as that int
+        # a constant equals its number, so it hashes as that number
         terms = self.terms
         if terms.keys() <= {(0, 0)}:
             return hash(terms.get((0, 0), 0))
         return hash(frozenset(terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, BivariatePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = BivariatePoly.from_int(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -100,18 +100,22 @@ class BivariatePoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, BivariatePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = BivariatePoly.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return BivariatePoly.from_int(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = BivariatePoly.from_int(other)
         if not isinstance(other, BivariatePoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = BivariatePoly.from_int(other)
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -144,32 +148,32 @@ class BivariatePoly:
         return 2 * degs.pop()
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = []
-            if i:
-                mono.append("a0" if i == 1 else f"a0^{i}")
-            if j:
-                mono.append("a1" if j == 1 else f"a1^{j}")
-            body = "*".join(mono)
-            if not body:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = body
-            else:
-                term = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, term))
-        first_sign, first_term = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return _poly_str(
+            ("*".join(filter(None, (_power("a0", i), _power("a1", j)))), c)
+            for (i, j), c in sorted(self.terms.items())
+        )
 
     def __repr__(self):
         return f"BivariatePoly({self})"
+
+
+def _power(name, k):
+    """The monomial name^k as printed; empty for k = 0."""
+    return "" if k == 0 else name if k == 1 else f"{name}^{k}"
+
+
+def _poly_str(terms):
+    """Print ``(monomial, coefficient)`` pairs in their order, the
+    constant's monomial empty: ``-h``, ``1/2*h^3 - 3/4``; ``0`` if none."""
+    text = ""
+    for mono, c in terms:
+        mag = abs(c)
+        term = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not text:
+            text = "-" + term if c < 0 else term
+        else:
+            text += f" {'-' if c < 0 else '+'} {term}"
+    return text or "0"
 
 
 A0 = BivariatePoly({(1, 0): 1})
@@ -177,146 +181,6 @@ A1 = BivariatePoly({(0, 1): 1})
 E1 = A0 + A1
 E2 = A0 * A1
 DISCRIMINANT = (A0 - A1) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q, the ring Q[h]
-
-
-class HPoly:
-    """Dense univariate polynomial over Q in the variable h."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
-            coeffs = (Fraction(coeffs),)
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def gen(cls):
-        return cls((0, 1))
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HPoly(other)
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a constant equals its int or Fraction, so it hashes as that value
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HPoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return HPoly(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HPoly(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return HPoly(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HPoly(other)
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return HPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return HPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        r = list(self.coeffs)
-        d = other.degree()
-        lead = other.leading()
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            f = r[-1] / lead
-            k = len(r) - 1 - d
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-        return HPoly(q), HPoly(r)
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lead = self.leading()
-        return HPoly([c / lead for c in self.coeffs])
-
-    def qdeg(self):
-        """h carries quantum degree 2; defined for monomials only, None
-        otherwise."""
-        nz = [k for k, c in enumerate(self.coeffs) if c != 0]
-        if len(nz) != 1:
-            return None
-        return 2 * nz[0]
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                hpow = "h" if k == 1 else f"h^{k}"
-                body = hpow if abs(c) == 1 else f"{abs(c)}*{hpow}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __repr__(self):
-        return f"HPoly({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +209,9 @@ def _is_prime(n):
 class CoefficientRing:
     """Abstract ring protocol.
 
-    Concrete rings expose ``kind`` plus exact arithmetic on plain values
-    (ints, Fractions, HPoly, or BivariatePoly depending on the ring).
+    Concrete rings expose ``kind`` plus exact arithmetic on plain values:
+    ints, Fractions, or :class:`BivariatePoly` with int or Fraction
+    coefficients, depending on the ring (Q[h] takes the a1-only ones).
     The ring, not a separate switch, fixes the theory's conventions:
     ``preserves_qdeg`` says whether maps keep the quantum grading, and
     ``tqft`` gives annular slots over :class:`AlphaEval` the localized
@@ -452,6 +317,9 @@ class IntRing(CoefficientRing):
         return 0
 
     def from_int(self, n):
+        """n as an int; a Fraction must be integral."""
+        if isinstance(n, Fraction) and n.denominator != 1:
+            raise ValueError(f"{n} is not in Z")
         return int(n)
 
     def divmod(self, a, b):
@@ -524,6 +392,9 @@ class PrimeField(CoefficientRing):
         return 0
 
     def from_int(self, n):
+        """n mod p; a Fraction's denominator must be prime to p."""
+        if isinstance(n, Fraction):
+            return n.numerator * pow(n.denominator, -1, self.p) % self.p
         return n % self.p
 
     def divmod(self, a, b):
@@ -566,37 +437,62 @@ class PrimeField(CoefficientRing):
 
 
 class RatPolyH(CoefficientRing):
+    """Q[h], the a1-only part of Q[a0, a1]: a0 = 0 and a1 = h.  Values
+    are :class:`BivariatePoly` in a1 alone, exponent pairs ``(0, k)``."""
+
     kind = "RAT_POLY_H"
     is_euclidean = True
 
     def zero(self):
-        return HPoly(())
+        return BivariatePoly()
 
     def from_int(self, n):
-        return HPoly(n)
+        return BivariatePoly.from_int(n)
 
     def divmod(self, a, b):
-        if b.is_zero():
+        """Long division on the a1-exponent."""
+        if not b:
             raise ZeroDivisionError("division by zero in Q[h]")
-        return a.divmod(b)
+        d = self.size(b) - 1
+        lead = Fraction(b.terms[(0, d)])
+        lower = [(j, c) for (_, j), c in b.terms.items() if j < d]
+        q, r = {}, dict(a.terms)
+        for k in range(self.size(a) - 1 - d, -1, -1):
+            c = r.pop((0, k + d), 0)
+            if c:
+                f = q[(0, k)] = c / lead
+                for j, cb in lower:
+                    key = (0, k + j)
+                    s = r.get(key, 0) - f * cb
+                    if s:
+                        r[key] = s
+                    else:
+                        r.pop(key, None)
+        return BivariatePoly(q), BivariatePoly(r)
 
     def size(self, a):
-        # shift so the zero polynomial has strictly smallest size
-        return a.degree() + 1
+        # degree + 1, so the zero polynomial has strictly smallest size
+        return max([j + 1 for _, j in a.terms], default=0)
 
     def normalize_unit(self, a):
-        if a.is_zero():
-            return HPoly(1), a
-        return HPoly(1 / a.leading()), a.monic()
+        if not a:
+            return self.one(), a
+        u = 1 / Fraction(a.terms[(0, self.size(a) - 1)])
+        return self.from_int(u), a * u
 
     def is_unit(self, a):
-        return a.degree() == 0
+        return a.terms.keys() == {(0, 0)}
 
     def alpha_images(self):
-        return HPoly(()), HPoly.gen()
+        return BivariatePoly(), A1
 
     def scalar_qdeg(self, a):
         return a.qdeg()
+
+    def to_str(self, a):
+        return _poly_str(
+            (_power("h", j), c) for (_, j), c in sorted(a.terms.items(), reverse=True)
+        )
 
 
 class AlphaEval(RatRing):

@@ -113,6 +113,11 @@ def reduce_tangle_oracle(t):
     return tl.TLMorphism.make(t.n, t.m, out)
 
 
+def hpoly(*coeffs):
+    """The Q[h] value with these coefficients, constant term first."""
+    return BivariatePoly({(0, k): c for k, c in enumerate(coeffs)})
+
+
 def from_rows(ring, rows):
     """A sparse matrix from a dense list of rows."""
     entries = {}

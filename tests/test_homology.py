@@ -21,12 +21,13 @@ from annkh.homology import (
     verify_canonical,
 )
 from annkh.linalg import SparseMatrix, packed, row_form
-from annkh.ring import GENERIC, GF, INT, QH, RAT, HPoly, alpha_eval
+from annkh.ring import A1, GENERIC, GF, INT, QH, RAT, alpha_eval
 from annkh.corpus import COMPONENTS, R_PAIRS, braid_closure
 
 from conftest import (
     dense_snf_oracle,
     from_rows,
+    hpoly,
     one_block,
     per_slice_homology_oracle,
     slice_positions,
@@ -77,10 +78,8 @@ def mat(ring, rows):
 
 def test_snf_examples():
     assert smith_normal_form(mat(INT, [[2]])).invariants == [2]
-    res = smith_normal_form(
-        mat(QH, [[HPoly((0, 1)), HPoly(0)], [HPoly(0), HPoly((0, 0, 1))]])
-    )
-    assert res.invariants == [HPoly((0, 1)), HPoly((0, 0, 1))]
+    res = smith_normal_form(mat(QH, [[A1, 0], [0, A1 * A1]]))
+    assert res.invariants == [A1, A1 * A1]
     zero = smith_normal_form(mat(INT, [[0]]))
     assert zero.rank == 0 and zero.invariants == []
 
@@ -150,14 +149,14 @@ def test_snf_rejects_generic():
 
 
 def test_snf_rational_polynomial_matrix():
-    h = HPoly((0, 1))
+    h = A1
     m = mat(QH, [[h, h * h], [h * h, h * h * h]])
     res = smith_normal_form(m)
     assert res.invariants == [h]
 
 
 def _random_hpoly(rng):
-    return HPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+    return hpoly(*(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
 
 
 SNF_ORACLE_RINGS = {
@@ -178,7 +177,7 @@ def test_snf_matches_dense_oracle(name):
     # diagonals that are not divisibility chains
     cases = [[[two, zero], [zero, three]], [[three, zero, zero], [zero, two, two]]]
     if ring == QH:
-        h = HPoly.gen()
+        h = A1
         cases.append([[h * h, zero], [zero, h + one]])
     for _ in range(40):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
@@ -195,7 +194,7 @@ def test_snf_matches_dense_oracle(name):
 # ---------------------------------------------------------------------------
 # unit cancellation against the dense Smith normal form oracle
 
-H = HPoly((0, 1))
+H = A1
 FIELD_CASES = {"gf2", "gf5", "rat", "alpha"}
 CANCEL_CASES = {
     "int": (INT, [1, -1, 1, -1, 2, -3, 4]),
@@ -205,7 +204,7 @@ CANCEL_CASES = {
     "gf5": (GF(5), [1, 2, 3, 4]),
     "rat": (RAT, [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]),
     "alpha": (alpha_eval(0, 1), [Fraction(1), Fraction(-1), Fraction(3, 4)]),
-    "qh": (QH, [HPoly(1), HPoly(-2), H, H * H, H + HPoly(1), HPoly(2) * H]),
+    "qh": (QH, [QH.from_int(1), QH.from_int(-2), H, H * H, H + 1, 2 * H]),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -15,20 +16,31 @@ from annkh.ring import (
     QH,
     RAT,
     BivariatePoly,
-    HPoly,
     PRIME_TEST_BOUND,
     PrimeField,
     _is_prime,
     alpha_eval,
 )
 
+from conftest import hpoly
 
-def rand_poly(rng, max_deg=3, max_coeff=6):
+
+def rand_poly(rng, max_deg=3, max_coeff=6, rational=True):
+    """A random element of Q[a0, a1], about one coefficient in four a
+    Fraction; of Z[a0, a1] if not ``rational``."""
     terms = {}
     for _ in range(rng.randint(0, 5)):
         key = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-        terms[key] = rng.randint(-max_coeff, max_coeff)
+        c = rng.randint(-max_coeff, max_coeff)
+        if rational and rng.randrange(4) == 0:
+            c = Fraction(c, rng.randint(2, 4))
+        terms[key] = c
     return BivariatePoly(terms)
+
+
+def rand_hpoly(rng, max_deg=3, max_coeff=3):
+    return hpoly(*(Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, max_deg + 1))))
 
 
 def test_product_difference_of_squares():
@@ -76,37 +88,59 @@ def test_ring_axioms_randomized():
 
 
 @pytest.mark.parametrize(
-    "ring, expected",
+    "ring, poly, expected",
     [
-        (INT, 0),
-        (QH, HPoly((0, 1))),
-        (alpha_eval(0, 1), Fraction(1)),
+        (INT, A0 + A1, 0),
+        (QH, A0 + A1, A1),
+        (QH, A0 * A1 + 3 * A1 * A1 - A0 + Fraction(1, 2), hpoly(Fraction(1, 2), 0, 3)),
+        (alpha_eval(0, 1), DISCRIMINANT, Fraction(1)),
     ],
 )
-def test_specialize_examples(ring, expected):
-    if ring is INT:
-        assert ring.specialize_poly(A0 + A1) == expected
-    elif ring is QH:
-        assert ring.specialize_poly(A0 + A1) == expected
-    else:
-        assert ring.specialize_poly(DISCRIMINANT) == expected
+def test_specialize_examples(ring, poly, expected):
+    assert ring.specialize_poly(poly) == expected
 
 
 def test_specialize_is_ring_hom():
     rng = random.Random(4)
     rings = [INT, RAT, GF(5), QH, alpha_eval(2, Fraction(1, 3))]
     for ring in rings:
+        # Q[a0, a1] does not map to Z; it maps to GF(5) where 2, 3, 4 invert
+        rational = ring is not INT
         for _ in range(20):
-            a, b = rand_poly(rng), rand_poly(rng)
+            a, b = rand_poly(rng, rational=rational), rand_poly(rng, rational=rational)
             sa, sb = ring.specialize_poly(a), ring.specialize_poly(b)
             assert ring.specialize_poly(a * b) == ring.mul(sa, sb)
             assert ring.specialize_poly(a + b) == ring.add(sa, sb)
 
 
+def test_specialize_fractions():
+    half = BivariatePoly({(0, 0): Fraction(1, 2)})
+    assert GF(5).from_int(Fraction(1, 2)) == 3 == GF(5).specialize_poly(half)
+    assert GF(7).specialize_poly(Fraction(-2, 3) * A1 + Fraction(5, 4)) == 3
+    with pytest.raises(ValueError):
+        GF(5).from_int(Fraction(2, 5))
+    assert INT.from_int(Fraction(6, 3)) == 2 and INT.specialize_poly(half * 4 + A0) == 2
+    with pytest.raises(ValueError, match="not in Z"):
+        INT.from_int(Fraction(1, 2))
+    with pytest.raises(ValueError, match="not in Z"):
+        INT.specialize_poly(half * A0)
+
+
+def test_poly_refuses_inexact_numbers():
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(A0, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, A0)
+    assert A0 != 0.5
+
+
 def test_euclidean_divmod_examples():
     assert INT.divmod(7, 2) == (3, 1)
-    hq, hr = QH.divmod(HPoly((1, 0, 1)), HPoly((0, 1)))
-    assert hq == HPoly((0, 1)) and hr == HPoly(1)
+    hq, hr = QH.divmod(hpoly(1, 0, 1), hpoly(0, 1))
+    assert hq == hpoly(0, 1) and hr == hpoly(1)
+    hq, hr = QH.divmod(hpoly(1, 2, 0, 4), hpoly(-1, 2))
+    assert hq == hpoly(Fraction(3, 2), 1, 2) and hr == hpoly(Fraction(5, 2))
     fq, fr = RAT.divmod(Fraction(5), Fraction(3))
     assert fq == Fraction(5, 3) and fr == 0
 
@@ -119,13 +153,16 @@ def test_euclidean_size_contract():
         assert a == q * b + r
         assert abs(r) < abs(b)
     for _ in range(30):
-        a = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
-        b = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+        a = hpoly(*(rng.randint(-3, 3) for _ in range(rng.randint(0, 5))))
+        b = hpoly(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
         if b.is_zero():
             continue
         q, r = QH.divmod(a, b)
         assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
+        assert QH.size(r) < QH.size(b)
+    assert [QH.size(hpoly(*cs)) for cs in ((), (3,), (0, 1), (1, 0, Fraction(1, 2)))] == [
+        0, 1, 2, 3
+    ]
     p = 7
     for _ in range(30):
         a, b = rng.randrange(p), rng.randrange(1, p)
@@ -150,8 +187,9 @@ def test_is_unit():
     for ring in (RAT, alpha_eval(0, 1)):
         assert ring.is_unit(Fraction(-2, 3)) and not ring.is_unit(Fraction(0))
     assert GF(5).is_unit(3) and not GF(5).is_unit(0)
-    assert QH.is_unit(HPoly(Fraction(1, 2)))
-    assert not QH.is_unit(HPoly(())) and not QH.is_unit(HPoly((1, 1)))
+    assert QH.is_unit(hpoly(Fraction(1, 2)))
+    assert not QH.is_unit(hpoly()) and not QH.is_unit(hpoly(1, 1))
+    assert not QH.is_unit(hpoly(0, 1))
     assert not GENERIC.is_unit(BivariatePoly.from_int(1))
 
 
@@ -196,6 +234,15 @@ def test_poly_ascii_form():
     assert str(BivariatePoly()) == "0"
 
 
+def test_fraction_coefficients_are_kept():
+    half = BivariatePoly({(0, 0): Fraction(1, 2)})
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert str(BivariatePoly({(1, 0): Fraction(3, 2)})) == "3/2*a0"
+    assert str(Fraction(-1, 3) * A1 + A0 - 1) == "-1 - 1/3*a1 + a0"
+    assert half * 2 == 1 and half + half == 1 and half - Fraction(1, 2) == 0
+    assert 2 * (A0 * half) == A0 and (A1 + half) * half == Fraction(1, 2) * A1 + Fraction(1, 4)
+
+
 def test_equal_values_hash_equal():
     """A constant polynomial equals its number, so it hashes as it does."""
     for n in (0, 1, 3, -7, 2**70):
@@ -203,26 +250,51 @@ def test_equal_values_hash_equal():
         assert p == n and hash(p) == hash(n)
         assert len({p, n}) == 1
         for c in (n, Fraction(n), Fraction(n, 3)):
-            h = HPoly(c)
+            h = QH.from_int(c)
             assert h == c and hash(h) == hash(c)
             assert len({h, c}) == 1
-    assert len({BivariatePoly(), 0}) == 1 and len({HPoly(()), 0, Fraction(0)}) == 1
+    assert len({BivariatePoly(), 0}) == 1 and len({QH.zero(), 0, Fraction(0)}) == 1
     # equal non-constant polynomials hash equal however they were built
     rng = random.Random(5)
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
         assert hash((a + b) - b) == hash(a) and hash(a * b) == hash(b * a)
-        h = HPoly([rng.randint(-3, 3) for _ in range(4)])
-        assert hash(h + HPoly.gen() - HPoly.gen()) == hash(h)
+        h = rand_hpoly(rng)
+        assert hash(h + A1 - A1) == hash(h)
     for p in (A0, A1, A0 * A1 + 3):
         assert p != 3 and len({p, p * 1}) == 1
-    assert HPoly.gen() != 0 and len({HPoly.gen(), HPoly((0, 1))}) == 1
+    assert A1 != 0 and len({A1, hpoly(0, Fraction(1))}) == 1
 
 
-def test_hpoly_string_and_monic():
-    p = HPoly((1, 0, 2))
-    assert str(p) == "2*h^2 + 1"
-    assert p.monic() == HPoly((Fraction(1, 2), 0, 1))
+# Q[h] values and the strings they printed as a class of their own
+QH_STRINGS = [
+    ((), "0"),
+    ((1,), "1"),
+    ((-1,), "-1"),
+    ((5,), "5"),
+    ((-7,), "-7"),
+    ((Fraction(1, 2),), "1/2"),
+    ((Fraction(-3, 4),), "-3/4"),
+    ((0, 1), "h"),
+    ((0, -1), "-h"),
+    ((0, -1, 1), "h^2 - h"),
+    ((1, 0, 2), "2*h^2 + 1"),
+    ((Fraction(-3, 4), 0, 0, Fraction(1, 2)), "1/2*h^3 - 3/4"),
+    ((Fraction(2, 3), -1, 0, Fraction(-5, 2)), "-5/2*h^3 - h + 2/3"),
+]
+
+
+@pytest.mark.parametrize("coeffs, text", QH_STRINGS)
+def test_qh_strings(coeffs, text):
+    assert QH.to_str(hpoly(*coeffs)) == text
+
+
+def test_qh_string_and_monic():
+    p = hpoly(1, 0, 2)
+    assert QH.to_str(p) == "2*h^2 + 1"
+    assert QH.normalize_unit(p) == (Fraction(1, 2), hpoly(Fraction(1, 2), 0, 1))
+    assert QH.normalize_unit(hpoly(0, Fraction(-2, 3))) == (Fraction(-3, 2), hpoly(0, 1))
+    assert QH.normalize_unit(QH.zero()) == (1, QH.zero())
     assert QH.to_str(QH.alpha_images()[1]) == "h"
 
 
@@ -245,8 +317,8 @@ def rand_value(rng, ring):
     if ring is GENERIC:
         return rand_poly(rng)
     if ring is QH:
-        return HPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                      for _ in range(rng.randint(0, 4))])
+        return hpoly(*(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                       for _ in range(rng.randint(0, 4))))
     if ring is INT or isinstance(ring, PrimeField):
         return ring.from_int(rng.randint(-30, 30))
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -259,6 +331,8 @@ def test_ring_contract(name):
     assert not ring.is_zero(ring.one())
     assert ring.is_zero(ring.zero())
     results = [ring.zero(), ring.one()]
+    # the denominators 2, 3, 4 of rand_poly have no image in Z or GF(2)
+    rational = ring not in (INT, GF(2))
     for _ in range(200):
         a, b = rand_value(rng, ring), rand_value(rng, ring)
         assert ring.sub(a, b) == ring.add(a, ring.neg(b))
@@ -267,7 +341,7 @@ def test_ring_contract(name):
             assert ring.is_zero(x) == (x == ring.zero())
         results += [
             a, b, ring.add(a, b), ring.sub(a, b), ring.neg(a), ring.mul(a, b),
-            ring.specialize_poly(rand_poly(rng)),
+            ring.specialize_poly(rand_poly(rng, rational=rational)),
         ]
     if isinstance(ring, PrimeField):
         assert all(v in range(ring.p) for v in results)
