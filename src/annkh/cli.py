@@ -14,7 +14,13 @@ import sys
 from fractions import Fraction
 
 from . import complexes, homology, tl, tqft
-from .diagram import MAX_EXPONENT, all_orientations, load_diagram, nudged
+from .diagram import (
+    MAX_EXPONENT,
+    all_orientations,
+    bounded_fraction,
+    load_diagram,
+    nudged,
+)
 from .errors import AnnkhError, InvariantError
 from .ring import GENERIC, GF, INT, QH, RAT, AlphaEval, alpha_eval
 
@@ -44,7 +50,7 @@ def parse_ring(text):
         if len(parts) != 2:
             raise InputError("alpha ring needs two values, alpha:a0,a1")
         try:
-            return alpha_eval(Fraction(parts[0]), Fraction(parts[1]))
+            return alpha_eval(*map(bounded_fraction, parts))
         except ValueError as e:
             raise InputError(f"bad alpha values: {e}")
         except ZeroDivisionError:

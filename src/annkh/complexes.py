@@ -36,7 +36,7 @@ from itertools import combinations
 from . import tqft
 from .diagram import cube_edge_pairs
 from .errors import InvariantError, VariantRingMismatchError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, accumulate
 
 
 @dataclass
@@ -241,17 +241,13 @@ def _square(c, i):
         face_of_row += [(rows, cols, at)] * height
         rows += height
         cols += width
-    out, zero = {}, ring.zero()
-    for (r, col), v in ring.matmul(left, right).items():
-        r0, c0, at = face_of_row[r]
-        for top, cof in at:
-            key = (top + r - r0, cof + col - c0)
-            s = ring.add(out.get(key, zero), v)
-            if ring.is_zero(s):
-                del out[key]
-            else:
-                out[key] = s
-    return out
+    placed = (
+        ((top + r - r0, cof + col - c0), v)
+        for (r, col), v in ring.matmul(left, right).items()
+        for r0, c0, at in [face_of_row[r]]
+        for top, cof in at
+    )
+    return accumulate(ring, {}, placed)
 
 
 def verify_d_squared(c):

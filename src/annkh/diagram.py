@@ -123,6 +123,20 @@ def _meet_text(at):
         return "meet at a point whose coordinates are too long to print"
 
 
+def bounded_fraction(c):
+    """A number or numeric string as a Fraction, refused with
+    ``ValueError`` when its exponent passes ``MAX_EXPONENT`` (checked
+    before parsing, which would take that long) or its numerator or
+    denominator has more than ``MAX_EXPONENT + 1`` digits."""
+    exponent = c.lower().partition("e")[2] if isinstance(c, str) else ""
+    if abs(int(exponent or 0)) > MAX_EXPONENT:
+        raise ValueError(f"an exponent beyond {MAX_EXPONENT}")
+    f = Fraction(c)
+    if abs(f.numerator) >= _MAX_COORDINATE or f.denominator >= _MAX_COORDINATE:
+        raise ValueError(f"a coordinate of over {MAX_EXPONENT + 1} digits")
+    return f
+
+
 def _pt(eid, xy):
     try:
         if not isinstance(xy, (list, tuple)):
@@ -130,15 +144,7 @@ def _pt(eid, xy):
         x, y = xy
         if isinstance(x, bool) or isinstance(y, bool):
             raise TypeError("a coordinate is a number or a string, not a boolean")
-        for c in (x, y):
-            exponent = c.lower().partition("e")[2] if isinstance(c, str) else ""
-            if abs(int(exponent or 0)) > MAX_EXPONENT:
-                raise ValueError(f"an exponent beyond {MAX_EXPONENT}")
-        point = (Fraction(x), Fraction(y))
-        for c in point:
-            if abs(c.numerator) >= _MAX_COORDINATE or c.denominator >= _MAX_COORDINATE:
-                raise ValueError(f"a coordinate of over {MAX_EXPONENT + 1} digits")
-        return point
+        return bounded_fraction(x), bounded_fraction(y)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
 

@@ -7,10 +7,6 @@ class AnnkhError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class RingMismatchError(AnnkhError):
-    """Operands belong to different coefficient rings."""
-
-
 class UnsupportedRingError(AnnkhError):
     """Operation requires a Euclidean (or field) coefficient ring."""
 

@@ -15,18 +15,22 @@ sends 1 to 0 and X to 1.  Several distinguished bases are supported:
 One table, :data:`CONVENTIONS`, holds every fact about a convention:
 the bidegree of each basis vector, the letter a/b that the canonical
 generators of the localized theory give each of its vectors, and the
-expansions of 1 and X on its basis.  Each :class:`Frobenius` inverts
-those expansions once, for the conventions its ring admits: the ones
-whose change of basis is invertible over the ring.  So every operation
-converts through ONE_X in one step each way.
+expansions of 1 and X on its basis.  :func:`basis_change` turns those
+expansions into the change of basis over a ring, for the conventions
+the ring admits: the ones whose change of basis is invertible over it.
+
+The algebra is its local tables.  Its structure maps are written once,
+on {1, X} coordinates, in :func:`cobordism`, which reads a connected
+genus-0 cobordism off them; ``tqft.local_table`` truncates, memoizes
+and places what it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
-from .errors import InvalidBasisError, RingMismatchError
+from .errors import InvalidBasisError
 from .linalg import accumulate
 
 ONE_X = "ONE_X"
@@ -65,141 +69,90 @@ CONVENTIONS = {
 BASIS_TAGS = tuple(CONVENTIONS)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element c0*b0 + c1*b1 in a chosen basis convention."""
-
-    ring: object
-    basis: str
-    c0: object
-    c1: object
-
-    @property
-    def coords(self):
-        return (self.c0, self.c1)
-
-    def is_zero(self):
-        return self.ring.is_zero(self.c0) and self.ring.is_zero(self.c1)
-
-
-class Frobenius:
-    """Structure maps of the algebra over a fixed coefficient ring."""
-
-    def __init__(self, ring):
-        r = self.ring = ring
-        self.i0, self.i1 = ring.alpha_images()
-        self.e1_img = r.add(self.i0, self.i1)  # X^2 coefficient on X
-        self.e2_img = r.mul(self.i0, self.i1)  # minus the constant term
-        named = {
-            0: r.zero(),
-            1: r.one(),
-            "i0": self.i0,
-            "i1": self.i1,
-            "i1-i0": r.sub(self.i1, self.i0),
-            "i0-i1": r.sub(self.i0, self.i1),
-        }
-        # convention -> (matrix to {1, X}, matrix from {1, X}), row-major
-        self._bases = {}
-        for name, conv in CONVENTIONS.items():
-            (u0, u1), (x0, x1) = ([named[t] for t in v] for v in conv.one_and_x)
-            inv, normal = r.normalize_unit(r.sub(r.mul(u0, x1), r.mul(x0, u1)))
-            if normal != r.one():
-                continue  # the determinant is no unit: the ring admits no such basis
-            to = (
-                (r.mul(inv, x1), r.neg(r.mul(inv, x0))),
-                (r.neg(r.mul(inv, u1)), r.mul(inv, u0)),
-            )
-            self._bases[name] = (to, ((u0, x0), (u1, x1)))
-
-    # -- basis plumbing ---------------------------------------------------
-
-    def _basis(self, basis):
-        """The (to, from) {1, X} matrices of a basis the ring admits."""
-        if basis not in self._bases:
-            raise InvalidBasisError(f"no basis {basis!r} over {self.ring}")
-        return self._bases[basis]
-
-    def _change(self, m, c0, c1):
-        r = self.ring
-        return tuple(r.add(r.mul(a, c0), r.mul(b, c1)) for a, b in m)
-
-    def element(self, basis, c0, c1):
-        self._basis(basis)
-        return AlgebraElement(self.ring, basis, c0, c1)
-
-    def to_one_x(self, a):
-        """Coordinates of a on {1, X}."""
-        return self._change(self._basis(a.basis)[0], a.c0, a.c1)
-
-    def from_one_x(self, basis, d0, d1):
-        """The element with coordinates (d0, d1) on {1, X}, in ``basis``."""
-        coords = self._change(self._basis(basis)[1], d0, d1)
-        return AlgebraElement(self.ring, basis, *coords)
-
-    def convert(self, a, to):
-        """Same element, new coordinates.  Round trips are identities."""
-        self._check_ring(a)
-        d0, d1 = self.to_one_x(a)
-        return self.from_one_x(to, d0, d1)
-
-    # -- structure maps ---------------------------------------------------
-
-    def unit(self):
-        r = self.ring
-        return self.element(ONE_X, r.one(), r.zero())
-
-    def counit(self, a):
-        """The trace: 1 -> 0, X -> 1, extended linearly."""
-        self._check_ring(a)
-        _, d1 = self.to_one_x(a)
-        return d1
-
-    def mult(self, a, b):
-        """Product in the quotient by (X - i0)(X - i1); output in ONE_X."""
-        self._check_ring(a)
-        self._check_ring(b)
-        r = self.ring
-        a0, a1 = self.to_one_x(a)
-        b0, b1 = self.to_one_x(b)
-        # (a0 + a1 X)(b0 + b1 X) with X^2 = (i0+i1) X - i0 i1
-        xx = r.mul(a1, b1)
-        d0 = r.sub(r.mul(a0, b0), r.mul(self.e2_img, xx))
-        d1 = r.add(
-            r.add(r.mul(a0, b1), r.mul(a1, b0)), r.mul(self.e1_img, xx)
-        )
-        return self.element(ONE_X, d0, d1)
-
-    def comult_tensor(self, a):
-        """Comultiplication as coordinates on {1, X} tensor {1, X}.
-
-        Returns a dict (i, j) -> value where i, j index {1, X}.
-        """
-        self._check_ring(a)
-        r = self.ring
-        d0, d1 = self.to_one_x(a)
-        # 1 -> X(x)1 + 1(x)X - (i0+i1) 1(x)1,  X -> X(x)X - i0 i1 1(x)1
-        items = [
-            ((1, 0), d0),
-            ((0, 1), d0),
-            ((0, 0), r.neg(r.mul(self.e1_img, d0))),
-            ((1, 1), d1),
-            ((0, 0), r.neg(r.mul(self.e2_img, d1))),
-        ]
-        return accumulate(r, {}, items)
-
-    def x_action(self, a):
-        """Full multiplication by X, returned in the input's convention."""
-        self._check_ring(a)
-        r = self.ring
-        x = self.element(ONE_X, r.zero(), r.one())
-        prod = self.mult(a, x)
-        return self.convert(prod, a.basis)
-
-    def _check_ring(self, a):
-        if a.ring != self.ring:
-            raise RingMismatchError(f"{a.ring} vs {self.ring}")
-
-
 def basis_bidegree(basis, index):
     """(qdeg, adeg) of the index-th basis vector of a slot convention."""
     return CONVENTIONS[basis].bidegrees[index]
+
+
+def basis_change(ring, basis):
+    """``(vectors, one_and_x)`` for a slot convention over a ring: the
+    {1, X} coordinates of its two basis vectors, and its coordinates of
+    1 and of X.  A ring admits the basis when the determinant of the
+    change is a unit; otherwise this raises ``InvalidBasisError``."""
+    r = ring
+    conv = CONVENTIONS.get(basis)
+    if conv is not None:
+        i0, i1 = r.alpha_images()
+        named = {
+            0: r.zero(),
+            1: r.one(),
+            "i0": i0,
+            "i1": i1,
+            "i1-i0": r.sub(i1, i0),
+            "i0-i1": r.sub(i0, i1),
+        }
+        (u0, u1), (x0, x1) = ([named[t] for t in v] for v in conv.one_and_x)
+        inv, normal = r.normalize_unit(r.sub(r.mul(u0, x1), r.mul(x0, u1)))
+        if normal == r.one():
+            vectors = (
+                (r.mul(inv, x1), r.neg(r.mul(inv, u1))),
+                (r.neg(r.mul(inv, x0)), r.mul(inv, u0)),
+            )
+            return vectors, ((u0, u1), (x0, x1))
+    raise InvalidBasisError(f"no basis {basis!r} over {ring}")
+
+
+def cobordism(ring, dom_convs, cod_convs, dots):
+    """The connected genus-0 cobordism from slots of conventions
+    ``dom_convs`` to slots of ``cod_convs``, carrying ``dots`` dots, as
+    a local map {input bits: sorted (output bits, value) terms}: the
+    product of the inputs (the unit if there are none), times X once per
+    dot, comultiplied into the outputs (the counit if there are none),
+    each output slot expanded from {1, X} into its convention.  A merge,
+    split, dotted identity, birth or death is one of these.  The output
+    conventions are checked before the input ones, so a refusal names
+    the first basis the ring does not admit in that order."""
+    r = ring
+    i0, i1 = r.alpha_images()
+    e1, e2 = r.add(i0, i1), r.mul(i0, i1)  # X^2 = e1 X - e2
+    zero, one = r.zero(), r.one()
+    outs = [basis_change(r, c)[1] for c in cod_convs]
+    ins = [basis_change(r, c)[0] for c in dom_convs]
+
+    def times(a, b):
+        xx = r.mul(a[1], b[1])
+        return (
+            r.sub(r.mul(a[0], b[0]), r.mul(e2, xx)),
+            r.add(r.add(r.mul(a[0], b[1]), r.mul(a[1], b[0])), r.mul(e1, xx)),
+        )
+
+    local = {}
+    for bits in product((0, 1), repeat=len(ins)):
+        d = (one, zero)
+        for vectors, b in zip(ins, bits):
+            d = times(d, vectors[b])
+        for _ in range(dots):
+            d = times(d, (zero, one))
+        # on {1, X} per output slot: comultiplied, as it is, or traced
+        if len(outs) == 2:
+            # 1 -> X(x)1 + 1(x)X - e1 1(x)1,  X -> X(x)X - e2 1(x)1
+            tensor = [
+                ((1, 0), d[0]),
+                ((0, 1), d[0]),
+                ((0, 0), r.neg(r.mul(e1, d[0]))),
+                ((1, 1), d[1]),
+                ((0, 0), r.neg(r.mul(e2, d[1]))),
+            ]
+        elif outs:
+            tensor = [((0,), d[0]), ((1,), d[1])]
+        else:
+            tensor = [((), d[1])]  # the counit: 1 -> 0, X -> 1
+        terms = []  # each output slot changed from {1, X} to its convention
+        for idx, v in tensor:
+            for out in product((0, 1), repeat=len(outs)):
+                c = v
+                for o, i, one_and_x in zip(out, idx, outs):
+                    c = r.mul(c, one_and_x[i][o])
+                terms.append((out, c))
+        local[bits] = sorted(accumulate(r, {}, terms).items())
+    return local

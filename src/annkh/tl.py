@@ -25,7 +25,7 @@ from itertools import product
 from . import tqft
 from .errors import ArityMismatchError, ParityError, VariantRingMismatchError
 from .linalg import accumulate, cancel_units, row_form
-from .ring import A0, A1, E1, E2, BivariatePoly, AlphaEval, RatPolyH
+from .ring import A0, A1, E1, E2, BivariatePoly, AlphaEval
 
 
 def circle_value(k):
@@ -261,13 +261,6 @@ def bend_to_bottom(t):
 # spinning into the annular TQFT
 
 
-def _check_spin_ring(ring):
-    """Spinning evaluates over every ring but Q[h]; the refusal keeps
-    the wording the CLI has always printed."""
-    if isinstance(ring, RatPolyH):
-        raise VariantRingMismatchError("cannot spin with variant ANNULAR_H")
-
-
 def spin_tangle(t, ring):
     """The annular TQFT value of one reduced spun tangle.
 
@@ -280,7 +273,6 @@ def spin_tangle(t, ring):
     p is domain slot p - 1 and a top label is the codomain slot of its
     position; every slot is a leg of exactly one strand.
     """
-    _check_spin_ring(ring)
     if not t.is_reduced():
         raise ValueError("spin_tangle needs a reduced tangle")
     dom = tqft.essential_space(t.n, ring)
@@ -304,7 +296,6 @@ def spin_tangle(t, ring):
 def spin_evaluate(f, ring):
     """Annular TQFT value of a morphism: the weighted sum of its
     spun reduced tangles."""
-    _check_spin_ring(ring)
     dom = tqft.essential_space(f.n, ring)
     cod = tqft.essential_space(f.m, ring)
     entries = {}

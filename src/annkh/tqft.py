@@ -14,11 +14,13 @@ that is the one choice: the ring picks the slot bases
 ring is the annular-degree-preserving part of the planar one.
 
 Every elementary cobordism (merge, split, dot, birth, death) is a
-connected genus-0 cobordism, so one builder reads its local table off
-the Frobenius structure maps: multiply the inputs, multiply by X once
-per dot, comultiply into the outputs, and expand through {1, X} in the
-involved slots' conventions.  The table is placed on the caller's
-spaces with the identity on the other slots.  The spaces decide the
+connected genus-0 cobordism, and the algebra is its local tables:
+:func:`annkh.frobenius.cobordism` reads each off the structure maps on
+{1, X} coordinates (multiply the inputs, multiply by X once per dot,
+comultiply into the outputs, and expand in the involved slots'
+conventions), and :func:`local_table` only truncates it, memoizes it
+and hands it on to be placed on the caller's spaces with the identity
+on the other slots.  The spaces decide the
 truncation: a builder returns the planar map between planar spaces and
 its annular-degree-0 part between annular ones.  The table is
 truncated before it is placed: an uninvolved slot keeps its bit and its
@@ -61,8 +63,8 @@ from .errors import (
     ShapeMismatchError,
     VariantRingMismatchError,
 )
-from .frobenius import Frobenius, basis_bidegree
-from .linalg import SparseMatrix, accumulate
+from .frobenius import basis_bidegree
+from .linalg import SparseMatrix
 from .ring import AlphaEval
 
 MERGE_TT = "MERGE_TT"
@@ -276,42 +278,6 @@ def _saddle(rd_from, rd_to, crossing, incident):
 # map construction
 
 
-def _cobordism(fr, dom_convs, cod_convs, dots):
-    """The connected genus-0 cobordism from the involved domain slots
-    to the codomain ones, carrying ``dots`` dots, as a local map
-    {input bits: sorted (output bits, value) terms}: the product of the
-    inputs (the unit if there are none), times X^dots, comultiplied into
-    the outputs (the counit if there are none), expanded through {1, X}.
-    A merge, split, dotted identity, birth or death is one of these."""
-    r = fr.ring
-    unit_vectors = ((r.one(), r.zero()), (r.zero(), r.one()))
-    # per output slot: 1 and X in its convention
-    outs = [[fr.from_one_x(c, *e).coords for e in unit_vectors] for c in cod_convs]
-    local = {}
-    for bits in product((0, 1), repeat=len(dom_convs)):
-        elt = fr.unit()
-        for conv, b in zip(dom_convs, bits):
-            elt = fr.mult(elt, fr.element(conv, *unit_vectors[b]))
-        for _ in range(dots):
-            elt = fr.x_action(elt)
-        # on {1, X} per output slot: comultiplied, as it is, or traced
-        if len(cod_convs) == 2:
-            tensor = fr.comult_tensor(elt)
-        elif cod_convs:
-            tensor = {(i,): c for i, c in enumerate(elt.coords)}
-        else:
-            tensor = {(): fr.counit(elt)}
-        terms = []  # each output slot changed from {1, X} to its convention
-        for idx, v in tensor.items():
-            for out in product((0, 1), repeat=len(cod_convs)):
-                c = v
-                for o, i, vecs in zip(out, idx, outs):
-                    c = r.mul(c, vecs[i][o])
-                terms.append((out, c))
-        local[bits] = sorted(accumulate(r, {}, terms).items())
-    return local
-
-
 def _adeg(convs, bits):
     """Annular degree of a word of involved slots."""
     return sum(basis_bidegree(c, b)[1] for c, b in zip(convs, bits))
@@ -351,7 +317,7 @@ def local_table(ring, dom_convs, cod_convs, planar, dots=0):
     theory and the dots: a cube has hundreds of edges but only a few
     such keys.  ``local_table.cache_clear()`` empties the memo.
     """
-    local = _cobordism(Frobenius(ring), dom_convs, cod_convs, dots)
+    local = fb.cobordism(ring, dom_convs, cod_convs, dots)
     return _freeze(local, dom_convs, cod_convs, planar)
 
 

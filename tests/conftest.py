@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from annkh import corpus, diagram, tl, tqft
+from annkh import corpus, diagram, frobenius, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import (
@@ -33,16 +33,16 @@ def diagrams():
 def corrupted_merge(monkeypatch):
     """Every merge table with m(1 (x) 1) doubled.  Local tables are
     memoized per process, so the memo is empty before and after."""
-    original = tqft._cobordism
+    original = frobenius.cobordism
 
-    def corrupted(fr, dom_convs, cod_convs, dots):
-        local = original(fr, dom_convs, cod_convs, dots)
+    def corrupted(ring, dom_convs, cod_convs, dots):
+        local = original(ring, dom_convs, cod_convs, dots)
         if len(dom_convs) == 2:
-            local[(0, 0)] = [(bits, fr.ring.add(v, v)) for bits, v in local[(0, 0)]]
+            local[(0, 0)] = [(bits, ring.add(v, v)) for bits, v in local[(0, 0)]]
         return local
 
     tqft.local_table.cache_clear()
-    monkeypatch.setattr(tqft, "_cobordism", corrupted)
+    monkeypatch.setattr(frobenius, "cobordism", corrupted)
     yield
     tqft.local_table.cache_clear()
 

@@ -73,6 +73,30 @@ def test_alpha_ring_with_a_zero_denominator(capsys, corpus_dir, position):
     assert err == f"error: bad alpha values: a zero denominator in {ring!r}\n"
 
 
+@pytest.mark.parametrize(
+    "ring, reason",
+    [
+        ("alpha:1e99999999,0", "an exponent beyond 4000"),
+        ("alpha:0,-1e-4001", "an exponent beyond 4000"),
+        ("alpha:1" + "0" * 4001 + ",0", "a coordinate of over 4001 digits"),
+    ],
+    ids=["exponent", "negative_exponent", "digits"],
+)
+def test_alpha_values_beyond_the_cap_are_refused_at_once(capsys, ring, reason):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tl-rank", "--n", "1", "--m", "1", "--ring", ring)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: bad alpha values: {reason}\n"
+
+
+def test_an_alpha_exponent_of_4000_is_a_value(capsys):
+    ring = "alpha:1e4000,0"
+    assert parse_ring(ring).alpha_images() == (10**4000, 0)
+    code, out, err = run(capsys, "tl-rank", "--n", "1", "--m", "1", "--ring", ring)
+    assert (code, out, err) == (0, "tangles 2 rank 2 kernel 0\n", "")
+
+
 def test_equal_alpha_parameters_point_to_the_planar_variant(capsys, corpus_dir):
     trefoil = corpus_dir / "trefoil_right.json"
     for argv in (

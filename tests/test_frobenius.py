@@ -1,237 +1,182 @@
+"""The algebra through its local tables and changes of basis.
+
+A table row is the image of one input word, a dict {output bits:
+value} here; axioms are checked on maps placed from the tables."""
+
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from annkh.errors import InvalidBasisError, RingMismatchError
-from annkh.frobenius import (
-    D_V,
-    D_V_PRIME,
-    E,
-    ONE_X,
-    V,
-    V_PRIME,
-    Frobenius,
-)
+from annkh import tqft
+from annkh.errors import InvalidBasisError
+from annkh.frobenius import D_V, D_V_PRIME, E, ONE_X, V, V_PRIME, basis_change
 from annkh.ring import A0, A1, E1, E2, GENERIC, GF, INT, QH, RAT, alpha_eval
 
-FR = Frobenius(GENERIC)
 EV = alpha_eval(0, 1)
-FREV = Frobenius(EV)
+ONE = GENERIC.one()
 
 
-def elt(c0, c1, basis=ONE_X, fr=FR):
-    ring = fr.ring
-    return fr.element(basis, ring.from_int(c0) if isinstance(c0, int) else c0,
-                      ring.from_int(c1) if isinstance(c1, int) else c1)
+def rows(ring, dom, cod, dots=0):
+    """The planar table of a cobordism as one dict per input word."""
+    return [dict(row) for row in tqft.local_table(ring, dom, cod, True, dots)]
 
 
-def rand_elt(rng, fr=FR, basis=ONE_X):
-    from test_ring import rand_poly
+def trivial_space(ring, k):
+    """k trivial circles: slots ONE_X over GENERIC, E over EV (annular)."""
+    return tqft.make_space(ring, [(False, None)] * k, planar=ring is GENERIC)
 
-    return fr.element(basis, rand_poly(rng), rand_poly(rng))
+
+def mat_mul(a, b):
+    """2x2 matrices as row tuples."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
 
 
 def test_x_squared():
-    x = elt(0, 1)
-    prod = FR.mult(x, x)
-    # forced by the quotient relation: X^2 = (a0+a1) X - a0 a1
-    assert prod.c0 == -E2 and prod.c1 == E1
+    # forced by the quotient relation: 1 with two dots is X^2 = (a0+a1) X - a0 a1
+    assert rows(GENERIC, (ONE_X,), (ONE_X,), dots=2)[0] == {(0,): -E2, (1,): E1}
 
 
-def test_unit_law_random():
-    rng = random.Random(10)
-    one = FR.unit()
-    for _ in range(20):
-        a = rand_elt(rng)
-        assert FR.mult(one, a).coords == FR.to_one_x(a)
+def test_unit_law():
+    # a birth then a merge is the identity, on a trivial and an essential circle
+    ess = tqft.make_space(GENERIC, [(True, 1)], planar=True)
+    born = tqft.birth_map(ess, 1)
+    merged = tqft.merge_map(born.codomain, ess, (0, 1), 0, ())
+    assert tqft.compose(merged, born) == tqft.identity_map(ess)
+    for ring in (GENERIC, EV):
+        one = trivial_space(ring, 1)
+        born = tqft.birth_map(one, 0)
+        merged = tqft.merge_map(born.codomain, one, (0, 1), 0, ())
+        assert tqft.compose(merged, born) == tqft.identity_map(one)
+        # and the unit times each basis vector, read off the merge table
+        conv = one.slots[0].convention
+        table = rows(ring, (conv, conv), (conv,))
+        one_coords = basis_change(ring, conv)[1][0]
+        for j in (0, 1):
+            got = {}
+            for i, c in enumerate(one_coords):
+                for out, v in table[2 * i + j].items():
+                    got[out] = got.get(out, ring.zero()) + c * v
+            assert {k: v for k, v in got.items() if v} == {(j,): ring.one()}
 
 
 def test_idempotents():
-    e0 = FREV.element(E, Fraction(1), Fraction(0))
-    e1 = FREV.element(E, Fraction(0), Fraction(1))
-    assert FREV.convert(FREV.mult(e0, e0), E).coords == (1, 0)
-    assert FREV.convert(FREV.mult(e1, e1), E).coords == (0, 1)
-    assert FREV.convert(FREV.mult(e0, e1), E).coords == (0, 0)
+    # e0 e0 = e0, e1 e1 = e1, e0 e1 = 0, read off the merge table in E
+    assert rows(EV, (E, E), (E,)) == [{(0,): 1}, {}, {}, {(1,): 1}]
     # e0 + e1 = 1
-    assert FREV.convert(FREV.unit(), E).coords == (1, 1)
+    assert basis_change(EV, E)[1][0] == (1, 1)
 
 
 def test_comult_of_one():
-    one = GENERIC.one()
-    got = FR.comult_tensor(FR.unit())
     # (X - a0)(x)1 + 1(x)(X - a1) on the {1, X} square
-    assert got == {(1, 0): one, (0, 1): one, (0, 0): -E1}
+    assert rows(GENERIC, (ONE_X,), (ONE_X, ONE_X))[0] == {
+        (1, 0): ONE, (0, 1): ONE, (0, 0): -E1,
+    }
 
 
 def test_comult_of_x():
-    x = elt(0, 1)
-    assert FR.comult_tensor(x) == {(1, 1): GENERIC.one(), (0, 0): -E2}
+    assert rows(GENERIC, (ONE_X,), (ONE_X, ONE_X))[1] == {(1, 1): ONE, (0, 0): -E2}
 
 
 def test_comult_idempotent_formula():
     # localized comultiplication is diagonal on the idempotents
-    e0 = FREV.element(E, Fraction(1), Fraction(0))
-    tens = FREV.comult_tensor(e0)
-    out = {}
-    for (i, j), v in tens.items():
-        one = Fraction(1)
-        zero = Fraction(0)
-        f1 = FREV.from_one_x(E, one if i == 0 else zero, one if i == 1 else zero)
-        f2 = FREV.from_one_x(E, one if j == 0 else zero, one if j == 1 else zero)
-        for o1, c1 in enumerate(f1.coords):
-            for o2, c2 in enumerate(f2.coords):
-                key = (o1, o2)
-                out[key] = out.get(key, Fraction(0)) + v * c1 * c2
-    out = {k: v for k, v in out.items() if v}
     q0, q1 = EV.alpha_images()
-    assert out == {(0, 0): q1 - q0}
+    assert rows(EV, (E,), (E, E)) == [{(0, 0): q1 - q0}, {(1, 1): q0 - q1}]
 
 
 def test_counit():
-    assert FR.counit(FR.unit()).is_zero()
-    assert FR.counit(elt(0, 1)) == GENERIC.one()
-    # linearity: the trace of X - a0 is 1
-    v1 = FR.element(V, GENERIC.zero(), GENERIC.one())
-    assert FR.counit(v1) == GENERIC.one()
+    # the trace: 1 -> 0, X -> 1, and the trace of X - a0 is 1
+    death = rows(GENERIC, (ONE_X,), ())
+    assert death == [{}, {(): ONE}]
+    v1 = basis_change(GENERIC, V)[0][1]
+    assert v1 == (-A0, ONE)
+    assert sum(c * row.get((), 0) for c, row in zip(v1, death)) == ONE
 
 
 def test_x_action():
-    assert FR.x_action(FR.unit()).coords == (GENERIC.zero(), GENERIC.one())
-    x2 = FR.x_action(elt(0, 1))
-    assert (x2.c0, x2.c1) == (-E2, E1)
+    assert rows(GENERIC, (ONE_X,), (ONE_X,), dots=1) == [
+        {(1,): ONE}, {(0,): -E2, (1,): E1},
+    ]
     # on v1 = X - a0 the action is multiplication by a1:
     # X(X - a0) = X^2 - a0 X = a1 X - a0 a1 = a1 (X - a0)
-    v1 = FR.element(V, GENERIC.zero(), GENERIC.one())
-    got = FR.x_action(v1)
-    assert got.basis == V and got.coords == (GENERIC.zero(), A1)
+    assert rows(GENERIC, (V,), (V,), dots=1)[1] == {(1,): A1}
 
 
 def test_convert_examples():
-    x = elt(0, 1)
-    as_v = FR.convert(x, V)
-    assert as_v.coords == (A0, GENERIC.one())
-    assert FREV.convert(FREV.unit(), E).coords == (1, 1)
+    # X = a0 * 1 + 1 * (X - a0), and 1 = e0 + e1
+    assert basis_change(GENERIC, V)[1][1] == (A0, ONE)
+    assert basis_change(EV, E)[1][0] == (1, 1)
 
 
 def test_convert_round_trip():
+    # the two matrices of each change of basis are mutually inverse
     rng = random.Random(11)
-    for basis in (V, V_PRIME):
-        for _ in range(15):
-            a = rand_elt(rng, FR, basis)
-            back = FR.convert(FR.convert(a, ONE_X), basis)
-            assert back.coords == a.coords
-    rngf = random.Random(12)
-    for basis in (E, D_V, D_V_PRIME):
-        for _ in range(15):
-            a = FREV.element(
-                basis,
-                Fraction(rngf.randint(-5, 5), rngf.randint(1, 4)),
-                Fraction(rngf.randint(-5, 5), rngf.randint(1, 4)),
-            )
-            back = FREV.convert(FREV.convert(a, ONE_X), basis)
-            assert back.coords == a.coords
+    for ring, bases in ((GENERIC, (ONE_X, V, V_PRIME)), (EV, (E, D_V, D_V_PRIME))):
+        one, zero = ring.one(), ring.zero()
+        for basis in bases:
+            vectors, one_and_x = basis_change(ring, basis)
+            ident = ((one, zero), (zero, one))
+            assert mat_mul(vectors, one_and_x) == ident
+            assert mat_mul(one_and_x, vectors) == ident
+            for _ in range(15):
+                c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in "01"]
+                d = [sum(c[k] * vectors[k][i] for k in (0, 1)) for i in (0, 1)]
+                back = [sum(d[i] * one_and_x[i][k] for i in (0, 1)) for k in (0, 1)]
+                assert back == c
 
 
 def test_localized_bases_are_rescaled_idempotents():
     # vbar1 = e0 and vbar1' = e1 as elements
-    vb1 = FREV.element(D_V, Fraction(0), Fraction(1))
-    e0 = FREV.element(E, Fraction(1), Fraction(0))
-    assert FREV.to_one_x(vb1) == FREV.to_one_x(e0)
-    vb1p = FREV.element(D_V_PRIME, Fraction(0), Fraction(1))
-    e1 = FREV.element(E, Fraction(0), Fraction(1))
-    assert FREV.to_one_x(vb1p) == FREV.to_one_x(e1)
-
-
-def _structure_matrices(fr):
-    """mult as 4x2 columns and comult as entries for axiom checks."""
-    ring = fr.ring
-    basis = [fr.element(ONE_X, ring.one(), ring.zero()),
-             fr.element(ONE_X, ring.zero(), ring.one())]
-    mult = {}
-    for i, j in product(range(2), repeat=2):
-        mult[(i, j)] = fr.mult(basis[i], basis[j]).coords
-    com = {i: fr.comult_tensor(basis[i]) for i in range(2)}
-    return basis, mult, com
+    assert basis_change(EV, D_V)[0][1] == basis_change(EV, E)[0][0]
+    assert basis_change(EV, D_V_PRIME)[0][1] == basis_change(EV, E)[0][1]
 
 
 def test_frobenius_axiom():
-    ring = FR.ring
-    basis, mult, com = _structure_matrices(FR)
-
-    def comult_mult(i, j):
-        prod = mult[(i, j)]
-        out = {}
-        for k, c in enumerate(prod):
-            if ring.is_zero(c):
-                continue
-            for (p, q), v in com[k].items():
-                key = (p, q)
-                out[key] = ring.add(out.get(key, ring.zero()), ring.mul(c, v))
-        return {k: v for k, v in out.items() if not ring.is_zero(v)}
-
-    def mult_comult_left(i, j):
-        # (mult (x) id) (id (x) comult) applied to b_i (x) b_j
-        out = {}
-        for (p, q), v in com[j].items():
-            prod = mult[(i, p)]
-            for k, c in enumerate(prod):
-                w = ring.mul(v, c)
-                if ring.is_zero(w):
-                    continue
-                key = (k, q)
-                out[key] = ring.add(out.get(key, ring.zero()), w)
-        return {k: v for k, v in out.items() if not ring.is_zero(v)}
-
-    def mult_comult_right(i, j):
-        # (id (x) mult) (comult (x) id)
-        out = {}
-        for (p, q), v in com[i].items():
-            prod = mult[(q, j)]
-            for k, c in enumerate(prod):
-                w = ring.mul(v, c)
-                if ring.is_zero(w):
-                    continue
-                key = (p, k)
-                out[key] = ring.add(out.get(key, ring.zero()), w)
-        return {k: v for k, v in out.items() if not ring.is_zero(v)}
-
-    for i, j in product(range(2), repeat=2):
-        target = comult_mult(i, j)
-        assert mult_comult_left(i, j) == target
-        assert mult_comult_right(i, j) == target
+    # split . merge = (merge (x) id)(id (x) split) = (id (x) merge)(split (x) id)
+    for ring in (GENERIC, EV):
+        s1, s2, s3 = (trivial_space(ring, k) for k in (1, 2, 3))
+        target = tqft.compose(
+            tqft.split_map(s1, s2, 0, (0, 1), ()),
+            tqft.merge_map(s2, s1, (0, 1), 0, ()),
+        )
+        left = tqft.compose(
+            tqft.merge_map(s3, s2, (0, 1), 0, [(2, 1)]),
+            tqft.split_map(s2, s3, 1, (1, 2), [(0, 0)]),
+        )
+        right = tqft.compose(
+            tqft.merge_map(s3, s2, (1, 2), 1, [(0, 0)]),
+            tqft.split_map(s2, s3, 0, (0, 1), [(1, 2)]),
+        )
+        assert not target.is_zero()
+        assert left == target and right == target
 
 
 def test_counit_axiom():
-    ring = FR.ring
-    basis, _, com = _structure_matrices(FR)
-    for i in range(2):
-        left = [ring.zero(), ring.zero()]
-        right = [ring.zero(), ring.zero()]
-        for (p, q), v in com[i].items():
-            eps_p = FR.counit(basis[p])
-            eps_q = FR.counit(basis[q])
-            left[q] = ring.add(left[q], ring.mul(eps_p, v))
-            right[p] = ring.add(right[p], ring.mul(eps_q, v))
-        expect = [ring.one() if k == i else ring.zero() for k in range(2)]
-        assert left == expect and right == expect
+    # (counit (x) id) . split = id = (id (x) counit) . split
+    for ring in (GENERIC, EV):
+        s1, s2 = trivial_space(ring, 1), trivial_space(ring, 2)
+        split = tqft.split_map(s1, s2, 0, (0, 1), ())
+        for slot in (0, 1):
+            death = tqft.death_map(s2, slot)
+            assert tqft.compose(death, split) == tqft.identity_map(s1)
 
 
 def test_zero_parameters_recover_classical_structure():
-    fr0 = Frobenius(INT)
-    one = fr0.unit()
-    x = fr0.element(ONE_X, 0, 1)
-    assert fr0.mult(x, x).coords == (0, 0)
-    assert fr0.comult_tensor(one) == {(1, 0): 1, (0, 1): 1}
-    assert fr0.comult_tensor(x) == {(1, 1): 1}
+    assert rows(INT, (ONE_X,), (ONE_X,), dots=2) == [{}, {}]
+    assert rows(INT, (ONE_X,), (ONE_X, ONE_X)) == [{(1, 0): 1, (0, 1): 1}, {(1, 1): 1}]
 
 
 def test_basis_validation():
+    with pytest.raises(InvalidBasisError, match="no basis 'E' over GENERIC_ALPHA"):
+        tqft.local_table(GENERIC, (E,), (E,), True)
     with pytest.raises(InvalidBasisError):
-        FR.element(E, GENERIC.one(), GENERIC.zero())
-    with pytest.raises(InvalidBasisError):
-        Frobenius(alpha_eval(1, 1)).element(E, Fraction(1), Fraction(0))
+        basis_change(alpha_eval(1, 1), E)
+    # the output bases are checked before the input ones
+    with pytest.raises(InvalidBasisError, match="no basis 'D_V' over INT"):
+        tqft.local_table(INT, (E,), (D_V,), True)
 
 
 @pytest.mark.parametrize(
@@ -251,20 +196,16 @@ def test_basis_validation():
 def test_a_ring_admits_the_bases_its_change_of_basis_inverts(ring, localized):
     # V, V' and ONE_X change basis with determinant 1; E, D_V and D_V'
     # need i1 - i0 invertible, which only distinct evaluations give
-    fr = Frobenius(ring)
     one, zero = ring.one(), ring.zero()
+    ident = ((one, zero), (zero, one))
     for basis in (ONE_X, V, V_PRIME):
-        assert fr.convert(fr.element(basis, one, zero), basis).coords == (one, zero)
+        vectors, one_and_x = basis_change(ring, basis)
+        assert mat_mul(vectors, one_and_x) == ident
     for basis in (E, D_V, D_V_PRIME):
         if localized:
-            fr.element(basis, one, zero)
+            basis_change(ring, basis)
         else:
             with pytest.raises(InvalidBasisError, match=f"no basis '{basis}'"):
-                fr.element(basis, one, zero)
+                basis_change(ring, basis)
     with pytest.raises(InvalidBasisError):
-        fr.element("W", one, zero)
-
-
-def test_ring_mismatch():
-    with pytest.raises(RingMismatchError):
-        FR.mult(FR.unit(), Frobenius(INT).unit())
+        basis_change(ring, "W")

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from annkh import tl, tqft
+from annkh import frobenius, tl, tqft
 from annkh.errors import ArityMismatchError, ParityError
 from annkh.ring import (
     A0, A1, E1, E2, GENERIC, GF, INT, QH, RAT, BivariatePoly, alpha_eval,
@@ -305,18 +305,18 @@ def test_clearing_the_table_memo_reaches_spinning(monkeypatch):
     # the tables, so clearing their memo must reach it.
     t = tl.DottedTangle.make(3, 1, [(1, 2), (3, 4)], [1, 1])  # cap, through
     before = tl.spin_tangle(t, GENERIC)
-    original = tqft._cobordism
+    original = frobenius.cobordism
 
-    def twisted(fr, dom_convs, cod_convs, dots):
-        local = original(fr, dom_convs, cod_convs, dots)
+    def twisted(ring, dom_convs, cod_convs, dots):
+        local = original(ring, dom_convs, cod_convs, dots)
         if len(cod_convs) == 1:
             return local
         return {
-            bits: [(out, fr.ring.neg(v)) for out, v in terms]
+            bits: [(out, ring.neg(v)) for out, v in terms]
             for bits, terms in local.items()
         }
 
-    monkeypatch.setattr(tqft, "_cobordism", twisted)
+    monkeypatch.setattr(frobenius, "cobordism", twisted)
     tqft.local_table.cache_clear()
     try:
         after = tl.spin_tangle(t, GENERIC)
@@ -363,10 +363,22 @@ def test_kernel_rank_parity_error():
         tl.kernel_rank_experiment(2, 1, EV)
 
 
-def test_spin_refuses_qh_and_equal_parameters():
+def test_spinning_over_qh_is_the_qh_image_of_the_generic_spin():
+    # Q[h] is Q[a0, a1] at a0 = 0, a1 = h, and both put V/V' on every
+    # essential slot, so spinning commutes with the specialization
+    count = 0
+    for n, m in product(range(5), repeat=2):
+        for t in tl.enumerate_reduced(n, m):
+            generic = tl.spin_tangle(t, GENERIC).entries.items()
+            image = {k: QH.specialize_poly(v) for k, v in generic}
+            want = {k: v for k, v in image.items() if not QH.is_zero(v)}
+            assert tl.spin_tangle(t, QH).entries == want, t
+            count += 1
+    assert count == 391
+
+
+def test_spin_refuses_equal_parameters():
     from annkh.errors import VariantRingMismatchError
 
-    with pytest.raises(VariantRingMismatchError, match="cannot spin"):
-        tl.spin_evaluate(tl.reduce_tangle(strand()), QH)
     with pytest.raises(VariantRingMismatchError, match="distinct"):
         tl.spin_evaluate(tl.reduce_tangle(strand()), alpha_eval(1, 1))

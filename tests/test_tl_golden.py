@@ -3,8 +3,9 @@
 Runs ``tl-eval`` on every reduced (n, m)-tangle with n, m <= 3 over
 seven rings, and ``tl-rank`` on eight shapes, through ``annkh.cli.main``,
 and compares exit code, stdout and stderr with
-``tests/data/tl_golden.json``.  Rings that cannot spin (``qh``) keep
-their exit-2 rows, so the error text is pinned too.  Regenerate the
+``tests/data/tl_golden.json``.  Every ring spins, Q[h] (``qh``) as the
+others; equal parameters (``alpha:1,1``) leave the annular theory no
+idempotent basis, so their exit-2 rows pin that error text.  Regenerate the
 file, only when the output changes on purpose, with::
 
     PYTHONPATH=src python tests/test_tl_golden.py
