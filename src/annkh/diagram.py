@@ -12,15 +12,20 @@ around the puncture, computed from signed crossings of the reference
 ray, and essential circles are ordered innermost to outermost by the
 radius of their innermost ray crossing.
 
-Coordinates are parsed once into Fractions, which are kept only to name
-points in violations and to write the diagram back out.  All geometry
-after parsing runs on ints, at one working scale
-``AnnularDiagram.scale``: every coordinate times twice the LCM of the
-denominators, so that every segment's midpoint is an int point too.  A
-positive scale keeps the sign of every orientation test and comparison,
-so validation's predicates are exact on ints, and a sweep over segment
-bounding boxes sends only the pairs whose boxes meet to the exact
-intersection test.  A resolved circle runs along its edges through the
+Coordinates are parsed once, straight to lowest-terms (numerator,
+denominator) pairs of ints: the plain strings ``save_diagram`` writes,
+ints and Fractions directly, any other spelling through the bounded
+``Fraction`` parser.  All geometry after parsing runs on ints, at one
+working scale ``AnnularDiagram.scale``: every coordinate times twice the
+LCM of the denominators, so that every segment's midpoint is an int
+point too.  ``AnnularDiagram.edges``, the coordinates as Fractions, is
+built from the int points when it is first read, which only violation
+texts, ``nudged`` and ``diagram_to_dict`` do.  A positive scale keeps
+the sign of every orientation test and comparison, so validation's
+predicates are exact on ints.  A sweep over segment bounding boxes
+sends only the pairs whose boxes meet to an exact test, written out on
+ints: two consecutive segments of one edge need one cross and one dot
+product.  A resolved circle runs along its edges through the
 crossing points, which validation keeps off the reference ray and the
 puncture; it differs from the smoothed circle only in arbitrarily small
 disks around them, so its winding, ray radii and signed area sign, and
@@ -41,11 +46,12 @@ circles have few.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -64,17 +70,20 @@ from .errors import (
 
 
 def _parse_edges(edges):
-    """Each edge's points as Fraction pairs.  A malformed edge list or
-    coordinate raises ValueError naming the edge."""
+    """Each edge's points, each coordinate a lowest-terms (numerator,
+    denominator) pair of ints.  A malformed edge list or coordinate
+    raises ValueError naming the edge.  Each distinct coordinate string
+    is parsed once: a diagram names each crossing point on four edges."""
     try:
         items = list(edges.items())
     except AttributeError:
         raise ValueError("edges must map edge ids to point lists") from None
     out = {}
+    read = {}
     for eid, pts in items:
         if not isinstance(pts, (list, tuple)):
             raise ValueError(f"edge {eid}: points must be a list, not {pts!r}")
-        out[str(eid)] = [_pt(eid, p) for p in pts]
+        out[str(eid)] = [_pt(eid, p, read) for p in pts]
     return out
 
 
@@ -112,6 +121,8 @@ def _boolean(x):
 # so a long mantissa is refused too.
 MAX_EXPONENT = 4000
 _MAX_COORDINATE = 10 ** (MAX_EXPONENT + 1)
+# A string coordinate of at most this many characters is far below the cap.
+_SHORT = 40
 
 
 def _meet_text(at):
@@ -123,41 +134,82 @@ def _meet_text(at):
         return "meet at a point whose coordinates are too long to print"
 
 
-def bounded_fraction(c):
+def bounded_fraction(c, what="a value"):
     """A number or numeric string as a Fraction, refused with
     ``ValueError`` when its exponent passes ``MAX_EXPONENT`` (checked
     before parsing, which would take that long) or its numerator or
-    denominator has more than ``MAX_EXPONENT + 1`` digits."""
+    denominator has more than ``MAX_EXPONENT + 1`` digits, where the
+    message calls it ``what``."""
     exponent = c.lower().partition("e")[2] if isinstance(c, str) else ""
     if abs(int(exponent or 0)) > MAX_EXPONENT:
         raise ValueError(f"an exponent beyond {MAX_EXPONENT}")
     f = Fraction(c)
     if abs(f.numerator) >= _MAX_COORDINATE or f.denominator >= _MAX_COORDINATE:
-        raise ValueError(f"a coordinate of over {MAX_EXPONENT + 1} digits")
+        raise ValueError(f"{what} of over {MAX_EXPONENT + 1} digits")
     return f
 
 
-def _pt(eid, xy):
+def _coordinate(c):
+    """A coordinate as its lowest-terms (numerator, denominator) ints.
+
+    Short ASCII strings of the form ``save_diagram`` writes,
+    ``-?\\d+(/\\d+)?`` with a nonzero denominator, are split and read
+    with ``int``, and ints and Fractions within the cap are taken as
+    they are.  Every other value, and every refusal, goes through
+    ``bounded_fraction``, so each gives what ``Fraction`` gives."""
+    t = type(c)
+    if t is str:
+        if len(c) <= _SHORT and c.isascii():
+            num, slash, den = c.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return int(num), 1
+                if den.isdigit() and (d := int(den)):
+                    n = int(num)
+                    g = gcd(n, d)
+                    return n // g, d // g
+    elif t is int:
+        if -_MAX_COORDINATE < c < _MAX_COORDINATE:
+            return c, 1
+    elif t is Fraction:
+        n, d = c.numerator, c.denominator
+        if -_MAX_COORDINATE < n < _MAX_COORDINATE and d < _MAX_COORDINATE:
+            return n, d
+    f = bounded_fraction(c, "a coordinate")
+    return f.numerator, f.denominator
+
+
+def _read_once(c, read):
+    """``_coordinate`` of c, kept in ``read`` for a string."""
+    if type(c) is not str:
+        return _coordinate(c)
+    pair = read.get(c)
+    if pair is None:
+        pair = read[c] = _coordinate(c)
+    return pair
+
+
+def _pt(eid, xy, read):
+    """A point as its two coordinates' (numerator, denominator) pairs;
+    ``read`` holds the pairs of the strings parsed before."""
     try:
         if not isinstance(xy, (list, tuple)):
             raise TypeError("a point is a list of two coordinates")
         x, y = xy
         if isinstance(x, bool) or isinstance(y, bool):
             raise TypeError("a coordinate is a number or a string, not a boolean")
-        return bounded_fraction(x), bounded_fraction(y)
+        return _read_once(x, read), _read_once(y, read)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"edge {eid}: bad point {xy!r} ({e})") from None
 
 
 def _scaled(edges):
     """The working scale S, twice the LCM of all denominators, and every
-    point times S as ints."""
-    scale = 2 * lcm(*(c.denominator for pts in edges.values() for p in pts for c in p))
+    point of the parsed edges times S as ints."""
+    scale = 2 * lcm(*{c[1] for pts in edges.values() for p in pts for c in p})
     return scale, {
         eid: [
-            (x.numerator * (scale // x.denominator),
-             y.numerator * (scale // y.denominator))
-            for x, y in pts
+            (xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in pts
         ]
         for eid, pts in edges.items()
     }
@@ -224,42 +276,48 @@ def _seg_intersection(p1, p2, p3, p4):
     return None
 
 
-def _box(a, b):
-    return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+def _box_pairs(boxes):
+    """The pairs (a, b), a < b, of closed boxes that meet, found by a
+    sweep in order of smallest x: the boxes after a box in that order
+    whose smallest x is at most its largest x are the ones that meet it
+    along x."""
+    pairs = []
+    starts = [box[0] for box in boxes]
+    order = sorted(range(len(boxes)), key=starts.__getitem__)
+    starts.sort()
+    for n, i in enumerate(order):
+        _, x1, y0, y1 = boxes[i]
+        for j in order[n + 1 : bisect_right(starts, x1, n + 1)]:
+            box = boxes[j]
+            if box[2] <= y1 and y0 <= box[3]:
+                pairs.append((i, j) if i < j else (j, i))
+    return pairs
 
 
-def _box_partners(boxes):
-    """For each box a, the sorted indices b > a of the boxes it meets
-    (closed boxes), found by a sweep in order of smallest x."""
-    partners = [[] for _ in boxes]
-    active = []
-    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
-        x0, _, y0, y1 = boxes[i]
-        # boxes in the sweep start at or left of x0; keep those reaching it
-        active = [j for j in active if boxes[j][1] >= x0]
-        for j in active:
-            if boxes[j][2] <= y1 and y0 <= boxes[j][3]:
-                partners[min(i, j)].append(max(i, j))
-        active.append(i)
-    for p in partners:
-        p.sort()
-    return partners
+def _counterclockwise(a, b, c, d):
+    """Whether four directions point four different ways, in
+    counterclockwise order around their common start.
 
-
-def _ang_half(v):
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _ang_cmp(u, v):
-    hu, hv = _ang_half(u), _ang_half(v)
-    if hu != hv:
-        return hu - hv
-    c = _cross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    Directions compare by angle from the positive x-axis: the upper
+    half-plane (the positive axis included) first, then within a half
+    by the sign of their cross product.  Distinct angles are in
+    counterclockwise order exactly when the cyclic sequence of them
+    descends once."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    ha = 0 if ay > 0 or (ay == 0 and ax > 0) else 1
+    hb = 0 if by > 0 or (by == 0 and bx > 0) else 1
+    hc = 0 if cy > 0 or (cy == 0 and cx > 0) else 1
+    hd = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+    # each is positive when its first direction comes later, zero when equal
+    ab = ha - hb or ay * bx - ax * by
+    bc = hb - hc or by * cx - bx * cy
+    cd = hc - hd or cy * dx - cx * dy
+    da = hd - ha or dy * ax - dx * ay
+    if not (ab and bc and cd and da):
+        return False
+    if not (ha - hc or ay * cx - ax * cy) or not (hb - hd or by * dx - bx * dy):
+        return False
+    return (ab > 0) + (bc > 0) + (cd > 0) + (da > 0) == 1
 
 
 def signed_area_twice(points):
@@ -309,11 +367,6 @@ def _station(a, b):
 def _polyline_stations(points):
     hits = (_station(points[i], points[i + 1]) for i in range(len(points) - 1))
     return tuple(h for h in hits if h is not None)
-
-
-def _sums(stations):
-    """The winding and least radius (None if none) of ray stations."""
-    return sum(s for _, s in stations), min((x for x, _ in stations), default=None)
 
 
 def ray_stations(points):
@@ -419,17 +472,16 @@ def nesting_depth(rd, index):
 # the diagram proper
 
 
-@dataclass(frozen=True)
-class _End:
+class _End(NamedTuple):
+    """One end of an open edge at a crossing point."""
+
     edge: str
     end: int  # 0 = tail (polyline start), 1 = head (polyline end)
     direction: tuple  # the edge's next point - crossing point
 
 
-_PAIRING = {
-    0: {0: 1, 1: 0, 2: 3, 3: 2},
-    1: {0: 3, 3: 0, 1: 2, 2: 1},
-}
+# per smoothing bit, the PD position paired with each position
+_PAIRING = ((1, 0, 3, 2), (3, 2, 1, 0))
 
 
 class AnnularDiagram:
@@ -439,11 +491,9 @@ class AnnularDiagram:
         self.crossings = _listed(
             "crossings", crossings, lambda rec: tuple(map(_string, _array(rec)))
         )
-        # the parsed Fractions name points in violations and serialize;
-        # all geometry runs on the int copy: circles of ``resolve`` have
+        # all geometry runs on the int points: circles of ``resolve`` have
         # int points, the diagram's coordinates times ``scale``
-        self.edges = _parse_edges(edges)
-        self.scale, self._int_edges = _scaled(self.edges)
+        self.scale, self._int_edges = _scaled(_parse_edges(edges))
         self.components = _listed(
             "components", components, lambda comp: tuple(map(_string, _array(comp)))
         )
@@ -452,7 +502,18 @@ class AnnularDiagram:
         self._ends = None
         self._cross_pts = None
         self._arcs = None
-        self._crossing_edges = None
+        self._crossing_edges = {e for rec in self.crossings for e in rec}
+
+    @cached_property
+    def edges(self):
+        """Each edge's points as Fraction pairs, the diagram's own
+        coordinates, built on first read: only violation texts,
+        ``nudged`` and ``diagram_to_dict`` read them."""
+        s = self.scale
+        return {
+            eid: [(Fraction(x, s), Fraction(y, s)) for x, y in pts]
+            for eid, pts in self._int_edges.items()
+        }
 
     @property
     def n_crossings(self):
@@ -484,20 +545,13 @@ class AnnularDiagram:
             raise InvalidDiagramError(v)
 
     def _run_validation(self):
-        out = []
-        out.extend(self._validate_structure())
+        out = self._validate_structure()
         if out:
             return out
-        out.extend(self._match_all_crossings())
+        out = self._match_all_crossings()
         if out:
             return out
-        out.extend(self._validate_components())
-        segs = [
-            (eid, i, pts[i], pts[i + 1])
-            for eid, pts in self._int_edges.items()
-            for i in range(len(pts) - 1)
-        ]
-        out.extend(self._validate_geometry(segs))
+        out = self._validate_components() + self._validate_geometry()
         if not out:
             self._prepare_arcs()
         return out
@@ -526,7 +580,7 @@ class AnnularDiagram:
                 )
                 continue
             for eid in rec:
-                if eid not in self.edges:
+                if eid not in self._int_edges:
                     out.append(
                         Violation(
                             ENDPOINT_MISMATCH,
@@ -544,7 +598,7 @@ class AnnularDiagram:
                     )
                 )
         declared = [e for comp in self.components for e in comp]
-        if sorted(declared) != sorted(self.edges):
+        if sorted(declared) != sorted(self._int_edges):
             out.append(
                 Violation(
                     ENDPOINT_MISMATCH,
@@ -566,60 +620,43 @@ class AnnularDiagram:
         # closed edges are free loops: referenced by no crossing record
         # (an open loop edge can also have equal endpoints, both at one
         # crossing, so point equality alone does not decide)
-        if self._crossing_edges is None:
-            self._crossing_edges = {e for rec in self.crossings for e in rec}
         return eid not in self._crossing_edges
 
-    def _candidate_ends(self, eid, point, role):
-        """Ends of the edge sitting at the crossing point.
-
-        role: 'head' (position 1), 'tail' (position 3), or 'any'.
-        """
-        pts = self._int_edges[eid]
-        if self._edge_is_closed(eid):
-            return []
-        cands = []
-        if role in ("tail", "any") and pts[0] == point:
-            cands.append(_End(eid, 0, _sub(pts[1], point)))
-        if role in ("head", "any") and pts[-1] == point:
-            cands.append(_End(eid, 1, _sub(pts[-2], point)))
-        return cands
-
     def _match_crossing(self, k):
+        """Crossing k's four ends in PD order and its point, or the
+        violation that keeps them from fitting.  Each edge of the record
+        names the crossing, so none is closed."""
         rec = self.crossings[k]
-        first = self._int_edges[rec[0]]
-        if self._edge_is_closed(rec[0]):
-            return None, None, Violation(
-                ENDPOINT_MISMATCH, f"crossing {k}", f"closed edge {rec[0]}"
-            )
-        point = first[-1]  # position 1 is the incoming under-strand
-        roles = ("head", "any", "tail", "any")
-        cands = [self._candidate_ends(rec[q], point, roles[q]) for q in range(4)]
-        if any(not c for c in cands):
-            return None, None, Violation(
-                ENDPOINT_MISMATCH,
-                f"crossing {k}",
-                "an end is missing at the crossing point",
-            )
+        int_edges = self._int_edges
+        point = int_edges[rec[0]][-1]  # position 1 is the incoming under-strand
+        px, py = point
+        cands = []
+        for q, eid in enumerate(rec):
+            # position 1 is a head, position 3 a tail, and 2 and 4 either
+            pts = int_edges[eid]
+            ends = []
+            if q != 0 and pts[0] == point:
+                x, y = pts[1]
+                ends.append((eid, 0, (x - px, y - py)))
+            if q != 2 and pts[-1] == point:
+                x, y = pts[-2]
+                ends.append((eid, 1, (x - px, y - py)))
+            if not ends:
+                return None, None, Violation(
+                    ENDPOINT_MISMATCH,
+                    f"crossing {k}",
+                    "an end is missing at the crossing point",
+                )
+            cands.append(ends)
         valid = []
         for combo in product(*cands):
-            keyset = {(e.edge, e.end) for e in combo}
-            if len(keyset) != 4:
+            (e0, n0, d0), (e1, n1, d1), (e2, n2, d2), (e3, n3, d3) = combo
+            if len({(e0, n0), (e1, n1), (e2, n2), (e3, n3)}) != 4:
                 continue
             # over-strand passes through: one incoming, one outgoing
-            if {combo[1].end, combo[3].end} != {0, 1}:
+            if n1 == n3:
                 continue
-            dirs = [e.direction for e in combo]
-            if any(
-                _ang_cmp(dirs[i], dirs[j]) == 0
-                for i in range(4)
-                for j in range(i + 1, 4)
-            ):
-                continue
-            order = sorted(range(4), key=cmp_to_key(
-                lambda a, b: _ang_cmp(dirs[a], dirs[b])))
-            start = order.index(0)
-            if [order[(start + i) % 4] for i in range(4)] == [0, 1, 2, 3]:
+            if _counterclockwise(d0, d1, d2, d3):
                 valid.append(combo)
         if not valid:
             return None, None, Violation(
@@ -627,12 +664,12 @@ class AnnularDiagram:
                 f"crossing {k}",
                 "no end assignment matches the counterclockwise order",
             )
-        assignments = {tuple((e.edge, e.end) for e in v) for v in valid}
-        if len(assignments) > 1:
+        # two combinations differ in the end taken at some position
+        if len(valid) > 1:
             return None, None, Violation(
                 ENDPOINT_MISMATCH, f"crossing {k}", "ambiguous end assignment"
             )
-        return valid[0], point, None
+        return tuple(_End(*e) for e in valid[0]), point, None
 
     def _match_all_crossings(self):
         out = []
@@ -649,10 +686,10 @@ class AnnularDiagram:
             return out
         # every open end used exactly once
         usage = {}
-        for k, combo in enumerate(ends):
+        for combo in ends:
             for e in combo:
                 usage[(e.edge, e.end)] = usage.get((e.edge, e.end), 0) + 1
-        for eid in self.edges:
+        for eid in self._int_edges:
             if self._edge_is_closed(eid):
                 continue
             for end in (0, 1):
@@ -673,7 +710,7 @@ class AnnularDiagram:
     def _validate_components(self):
         # strand continuity: positions 1-3 and 2-4 belong to one component
         out = []
-        parent = {e: e for e in self.edges}
+        parent = {e: e for e in self._int_edges}
 
         def find(x):
             while parent[x] != x:
@@ -688,7 +725,7 @@ class AnnularDiagram:
             union(rec[0], rec[2])
             union(rec[1], rec[3])
         classes = {}
-        for e in self.edges:
+        for e in self._int_edges:
             classes.setdefault(find(e), set()).add(e)
         declared = {frozenset(comp) for comp in self.components}
         computed = {frozenset(c) for c in classes.values()}
@@ -702,78 +739,107 @@ class AnnularDiagram:
             )
         return out
 
-    def _validate_geometry(self, segs):
+    def _validate_geometry(self):
         """Ray tangencies, the puncture on a segment, and segments that
-        meet away from their shared ends, on the scaled segments."""
-        out = []
-        origin = (0, 0)
-        cross = self._cross_pts
-        cross_pts = set(cross)
-        # segments adjacent to each crossing point
-        adj_lookup = {}
-        for k, combo in enumerate(self._ends):
-            for e in combo:
-                idx = 0 if e.end == 0 else len(self.edges[e.edge]) - 2
-                adj_lookup.setdefault((e.edge, idx), set()).add(cross[k])
+        meet away from their shared ends, on the scaled segments.
 
-        for eid, pts in self._int_edges.items():
-            for p, at in zip(pts, self.edges[eid]):
-                if p[1] == 0 and p[0] > 0:
-                    out.append(
-                        Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {at}")
-                    )
-        for k, p in enumerate(cross):
-            if p[1] == 0 and p[0] > 0:
+        Only pairs whose bounding boxes meet are tested.  Two consecutive
+        segments of one edge share a point, so they meet elsewhere
+        exactly when they are collinear and fold back: one cross and one
+        dot product of their directions decide them.  Any other pair is
+        dropped when one segment lies strictly on one side of the other's
+        line.  Of the rest, collinear segments overlap or share an end,
+        segments that touch meet at the end that lies on the other one's
+        line, and only a proper crossing goes to ``_seg_intersection``
+        for its point.  Segment violations come in segment order, each
+        segment's puncture first and then its pairs in partner order."""
+        tangent, found = [], []
+        int_edges = self._int_edges
+        # per segment: edge, index, ends, direction; box; the segment
+        # consecutive after it (-1 past an open edge's last one)
+        segs, boxes, follow, first = [], [], [], {}
+        for eid, pts in int_edges.items():
+            first[eid] = start = len(segs)
+            ax, ay = pts[0]
+            if ay == 0 and ax > 0:
+                tangent.append((eid, 0))
+            for i in range(1, len(pts)):
+                bx, by = pts[i]
+                if by == 0 and bx > 0:
+                    tangent.append((eid, i))
+                x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+                y0, y1 = (ay, by) if ay < by else (by, ay)
+                if x0 <= 0 <= x1 and y0 <= 0 <= y1 and ax * by == ay * bx:
+                    where = f"edge {eid} segment {i - 1}"
+                    found.append((len(segs), -1, Violation(ORIGIN_ON_CURVE, where)))
+                segs.append((eid, i - 1, ax, ay, bx, by, bx - ax, by - ay))
+                boxes.append((x0, x1, y0, y1))
+                ax, ay = bx, by
+            follow.extend(range(start + 1, len(segs)))
+            follow.append(start if self._edge_is_closed(eid) else -1)
+        out = [
+            Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {self.edges[eid][i]}")
+            for eid, i in tangent
+        ]
+        cross = self._cross_pts
+        for k, (x, y) in enumerate(cross):
+            if y == 0 and x > 0:
                 at = self.edges[self.crossings[k][0]][-1]
                 out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(at)))
-
-        closed = {eid: self._edge_is_closed(eid) for eid in self.edges}
-        nsegs = {eid: len(self.edges[eid]) - 1 for eid in self.edges}
-        # a segment pair can meet only if its bounding boxes do
-        partners = _box_partners([_box(a, b) for _, _, a, b in segs])
-        for a in range(len(segs)):
-            e1, i1, a1, b1 = segs[a]
-            if _on_segment(a1, b1, origin):
-                out.append(
-                    Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}")
-                )
-            for b in partners[a]:
-                e2, i2, a2, b2 = segs[b]
-                hit = _seg_intersection(a1, b1, a2, b2)
-                if hit is None:
+        # the crossing points at the ends of each end segment of an edge
+        adj = {}
+        for k, combo in enumerate(self._ends):
+            for e in combo:
+                s = first[e.edge] + (0 if e.end == 0 else len(int_edges[e.edge]) - 2)
+                adj.setdefault(s, set()).add(cross[k])
+        for a, b in _box_pairs(boxes):
+            e1, i1, ax, ay, bx, by, dx, dy = segs[a]
+            e2, i2, cx, cy, ex, ey, fx, fy = segs[b]
+            if follow[a] == b or follow[b] == a:
+                if not (dx * fy == dy * fx and dx * fx + dy * fy < 0):
                     continue
-                kind, pt = hit
-                if kind == "overlap":
-                    out.append(
-                        Violation(
-                            SELF_INTERSECTION,
-                            f"edges {e1}/{e2}",
-                            "collinear overlap",
-                        )
-                    )
+                pt = None  # they fold back
+            else:
+                o1 = dx * (cy - ay) - dy * (cx - ax)
+                o2 = dx * (ey - ay) - dy * (ex - ax)
+                if o1 > 0 and o2 > 0 or o1 < 0 and o2 < 0:
                     continue
-                ok = False
-                if (
-                    pt in cross_pts
-                    and pt in adj_lookup.get((e1, i1), ())
-                    and pt in adj_lookup.get((e2, i2), ())
-                ):
-                    # end segments touching at their shared crossing point
-                    ok = True
-                elif e1 == e2:
-                    consecutive = abs(i1 - i2) == 1 or (
-                        closed[e1] and {i1, i2} == {0, nsegs[e1] - 1}
+                o3 = fx * (ay - cy) - fy * (ax - cx)
+                o4 = fx * (by - cy) - fy * (bx - cx)
+                if o3 > 0 and o4 > 0 or o3 < 0 and o4 < 0:
+                    continue
+                if not (o1 or o2 or o3 or o4):
+                    # collinear, and their boxes meet: along a's axis they
+                    # share one end or overlap
+                    k = 0 if dx else 2
+                    lo = max(boxes[a][k], boxes[b][k])
+                    if lo != min(boxes[a][k + 1], boxes[b][k + 1]):
+                        pt = None
+                    else:
+                        pt = (ax, ay) if (ax, ay)[k // 2] == lo else (bx, by)
+                elif o1 and o2 and o3 and o4:
+                    # a proper crossing
+                    pt = _seg_intersection((ax, ay), (bx, by), (cx, cy), (ex, ey))[1]
+                else:
+                    # the lines meet at one point, the end on the other line
+                    pt = (
+                        (cx, cy) if not o1
+                        else (ex, ey) if not o2
+                        else (ax, ay) if not o3
+                        else (bx, by)
                     )
-                    if consecutive:
-                        shared = {a1, b1} & {a2, b2}
-                        ok = pt in shared
-                if not ok:
-                    at = (Fraction(pt[0], self.scale), Fraction(pt[1], self.scale))
-                    out.append(
-                        Violation(
-                            SELF_INTERSECTION, f"edges {e1}/{e2}", _meet_text(at)
-                        )
-                    )
+            if pt is None:
+                detail = "collinear overlap"
+            elif pt in adj.get(a, ()) and pt in adj.get(b, ()):
+                # end segments touching at their shared crossing point
+                continue
+            else:
+                at = (Fraction(pt[0], self.scale), Fraction(pt[1], self.scale))
+                detail = _meet_text(at)
+            where = f"edges {e1}/{e2}"
+            found.append((a, b, Violation(SELF_INTERSECTION, where, detail)))
+        found.sort()  # no two share (segment, partner)
+        out += [v for _, _, v in found]
         return out
 
     def _prepare_arcs(self):
@@ -787,36 +853,60 @@ class AnnularDiagram:
         by there for each smoothing bit; and its points up to, not
         including, that crossing, where the next arc starts.  Per
         crossing: the numbers of its four edges, in PD order."""
-        order = sorted(self.edges)
+        int_edges = self._int_edges
+        order = sorted(int_edges)
         index = {eid: j for j, eid in enumerate(order)}
-        # the (crossing, position) each arc runs into: an edge's arc along
-        # it runs into its head (end 1), the one against it into its tail
-        ends = {
-            2 * index[e.edge] + e.end: (k, q)
-            for k, combo in enumerate(self._ends)
-            for q, e in enumerate(combo)
-        }
-        sums = [_sums(_polyline_stations(self._int_edges[eid])) for eid in order]
-        lows = [min(self._int_edges[eid]) for eid in order]
+        # per crossing position, the arc leaving there along its edge from
+        # a tail; per arc, the (crossing, position) it runs into: an
+        # edge's arc along it runs into its head (end 1), the one against
+        # it into its tail
+        exits, into = [], {}
+        for k, combo in enumerate(self._ends):
+            exits.append(tuple(2 * index[e.edge] + (e.end == 0) for e in combo))
+            for q, e in enumerate(combo):
+                into[2 * index[e.edge] + e.end] = (k, q)
+        # each edge's winding and least ray radius, from its stations as
+        # ``_station`` finds them: a radius is num / den with den > 0
+        sums = []
+        for eid in order:
+            pts = int_edges[eid]
+            w, least = 0, None
+            ys = [y for _, y in pts]
+            if min(ys) <= 0 < max(ys):
+                for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+                    if (ay <= 0) == (by <= 0):
+                        continue
+                    num, den = ax * by - ay * bx, by - ay
+                    if num * den <= 0:
+                        continue
+                    if den > 0:
+                        w += 1
+                    else:
+                        w -= 1
+                        num, den = -num, -den
+                    if least is None or num * least[1] < least[0] * den:
+                        least = (num, den)
+            sums.append((w, least and Fraction(*least)))
+        lows = [min(int_edges[eid]) for eid in order]
         radii = sorted({r for _, r in sums if r is not None})
         low_rank = {p: n for n, p in enumerate(sorted(set(lows)))}
         radius_rank = {r: n for n, r in enumerate(radii)}
         arcs, runs = [], []
         for j, eid in enumerate(order):
-            pts = self._int_edges[eid]
+            pts = int_edges[eid]
             w, radius = sums[j]
-            ranks = (low_rank[lows[j]], radius_rank.get(radius, len(radii)))
-            for along in (False, True):
-                runs.append(tuple(pts[:-1] if along else pts[:0:-1]))
-                end = ends.get(2 * j + along)
+            low, rank = low_rank[lows[j]], radius_rank.get(radius, len(radii))
+            runs += (tuple(pts[:0:-1]), tuple(pts[:-1]))
+            for arc, wind in ((2 * j, -w), (2 * j + 1, w)):
+                end = into.get(arc)
                 if end is None:
-                    arcs.append((j, 1 << j, w if along else -w, *ranks, None, None))
+                    arcs.append((j, 1 << j, wind, low, rank, None, None))
                     continue
                 k, q = end
-                # the walk leaves by the paired end, along its edge from a tail
-                out = [self._ends[k][_PAIRING[bit][q]] for bit in (0, 1)]
-                leave = tuple(2 * index[x.edge] + (x.end == 0) for x in out)
-                arcs.append((j, 1 << j, w if along else -w, *ranks, k, leave))
+                # the walk leaves by the paired end
+                ex = exits[k]
+                leave = (ex[_PAIRING[0][q]], ex[_PAIRING[1][q]])
+                arcs.append((j, 1 << j, wind, low, rank, k, leave))
         self._edge_order = order
         self._arcs, self._runs, self._radii = arcs, runs, radii
         self._incident = [tuple(index[e] for e in rec) for rec in self.crossings]

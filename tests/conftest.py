@@ -10,11 +10,15 @@ from annkh import corpus, diagram, frobenius, tl, tqft
 from annkh.complexes import ChainComplexData
 from annkh.diagram import cube_edge_pairs
 from annkh.errors import (
+    ORIGIN_ON_CURVE,
+    RAY_TANGENCY,
+    SELF_INTERSECTION,
     AnnkhError,
     EmbeddingViolationError,
     InvariantError,
     NotACubeEdgeError,
     UnsupportedRingError,
+    Violation,
 )
 from annkh.homology import BigradedHomology, SNFResult
 from annkh.linalg import SparseMatrix
@@ -546,6 +550,87 @@ def outcome(fn, *args):
         return fn(*args)
     except AnnkhError as e:
         return type(e), str(e)
+
+
+def reference_box_partners(boxes):
+    """For each box a, the sorted indices b > a of the closed boxes it
+    meets, by trying every pair."""
+    return [
+        [b for b in range(a + 1, len(boxes))
+         if boxes[a][0] <= boxes[b][1] and boxes[b][0] <= boxes[a][1]
+         and boxes[a][2] <= boxes[b][3] and boxes[b][2] <= boxes[a][3]]
+        for a in range(len(boxes))
+    ]
+
+
+def reference_validate_geometry(d):
+    """The geometric violations of a diagram whose crossings matched, by
+    the pairwise loop validation ran before consecutive segments were
+    decided by one cross and one dot product: every pair of segments
+    whose boxes meet goes through ``diagram._seg_intersection``."""
+    segs = [
+        (eid, i, pts[i], pts[i + 1])
+        for eid, pts in d._int_edges.items()
+        for i in range(len(pts) - 1)
+    ]
+    out = []
+    origin = (0, 0)
+    cross = d._cross_pts
+    cross_pts = set(cross)
+    edges = d.edges
+    # segments adjacent to each crossing point
+    adj_lookup = {}
+    for k, combo in enumerate(d._ends):
+        for e in combo:
+            idx = 0 if e.end == 0 else len(edges[e.edge]) - 2
+            adj_lookup.setdefault((e.edge, idx), set()).add(cross[k])
+    for eid, pts in d._int_edges.items():
+        for p, at in zip(pts, edges[eid]):
+            if p[1] == 0 and p[0] > 0:
+                out.append(Violation(RAY_TANGENCY, f"edge {eid}", f"vertex {at}"))
+    for k, p in enumerate(cross):
+        if p[1] == 0 and p[0] > 0:
+            at = edges[d.crossings[k][0]][-1]
+            out.append(Violation(RAY_TANGENCY, f"crossing {k}", str(at)))
+    closed = {eid: d._edge_is_closed(eid) for eid in edges}
+    nsegs = {eid: len(edges[eid]) - 1 for eid in edges}
+    boxes = [
+        (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+        for _, _, a, b in segs
+    ]
+    partners = reference_box_partners(boxes)
+    for a in range(len(segs)):
+        e1, i1, a1, b1 = segs[a]
+        if diagram._on_segment(a1, b1, origin):
+            out.append(Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}"))
+        for b in partners[a]:
+            e2, i2, a2, b2 = segs[b]
+            hit = diagram._seg_intersection(a1, b1, a2, b2)
+            if hit is None:
+                continue
+            kind, pt = hit
+            where = f"edges {e1}/{e2}"
+            if kind == "overlap":
+                out.append(Violation(SELF_INTERSECTION, where, "collinear overlap"))
+                continue
+            ok = False
+            if (
+                pt in cross_pts
+                and pt in adj_lookup.get((e1, i1), ())
+                and pt in adj_lookup.get((e2, i2), ())
+            ):
+                # end segments touching at their shared crossing point
+                ok = True
+            elif e1 == e2:
+                consecutive = abs(i1 - i2) == 1 or (
+                    closed[e1] and {i1, i2} == {0, nsegs[e1] - 1}
+                )
+                if consecutive:
+                    ok = pt in {a1, b1} & {a2, b2}
+            if not ok:
+                at = (Fraction(pt[0], d.scale), Fraction(pt[1], d.scale))
+                out.append(Violation(SELF_INTERSECTION, where, diagram._meet_text(at)))
+    return out
 
 
 def fraction_crossings(d):

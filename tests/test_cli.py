@@ -78,7 +78,7 @@ def test_alpha_ring_with_a_zero_denominator(capsys, corpus_dir, position):
     [
         ("alpha:1e99999999,0", "an exponent beyond 4000"),
         ("alpha:0,-1e-4001", "an exponent beyond 4000"),
-        ("alpha:1" + "0" * 4001 + ",0", "a coordinate of over 4001 digits"),
+        ("alpha:1" + "0" * 4001 + ",0", "a value of over 4001 digits"),
     ],
     ids=["exponent", "negative_exponent", "digits"],
 )

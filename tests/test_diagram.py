@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -646,16 +647,18 @@ def test_a_puncture_near_a_crossing_matches_the_disk_model(puncture_sweep):
 def test_validation_makes_linearly_many_exact_pair_tests(monkeypatch):
     d = rebuilt(braid_closure([1] * 40, 2))
     nsegs = sum(len(pts) - 1 for pts in d.edges.values())
-    calls = []
-    exact = diagram._seg_intersection
+    pairs = []
+    sweep = diagram._box_pairs
 
-    def counting(*args):
-        calls.append(args)
-        return exact(*args)
+    def counting(boxes):
+        found = sweep(boxes)
+        pairs.append(len(found))
+        return found
 
-    monkeypatch.setattr(diagram, "_seg_intersection", counting)
+    # the sweep hands every pair that is tested exactly to the pair loop
+    monkeypatch.setattr(diagram, "_box_pairs", counting)
     assert d.is_valid()
-    assert 0 < len(calls) <= 3 * nsegs
+    assert len(pairs) == 1 and 0 < pairs[0] <= 3 * nsegs
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +711,10 @@ def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
     assert essential_seen > 0
 
 
-def test_loading_builds_no_fractions_beyond_the_coordinates(monkeypatch):
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_loading_builds_one_fraction_per_edge_meeting_the_ray(monkeypatch):
     from annkh import cli, homology
 
     made = []
@@ -718,16 +724,192 @@ def test_loading_builds_no_fractions_beyond_the_coordinates(monkeypatch):
         made.append(args)
         return new(cls, *args, **kwargs)
 
-    path = Path(__file__).resolve().parent.parent / "corpus" / "braid3_r3_a.json"
     monkeypatch.setattr(Fraction, "__new__", counting)
-    d = cli.load(path)
-    coordinates = sum(2 * len(pts) for pts in d.edges.values())
+    d = cli.load(CORPUS / "braid3_r3_a.json")
     built = len(made)
-    # the rest are the few ray-station radii of the edges, one per station
+    # coordinates are read as ints, and the Fraction view is not built;
+    # the Fractions are each edge's least ray radius
+    assert "edges" not in vars(d)
+    meets = sum(bool(diagram._polyline_stations(p)) for p in d._int_edges.values())
     stations = sum(len(diagram._polyline_stations(p)) for p in d._int_edges.values())
-    assert stations > 0
-    assert built == coordinates + stations
+    assert 0 < meets <= stations
+    assert built == meets
     made.clear()
     for o in all_orientations(d):
         homology.canonical_generator(d, o)
     assert made == []
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+def test_a_corpus_file_is_written_back_byte_for_byte(path):
+    # the Fraction view built from the int points names every coordinate
+    # as the file does
+    assert dumps_diagram(load_diagram(path)) + "\n" == path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the int parser against the bounded Fraction parser
+
+
+def fraction_path(c):
+    """A coordinate read by the bounded Fraction parser alone, as every
+    coordinate was read before the int fast path."""
+    f = diagram.bounded_fraction(c, "a coordinate")
+    return f.numerator, f.denominator
+
+
+def parsed_point(xy, read):
+    """A point's coordinate pairs, or the text of its refusal."""
+    try:
+        return diagram._pt("e0", xy, read)
+    except ValueError as e:
+        return str(e)
+
+
+def takes_the_int_path(v):
+    """Whether the parser reads v without the Fraction parser: a short
+    ASCII string ``-?\\d+(/\\d+)?`` with a nonzero denominator, or an
+    int or a Fraction within the cap."""
+    if type(v) is str:
+        m = re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", v)
+        return bool(m) and len(v) <= 40 and int(m.group(1) or 1) != 0
+    if type(v) in (int, Fraction):
+        cap = 10 ** (diagram.MAX_EXPONENT + 1)
+        return abs(v.numerator) < cap and v.denominator < cap
+    return False
+
+
+def test_the_int_parser_reads_what_fraction_reads(monkeypatch):
+    rng = random.Random(89)
+    values = [
+        "+5", " 5 ", "1_000", "\u0663", "1/0", "-0", "007/014", "1e3", "0.5", "", "/2",
+        "-", "5/", "-5/-3", "5/+3", "--5", "0/7", "-0/3", "3/6", "0" * 39 + "7",
+        "1" + "0" * 40, "-" + "9" * 39, "9" * 4001, "1" + "0" * 4001,
+        10**60 + 7, -(10**60), 10**4001, -(10**4001), 0,
+        Fraction(10**4001, 3), Fraction(1, 10**4001), Fraction(-7, 2),
+        True, False, 0.5, -0.0, 1e300, 2.5e-8, float("nan"), float("inf"), -1.0,
+        None, [1], {"x": 1},
+    ]
+    values += [rng.randint(-(10**6), 10**6) for _ in range(20)]
+    values += [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(20)]
+    values += [rng.uniform(-100, 100) for _ in range(10)]
+    for _ in range(80):
+        # a coordinate as ``save_diagram`` writes it, and a spelling one
+        # character away from it
+        text = str(Fraction(rng.randint(-(10**8), 10**8), rng.randint(1, 10**4)))
+        k = rng.randrange(len(text) + 1)
+        values += [text, text[:k] + rng.choice("+- _/.e0x\u0663") + text[k:]]
+    points = [[v, "3"] for v in values] + [["-7/2", v] for v in values]
+    reached = []
+    bounded = diagram.bounded_fraction
+
+    def spy(c, what="a value"):
+        reached.append(c)
+        return bounded(c, what)
+
+    monkeypatch.setattr(diagram, "bounded_fraction", spy)
+    # one diagram's strings are parsed once, however often they repeat
+    read = {}
+    fast = [parsed_point(xy, read) for xy in points]
+    through_fraction = list(reached)
+    monkeypatch.setattr(diagram, "_coordinate", fraction_path)
+    slow = [parsed_point(xy, {}) for xy in points]
+    assert fast == slow
+    # every spelling but the plain ones, and every float, went through
+    # the Fraction parser; booleans are refused before either
+    for v in values:
+        if type(v) is not bool:
+            reads = any(r is v or type(r) is str and r == v for r in through_fraction)
+            assert reads != takes_the_int_path(v), repr(v)[:80]
+    refusals = {r.partition("(")[2] for r in fast if isinstance(r, str)}
+    assert {
+        "a coordinate of over 4001 digits)",
+        "Fraction(1, 0))",
+        "a coordinate is a number or a string, not a boolean)",
+    } <= refusals
+    assert sum(not isinstance(r, str) for r in fast) > len(points) // 2
+
+
+# ---------------------------------------------------------------------------
+# geometry against the pairwise loop
+
+
+def halfway(a, b):
+    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+
+
+def moved(d, eid, j, p):
+    """A fresh copy of d with point j of edge eid at p."""
+    return rebuilt(d, lambda e, i, q: p if (e, i) == (eid, j) else q)
+
+
+def geometry_cases():
+    """The corpus and seeded perturbations of it, each aimed at one kind
+    of geometric violation."""
+    rng = random.Random(131)
+    cases = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        d = load_diagram(path)
+        name = path.stem
+        cases[name] = d
+        first = sorted(d.edges)[0]
+        a, b = d.edges[first][:2]
+        cases[f"{name} vertex on the ray"] = rebuilt(
+            d, lambda e, i, p: (p[0] - a[0] + 1, p[1] - a[1])
+        )
+        mid = halfway(a, b)
+        cases[f"{name} through the puncture"] = rebuilt(
+            d, lambda e, i, p: (p[0] - mid[0], p[1] - mid[1])
+        )
+        for eid, pts in sorted(d.edges.items()):
+            closed = d._edge_is_closed(eid)
+            # point 2 on segment 0, so that segment 1 runs back along it;
+            # on an open edge, not the point that sets its end's direction
+            if len(pts) >= 5 or closed and len(pts) >= 4:
+                cases[f"{name} {eid} folds back"] = moved(d, eid, 2, halfway(*pts[:2]))
+            if closed and len(pts) >= 4:
+                # the last segment runs back along the first, over the close
+                cases[f"{name} {eid} folds back over its close"] = moved(
+                    d, eid, len(pts) - 2, halfway(*pts[:2])
+                )
+        for n in range(3):
+            eid = rng.choice(sorted(d.edges))
+            j = rng.randrange(1, len(d.edges[eid]) - 1)
+            x, y = d.edges[eid][j]
+            dx, dy = (Fraction(rng.randint(-12, 12), 2) for _ in range(2))
+            cases[f"{name} moved {n}"] = moved(d, eid, j, (x + dx, y + dy))
+    bow_tie = [["1", "5"], ["-1", "7"], ["-1", "5"], ["1", "7"], ["1", "5"]]
+    cases["bow tie"] = AnnularDiagram([], {"e0": bow_tie}, [["e0"]], [False])
+    return cases
+
+
+def test_geometry_matches_the_pairwise_loop():
+    from conftest import reference_validate_geometry
+
+    seen = set()
+    compared = 0
+    for name, d in geometry_cases().items():
+        if d._validate_structure() or d._match_all_crossings():
+            assert " moved " in name, name
+            continue
+        want = reference_validate_geometry(d)
+        assert d._validate_geometry() == want, name
+        compared += 1
+        for v in want:
+            e1, _, e2 = v.where.partition(" ")[2].partition("/")
+            same = "one edge" if e1 == e2 else "two edges"
+            seen.add((v.kind, v.detail.split(" ")[0], same if e2 else ""))
+            if name.endswith("folds back over its close"):
+                seen.add(("wrap", v.detail))
+        if name == "bow tie":
+            meet = "meet at (Fraction(0, 1), Fraction(6, 1))"
+            assert [v.detail for v in want] == [meet]
+    assert compared > 60
+    assert {
+        (RAY_TANGENCY, "vertex", ""),
+        (ORIGIN_ON_CURVE, "", ""),
+        (SELF_INTERSECTION, "collinear", "one edge"),
+        (SELF_INTERSECTION, "meet", "one edge"),
+        (SELF_INTERSECTION, "meet", "two edges"),
+        ("wrap", "collinear overlap"),
+    } <= seen
