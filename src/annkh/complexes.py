@@ -18,25 +18,24 @@ The complex is its cube, and the cube is made of ints:
 vertex once and holding the resolutions of two degrees only, and keeps
 each edge as one row of its degree's blocks, (row offset, col offset,
 signed items), at its vertices' offsets; nothing is re-keyed.
-``homology`` and the checks add the offsets as they read;
-``ChainComplexData.diff`` assembles the blocks only for the canonical
-generators of ``homology``.  Edge maps of one placement shape share one
-entry dict (see ``tqft``), so the walk makes one items list per shared
-dict and sign, :func:`verify_grading` takes the polynomial degrees of
-each list once, and the d^2 checks multiply each distinct face of the
-cube once, all faces of a degree in one ``ring.matmul``.
+``homology``, the checks and the canonical generators add the offsets
+as they read, and no differential is ever assembled.  Edge maps of one
+placement shape share one entry dict (see ``tqft``), so the walk makes
+one items list per shared dict and sign, :func:`verify_grading` takes
+the polynomial degrees of each list once, and the d^2 checks multiply
+each distinct face of the cube once, all faces of a degree in one
+``ring.matmul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 from . import tqft
 from .diagram import cube_edge_pairs
 from .errors import InvariantError, VariantRingMismatchError
-from .linalg import SparseMatrix, accumulate
+from .linalg import accumulate
 
 
 @dataclass
@@ -44,7 +43,7 @@ class ChainComplexData:
     """Bigraded complex over a coefficient ring, kept as its edge blocks."""
 
     ring: object
-    planar: bool  # diff is the untruncated planar differential
+    planar: bool  # the blocks hold the untruncated planar differential
     n_plus: int
     n_minus: int
     degrees: list
@@ -76,19 +75,6 @@ class ChainComplexData:
     def offset(self, i, u):
         """Index of the first basis vector of vertex u in degree i."""
         return self.offsets[(i, u)]
-
-    @cached_property
-    def diff(self):
-        """i -> SparseMatrix C^i -> C^{i+1}, from the blocks on first read;
-        only ``homology``'s canonical generators read it."""
-        diff = {}
-        for i in self.degrees[:-1]:
-            m = {}
-            for rof, cof, items in self.blocks.get(i, ()):
-                for (r, c), v in items:
-                    m[(rof + r, cof + c)] = v
-            diff[i] = SparseMatrix.wrap(self.ring, self.rank(i + 1), self.rank(i), m)
-        return diff
 
 
 def _vertices(n, weight):
@@ -296,7 +282,7 @@ def verify_grading(c):
     planar one may also raise it by 2.  Quantum degrees of entries are
     accounted through their polynomial degree; over ungraded rings only
     the annular degree is checked.  Entries are read off the blocks, in
-    the order of ``diff`` and at their offsets.
+    degree order and at their offsets.
     """
     adeg_shifts = (0, 2) if c.planar else (0,)
     qdegs = {}  # id of a block's items -> the qdeg of each value

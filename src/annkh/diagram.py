@@ -231,49 +231,12 @@ def _orient(a, b, c):
     return _cross(_sub(b, a), _sub(c, a))
 
 
-def _on_segment(a, b, p):
-    if _orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _seg_intersection(p1, p2, p3, p4):
-    """None, ("point", pt), or ("overlap", None) for closed segments."""
-    o1 = _orient(p1, p2, p3)
-    o2 = _orient(p1, p2, p4)
-    o3 = _orient(p3, p4, p1)
-    o4 = _orient(p3, p4, p2)
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        # collinear
-        axis = 0 if p1[0] != p2[0] else 1
-        lo1, hi1 = sorted((p1[axis], p2[axis]))
-        lo2, hi2 = sorted((p3[axis], p4[axis]))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return None
-        if lo == hi:
-            pt = p1 if p1[axis] == lo else p2
-            return ("point", pt)
-        return ("overlap", None)
-    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0:
-        if (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
-            d = _sub(p2, p1)
-            e = _sub(p4, p3)
-            t = Fraction(_cross(_sub(p3, p1), e), _cross(d, e))
-            return ("point", (p1[0] + t * d[0], p1[1] + t * d[1]))
-    # touching cases
-    if o1 == 0 and _on_segment(p1, p2, p3):
-        return ("point", p3)
-    if o2 == 0 and _on_segment(p1, p2, p4):
-        return ("point", p4)
-    if o3 == 0 and _on_segment(p3, p4, p1):
-        return ("point", p1)
-    if o4 == 0 and _on_segment(p3, p4, p2):
-        return ("point", p2)
-    return None
+def _crossing_point(a, d, c, f):
+    """Where the segments from a along d and from c along f cross,
+    given that they cross properly: at a + t d, t = cross(c - a, f) /
+    cross(d, f), a Fraction."""
+    t = Fraction(_cross(_sub(c, a), f), _cross(d, f))
+    return (a[0] + t * d[0], a[1] + t * d[1])
 
 
 def _box_pairs(boxes):
@@ -344,37 +307,6 @@ def point_winding(points, p):
             if b[1] <= p[1] and left < 0:
                 wn -= 1
     return wn
-
-
-def _station(a, b):
-    """Where the segment from a to b crosses the positive x-axis, as
-    (x, sign), or None.  The rule is half-open at y = 0 on both ends, so
-    the segment from b to a gives (x, -sign).  For int points x is the
-    Fraction cross(a, b) / (b_y - a_y)."""
-    if a[1] <= 0 < b[1]:
-        sign = 1
-    elif b[1] <= 0 < a[1]:
-        sign = -1
-    else:
-        return None
-    num = _cross(a, b)
-    # the denominator b_y - a_y has the sign of the crossing
-    if num * sign <= 0:
-        return None
-    return (Fraction(num, b[1] - a[1]), sign)
-
-
-def _polyline_stations(points):
-    hits = (_station(points[i], points[i + 1]) for i in range(len(points) - 1))
-    return tuple(h for h in hits if h is not None)
-
-
-def ray_stations(points):
-    """Signed crossings of the positive x-axis, in traversal order.
-
-    Upward crossings (counterclockwise around the origin) count +1.
-    """
-    return list(_polyline_stations(tuple(points) + tuple(points[:1])))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +682,7 @@ class AnnularDiagram:
         dropped when one segment lies strictly on one side of the other's
         line.  Of the rest, collinear segments overlap or share an end,
         segments that touch meet at the end that lies on the other one's
-        line, and only a proper crossing goes to ``_seg_intersection``
+        line, and only a proper crossing goes to ``_crossing_point``
         for its point.  Segment violations come in segment order, each
         segment's puncture first and then its pairs in partner order."""
         tangent, found = [], []
@@ -819,7 +751,7 @@ class AnnularDiagram:
                         pt = (ax, ay) if (ax, ay)[k // 2] == lo else (bx, by)
                 elif o1 and o2 and o3 and o4:
                     # a proper crossing
-                    pt = _seg_intersection((ax, ay), (bx, by), (cx, cy), (ex, ey))[1]
+                    pt = _crossing_point((ax, ay), (dx, dy), (cx, cy), (fx, fy))
                 else:
                     # the lines meet at one point, the end on the other line
                     pt = (
@@ -865,8 +797,10 @@ class AnnularDiagram:
             exits.append(tuple(2 * index[e.edge] + (e.end == 0) for e in combo))
             for q, e in enumerate(combo):
                 into[2 * index[e.edge] + e.end] = (k, q)
-        # each edge's winding and least ray radius, from its stations as
-        # ``_station`` finds them: a radius is num / den with den > 0
+        # each edge's winding and least ray radius, from its stations: a
+        # segment from a to b meets the ray when the rule, half-open at
+        # y = 0, puts its ends on two sides and cross(a, b) has the sign
+        # of b_y - a_y; upward counts +1, at radius num / den, den > 0
         sums = []
         for eid in order:
             pts = int_edges[eid]

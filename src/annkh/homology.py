@@ -14,7 +14,8 @@ renumbered (``linalg.packed``) into the small non-unit matrix the Smith
 normal form runs on.  Both are sparse eliminations on a row form, with
 one row update (``linalg.row_subtractor``); the SNF pivots on an entry
 of least Euclidean size.  ``cancel_units`` is importable from here as
-well.
+well.  The canonical generators read the blocks too: a generator is a
+cycle when no block leaving its vertex has an entry in its column.
 
 The degrees are reduced in order, and each cancellation carries over
 to the next degree (Bar-Natan's Gaussian elimination lemma): a unit
@@ -285,18 +286,24 @@ class CanonicalReport:
 
 def verify_canonical(d, choice, c=None):
     """Check the generator is a cycle and its annular degree matches
-    (-1)^m times the winding number of the oriented link."""
+    (-1)^m times the winding number of the oriented link.
+
+    The generator's column meets only the blocks of its degree whose
+    column offset is its vertex's, and blocks are disjoint, so it is a
+    cycle exactly when none of their items has its word as column."""
     if c is None:
         c = lee_complex(d)
     gen, rd = _canonical(d, choice)
     m = rd.n_essential
     w = sum(circ.winding for circ in rd.circles if circ.essential)
     expected = w if m % 2 == 0 else -w
-    col = generator_vector_index(c, gen)
-    i = gen.degree
-    is_cycle = True
-    if i in c.diff:
-        is_cycle = all(cc != col for (_, cc) in c.diff[i].entries)
+    at = c.offset(gen.degree, gen.smoothing)
+    is_cycle = not any(
+        col == gen.word
+        for _, cof, items in c.blocks.get(gen.degree, ())
+        if cof == at
+        for (_, col), _ in items
+    )
     return CanonicalReport(
         generator=gen,
         adeg=gen.adeg,
@@ -309,14 +316,19 @@ def canonical_span_rank(c, gens):
     """Rank spanned by the classes of the canonical generators ``gens``
     in the homology of the Lee complex ``c``: the rank the generators add
     to the boundaries, each rank counted by unit cancellation (over a
-    field every entry is a unit)."""
+    field every entry is a unit).  d^{i-1} is gathered from its blocks
+    at their offsets."""
     by_degree = {}
     for g in gens:
         by_degree.setdefault(g.degree, []).append(g)
     ring = c.ring
     total = 0
     for i, gg in by_degree.items():
-        d_in = c.diff[i - 1].entries if i - 1 in c.diff else {}
+        d_in = {
+            (rof + r, cof + col): v
+            for rof, cof, items in c.blocks.get(i - 1, ())
+            for (r, col), v in items
+        }
         ncols = c.rank(i - 1)
         spanned = dict(d_in)
         for j, g in enumerate(gg):

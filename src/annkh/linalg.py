@@ -1,24 +1,20 @@
-"""The one sparse matrix type, and unit cancellation.
+"""Entry dicts, unit cancellation, and the Smith normal form's input.
 
-Every map in the pipeline is a :class:`SparseMatrix`: saddles, dotted
-identities, births, deaths and the differential.  ``tqft.LinearMap`` is
-a ``SparseMatrix`` between state spaces, so sums and products of maps
-all run through the arithmetic here.  :func:`accumulate` sums
-terms that share a key.  ``__matmul__`` checks shapes and hands the
-product loop to the ring (``CoefficientRing.matmul``), which may run it
-on its raw values: the GENERIC ring multiplies polynomial terms as ints.
+Every map in the pipeline is an entry dict ``(row, col) -> value``
+with no zero value: saddles, dotted identities, births, deaths and the
+blocks of the differential.  :func:`accumulate` sums terms that share
+a key, and the ring owns the product loop (``CoefficientRing.matmul``),
+which may run on its raw values: the GENERIC ring multiplies
+polynomial terms as ints.
 
 Chain groups reach tens of thousands of generators (T(2,9) has about
 20k), but differentials stay very sparse, so the operations here cost
 time in proportion to the stored entries.  Elimination works in place
 on a row form (``homology.homology`` builds one per slice straight from
-a differential).  :func:`cancel_units` gives the rank over a field, and
+the blocks).  :func:`cancel_units` gives the rank over a field, and
 elsewhere leaves a small unit-free remainder, which :func:`packed`
-renumbers for the Smith normal form, on the same row update.
-Nothing dense is built.  ``to_dense`` and ``submatrix`` have no caller
-in ``annkh``: they stay only for the benchmark's tracer, which wraps
-them by name, and go when the program records its own stats (ROADMAP
-item 2).
+renumbers into a :class:`SparseMatrix` for the Smith normal form, on
+the same row update.  Nothing dense is built.
 """
 
 from __future__ import annotations
@@ -40,69 +36,18 @@ def accumulate(ring, out, items):
 
 
 class SparseMatrix:
-    """Sparse matrix with entries in a :class:`~annkh.ring.CoefficientRing`.
+    """The input of the Smith normal form, as :func:`packed` builds it:
+    an entry dict ``(row, col) -> value`` with no zero value and every
+    index in range, stored as given.
 
-    Entries are stored as a dict ``(row, col) -> value`` with no explicit
-    zeros.  Instances are treated as immutable once built.
-    """
+    ``__matmul__``, ``submatrix`` and ``to_dense`` have no caller in
+    ``annkh``: the benchmark's tracer wraps them by name (ROADMAP
+    item 2)."""
 
     __slots__ = ("ring", "nrows", "ncols", "entries")
 
-    def __init__(self, ring, nrows, ncols, entries=None):
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not ring.is_zero(v):
-                    if not (0 <= r < nrows and 0 <= c < ncols):
-                        raise IndexError(f"entry ({r},{c}) out of range")
-                    clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def wrap(cls, ring, nrows, ncols, entries):
-        """A matrix holding ``entries`` as given, unchecked: for dicts the
-        caller built itself, with no zero value and every index in range."""
-        m = cls.__new__(cls)
-        m.ring, m.nrows, m.ncols, m.entries = ring, nrows, ncols, entries
-        return m
-
-    @classmethod
-    def identity(cls, ring, n):
-        one = ring.one()
-        return cls.wrap(ring, n, n, {(i, i): one for i in range(n)})
-
-    def get(self, r, c):
-        return self.entries.get((r, c), self.ring.zero())
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatchError("matrix addition shape mismatch")
-        out = accumulate(self.ring, dict(self.entries), other.entries.items())
-        return SparseMatrix.wrap(self.ring, self.nrows, self.ncols, out)
-
-    def __neg__(self):
-        neg = self.ring.neg
-        out = {k: neg(v) for k, v in self.entries.items()}
-        return SparseMatrix.wrap(self.ring, self.nrows, self.ncols, out)
-
-    def __sub__(self, other):
-        return self + (-other)
+    def __init__(self, ring, nrows, ncols, entries):
+        self.ring, self.nrows, self.ncols, self.entries = ring, nrows, ncols, entries
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -111,43 +56,25 @@ class SparseMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         out = self.ring.matmul(self.entries, other.entries)
-        return SparseMatrix.wrap(self.ring, self.nrows, other.ncols, out)
-
-    def map_entries(self, fn, ring=None):
-        """Entrywise image under fn, optionally into a different ring."""
-        ring = ring or self.ring
-        out = {}
-        for k, v in self.entries.items():
-            w = fn(v)
-            if not ring.is_zero(w):
-                out[k] = w
-        return SparseMatrix.wrap(ring, self.nrows, self.ncols, out)
+        return SparseMatrix(self.ring, self.nrows, other.ncols, out)
 
     def submatrix(self, rows, cols):
-        """Restriction to the given row/col index lists (in that order);
-        unused in ``annkh``, kept for the benchmark's tracer."""
+        """Restriction to the given row/col index lists (in that order)."""
         rpos = {r: i for i, r in enumerate(rows)}
         cpos = {c: j for j, c in enumerate(cols)}
         out = {}
         for (r, c), v in self.entries.items():
             if r in rpos and c in cpos:
                 out[(rpos[r], cpos[c])] = v
-        return SparseMatrix.wrap(self.ring, len(rows), len(cols), out)
+        return SparseMatrix(self.ring, len(rows), len(cols), out)
 
     def to_dense(self):
-        """Rows as lists; unused in ``annkh``, kept for the benchmark's
-        tracer, which wraps it by name."""
+        """Rows as lists."""
         z = self.ring.zero()
         rows = [[z] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def __repr__(self):
-        return (
-            f"SparseMatrix({self.ring}, {self.nrows}x{self.ncols}, "
-            f"{len(self.entries)} entries)"
-        )
 
 
 def row_form(entries):
@@ -235,4 +162,4 @@ def packed(ring, rows, cols):
     rest = {
         (rpos[r], cpos[c]): v for r, row in rows.items() for c, v in row.items()
     }
-    return SparseMatrix.wrap(ring, len(rpos), len(cpos), rest)
+    return SparseMatrix(ring, len(rpos), len(cpos), rest)

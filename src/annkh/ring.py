@@ -242,8 +242,9 @@ class CoefficientRing:
     def matmul(self, left, right):
         """Entries of the product of two matrices given as entry dicts
         ``(row, col) -> value`` with no zero value; the result has none.
-        Every ``SparseMatrix`` product runs this loop, so a ring may
-        override it with a faster one on its own values."""
+        Every product of maps runs this loop (``tqft.compose`` and the
+        d^2 checks' ``complexes._square``), so a ring may override it
+        with a faster one on its own values."""
         add, mul, is_zero, zero = self.add, self.mul, self.is_zero, self.zero()
         by_row = {}
         for (r, c), v in right.items():

@@ -290,7 +290,7 @@ def spin_tangle(t, ring):
         )
         factors.append((table, cols, rows))
     entries = tqft._placement(ring, factors, t.n, t.m, ())
-    return tqft.LinearMap.wrap(dom, cod, entries)
+    return tqft.LinearMap(dom, cod, entries)
 
 
 def spin_evaluate(f, ring):
@@ -303,7 +303,7 @@ def spin_evaluate(f, ring):
         spec = ring.specialize_poly(c)
         spun = spin_tangle(t, ring).entries.items()
         accumulate(ring, entries, ((k, ring.mul(spec, v)) for k, v in spun))
-    return tqft.LinearMap.wrap(dom, cod, entries)
+    return tqft.LinearMap(dom, cod, entries)
 
 
 def kernel_rank_experiment(n, m, ring):

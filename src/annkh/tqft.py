@@ -44,8 +44,8 @@ classified by :func:`_saddle`, the one classifier, from the two
 resolutions' ``slot_of_edge`` tables at the crossing's four edges;
 :func:`classify_saddle` checks its arguments and calls it.
 
-A :class:`LinearMap` is a ``linalg.SparseMatrix`` between state spaces,
-and nothing else: its sums and products are the matrix ones, and the
+A :class:`LinearMap` is its two spaces and its entry dict, and nothing
+else: :func:`compose` hands the two dicts to ``ring.matmul``, and the
 bidegree an entry shifts by is read off the two spaces' ``bidegrees``.
 """
 
@@ -64,7 +64,6 @@ from .errors import (
     VariantRingMismatchError,
 )
 from .frobenius import basis_bidegree
-from .linalg import SparseMatrix
 from .ring import AlphaEval
 
 MERGE_TT = "MERGE_TT"
@@ -162,38 +161,26 @@ def essential_space(n, ring):
 
 @dataclass
 class LinearMap:
-    """A :class:`~annkh.linalg.SparseMatrix` between state spaces: rows
-    are indexed by codomain words and columns by domain words.  A map
-    is its entries; its grading is read off the two spaces'
+    """A map between state spaces as its entry dict ``(row, col) ->
+    value``, no value zero: rows are indexed by codomain words and
+    columns by domain words.  Its grading is read off the two spaces'
     ``bidegrees``, one (qdeg, adeg) shift per entry."""
 
     domain: StateSpace
     codomain: StateSpace
-    matrix: SparseMatrix
-
-    @classmethod
-    def wrap(cls, domain, codomain, entries):
-        """A map holding ``entries`` as given (see ``SparseMatrix.wrap``)."""
-        m = SparseMatrix.wrap(domain.ring, codomain.rank, domain.rank, entries)
-        return cls(domain, codomain, m)
-
-    @property
-    def entries(self):
-        return self.matrix.entries
-
-    def is_zero(self):
-        return self.matrix.is_zero()
+    entries: dict
 
 
 def identity_map(space):
-    return LinearMap(space, space, SparseMatrix.identity(space.ring, space.rank))
+    one = space.ring.one()
+    return LinearMap(space, space, {(w, w): one for w in range(space.rank)})
 
 
 def compose(f, g):
     """f after g (matrix product f.g)."""
     if g.codomain != f.domain:
         raise ShapeMismatchError("compose: inner spaces disagree")
-    return LinearMap(g.domain, f.codomain, f.matrix @ g.matrix)
+    return LinearMap(g.domain, f.codomain, f.domain.ring.matmul(f.entries, g.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +394,7 @@ def _embed(dom_space, cod_space, dom_inv, cod_inv, pairs, dots=0, memo=None):
         factors = [(local_table(*key), dom_inv, cod_inv)]
         entries = _placement(dom_space.ring, factors, k_dom, k_cod, pairs)
         memo[shape] = entries
-    m = memo[args] = LinearMap.wrap(dom_space, cod_space, entries)
+    m = memo[args] = LinearMap(dom_space, cod_space, entries)
     return m
 
 

@@ -20,7 +20,7 @@ from annkh.errors import (
     UnsupportedRingError,
     Violation,
 )
-from annkh.homology import BigradedHomology, SNFResult
+from annkh.homology import BigradedHomology, SNFResult, generator_vector_index
 from annkh.linalg import SparseMatrix
 from annkh.ring import E1, E2, BivariatePoly, GenericAlpha
 
@@ -91,7 +91,7 @@ def embed_oracle(dom_space, cod_space, dom_inv, cod_inv, pairs, table):
             for ds, cs in pairs:
                 bits[cs] = word[ds]
             entries[(bits_word(bits), col)] = v
-    return tqft.LinearMap.wrap(dom_space, cod_space, entries)
+    return tqft.LinearMap(dom_space, cod_space, entries)
 
 
 def reduce_tangle_oracle(t):
@@ -129,7 +129,7 @@ def from_rows(ring, rows):
         for c, v in enumerate(row):
             if not ring.is_zero(v):
                 entries[(r, c)] = v
-    return SparseMatrix.wrap(ring, len(rows), len(rows[0]) if rows else 0, entries)
+    return SparseMatrix(ring, len(rows), len(rows[0]) if rows else 0, entries)
 
 
 def dense_snf_oracle(m):
@@ -242,13 +242,14 @@ def per_slice_homology_oracle(c):
     ``submatrix`` and diagonalized by :func:`dense_snf_oracle`.  The
     oracle for ``homology.homology``."""
     ring = c.ring
+    diff = assembled(c)
     slices = {i: slice_positions(c, i) for i in c.degrees}
     ranks, tors = {}, {}
     for i in c.degrees[:-1]:
         for key, cols in slices[i].items():
             rows = slices[i + 1].get(key)
             if rows:
-                res = dense_snf_oracle(c.diff[i].submatrix(rows, cols))
+                res = dense_snf_oracle(diff[i].submatrix(rows, cols))
                 ranks[(i, key)] = res.rank
                 tors[(i + 1, key)] = [v for v in res.invariants if not ring.is_unit(v)]
     entries = {}
@@ -261,20 +262,64 @@ def per_slice_homology_oracle(c):
     return BigradedHomology(ring, entries)
 
 
+def assembled(c):
+    """i -> the differential C^i -> C^{i+1} as a ``SparseMatrix``, each
+    block placed at its offsets: the complex the block readers of
+    ``complexes`` and ``homology`` are checked against."""
+    diff = {}
+    for i in c.degrees[:-1]:
+        m = {}
+        for rof, cof, items in c.blocks.get(i, ()):
+            for (r, col), v in items:
+                m[(rof + r, cof + col)] = v
+        diff[i] = SparseMatrix(c.ring, c.rank(i + 1), c.rank(i), m)
+    return diff
+
+
+def is_cycle_oracle(c, gen):
+    """Whether the generator's column of the assembled differential is
+    empty: the oracle for the cycle test of ``homology.verify_canonical``,
+    which reads the blocks leaving the generator's vertex."""
+    diff = assembled(c)
+    col = generator_vector_index(c, gen)
+    return gen.degree not in diff or all(cc != col for _, cc in diff[gen.degree].entries)
+
+
+def span_rank_oracle(c, gens):
+    """The rank the generators add to the boundaries of their degrees,
+    each rank that of a dense Smith normal form of the assembled
+    d^{i-1}, with and without one column per generator: the oracle for
+    ``homology.canonical_span_rank``."""
+    diff = assembled(c)
+    total = 0
+    for i in {g.degree for g in gens}:
+        d_in = diff.get(i - 1, SparseMatrix(c.ring, c.rank(i), 0, {}))
+        rows = [generator_vector_index(c, g) for g in gens if g.degree == i]
+        spanned = dict(d_in.entries)
+        for j, r in enumerate(rows, d_in.ncols):
+            spanned[(r, j)] = c.ring.one()
+        ncols = d_in.ncols + len(rows)
+        total += dense_snf_oracle(SparseMatrix(c.ring, c.rank(i), ncols, spanned)).rank
+        total -= dense_snf_oracle(d_in).rank
+    return total
+
+
 def assembled_square(c, i):
-    """The entries of d_{i+1} d_i on the assembled ``diff``: the oracle
-    for ``complexes._square``, which reads the product off the blocks."""
-    return (c.diff[i + 1] @ c.diff[i]).entries
+    """The entries of d_{i+1} d_i on the assembled differential: the
+    oracle for ``complexes._square``, which reads the product off the
+    blocks."""
+    diff = assembled(c)
+    return (diff[i + 1] @ diff[i]).entries
 
 
 def verify_grading_oracle(c):
-    """Every entry of the assembled ``diff`` against ``bigrade``, one
-    ``scalar_qdeg`` per entry: the oracle for the block-wise
+    """Every entry of the assembled differential against ``bigrade``,
+    one ``scalar_qdeg`` per entry: the oracle for the block-wise
     ``complexes.verify_grading``."""
     adeg_shifts = (0, 2) if c.planar else (0,)
-    for i in c.degrees[:-1]:
+    for i, m in assembled(c).items():
         src, dst = c.bigrade[i], c.bigrade[i + 1]
-        for (r, col), v in c.diff[i].entries.items():
+        for (r, col), v in m.entries.items():
             qs, as_ = src[col]
             qt, at = dst[r]
             if at - as_ not in adeg_shifts:
@@ -287,9 +332,20 @@ def verify_grading_oracle(c):
 
 
 def one_block(diff):
-    """Blocks of a hand-built differential {i: SparseMatrix}: each
-    degree one block at (0, 0)."""
-    return {i: [(0, 0, m.entries.items())] for i, m in diff.items()}
+    """Blocks of a hand-built differential {i: entry dict}: each degree
+    one block at (0, 0)."""
+    return {i: [(0, 0, entries.items())] for i, entries in diff.items()}
+
+
+def specialize_entries(entries, target):
+    """A GENERIC entry dict specialized entrywise into ``target``, the
+    entries that vanish there dropped."""
+    out = {}
+    for key, v in entries.items():
+        w = target.specialize_poly(v)
+        if not target.is_zero(w):
+            out[key] = w
+    return out
 
 
 def specialize_complex(c, target):
@@ -297,10 +353,7 @@ def specialize_complex(c, target):
     preserved, and the target ring decides whether qdeg is graded."""
     if not isinstance(c.ring, GenericAlpha):
         raise UnsupportedRingError("can only specialize the generic complex")
-    diff = {
-        i: m.map_entries(target.specialize_poly, target)
-        for i, m in c.diff.items()
-    }
+    diff = {i: specialize_entries(m.entries, target) for i, m in assembled(c).items()}
     return ChainComplexData(
         ring=target,
         planar=c.planar,
@@ -327,7 +380,7 @@ def truncate_adeg(m, keep=0):
         for (row, col), v in m.entries.items()
         if cod[row][1] - dom[col][1] == keep
     }
-    return tqft.LinearMap.wrap(m.domain, m.codomain, kept)
+    return tqft.LinearMap(m.domain, m.codomain, kept)
 
 
 def qdeg_shift_of_entry(m, row, col):
@@ -563,11 +616,57 @@ def reference_box_partners(boxes):
     ]
 
 
+def on_segment(a, b, p):
+    """Whether p lies on the closed segment from a to b."""
+    if diagram._orient(a, b, p) != 0:
+        return False
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def reference_seg_intersection(p1, p2, p3, p4):
+    """How two closed segments meet, exactly, on ints or Fractions:
+    None, ("point", pt) or ("overlap", None).  The general classifier
+    validation ran before its cases were written out on ints."""
+    o1 = diagram._orient(p1, p2, p3)
+    o2 = diagram._orient(p1, p2, p4)
+    o3 = diagram._orient(p3, p4, p1)
+    o4 = diagram._orient(p3, p4, p2)
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        axis = 0 if p1[0] != p2[0] else 1
+        lo1, hi1 = sorted((p1[axis], p2[axis]))
+        lo2, hi2 = sorted((p3[axis], p4[axis]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return None
+        if lo == hi:
+            return ("point", p1 if p1[axis] == lo else p2)
+        return ("overlap", None)
+    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0:
+        if (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
+            d = (p2[0] - p1[0], p2[1] - p1[1])
+            e = (p4[0] - p3[0], p4[1] - p3[1])
+            denom = d[0] * e[1] - d[1] * e[0]
+            t = Fraction((p3[0] - p1[0]) * e[1] - (p3[1] - p1[1]) * e[0], denom)
+            return ("point", (p1[0] + t * d[0], p1[1] + t * d[1]))
+    if o1 == 0 and on_segment(p1, p2, p3):
+        return ("point", p3)
+    if o2 == 0 and on_segment(p1, p2, p4):
+        return ("point", p4)
+    if o3 == 0 and on_segment(p3, p4, p1):
+        return ("point", p1)
+    if o4 == 0 and on_segment(p3, p4, p2):
+        return ("point", p2)
+    return None
+
+
 def reference_validate_geometry(d):
     """The geometric violations of a diagram whose crossings matched, by
     the pairwise loop validation ran before consecutive segments were
     decided by one cross and one dot product: every pair of segments
-    whose boxes meet goes through ``diagram._seg_intersection``."""
+    whose boxes meet goes through :func:`reference_seg_intersection`."""
     segs = [
         (eid, i, pts[i], pts[i + 1])
         for eid, pts in d._int_edges.items()
@@ -601,11 +700,11 @@ def reference_validate_geometry(d):
     partners = reference_box_partners(boxes)
     for a in range(len(segs)):
         e1, i1, a1, b1 = segs[a]
-        if diagram._on_segment(a1, b1, origin):
+        if on_segment(a1, b1, origin):
             out.append(Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}"))
         for b in partners[a]:
             e2, i2, a2, b2 = segs[b]
-            hit = diagram._seg_intersection(a1, b1, a2, b2)
+            hit = reference_seg_intersection(a1, b1, a2, b2)
             if hit is None:
                 continue
             kind, pt = hit
@@ -692,12 +791,14 @@ def reference_truncation(d):
     }
 
 
-def reference_ray_stations(points):
-    """Signed crossings of the positive x-axis by a closed polyline, in
-    Fractions, by solving for each segment's crossing point."""
+def reference_ray_stations(points, closed=True):
+    """Signed crossings of the positive x-axis by a polyline, closed
+    unless ``closed`` is false, in traversal order: upward crossings
+    count +1, and the rule is half-open at y = 0.  Each (x, sign) is
+    exact, x found by solving for the segment's crossing point."""
     out = []
     n = len(points)
-    for i in range(n):
+    for i in range(n if closed else n - 1):
         a, b = points[i], points[(i + 1) % n]
         if a[1] <= 0 < b[1]:
             sign = 1
@@ -705,7 +806,7 @@ def reference_ray_stations(points):
             sign = -1
         else:
             continue
-        x = a[0] + (b[0] - a[0]) * (0 - a[1]) / (b[1] - a[1])
+        x = a[0] + Fraction((b[0] - a[0]) * (0 - a[1]), b[1] - a[1])
         if x > 0:
             out.append((x, sign))
     return out

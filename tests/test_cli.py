@@ -682,15 +682,15 @@ def test_verify_generic_fails_functoriality_on_t27_with_shared_maps(
 
 
 def test_verify_generic_rejects_an_odd_adeg_shift(capsys, corpus_dir, monkeypatch):
-    # one more essential codomain circle makes every adeg shift odd
-    original = tqft.LinearMap.wrap.__func__
+    # one more essential codomain circle makes every adeg shift odd; the
+    # maps ``_embed`` places are built through the module's ``LinearMap``
+    class Shifted(tqft.LinearMap):
+        def __init__(self, domain, codomain, entries):
+            slots = codomain.slots + (tqft.Slot(True, "V", 1),)
+            extra = tqft.StateSpace(codomain.ring, codomain.planar, slots)
+            super().__init__(domain, extra, entries)
 
-    def shifted(cls, domain, codomain, entries):
-        slots = codomain.slots + (tqft.Slot(True, "V", 1),)
-        extra = tqft.StateSpace(codomain.ring, codomain.planar, slots)
-        return original(cls, domain, extra, entries)
-
-    monkeypatch.setattr(tqft.LinearMap, "wrap", classmethod(shifted))
+    monkeypatch.setattr(tqft, "LinearMap", Shifted)
     code, out, err = run(
         capsys, "verify", corpus_dir / "trefoil_right.json", "--ring", "generic"
     )

@@ -11,8 +11,6 @@ from annkh import diagram
 from annkh.corpus import braid_closure
 from annkh.diagram import (
     AnnularDiagram,
-    _on_segment,
-    _orient,
     all_orientations,
     cube_edge_pairs,
     is_counterclockwise,
@@ -22,7 +20,6 @@ from annkh.diagram import (
     nesting_depth,
     nudged,
     point_winding,
-    ray_stations,
 )
 from annkh.errors import (
     ENDPOINT_MISMATCH,
@@ -39,10 +36,12 @@ from conftest import (
     eager_walk,
     edge_ids,
     fraction_crossings,
+    on_segment,
     pd_circle_count,
     reference_point_winding,
     reference_ray_stations,
     reference_resolve,
+    reference_seg_intersection,
     reference_signed_area_twice,
 )
 
@@ -76,7 +75,7 @@ def test_circle_crossing_ray_is_fine():
     rd = d.resolve(())
     c = rd.circles[0]
     assert not c.essential and c.winding == 0
-    assert len(ray_stations(rd.points[0])) == 2
+    assert len(reference_ray_stations(rd.points[0])) == 2
 
 
 def test_vertex_on_ray_rejected():
@@ -154,7 +153,7 @@ def test_essential_ordering_strict(diagrams):
             rd = d.resolve(u)
             ess = [c for c in rd.circles if c.essential]
             radii = [
-                min(x for x, _ in ray_stations(pts))
+                min(x for x, _ in reference_ray_stations(pts))
                 for c, pts in zip(rd.circles, rd.points)
                 if c.essential
             ]
@@ -288,8 +287,6 @@ def test_circles_meet_only_at_crossing_points(diagrams):
     # each circle runs along its edges through the crossing points; two
     # of its segments, or two circles, meet only there or where
     # consecutive segments share an end
-    from annkh.diagram import _seg_intersection
-
     for name, d in diagrams.items():
         crossings = {(x * d.scale, y * d.scale) for x, y in fraction_crossings(d)}
         through = 0
@@ -304,7 +301,7 @@ def test_circles_meet_only_at_crossing_points(diagrams):
                 ci, i, n, a1, b1 = segs[x]
                 for y in range(x + 1, len(segs)):
                     cj, j, _, a2, b2 = segs[y]
-                    hit = _seg_intersection(a1, b1, a2, b2)
+                    hit = reference_seg_intersection(a1, b1, a2, b2)
                     if hit is None:
                         continue
                     kind, pt = hit
@@ -317,41 +314,6 @@ def test_circles_meet_only_at_crossing_points(diagrams):
 
 # ---------------------------------------------------------------------------
 # oracles for the scaled-integer box sweep and the per-arc resolver
-
-
-def reference_seg_intersection(p1, p2, p3, p4):
-    """The exact segment test in Fraction arithmetic, as it was before
-    validation moved to scaled integers."""
-    o1 = _orient(p1, p2, p3)
-    o2 = _orient(p1, p2, p4)
-    o3 = _orient(p3, p4, p1)
-    o4 = _orient(p3, p4, p2)
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        axis = 0 if p1[0] != p2[0] else 1
-        lo1, hi1 = sorted((p1[axis], p2[axis]))
-        lo2, hi2 = sorted((p3[axis], p4[axis]))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return None
-        if lo == hi:
-            return ("point", p1 if p1[axis] == lo else p2)
-        return ("overlap", None)
-    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0:
-        if (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
-            d = (p2[0] - p1[0], p2[1] - p1[1])
-            e = (p4[0] - p3[0], p4[1] - p3[1])
-            denom = d[0] * e[1] - d[1] * e[0]
-            t = ((p3[0] - p1[0]) * e[1] - (p3[1] - p1[1]) * e[0]) / denom
-            return ("point", (p1[0] + t * d[0], p1[1] + t * d[1]))
-    if o1 == 0 and _on_segment(p1, p2, p3):
-        return ("point", p3)
-    if o2 == 0 and _on_segment(p1, p2, p4):
-        return ("point", p4)
-    if o3 == 0 and _on_segment(p3, p4, p1):
-        return ("point", p1)
-    if o4 == 0 and _on_segment(p3, p4, p2):
-        return ("point", p2)
-    return None
 
 
 def all_pairs_validate(d):
@@ -386,7 +348,7 @@ def all_pairs_validate(d):
     ]
     for a in range(len(segs)):
         e1, i1, a1, b1 = segs[a]
-        if _on_segment(a1, b1, origin):
+        if on_segment(a1, b1, origin):
             out.append(Violation(ORIGIN_ON_CURVE, f"edge {e1} segment {i1}"))
         for b in range(a + 1, len(segs)):
             e2, i2, a2, b2 = segs[b]
@@ -546,7 +508,7 @@ def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
         for rd in rds:
             radii = []
             for c, pts in zip(rd.circles, rd.points):
-                stations = ray_stations(pts)
+                stations = reference_ray_stations(pts)
                 assert c.winding == sum(s for _, s in stations), (name, rd.smoothing)
                 if c.essential:
                     radii.append(min(x for x, _ in stations))
@@ -695,10 +657,7 @@ def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
             innermost = []
             for idx, c in enumerate(rd.circles):
                 assert all(type(v) is int for p in rd.points[idx] for v in p), where
-                got = ray_stations(rd.points[idx])
-                assert all(type(x) in (int, Fraction) for x, _ in got), where
                 stations = reference_ray_stations(plain[idx])
-                assert [(x / scale, s) for x, s in got] == stations, where
                 assert c.winding == sum(s for _, s in stations), where
                 assert nesting_depth(rd, idx) == reference_nesting_depth(plain, idx)
                 ccw = reference_signed_area_twice(plain[idx]) > 0
@@ -730,8 +689,9 @@ def test_loading_builds_one_fraction_per_edge_meeting_the_ray(monkeypatch):
     # coordinates are read as ints, and the Fraction view is not built;
     # the Fractions are each edge's least ray radius
     assert "edges" not in vars(d)
-    meets = sum(bool(diagram._polyline_stations(p)) for p in d._int_edges.values())
-    stations = sum(len(diagram._polyline_stations(p)) for p in d._int_edges.values())
+    stations = [reference_ray_stations(p, closed=False) for p in d._int_edges.values()]
+    meets = sum(map(bool, stations))
+    stations = sum(map(len, stations))
     assert 0 < meets <= stations
     assert built == meets
     made.clear()

@@ -1,6 +1,7 @@
 """The matrix product: the GENERIC term-level kernel against the base loop.
 
-``SparseMatrix.__matmul__`` hands its two entry dicts to ``ring.matmul``.
+A map is its entry dict ``(row, col) -> value``, and ``tqft.compose``
+and the d^2 checks hand two such dicts to ``ring.matmul``.
 ``CoefficientRing.matmul`` is the loop every ring but GENERIC runs;
 ``GenericAlpha.matmul`` multiplies raw polynomial terms.  The kernel must
 give the entries the base loop gives, store no zero, and commute with
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from annkh import tqft
 from annkh.errors import ShapeMismatchError
-from annkh.linalg import SparseMatrix
 from annkh.ring import (
     A0,
     A1,
@@ -26,7 +27,7 @@ from annkh.ring import (
     alpha_eval,
 )
 
-from conftest import from_rows
+from conftest import specialize_entries
 
 
 def rand_poly(rng):
@@ -43,19 +44,19 @@ def rand_poly(rng):
 
 
 def rand_matrix(rng, nrows, ncols, density, pool):
-    """Sparse GENERIC matrix drawing entries from ``pool`` and its negatives,
-    so sums of products often cancel."""
+    """Sparse GENERIC ``(nrows, ncols, entries)`` drawing entries from
+    ``pool`` and its negatives, so sums of products often cancel."""
     entries = {}
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < density:
                 p = rng.choice(pool)
                 entries[(r, c)] = -p if rng.random() < 0.5 else p
-    return SparseMatrix(GENERIC, nrows, ncols, entries)
+    return (nrows, ncols, entries)
 
 
 def base_product(a, b):
-    return CoefficientRing.matmul(GENERIC, a.entries, b.entries)
+    return CoefficientRing.matmul(GENERIC, a[2], b[2])
 
 
 def cases():
@@ -74,15 +75,15 @@ def cases():
     p, q = A0 - 2 * A1, A1 * A1 + 3
     out.append(
         (
-            SparseMatrix(GENERIC, 1, 2, {(0, 0): p, (0, 1): p}),
-            SparseMatrix(GENERIC, 2, 2, {(0, 0): q, (1, 0): -q, (1, 1): A0}),
+            (1, 2, {(0, 0): p, (0, 1): p}),
+            (2, 2, {(0, 0): q, (1, 0): -q, (1, 1): A0}),
         )
     )
     # some terms cancel, others stay: (a0 + 1) + (a0 - 1) = 2 a0
     out.append(
         (
-            SparseMatrix(GENERIC, 1, 2, {(0, 0): A0 + 1, (0, 1): A0 - 1}),
-            from_rows(GENERIC, [[GENERIC.one()], [GENERIC.one()]]),
+            (1, 2, {(0, 0): A0 + 1, (0, 1): A0 - 1}),
+            (2, 1, {(0, 0): GENERIC.one(), (1, 0): GENERIC.one()}),
         )
     )
     return out
@@ -93,7 +94,7 @@ CASES = cases()
 
 def test_cases_cover_the_edge_shapes():
     """The seeded cases reach every situation the kernel must handle."""
-    shapes = [(a.nrows, a.ncols, b.ncols) for a, b in CASES]
+    shapes = [(a[0], a[1], b[1]) for a, b in CASES]
     assert any(m == 0 for m, _, _ in shapes)
     assert any(k == 0 for _, k, _ in shapes)
     assert any(c == 0 for _, _, c in shapes)
@@ -101,8 +102,8 @@ def test_cases_cover_the_edge_shapes():
     for a, b in CASES:
         out = base_product(a, b)
         naive = {}
-        for (r, k), u in a.entries.items():
-            for (k2, c), v in b.entries.items():
+        for (r, k), u in a[2].items():
+            for (k2, c), v in b[2].items():
                 if k == k2:
                     naive.setdefault((r, c), []).append(u * v)
         whole += sum(1 for key in naive if key not in out)
@@ -110,24 +111,17 @@ def test_cases_cover_the_edge_shapes():
             if key in out:
                 raw = {t for p in prods for t in p.terms}
                 partial += len(raw) > len(out[key].terms)
-        empty_row += any(
-            not any(r == i for r, _ in a.entries) for i in range(a.nrows)
-        )
-        empty_col += any(
-            not any(c == j for _, c in b.entries) for j in range(b.ncols)
-        )
+        empty_row += any(not any(r == i for r, _ in a[2]) for i in range(a[0]))
+        empty_col += any(not any(c == j for _, c in b[2]) for j in range(b[1]))
     assert whole and partial and empty_row and empty_col
 
 
 def test_kernel_matches_base_loop():
     for n, (a, b) in enumerate(CASES):
-        out = GENERIC.matmul(a.entries, b.entries)
+        out = GENERIC.matmul(a[2], b[2])
         assert out == base_product(a, b), n
-        prod = a @ b
-        assert prod.entries == out, n
-        assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols), n
         for (r, c), v in out.items():
-            assert 0 <= r < a.nrows and 0 <= c < b.ncols, n
+            assert 0 <= r < a[0] and 0 <= c < b[1], n
             assert isinstance(v, BivariatePoly) and v.terms, n
             assert all(v.terms.values()), n
 
@@ -138,23 +132,23 @@ def bound_cases():
     a1-exponent from the right, a column of the right operand lies far
     beyond every row and column of the left one, or an operand is empty."""
     a0_3, a1_3, n = A0 * A0 * A0, A1 * A1 * A1, GENERIC.from_int
-    left = SparseMatrix(GENERIC, 2, 2, {(0, 0): a0_3, (1, 0): n(5), (1, 1): a0_3 - 2})
-    right = SparseMatrix(GENERIC, 2, 3, {(0, 2): a1_3 + 1, (1, 0): -a1_3, (1, 2): n(3)})
-    tall = SparseMatrix(GENERIC, 2, 1, {(0, 0): A0, (1, 0): n(-2)})
-    wide = SparseMatrix(GENERIC, 1, 60, {(0, 3): A1, (0, 57): A0 * A1})
+    left = (2, 2, {(0, 0): a0_3, (1, 0): n(5), (1, 1): a0_3 - 2})
+    right = (2, 3, {(0, 2): a1_3 + 1, (1, 0): -a1_3, (1, 2): n(3)})
+    tall = (2, 1, {(0, 0): A0, (1, 0): n(-2)})
+    wide = (1, 60, {(0, 3): A1, (0, 57): A0 * A1})
     return {
         "asymmetric_exponents": (left, right),
         "far_column": (tall, wide),
-        "empty_left": (SparseMatrix(GENERIC, 2, 2), right),
-        "empty_right": (left, SparseMatrix(GENERIC, 2, 3)),
-        "both_empty": (SparseMatrix(GENERIC, 1, 4), SparseMatrix(GENERIC, 4, 1)),
+        "empty_left": ((2, 2, {}), right),
+        "empty_right": (left, (2, 3, {})),
+        "both_empty": ((1, 4, {}), (4, 1, {})),
     }
 
 
 @pytest.mark.parametrize("name", sorted(bound_cases()))
 def test_kernel_matches_base_loop_at_the_key_bounds(name):
     a, b = bound_cases()[name]
-    out = GENERIC.matmul(a.entries, b.entries)
+    out = GENERIC.matmul(a[2], b[2])
     assert out == base_product(a, b)
     if name == "asymmetric_exponents":
         # the top term a0^3 a1^3 sits at the largest packed exponent pair
@@ -165,13 +159,18 @@ def test_kernel_matches_base_loop_at_the_key_bounds(name):
         assert out == {}
 
 
-def test_shape_mismatch_still_raises():
-    a = SparseMatrix(GENERIC, 2, 3, {(0, 0): A0})
-    b = SparseMatrix(GENERIC, 2, 2, {(0, 0): A1})
+def test_compose_of_mismatched_spaces_raises():
+    one, two = (tqft.make_space(GENERIC, [(False, None)] * k) for k in (1, 2))
+    f = tqft.identity_map(one)
+    g = tqft.LinearMap(two, two, {(0, 0): A1})
     with pytest.raises(ShapeMismatchError):
-        a @ b
+        tqft.compose(f, g)
+    # equal ranks do not make equal spaces: an essential slot is not a
+    # trivial one
+    ess = tqft.make_space(GENERIC, [(True, 1)])
     with pytest.raises(ShapeMismatchError):
-        SparseMatrix(GENERIC, 0, 1) @ SparseMatrix(GENERIC, 0, 1)
+        tqft.compose(tqft.identity_map(ess), tqft.identity_map(one))
+    assert tqft.compose(f, f).entries == f.entries
 
 
 SPECIALIZATIONS = {
@@ -186,6 +185,6 @@ SPECIALIZATIONS = {
 def test_specialization_commutes_with_the_product(name):
     t = SPECIALIZATIONS[name]
     for a, b in CASES:
-        lhs = (a @ b).map_entries(t.specialize_poly, t)
-        rhs = a.map_entries(t.specialize_poly, t) @ b.map_entries(t.specialize_poly, t)
+        lhs = specialize_entries(GENERIC.matmul(a[2], b[2]), t)
+        rhs = t.matmul(specialize_entries(a[2], t), specialize_entries(b[2], t))
         assert lhs == rhs

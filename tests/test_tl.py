@@ -215,7 +215,7 @@ def test_spin_dotted_strand_matrix():
 
 def test_spin_dotted_strand_vanishes_at_zero():
     m = tl.spin_evaluate(tl.reduce_tangle(strand(1)), INT)
-    assert m.is_zero()
+    assert not m.entries
 
 
 def test_spin_closed_values():
