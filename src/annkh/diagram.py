@@ -35,12 +35,14 @@ and the ranks of its least point and least ray radius among all edges'.
 ``resolve`` has one mode and keeps nothing: it walks each circle from
 its least edge id along that edge's stored direction over edge numbers
 only, adding up those sums and noting the slot of each edge's circle,
-and traces no point.  A circle's points are traced when they are read
-(``ResolvedDiagram.points``), which only ``nesting_depth`` and
-``is_counterclockwise`` do, and ``oriented_resolution`` marks the
-circles the orientation runs against to be traced backwards.  A
-station's radius cross(a, b) / (b_y - a_y) is the one Fraction left;
-circles have few.
+and traces no point; ``oriented_resolution`` negates the winding of
+the circles the orientation runs against.  The canonical labels
+(``canonical_labels``) are per-edge sums too, from two tables built on
+their first use: each edge's twice-area, which gives a circle's
+direction, and the edges that a ray from the midpoint of each edge's
+first segment crosses an odd number of times, which give the parity of
+its depth.  A station's radius cross(a, b) / (b_y - a_y) is the one
+Fraction left; circles have few.
 """
 
 from __future__ import annotations
@@ -283,32 +285,6 @@ def _counterclockwise(a, b, c, d):
     return (ab > 0) + (bc > 0) + (cd > 0) + (da > 0) == 1
 
 
-def signed_area_twice(points):
-    """Twice the shoelace area; positive for counterclockwise traversal."""
-    total = 0
-    n = len(points)
-    for i in range(n):
-        total += _cross(points[i], points[(i + 1) % n])
-    return total
-
-
-def point_winding(points, p):
-    """Winding number of a closed polyline around p (half-open rule)."""
-    wn = 0
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        left = _orient(a, b, p)
-        if a[1] <= p[1]:
-            if b[1] > p[1] and left > 0:
-                wn += 1
-        else:
-            if b[1] <= p[1] and left < 0:
-                wn -= 1
-    return wn
-
-
 # ---------------------------------------------------------------------------
 # circles and resolved diagrams
 
@@ -319,20 +295,19 @@ class Circle(NamedTuple):
 
     Bit j of ``edges`` is set when the circle runs along the j-th edge
     id in sorted order (``AnnularDiagram.edge_ids`` names them); its
-    lowest bit is the circle's least edge id, where its trace starts.
+    lowest bit is the circle's least edge id, where its walk starts.
     The circle runs along its edges through the crossing points, so it
     may pass one crossing point twice and share it with another circle;
     off the crossing points it is embedded and disjoint from the other
     circles.  ``winding`` is the signed count of its crossings of the
-    reference ray, +1 upward.  A ``backward`` circle runs against its
-    least edge's stored direction (see ``oriented_resolution``).
+    reference ray, +1 upward, along its least edge's stored direction
+    (along the orientation in ``oriented_resolution``).
     """
 
     edges: int
     winding: int
     essential: bool
     essential_index: object = None  # 1-based, innermost first; None if trivial
-    backward: bool = False
 
 
 def first_edge(edges):
@@ -349,7 +324,9 @@ class ResolvedDiagram:
     to outermost by their least radius on the reference ray.  A circle's
     index in this list is its slot, and ``slot_of_edge`` holds the slot
     of the circle through each edge, edges numbered as in
-    ``Circle.edges``.
+    ``Circle.edges``.  It holds no points: the canonical labels of an
+    oriented resolution are sums over its circles' edges
+    (``AnnularDiagram.canonical_labels``).
     """
 
     smoothing: tuple
@@ -360,44 +337,6 @@ class ResolvedDiagram:
     @property
     def n_essential(self):
         return sum(1 for c in self.circles if c.essential)
-
-    @cached_property
-    def points(self):
-        """Each circle's closed polyline, first point not repeated, of
-        int points in the diagram's working coordinates (its own
-        coordinates times ``AnnularDiagram.scale``), traced on first
-        read: from the circle's least edge along that edge's stored
-        direction, reversed for a ``backward`` circle."""
-        trace = self.diagram._trace
-        out = []
-        for c in self.circles:
-            pts = trace(self.smoothing, first_edge(c.edges))
-            out.append(pts[::-1] if c.backward else pts)
-        return tuple(out)
-
-
-def is_counterclockwise(rd, index):
-    """Orientation of a resolved circle as traced.  For essential
-    circles this agrees with a winding number of +1."""
-    return signed_area_twice(rd.points[index]) > 0
-
-
-def nesting_depth(rd, index):
-    """Number of circles separating the given circle from infinity.
-
-    The probe is the midpoint of the circle's first segment, an int
-    point at the working scale.  It lies on no other circle, which a
-    circle's first point, possibly a crossing point, need not."""
-    points = rd.points
-    a, b = points[index][:2]
-    probe = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-    depth = 0
-    for j, other in enumerate(points):
-        if j == index:
-            continue
-        if point_winding(other, probe) != 0:
-            depth += 1
-    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +362,14 @@ class AnnularDiagram:
         self.crossings = _listed(
             "crossings", crossings, lambda rec: tuple(map(_string, _array(rec)))
         )
-        # all geometry runs on the int points: circles of ``resolve`` have
-        # int points, the diagram's coordinates times ``scale``
+        # all geometry runs on the int points, the coordinates times ``scale``
         self.scale, self._int_edges = _scaled(_parse_edges(edges))
         self.components = _listed(
             "components", components, lambda comp: tuple(map(_string, _array(comp)))
         )
         self.orientations = _listed("orientations", orientations, _boolean)
+        # each edge id's component, which ``comp_of_edge`` looks up
+        self._component = {e: i for i, comp in enumerate(self.components) for e in comp}
         self._violations = None
         self._ends = None
         self._cross_pts = None
@@ -456,10 +396,7 @@ class AnnularDiagram:
         return len(self.components)
 
     def comp_of_edge(self, eid):
-        for i, comp in enumerate(self.components):
-            if eid in comp:
-                return i
-        raise KeyError(eid)
+        return self._component[eid]
 
     # -- validation --------------------------------------------------------
 
@@ -782,9 +719,8 @@ class AnnularDiagram:
         of the edge's least point and least ray radius among all edges'
         (one past the last rank if it meets no ray), and the crossing
         it runs into (None for a free loop) with the arc the walk leaves
-        by there for each smoothing bit; and its points up to, not
-        including, that crossing, where the next arc starts.  Per
-        crossing: the numbers of its four edges, in PD order."""
+        by there for each smoothing bit.  Per crossing: the numbers of
+        its four edges, in PD order."""
         int_edges = self._int_edges
         order = sorted(int_edges)
         index = {eid: j for j, eid in enumerate(order)}
@@ -825,12 +761,10 @@ class AnnularDiagram:
         radii = sorted({r for _, r in sums if r is not None})
         low_rank = {p: n for n, p in enumerate(sorted(set(lows)))}
         radius_rank = {r: n for n, r in enumerate(radii)}
-        arcs, runs = [], []
-        for j, eid in enumerate(order):
-            pts = int_edges[eid]
+        arcs = []
+        for j in range(len(order)):
             w, radius = sums[j]
             low, rank = low_rank[lows[j]], radius_rank.get(radius, len(radii))
-            runs += (tuple(pts[:0:-1]), tuple(pts[:-1]))
             for arc, wind in ((2 * j, -w), (2 * j + 1, w)):
                 end = into.get(arc)
                 if end is None:
@@ -842,7 +776,7 @@ class AnnularDiagram:
                 leave = (ex[_PAIRING[0][q]], ex[_PAIRING[1][q]])
                 arcs.append((j, 1 << j, wind, low, rank, k, leave))
         self._edge_order = order
-        self._arcs, self._runs, self._radii = arcs, runs, radii
+        self._arcs, self._radii = arcs, radii
         self._incident = [tuple(index[e] for e in rec) for rec in self.crossings]
 
     def edge_ids(self, edges):
@@ -864,8 +798,7 @@ class AnnularDiagram:
         stored direction, edge by edge through the crossing points,
         adding up the edges' windings, bits and least points and ray
         radii (by their ranks), and noting each edge's circle in
-        ``slot_of_edge``.  No point is traced: ``ResolvedDiagram.points``
-        traces them on first read.
+        ``slot_of_edge``.  No point is traced.
         """
         u = tuple(map(int, u))
         if len(u) != len(self.crossings) or not {*u} <= {0, 1}:
@@ -919,22 +852,6 @@ class AnnularDiagram:
         slot_of_edge = tuple(map(slot.__getitem__, walked))
         return ResolvedDiagram(u, tuple(circles), slot_of_edge, self)
 
-    def _trace(self, u, j):
-        """The points of the circle of smoothing u through edge j, walked
-        from edge j along its stored direction."""
-        arcs, runs = self._arcs, self._runs
-        start = at = 2 * j + 1
-        pts = []
-        while True:
-            pts += runs[at]
-            k, leave = arcs[at][5:]
-            if k is None:
-                break
-            at = leave[u[k]]
-            if at == start:
-                break
-        return tuple(pts)
-
     # -- signs and orientations ----------------------------------------------
 
     def base_crossing_sign(self, k):
@@ -952,7 +869,7 @@ class AnnularDiagram:
     def crossing_sign(self, k, choice=None):
         self.ensure_valid()
         against = self._against(choice)
-        under, over = (self.comp_of_edge(e.edge) in against for e in self._ends[k][:2])
+        under, over = (self._component[e.edge] in against for e in self._ends[k][:2])
         base = self.base_crossing_sign(k)
         return -base if under != over else base
 
@@ -966,22 +883,64 @@ class AnnularDiagram:
     def oriented_resolution(self, choice=None):
         """The smoothing compatible with the orientation and its
         resolution, each circle running along the orientation: a circle
-        whose least edge the orientation runs against is a reversed copy,
-        its points reversed and its winding negated."""
+        whose least edge the orientation runs against has its winding
+        negated."""
         u = tuple(
             0 if self.crossing_sign(k, choice) > 0 else 1
             for k in range(self.n_crossings)
         )
+        rd = self.resolve(u)
         against = self._against(choice)
         order = self._edge_order
 
         def along(c):
-            if self.comp_of_edge(order[first_edge(c.edges)]) not in against:
+            if self._component[order[first_edge(c.edges)]] not in against:
                 return c
-            return c._replace(winding=-c.winding, backward=True)
+            return c._replace(winding=-c.winding)
 
-        rd = self.resolve(u)
         return u, replace(rd, circles=tuple(map(along, rd.circles)))
+
+    @cached_property
+    def _label_tables(self):
+        """Per edge number: twice its signed area along its stored
+        direction, and the mask of the edges that cross the rightward ray
+        from the midpoint p of its first segment, an int point, an odd
+        number of times, under the half-open rule at p's height.  Built
+        on first use; only ``canonical_labels`` reads them."""
+        runs = [self._int_edges[eid] for eid in self._edge_order]
+        areas = [sum(_cross(a, b) for a, b in zip(pts, pts[1:])) for pts in runs]
+        odd = []
+        for (ax, ay), (bx, by), *_ in runs:
+            p = (ax + bx) // 2, (ay + by) // 2
+            odd.append(0)
+            for i, pts in enumerate(runs):
+                for a, b in zip(pts, pts[1:]):
+                    # a and b on two sides, and the crossing right of p
+                    if (a[1] <= p[1]) != (b[1] <= p[1]):
+                        if _orient(a, b, p) * (b[1] - a[1]) > 0:
+                            odd[-1] ^= 1 << i
+        return areas, odd
+
+    def canonical_labels(self, rd, choice):
+        """Each circle's canonical label in ``rd``, the oriented
+        resolution of the orientation choice: its nesting depth, plus one
+        if it runs counterclockwise, mod 2.
+
+        Every circle runs along the orientation, so twice its signed area
+        is the sum of its edges' areas, each negated where the
+        orientation runs against the edge.  Circles are disjoint off the
+        crossing points and do not cross there, so a ray from a circle's
+        least edge crosses the other circles, which hold every other
+        edge, an odd number of times exactly when its depth is odd."""
+        areas, odd = self._label_tables
+        against = self._against(choice)
+        twice = [0] * len(rd.circles)
+        for slot, a, eid in zip(rd.slot_of_edge, areas, self._edge_order):
+            twice[slot] += -a if self._component[eid] in against else a
+        return tuple(
+            ((odd[first_edge(c.edges)] & ~c.edges).bit_count() + (t > 0)) % 2
+            for c, t in zip(rd.circles, twice)
+        )
 
 
 def all_orientations(diagram):

@@ -33,7 +33,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import complexes, tqft
-from .diagram import is_counterclockwise, nesting_depth
 from .errors import UnsupportedRingError
 from .frobenius import CONVENTIONS
 from .linalg import cancel_units, packed, row_form, row_subtractor
@@ -234,7 +233,9 @@ def canonical_generator(d, choice):
 
     Each circle of the oriented resolution gets the mod-2 count of
     circles separating it from infinity, plus one when it runs
-    counterclockwise; 0 becomes the letter a and 1 the letter b.  The
+    counterclockwise, both read off per-edge tables
+    (``AnnularDiagram.canonical_labels``); 0 becomes the letter a and 1
+    the letter b.  The
     slot conventions of the resolution's state space over the Lee ring
     say which basis vector each letter picks
     (:data:`annkh.frobenius.CONVENTIONS`), and the annular degree is the
@@ -248,19 +249,15 @@ def _canonical(d, choice):
     """An orientation's canonical generator and oriented resolution."""
     u, rd = d.oriented_resolution(choice)
     space = tqft.state_space(rd, _LEE_RING)
-    letters = []
+    letters = tuple("ab"[lab] for lab in d.canonical_labels(rd, choice))
     word = 0
-    for idx, slot in enumerate(space.slots):
-        ccw = is_counterclockwise(rd, idx)
-        lab = (nesting_depth(rd, idx) + (1 if ccw else 0)) % 2
-        letter = "a" if lab == 0 else "b"
-        letters.append(letter)
+    for letter, slot in zip(letters, space.slots):
         word = (word << 1) | CONVENTIONS[slot.convention].letters.index(letter)
     _, n_minus = d.n_plus_minus()
     return CanonicalGenerator(
         orientation=tuple(choice),
         smoothing=u,
-        letters=tuple(letters),
+        letters=letters,
         word=word,
         adeg=space.bidegrees[word][1],
         degree=sum(u) - n_minus,

@@ -847,8 +847,10 @@ def reference_resolve(d, u, choice=None):
     the chords across the crossing disks.  With ``choice``
     an orientation choice, each circle is traced along the orientation
     of its least edge.  The oracle for ``AnnularDiagram.resolve`` and
-    ``oriented_resolution``, which trace the circles through the crossing
-    points instead and read no disk: see :func:`circle_facts`.
+    ``oriented_resolution``, which walk edge numbers through the crossing
+    points instead and read no disk, and for ``canonical_labels``, which
+    reads each label, (depth + ccw) % 2, off per-edge sums: see
+    :func:`circle_facts`.
 
     Returns, per circle in the order ``resolve`` lists them, its edge
     ids, winding, essential index (None if trivial), nesting depth and
@@ -921,8 +923,8 @@ def eager_walk(d, u):
     from the PD ends and the edges' points: from the circle's least edge
     id along that edge's stored direction, each edge's points up to, not
     including, the crossing it runs into.  Keyed by the circle's edge
-    ids.  The oracle for ``ResolvedDiagram.points``, which traces on
-    demand from the walk tables."""
+    ids: a resolved circle holds no points, and the tests read a
+    circle's points as ``eager_walk(d, u)[edge_ids(rd, c)]``."""
     u = tuple(u)
     d.ensure_valid()
     slot = {
@@ -951,13 +953,25 @@ def eager_walk(d, u):
     return out
 
 
-def circle_facts(rd):
-    """What :func:`reference_resolve` returns, read off a resolution."""
-    return [
-        (edge_ids(rd, c), c.winding, c.essential_index, diagram.nesting_depth(rd, j),
-         diagram.is_counterclockwise(rd, j))
-        for j, c in enumerate(rd.circles)
-    ]
+def circle_facts(rd, choice=None):
+    """Per circle, its edge ids, winding and essential index and, for
+    the oriented resolution of ``choice``, its canonical label: what
+    :func:`disk_facts` returns, read off a resolution."""
+    facts = [(edge_ids(rd, c), c.winding, c.essential_index) for c in rd.circles]
+    if choice is None:
+        return facts
+    labels = rd.diagram.canonical_labels(rd, choice)
+    return [(*fact, label) for fact, label in zip(facts, labels)]
+
+
+def disk_facts(d, u, choice=None):
+    """:func:`reference_resolve` in the shape of :func:`circle_facts`:
+    with ``choice``, each circle's depth and direction fold into its
+    label, (depth + ccw) % 2."""
+    rows = reference_resolve(d, u, choice)
+    if choice is None:
+        return [(ids, w, index) for ids, w, index, _, _ in rows]
+    return [(ids, w, index, (depth + ccw) % 2) for ids, w, index, depth, ccw in rows]
 
 
 def reference_classify_saddle(d, rd_from, rd_to, crossing):

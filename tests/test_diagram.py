@@ -13,13 +13,10 @@ from annkh.diagram import (
     AnnularDiagram,
     all_orientations,
     cube_edge_pairs,
-    is_counterclockwise,
     load_diagram,
     loads_diagram,
     dumps_diagram,
-    nesting_depth,
     nudged,
-    point_winding,
 )
 from annkh.errors import (
     ENDPOINT_MISMATCH,
@@ -33,6 +30,7 @@ from annkh.homology import lee_rank
 
 from conftest import (
     circle_facts,
+    disk_facts,
     eager_walk,
     edge_ids,
     fraction_crossings,
@@ -40,7 +38,6 @@ from conftest import (
     pd_circle_count,
     reference_point_winding,
     reference_ray_stations,
-    reference_resolve,
     reference_seg_intersection,
     reference_signed_area_twice,
 )
@@ -75,7 +72,7 @@ def test_circle_crossing_ray_is_fine():
     rd = d.resolve(())
     c = rd.circles[0]
     assert not c.essential and c.winding == 0
-    assert len(reference_ray_stations(rd.points[0])) == 2
+    assert len(reference_ray_stations(circle_points(d, rd)[0])) == 2
 
 
 def test_vertex_on_ray_rejected():
@@ -133,18 +130,33 @@ def test_no_trivial_circle_contains_essential(diagrams):
     for d in diagrams.values():
         for u in all_smoothings(d.n_crossings):
             rd = d.resolve(u)
+            pts = circle_points(d, rd)
             for j, c in enumerate(rd.circles):
                 if c.essential:
                     continue
                 for i, other in enumerate(rd.circles):
                     if i != j and other.essential:
-                        assert point_winding(rd.points[j], midpoint(rd.points[i])) == 0
+                        assert reference_point_winding(pts[j], midpoint(pts[i])) == 0
 
 
 def midpoint(points):
     """The midpoint of a circle's first segment: on no other circle."""
     (ax, ay), (bx, by) = points[:2]
     return ((ax + bx) // 2, (ay + by) // 2)
+
+
+def circle_points(d, rd, choice=None):
+    """The points of each circle of ``rd``, in slot order, from the
+    eager walk: along its least edge's stored direction, reversed where
+    the orientation ``choice`` runs against that edge."""
+    eager = eager_walk(d, rd.smoothing)
+    out = []
+    for c in rd.circles:
+        ids = edge_ids(rd, c)
+        comp = d.comp_of_edge(min(ids))
+        against = choice is not None and d.orientations[comp] != choice[comp]
+        out.append(eager[ids][::-1] if against else eager[ids])
+    return out
 
 
 def test_essential_ordering_strict(diagrams):
@@ -154,7 +166,7 @@ def test_essential_ordering_strict(diagrams):
             ess = [c for c in rd.circles if c.essential]
             radii = [
                 min(x for x, _ in reference_ray_stations(pts))
-                for c, pts in zip(rd.circles, rd.points)
+                for c, pts in zip(rd.circles, circle_points(d, rd))
                 if c.essential
             ]
             assert radii == sorted(set(radii))
@@ -180,33 +192,37 @@ def test_saddle_preserves_essential_parity(diagrams):
                     )
 
 
-def test_nesting_depths():
-    single = AnnularDiagram([], {"e0": square(0, 0, 2)}, [["e0"]], [False])
-    assert nesting_depth(single.resolve(()), 0) == 0
+def oriented_labels(d, choice):
+    """The canonical labels of the oriented resolution of ``choice``."""
+    _, rd = d.oriented_resolution(choice)
+    return d.canonical_labels(rd, choice)
 
+
+def test_nesting_depths():
+    # every square runs counterclockwise, adding 1 to its depth
+    single = AnnularDiagram([], {"e0": square(0, 0, 2)}, [["e0"]], [False])
+    assert oriented_labels(single, (False,)) == (1,)
+
+    # the trivial circle e1 comes first, at depth 1 inside e0
     inside = AnnularDiagram(
         [],
         {"e0": square(0, 0, 4), "e1": square(2, 0, 1)},
         [["e0"], ["e1"]],
         [False, False],
     )
-    rd = inside.resolve(())
-    trivial_idx = next(i for i, c in enumerate(rd.circles) if not c.essential)
-    essential_idx = 1 - trivial_idx
-    assert nesting_depth(rd, trivial_idx) == 1
-    assert nesting_depth(rd, essential_idx) == 0
+    assert oriented_labels(inside, (False, False)) == (0, 1)
+    assert oriented_labels(inside, (True, False)) == (0, 0)
+    assert oriented_labels(inside, (False, True)) == (1, 1)
 
+    # the inner circle e0 comes first, at depth 1 inside e1
     nested = AnnularDiagram(
         [],
         {"e0": square(0, 0, 2), "e1": square(0, 0, 4)},
         [["e0"], ["e1"]],
         [False, False],
     )
-    rd = nested.resolve(())
-    inner = next(i for i, c in enumerate(rd.circles) if c.essential_index == 1)
-    outer = 1 - inner
-    assert nesting_depth(rd, inner) == 1
-    assert nesting_depth(rd, outer) == 0
+    assert oriented_labels(nested, (False, False)) == (0, 1)
+    assert oriented_labels(nested, (True, True)) == (1, 0)
 
 
 def test_clasp_oriented_resolution(diagrams):
@@ -246,10 +262,14 @@ def test_positive_crossing_takes_zero_smoothing(diagrams):
 
 
 def test_counterclockwise_detection():
+    # a trivial circle at depth 0: its label is 1 when it runs
+    # counterclockwise along the orientation
     ccw = AnnularDiagram([], {"e0": square(0, 5, 1)}, [["e0"]], [False])
-    assert is_counterclockwise(ccw.resolve(()), 0)
+    assert oriented_labels(ccw, (False,)) == (1,) and oriented_labels(ccw, (True,)) == (0,)
     cw = AnnularDiagram([], {"e0": square(0, 5, 1)[::-1]}, [["e0"]], [False])
-    assert not is_counterclockwise(cw.resolve(()), 0)
+    assert oriented_labels(cw, (False,)) == (0,) and oriented_labels(cw, (True,)) == (1,)
+    flagged = AnnularDiagram([], {"e0": square(0, 5, 1)}, [["e0"]], [True])
+    assert oriented_labels(flagged, (False,)) == (0,)
 
 
 def test_orientation_choices_enumeration(diagrams):
@@ -292,7 +312,7 @@ def test_circles_meet_only_at_crossing_points(diagrams):
         through = 0
         for u in all_smoothings(d.n_crossings):
             segs = []
-            for ci, pts in enumerate(d.resolve(u).points):
+            for ci, pts in enumerate(circle_points(d, d.resolve(u))):
                 n = len(pts)
                 through += len(set(pts) & crossings)
                 for i in range(n):
@@ -480,18 +500,19 @@ def test_box_sweep_matches_the_all_pairs_validator(oracle_cases):
 
 def assert_matches_the_disk_model(cases):
     """Every valid case's circles, for every smoothing and orientation,
-    against :func:`reference_resolve`: edge ids, winding, essential
-    index, nesting depth and direction of each circle, in order.  Returns
-    how many circles an orientation reverses."""
+    against :func:`reference_resolve`: edge ids, winding and essential
+    index of each circle, in order, and on each oriented resolution the
+    circle's canonical label against the disk's (depth + ccw) % 2.
+    Returns how many circles an orientation reverses."""
     reversed_circles = 0
     for name, d in cases.items():
         if not d.is_valid():
             continue
         for u in all_smoothings(d.n_crossings):
-            assert circle_facts(d.resolve(u)) == reference_resolve(d, u), (name, u)
+            assert circle_facts(d.resolve(u)) == disk_facts(d, u), (name, u)
         for o in all_orientations(d):
             u, rd = d.oriented_resolution(o)
-            assert circle_facts(rd) == reference_resolve(d, u, o), (name, o)
+            assert circle_facts(rd, o) == disk_facts(d, u, o), (name, o)
             plain = d.resolve(u).circles
             reversed_circles += sum(a.winding != b.winding for a, b in zip(rd.circles, plain))
     return reversed_circles
@@ -503,18 +524,21 @@ def test_per_arc_resolver_matches_whole_circle_geometry(oracle_cases):
         if not d.is_valid():
             assert not name.endswith("on the ray"), name
             continue
-        rds = [d.resolve(u) for u in all_smoothings(d.n_crossings)]
-        rds += [d.oriented_resolution(o)[1] for o in all_orientations(d)]
-        for rd in rds:
+        rds = [(d.resolve(u), None) for u in all_smoothings(d.n_crossings)]
+        rds += [(d.oriented_resolution(o)[1], o) for o in all_orientations(d)]
+        for rd, o in rds:
             radii = []
-            for c, pts in zip(rd.circles, rd.points):
+            for c, pts in zip(rd.circles, circle_points(d, rd, o)):
                 stations = reference_ray_stations(pts)
                 assert c.winding == sum(s for _, s in stations), (name, rd.smoothing)
                 if c.essential:
                     radii.append(min(x for x, _ in stations))
                 twice_through_a_crossing += len(pts) - len(set(pts))
             assert radii == sorted(set(radii)), (name, rd.smoothing)
-            lows = [min(p) for c, p in zip(rd.circles, rd.points) if not c.essential]
+            lows = [
+                min(p) for c, p in zip(rd.circles, circle_points(d, rd))
+                if not c.essential
+            ]
             assert lows == sorted(lows), (name, rd.smoothing)
     assert twice_through_a_crossing > 0
     assert_matches_the_disk_model(oracle_cases)
@@ -535,32 +559,6 @@ def test_resolve_matches_the_disk_model(traced_cases):
     """Tracing through the crossing points gives the circles of the
     smoothed diagram, for every smoothing and orientation."""
     assert assert_matches_the_disk_model(traced_cases) > 20
-
-
-def test_points_traced_on_demand_match_the_eager_walk(traced_cases):
-    """``ResolvedDiagram.points`` are the points the eager walk traced,
-    in slot order, for every smoothing and orientation; an orientation
-    that runs against a circle's least edge reverses them."""
-    reversed_circles = 0
-    for name, d in traced_cases.items():
-        for u in all_smoothings(d.n_crossings):
-            rd = d.resolve(u)
-            eager = eager_walk(d, u)
-            assert len(eager) == len(rd.circles), (name, u)
-            assert rd.points == tuple(eager[edge_ids(rd, c)] for c in rd.circles)
-        for o in all_orientations(d):
-            u, rd = d.oriented_resolution(o)
-            eager = eager_walk(d, u)
-            want = []
-            for c in rd.circles:
-                ids = edge_ids(rd, c)
-                comp = d.comp_of_edge(min(ids))
-                against = d.orientations[comp] != o[comp]
-                assert c.backward == against, (name, o)
-                want.append(eager[ids][::-1] if against else eager[ids])
-                reversed_circles += against
-            assert rd.points == tuple(want), (name, o)
-    assert reversed_circles > 20
 
 
 def wedge_direction(a, b, mix):
@@ -645,23 +643,26 @@ def test_int_geometry_matches_the_fraction_predicates(oracle_cases):
             continue
         scale = d.scale
         assert type(scale) is int and scale > 0
-        rds = [d.resolve(u) for u in all_smoothings(d.n_crossings)]
-        rds += [d.oriented_resolution(o)[1] for o in all_orientations(d)]
-        for rd in rds:
-            where = (name, rd.smoothing)
+        rds = [(d.resolve(u), None) for u in all_smoothings(d.n_crossings)]
+        rds += [(d.oriented_resolution(o)[1], o) for o in all_orientations(d)]
+        for rd, o in rds:
+            where = (name, rd.smoothing, o)
+            points = circle_points(d, rd, o)
             # the circles back in the diagram's own coordinates
             plain = [
                 tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts)
-                for pts in rd.points
+                for pts in points
             ]
+            labels = None if o is None else d.canonical_labels(rd, o)
             innermost = []
             for idx, c in enumerate(rd.circles):
-                assert all(type(v) is int for p in rd.points[idx] for v in p), where
+                assert all(type(v) is int for p in points[idx] for v in p), where
                 stations = reference_ray_stations(plain[idx])
                 assert c.winding == sum(s for _, s in stations), where
-                assert nesting_depth(rd, idx) == reference_nesting_depth(plain, idx)
-                ccw = reference_signed_area_twice(plain[idx]) > 0
-                assert is_counterclockwise(rd, idx) == ccw, where
+                if o is not None:
+                    depth = reference_nesting_depth(plain, idx)
+                    ccw = reference_signed_area_twice(plain[idx]) > 0
+                    assert labels[idx] == (depth + ccw) % 2, where
                 if c.essential:
                     innermost.append(min(x for x, _ in stations))
             # essential circles come innermost first, at distinct radii
@@ -698,6 +699,29 @@ def test_loading_builds_one_fraction_per_edge_meeting_the_ray(monkeypatch):
     for o in all_orientations(d):
         homology.canonical_generator(d, o)
     assert made == []
+
+
+def test_the_label_tables_are_built_once_on_first_use():
+    from annkh import cli, homology
+
+    d = cli.load(CORPUS / "hopf_null.json")
+    c = homology.lee_complex(d)
+    # loading, validating and resolving every smoothing build no table
+    assert "_label_tables" not in vars(d)
+    built = []
+    for o in all_orientations(d):
+        homology.verify_canonical(d, o, c)
+        built.append(vars(d)["_label_tables"])
+    assert all(t is built[0] for t in built)
+
+
+def test_comp_of_edge_is_a_lookup(diagrams):
+    d = diagrams["hopf_null"]
+    assert d.n_components == 2
+    for i, comp in enumerate(d.components):
+        assert {d.comp_of_edge(e) for e in comp} == {i}
+    with pytest.raises(KeyError):
+        d.comp_of_edge("no such edge")
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)

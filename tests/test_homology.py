@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -8,7 +7,7 @@ import pytest
 
 from annkh import homology as hom
 from annkh.complexes import ChainComplexData, build_complex
-from annkh.diagram import all_orientations, cube_edge_pairs
+from annkh.diagram import AnnularDiagram, all_orientations, cube_edge_pairs
 from annkh.errors import UnsupportedRingError
 from annkh.homology import (
     BigradedHomology,
@@ -564,8 +563,6 @@ def test_canonical_trivial_circle(diagrams):
 
 
 def test_canonical_cycles_and_adeg_corpus(diagrams, monkeypatch):
-    from annkh.diagram import AnnularDiagram
-
     traced = []
     resolve = AnnularDiagram.resolve
     monkeypatch.setattr(
@@ -601,21 +598,22 @@ def test_canonical_checks_match_the_assembled_oracle(diagrams):
 
 
 def test_a_word_whose_column_has_entries_is_no_cycle(diagrams, monkeypatch):
-    """Every word of the canonical generator's vertex, in its place: the
-    cycle test is the oracle's, and some word is no cycle."""
+    """Every word of the canonical generator's vertex, each from its
+    labels in place of the canonical ones: the cycle test is the
+    oracle's, and some word is no cycle."""
     d = diagrams["trefoil_right"]
     c = lee_complex(d)
     o = next(iter(all_orientations(d)))
-    gen, rd = hom._canonical(d, o)
+    gen = canonical_generator(d, o)
     reports = []
-    for word in range(1 << len(gen.letters)):
-        fake = replace(gen, word=word)
-        monkeypatch.setattr(hom, "_canonical", lambda d, choice: (fake, rd))
+    for labels in product((0, 1), repeat=len(gen.letters)):
+        monkeypatch.setattr(AnnularDiagram, "canonical_labels", lambda *_: labels)
         rep = verify_canonical(d, o, c)
-        assert rep.generator == fake
-        assert rep.is_cycle == is_cycle_oracle(c, fake), word
+        assert rep.generator.letters == tuple("ab"[x] for x in labels)
+        assert rep.is_cycle == is_cycle_oracle(c, rep.generator), labels
         reports.append(rep)
-    assert reports[gen.word].ok
+    assert sorted(rep.generator.word for rep in reports) == [*range(len(reports))]
+    assert any(rep.generator == gen and rep.ok for rep in reports)
     assert any(not rep.is_cycle and not rep.ok for rep in reports)
 
 
