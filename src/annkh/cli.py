@@ -22,7 +22,7 @@ from .diagram import (
     nudged,
 )
 from .errors import AnnkhError, InvariantError
-from .ring import GENERIC, GF, INT, QH, RAT, AlphaEval, alpha_eval
+from .ring import GENERIC, GF, INT, LEE, QH, RAT, AlphaEval, alpha_eval
 
 
 class InputError(AnnkhError):
@@ -44,7 +44,7 @@ def parse_ring(text):
         except ValueError as e:
             raise InputError(f"bad prime field {text!r}: {e}")
     if text == "alpha":
-        return alpha_eval(0, 1)
+        return LEE
     if text.startswith("alpha:"):
         parts = text[len("alpha:"):].split(",")
         if len(parts) != 2:

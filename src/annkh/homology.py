@@ -36,7 +36,7 @@ from . import complexes, tqft
 from .errors import UnsupportedRingError
 from .frobenius import CONVENTIONS
 from .linalg import cancel_units, packed, row_form, row_subtractor
-from .ring import alpha_eval
+from .ring import LEE, alpha_eval
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def smith_normal_form(m):
     """
     ring = m.ring
     if not ring.is_euclidean:
-        raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
+        raise UnsupportedRingError(f"Smith normal form over {ring}")
     rows, cols = row_form(m.entries)
     subtract = row_subtractor(ring, rows, cols)
     size, divmod_, is_zero = ring.size, ring.divmod, ring.is_zero
@@ -126,7 +126,7 @@ def homology(c):
     Each free rank still uses the slice's full dimension."""
     ring = c.ring
     if not ring.is_euclidean:
-        raise UnsupportedRingError(f"homology over {ring.kind}")
+        raise UnsupportedRingError(f"homology over {ring}")
     qg, ag = c.qdeg_graded, c.adeg_graded
     # slice key per position, an ungraded direction None: over a ring
     # that keeps both, bigrade itself, whose tuples vertices share
@@ -201,9 +201,6 @@ def poincare_table(h):
 # the localized (Lee-type) theory
 
 
-_LEE_RING = alpha_eval(0, 1)  # built once: it holds Fractions
-
-
 def lee_complex(d, q0=0, q1=1):
     ring = alpha_eval(q0, q1)
     return complexes.build_complex(d, ring)
@@ -248,7 +245,7 @@ def canonical_generator(d, choice):
 def _canonical(d, choice):
     """An orientation's canonical generator and oriented resolution."""
     u, rd = d.oriented_resolution(choice)
-    space = tqft.state_space(rd, _LEE_RING)
+    space = tqft.state_space(rd, LEE)
     letters = tuple("ab"[lab] for lab in d.canonical_labels(rd, choice))
     word = 0
     for letter, slot in zip(letters, space.slots):

@@ -16,10 +16,11 @@ specializing to one of several coefficient rings:
 Ring elements are plain values: ints, Fractions or
 :class:`BivariatePoly` (a Q[h] value is a polynomial in a1 alone).  The
 ring object does the arithmetic on them (``add``, ``sub``, ``mul``,
-``divmod``, ...); its defaults are the Python operators, and a ring
-overrides only what differs, as the prime fields reduce modulo p.  All
-arithmetic is exact: arbitrary-precision integers, reduced fractions,
-canonical residues.  No floating point anywhere.
+``divmod``, ...); its defaults are the Python operators, a ring
+overrides only what differs, as GF(p) reduces modulo p, and the fields
+share :class:`Field`, which divides by their exact quotient.  A ring
+is its type and parameters.  All arithmetic is exact: big integers,
+reduced fractions, canonical residues.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -63,11 +64,8 @@ class BivariatePoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, BivariatePoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == BivariatePoly.from_int(other).terms
-        return NotImplemented
+        other = _poly(other)
+        return other if other is NotImplemented else self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its number, so it hashes as that number
@@ -77,10 +75,9 @@ class BivariatePoly:
         return hash(frozenset(terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, BivariatePoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BivariatePoly.from_int(other)
+        other = _poly(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k, 0) + c
@@ -100,22 +97,17 @@ class BivariatePoly:
         return res
 
     def __sub__(self, other):
-        if not isinstance(other, BivariatePoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BivariatePoly.from_int(other)
-        return self + (-other)
+        other = _poly(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return BivariatePoly.from_int(other) - self
+        other = _poly(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        if not isinstance(other, BivariatePoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BivariatePoly.from_int(other)
+        other = _poly(other)
+        if other is NotImplemented:
+            return other
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -155,6 +147,17 @@ class BivariatePoly:
 
     def __repr__(self):
         return f"BivariatePoly({self})"
+
+
+def _poly(x):
+    """x as a polynomial: a :class:`BivariatePoly` as it is, an int or
+    Fraction as a constant; ``NotImplemented`` for anything else, floats
+    included, so the operators refuse it."""
+    if isinstance(x, BivariatePoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return BivariatePoly.from_int(x)
+    return NotImplemented
 
 
 def _power(name, k):
@@ -209,16 +212,17 @@ def _is_prime(n):
 class CoefficientRing:
     """Abstract ring protocol.
 
-    Concrete rings expose ``kind`` plus exact arithmetic on plain values:
-    ints, Fractions, or :class:`BivariatePoly` with int or Fraction
-    coefficients, depending on the ring (Q[h] takes the a1-only ones).
-    The ring, not a separate switch, fixes the theory's conventions:
-    ``preserves_qdeg`` says whether maps keep the quantum grading, and
-    ``tqft`` gives annular slots over :class:`AlphaEval` the localized
-    bases.  ``kind`` only labels the ring in messages and hashes.
+    Concrete rings do exact arithmetic on plain values: ints, Fractions,
+    or :class:`BivariatePoly` with int or Fraction coefficients,
+    depending on the ring (Q[h] takes the a1-only ones).  A ring is its
+    type and parameters (its ``__dict__``, as the p of GF(p)), which
+    alone decide equality and hash; ``kind`` names the parameterless
+    ones.  The fields share :class:`Field`.  The ring, not a separate
+    switch, fixes the theory's conventions: ``preserves_qdeg`` says
+    whether maps keep the quantum grading, and ``tqft`` gives annular
+    slots over :class:`AlphaEval` the localized bases.
     """
 
-    kind = "?"
     is_euclidean = False
     preserves_qdeg = True  # maps keep the quantum grading over this ring
 
@@ -262,11 +266,11 @@ class CoefficientRing:
 
     def divmod(self, a, b):
         """(q, r) with a = q*b + r and size(r) < size(b)."""
-        raise UnsupportedRingError(f"no Euclidean division over {self.kind}")
+        raise UnsupportedRingError(f"no Euclidean division over {self}")
 
     def size(self, a):
         """Euclidean size; only meaningful for Euclidean rings."""
-        raise UnsupportedRingError(f"no Euclidean size over {self.kind}")
+        raise UnsupportedRingError(f"no Euclidean size over {self}")
 
     def normalize_unit(self, a):
         """Return (u, a*u) with u a unit making a*u canonical."""
@@ -307,7 +311,7 @@ class CoefficientRing:
         return type(self) is type(other) and self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash(self.kind)
+        return hash((type(self), frozenset(self.__dict__.items())))
 
 
 class IntRing(CoefficientRing):
@@ -345,9 +349,30 @@ class IntRing(CoefficientRing):
         return 0, 0
 
 
-class RatRing(CoefficientRing):
-    kind = "RAT"
+class Field(CoefficientRing):
+    """A field of numbers, each nonzero one a unit.  It states its exact
+    quotient ``div(a, b)``, b nonzero, and the rest follows from it."""
+
     is_euclidean = True
+    is_unit = staticmethod(operator.truth)
+
+    def divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError(f"division by zero in {self!r}")
+        return self.div(a, b), self.zero()
+
+    def size(self, a):
+        return 1 if a else 0
+
+    def normalize_unit(self, a):
+        if not a:
+            return self.one(), a
+        return self.div(self.one(), a), self.one()
+
+
+class RatRing(Field):
+    kind = "RAT"
+    div = staticmethod(operator.truediv)
 
     def zero(self):
         return Fraction(0)
@@ -355,39 +380,17 @@ class RatRing(CoefficientRing):
     def from_int(self, n):
         return Fraction(n)
 
-    def divmod(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in {self!r}")
-        return a / b, Fraction(0)
-
-    def size(self, a):
-        return 0 if a == 0 else 1
-
-    def normalize_unit(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        return 1 / a, Fraction(1)
-
-    def is_unit(self, a):
-        return a != 0
-
     def alpha_images(self):
         return Fraction(0), Fraction(0)
 
 
-class PrimeField(CoefficientRing):
-    is_euclidean = True
-
+class PrimeField(Field):
     def __init__(self, p):
         if p >= PRIME_TEST_BOUND:
             raise ValueError(f"{p} >= {PRIME_TEST_BOUND}, the bound of the prime test")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def kind(self):
-        return "PRIME_FIELD"
 
     def zero(self):
         return 0
@@ -398,10 +401,8 @@ class PrimeField(CoefficientRing):
             return n.numerator * pow(n.denominator, -1, self.p) % self.p
         return n % self.p
 
-    def divmod(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return (a * pow(b, -1, self.p)) % self.p, 0
+    def div(self, a, b):
+        return a * pow(b, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -415,26 +416,11 @@ class PrimeField(CoefficientRing):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def size(self, a):
-        return 0 if a % self.p == 0 else 1
-
-    def normalize_unit(self, a):
-        a %= self.p
-        if a == 0:
-            return 1, 0
-        return pow(a, -1, self.p), 1
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def alpha_images(self):
         return 0, 0
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __hash__(self):
-        return hash(("PRIME_FIELD", self.p))
 
 
 class RatPolyH(CoefficientRing):
@@ -455,13 +441,14 @@ class RatPolyH(CoefficientRing):
         if not b:
             raise ZeroDivisionError("division by zero in Q[h]")
         d = self.size(b) - 1
-        lead = Fraction(b.terms[(0, d)])
+        lead = b.terms[(0, d)]
         lower = [(j, c) for (_, j), c in b.terms.items() if j < d]
         q, r = {}, dict(a.terms)
         for k in range(self.size(a) - 1 - d, -1, -1):
             c = r.pop((0, k + d), 0)
             if c:
-                f = q[(0, k)] = c / lead
+                # an int when whole, so integral Q[h] stays on ints
+                f = q[(0, k)] = c // lead if c % lead == 0 else Fraction(c, lead)
                 for j, cb in lower:
                     key = (0, k + j)
                     s = r.get(key, 0) - f * cb
@@ -478,7 +465,8 @@ class RatPolyH(CoefficientRing):
     def normalize_unit(self, a):
         if not a:
             return self.one(), a
-        u = 1 / Fraction(a.terms[(0, self.size(a) - 1)])
+        lead = a.terms[(0, self.size(a) - 1)]
+        u = 1 // lead if 1 % lead == 0 else Fraction(1, lead)
         return self.from_int(u), a * u
 
     def is_unit(self, a):
@@ -503,7 +491,6 @@ class AlphaEval(RatRing):
     invertible scalar, which models the localized theory.
     """
 
-    kind = "RAT_ALPHA_EVAL"
     preserves_qdeg = False  # a0, a1 of degree 2 become numbers of degree 0
 
     def __init__(self, q0, q1):
@@ -519,9 +506,6 @@ class AlphaEval(RatRing):
 
     def __repr__(self):
         return f"ALPHA_EVAL({self.q0},{self.q1})"
-
-    def __hash__(self):
-        return hash(("RAT_ALPHA_EVAL", self.q0, self.q1))
 
 
 class GenericAlpha(CoefficientRing):
@@ -593,10 +577,8 @@ INT = IntRing()
 RAT = RatRing()
 QH = RatPolyH()
 GENERIC = GenericAlpha()
-
-
-def GF(p):
-    return PrimeField(p)
+LEE = AlphaEval(0, 1)  # the localized ring of canonical generators
+GF = PrimeField
 
 
 def alpha_eval(q0=0, q1=1):

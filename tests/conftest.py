@@ -142,7 +142,7 @@ def dense_snf_oracle(m):
     """
     ring = m.ring
     if not ring.is_euclidean:
-        raise UnsupportedRingError(f"Smith normal form over {ring.kind}")
+        raise UnsupportedRingError(f"Smith normal form over {ring}")
     A = m.to_dense()
     nr, nc = m.nrows, m.ncols
 

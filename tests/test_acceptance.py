@@ -132,7 +132,7 @@ def test_criterion_06_reidemeister_invariance(diagrams):
         for ring in rings:
             ha = homology(build_complex(diagrams[a], ring))
             hb = homology(build_complex(diagrams[b], ring))
-            assert ha.rank_table() == hb.rank_table(), (move, ring.kind)
+            assert ha.rank_table() == hb.rank_table(), (move, ring)
     report(6, "rank and torsion tables agree across the R1/R2/R3 pairs "
               "over all four coefficient rings")
 
@@ -211,6 +211,6 @@ def test_criterion_10_grading_contract(diagrams):
             (alpha_eval(0, 1), False),
         ):
             c = build_complex(d, ring, planar)
-            assert verify_grading(c) is None, (name, planar, ring.kind)
+            assert verify_grading(c) is None, (name, planar, ring)
     report(10, "every differential entry preserves the shifted bigrade, "
                "checked exhaustively")

@@ -419,9 +419,10 @@ def rebuilt(d, move=lambda eid, i, p: p):
 
 
 def random_braids(seed, count, max_len):
+    """``count`` closures of distinct seeded braid words, keyed by word."""
     rng = random.Random(seed)
     out = {}
-    for _ in range(count):
+    while len(out) < count:
         n = rng.randint(2, 4)
         word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
                 for _ in range(rng.randint(1, max_len))]

@@ -1,10 +1,12 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from annkh import frobenius as fb
 from annkh.errors import UnsupportedRingError
 from annkh.ring import (
     A0,
@@ -15,12 +17,19 @@ from annkh.ring import (
     INT,
     QH,
     RAT,
+    AlphaEval,
     BivariatePoly,
+    Field,
+    GenericAlpha,
+    IntRing,
     PRIME_TEST_BOUND,
     PrimeField,
+    RatPolyH,
+    RatRing,
     _is_prime,
     alpha_eval,
 )
+from annkh.tqft import local_table
 
 from conftest import hpoly
 
@@ -132,7 +141,7 @@ def test_poly_refuses_inexact_numbers():
             op(A0, 0.5)
         with pytest.raises(TypeError):
             op(0.5, A0)
-    assert A0 != 0.5
+    assert A0 != 0.5 and not A0 == 0.5
 
 
 def test_euclidean_divmod_examples():
@@ -296,6 +305,74 @@ def test_qh_string_and_monic():
     assert QH.normalize_unit(hpoly(0, Fraction(-2, 3))) == (Fraction(-3, 2), hpoly(0, 1))
     assert QH.normalize_unit(QH.zero()) == (1, QH.zero())
     assert QH.to_str(QH.alpha_images()[1]) == "h"
+
+
+def test_integral_qh_stays_on_ints():
+    """Whole quotients come out as ints, so Q[h] tables and row updates
+    over integral values do no Fraction arithmetic."""
+    table = local_table(QH, (fb.V, fb.ONE_X), (fb.V,), False)
+    coeffs = [c for row in table for _, v in row for c in v.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    q, r = QH.divmod(QH.one(), QH.from_int(-1))
+    assert q == -1 and not r
+    assert all(type(c) is int for c in q.terms.values())
+    assert QH.normalize_unit(hpoly(1, -2))[0].terms == {(0, 0): Fraction(-1, 2)}
+
+
+# each ring, a second construction of it, and rings it must differ from
+IDENTITY_CASES = [
+    (INT, IntRing, (RAT, GF(2))),
+    (RAT, RatRing, (alpha_eval(0, 0), INT)),
+    (GF(2), lambda: GF(2), (GF(3), INT)),
+    (GF(5), lambda: PrimeField(5), (GF(2), RAT)),
+    (QH, RatPolyH, (RAT, GENERIC)),
+    (GENERIC, GenericAlpha, (QH,)),
+    (alpha_eval(1, 3), lambda: alpha_eval(Fraction(1), Fraction(3)),
+     (alpha_eval(3, 1), RAT)),
+    (alpha_eval(2, 2), lambda: AlphaEval(2, 2), (alpha_eval(2, 3), alpha_eval())),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, build, others", IDENTITY_CASES, ids=[repr(c[0]) for c in IDENTITY_CASES]
+)
+def test_a_ring_is_its_type_and_parameters(ring, build, others):
+    twin = build()
+    assert twin is not ring
+    assert twin == ring and hash(twin) == hash(ring) and len({ring, twin}) == 1
+    for other in others:
+        assert ring != other and len({ring, other}) == 2
+    # messages name the ring as it prints
+    name = re.escape("Q[h]" if ring is QH else repr(ring))
+    if not ring.is_euclidean:
+        with pytest.raises(UnsupportedRingError, match=f"division over {name}$"):
+            ring.divmod(ring.one(), ring.one())
+        with pytest.raises(UnsupportedRingError, match=f"size over {name}$"):
+            ring.size(ring.one())
+        return
+    with pytest.raises(ZeroDivisionError, match=f"division by zero in {name}$"):
+        ring.divmod(ring.one(), ring.zero())
+    if not isinstance(ring, Field):
+        return
+    # a field's Euclidean division, size and unit normalization are its
+    # exact quotient's
+    rng = random.Random(repr(ring))
+    values = [ring.zero(), ring.one()] + [rand_value(rng, ring) for _ in range(30)]
+    for a in values:
+        zero = ring.is_zero(a)
+        assert ring.size(a) == (0 if zero else 1)
+        assert ring.is_unit(a) is not zero
+        with pytest.raises(ZeroDivisionError, match=f"division by zero in {name}$"):
+            ring.divmod(a, ring.zero())
+        if zero:
+            assert ring.normalize_unit(a) == (ring.one(), a)
+            continue
+        assert ring.normalize_unit(a) == (ring.div(ring.one(), a), ring.one())
+        assert ring.mul(a, ring.normalize_unit(a)[0]) == ring.one()
+        for b in values:
+            q, r = ring.divmod(b, a)
+            assert q == ring.div(b, a) and ring.is_zero(r)
+            assert ring.mul(q, a) == b
 
 
 CONTRACT_RINGS = {
