@@ -14,8 +14,10 @@ specializing to one of several coefficient rings:
   normal form since the bivariate ring is not Euclidean)
 
 Ring elements are plain values: ints, Fractions or
-:class:`BivariatePoly` (a Q[h] value is a polynomial in a1 alone).  The
-ring object does the arithmetic on them (``add``, ``sub``, ``mul``,
+:class:`BivariatePoly` (a Q[h] value is a polynomial in a1 alone).  A
+rational value is an int when it is whole and a Fraction only when it
+is not, so integral matrices over Q and the alpha rings run on ints.
+The ring object does the arithmetic on them (``add``, ``sub``, ``mul``,
 ``divmod``, ...); its defaults are the Python operators, a ring
 overrides only what differs, as GF(p) reduces modulo p, and the fields
 share :class:`Field`, which divides by their exact quotient.  A ring
@@ -227,7 +229,7 @@ class CoefficientRing:
     preserves_qdeg = True  # maps keep the quantum grading over this ring
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
         return self.from_int(1)
@@ -282,7 +284,7 @@ class CoefficientRing:
 
     def alpha_images(self):
         """Images of the generators a0, a1 under the specialization."""
-        raise NotImplementedError
+        return 0, 0
 
     def specialize_poly(self, p):
         """Image of a bivariate polynomial under the specialization: its
@@ -318,9 +320,6 @@ class IntRing(CoefficientRing):
     kind = "INT"
     is_euclidean = True
 
-    def zero(self):
-        return 0
-
     def from_int(self, n):
         """n as an int; a Fraction must be integral."""
         if isinstance(n, Fraction) and n.denominator != 1:
@@ -345,13 +344,11 @@ class IntRing(CoefficientRing):
     def is_unit(self, a):
         return a in (1, -1)
 
-    def alpha_images(self):
-        return 0, 0
-
 
 class Field(CoefficientRing):
     """A field of numbers, each nonzero one a unit.  It states its exact
-    quotient ``div(a, b)``, b nonzero, and the rest follows from it."""
+    quotient ``div(a, b)``, b nonzero, and the rest follows from it: a
+    residue of GF(p), or over Q an int when the quotient is whole."""
 
     is_euclidean = True
     is_unit = staticmethod(operator.truth)
@@ -370,18 +367,30 @@ class Field(CoefficientRing):
         return self.div(self.one(), a), self.one()
 
 
-class RatRing(Field):
-    kind = "RAT"
-    div = staticmethod(operator.truediv)
+def _whole(f):
+    """A Fraction as an int when it is whole."""
+    return f.numerator if f.denominator == 1 else f
 
-    def zero(self):
-        return Fraction(0)
+
+class RatRing(Field):
+    """Q.  A value is an int when it is whole and a Fraction otherwise,
+    as ``zero``, ``from_int`` and ``div`` give them.  Sums and products
+    are the Python operators, exact on any mix of the two, so a product
+    with a Fraction may still be a whole Fraction, which equals and
+    hashes as its int."""
+
+    kind = "RAT"
 
     def from_int(self, n):
-        return Fraction(n)
+        """n, an int or a Fraction, as an int when it is whole."""
+        return n if type(n) is int else _whole(Fraction(n))
 
-    def alpha_images(self):
-        return Fraction(0), Fraction(0)
+    def div(self, a, b):
+        """The exact quotient a/b, never a float."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _whole(Fraction(a.numerator * b.denominator, a.denominator * b.numerator))
 
 
 class PrimeField(Field):
@@ -391,9 +400,6 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    def zero(self):
-        return 0
 
     def from_int(self, n):
         """n mod p; a Fraction's denominator must be prime to p."""
@@ -415,9 +421,6 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def alpha_images(self):
-        return 0, 0
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -485,7 +488,9 @@ class RatPolyH(CoefficientRing):
 
 
 class AlphaEval(RatRing):
-    """Q with a0, a1 evaluated at fixed rationals.
+    """Q with a0, a1 evaluated at fixed rationals, stored as
+    :class:`RatRing` values: ints when whole, so the Lee ring's local
+    tables and complexes are integral.
 
     With distinct values the discriminant (a0 - a1)^2 becomes an
     invertible scalar, which models the localized theory.
@@ -494,8 +499,8 @@ class AlphaEval(RatRing):
     preserves_qdeg = False  # a0, a1 of degree 2 become numbers of degree 0
 
     def __init__(self, q0, q1):
-        self.q0 = Fraction(q0)
-        self.q1 = Fraction(q1)
+        self.q0 = self.from_int(q0)
+        self.q1 = self.from_int(q1)
 
     def alpha_images(self):
         return self.q0, self.q1

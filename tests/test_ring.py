@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from annkh import complexes, homology, linalg
 from annkh import frobenius as fb
+from annkh.corpus import braid_closure
 from annkh.errors import UnsupportedRingError
 from annkh.ring import (
     A0,
@@ -15,6 +17,7 @@ from annkh.ring import (
     GENERIC,
     GF,
     INT,
+    LEE,
     QH,
     RAT,
     AlphaEval,
@@ -317,6 +320,77 @@ def test_integral_qh_stays_on_ints():
     assert q == -1 and not r
     assert all(type(c) is int for c in q.terms.values())
     assert QH.normalize_unit(hpoly(1, -2))[0].terms == {(0, 0): Fraction(-1, 2)}
+
+
+def test_integral_complexes_stay_on_ints(diagrams):
+    """Over Q and the Lee ring every local table is integral, so every
+    block value of the annular and planar complexes is an int, and unit
+    cancellation over LEE writes only ints: it does no Fraction
+    arithmetic.  The annular tables over alpha:1,3 still hold whole
+    Fractions (products with 1/2), and are left as they are."""
+    for ring in (RAT, LEE):
+        for planar in (False, True):
+            for name, d in diagrams.items():
+                c = complexes.build_complex(d, ring, planar=planar)
+                values = [v for bl in c.blocks.values() for *_, items in bl for _, v in items]
+                assert all(type(v) is int for v in values), (ring, planar, name)
+
+    made = []  # every value the row updates and pivot inverses make
+
+    class Recording(AlphaEval):
+        def sub(self, a, b):
+            made.append(a - b)
+            return made[-1]
+
+        def mul(self, a, b):
+            made.append(a * b)
+            return made[-1]
+
+        def div(self, a, b):
+            made.append(super().div(a, b))
+            return made[-1]
+
+    c = homology.lee_complex(braid_closure([1, -2] * 3, 3))
+    for bl in c.blocks.values():
+        rows, cols = linalg.row_form(
+            {(rof + r, cof + col): v for rof, cof, items in bl for (r, col), v in items}
+        )
+        assert linalg.cancel_units(Recording(0, 1), rows, cols)
+        assert not rows  # over a field every entry is a unit
+    assert made and all(type(v) is int for v in made)
+
+
+RATIONAL_RINGS = [RAT, LEE, alpha_eval(1, 3), alpha_eval(2, Fraction(1, 3))]
+RATIONAL_VALUES = [
+    0, 1, -1, 2, 3, -6, Fraction(1, 2), Fraction(-3, 2), Fraction(2), Fraction(-6, 3),
+]
+
+
+def exact_rational(v):
+    """Whether v is an int, or a Fraction that is not whole."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@pytest.mark.parametrize("ring", RATIONAL_RINGS, ids=repr)
+def test_rational_values_are_ints_when_whole(ring):
+    """Division over Q and the alpha rings is exact and never gives a
+    float: ``div``, ``divmod``, ``normalize_unit`` and ``from_int`` give
+    an int exactly when the value is whole, a Fraction otherwise."""
+    assert ring.divmod(1, 2) == (Fraction(1, 2), 0)
+    assert ring.divmod(3, 2)[0] == Fraction(3, 2)
+    assert type(ring.zero()) is int and type(ring.one()) is int
+    assert all(map(exact_rational, ring.alpha_images()))
+    for a in RATIONAL_VALUES:
+        assert ring.from_int(a) == a and exact_rational(ring.from_int(a))
+        if a:
+            u, one = ring.normalize_unit(a)
+            assert u * a == 1 and exact_rational(u) and type(one) is int
+        for b in filter(None, RATIONAL_VALUES):
+            want = Fraction(a) / Fraction(b)
+            q, r = ring.divmod(a, b)
+            assert q == want and exact_rational(q), (a, b)
+            assert r == 0 and type(r) is int
+            assert ring.div(a, b) == want and exact_rational(ring.div(a, b))
 
 
 # each ring, a second construction of it, and rings it must differ from
